@@ -17,7 +17,14 @@ backend's effective bandwidth, so all paper artifacts are unchanged.
 See ``docs/dram.md``.
 """
 
-from .backend import DramAccess, DramStats, combine_stats, simulate_accesses
+from .backend import (
+    DramAccess,
+    DramRequests,
+    DramStats,
+    combine_stats,
+    simulate_accesses,
+    simulate_requests,
+)
 from .mapping import (
     MAPPING_NAMES,
     MAPPING_POLICIES,
@@ -38,9 +45,10 @@ from .planstats import (
 )
 from .spec import DEFAULT_DDR4_SPEC, KNOWN_MAPPINGS, DramSpec
 from .trace import (
+    clear_dram_memo,
     dram_effective_bandwidth,
     layer_regions,
-    schedule_accesses,
+    schedule_requests,
     simulate_schedule,
 )
 
@@ -49,9 +57,11 @@ __all__ = [
     "DEFAULT_DDR4_SPEC",
     "KNOWN_MAPPINGS",
     "DramAccess",
+    "DramRequests",
     "DramStats",
     "combine_stats",
     "simulate_accesses",
+    "simulate_requests",
     "MappingPolicy",
     "AddressLayout",
     "Region",
@@ -63,9 +73,10 @@ __all__ = [
     "get_mapping",
     "partition_banks",
     "layer_regions",
-    "schedule_accesses",
+    "schedule_requests",
     "simulate_schedule",
     "dram_effective_bandwidth",
+    "clear_dram_memo",
     "LayerDramResult",
     "PlanDramResult",
     "assignment_dram_stats",

@@ -1,11 +1,12 @@
 """Trace-driven banked-DRAM backend.
 
-The backend consumes a stream of :class:`DramAccess` requests (produced
-from a policy's streaming schedule by :mod:`repro.dram.trace`), resolves
-each through a mapping policy's :class:`~repro.dram.mapping.AddressLayout`
-and replays it against a row-buffer state machine:
+The backend consumes a stream of requests (produced from a policy's
+streaming schedule by :mod:`repro.dram.trace`, or hand-built
+:class:`DramAccess` lists), resolves them through a mapping policy's
+:class:`~repro.dram.mapping.AddressLayout` and replays them against a
+row-buffer state machine:
 
-* every access is split at row boundaries into *segments* (one
+* every request is split at row boundaries into *segments* (one
   (channel, bank, row) touch each);
 * a segment whose row is already open in its bank proceeds at the bus
   rate (every burst a row hit);
@@ -15,6 +16,18 @@ and replays it against a row-buffer state machine:
 * requests are queued ahead of time (the schedule is static), so a bank
   can precharge/activate in the shadow of other banks' transfers — bank
   parallelism — while each channel's data bus serializes its transfers.
+
+The replay is one NumPy array pipeline, not a per-segment loop.  A bank
+is only ever freed at its channel's bus time and bus times only grow, so
+``free_at <= bus`` always holds: a hit starts when the bus frees, and per
+channel the end of segment ``i`` is ``D_i + U_i`` with ``D`` the prefix
+sum of transfer times and ``U`` a nondecreasing stall.  ``U`` can only
+grow at a miss whose penalty exceeds the bus time since that bank's
+previous segment; only those *stall events* (a few percent of segments)
+go through a short scalar loop.  All times are kept in integer units of
+``1 / channel_bytes_per_cycle`` cycles (a transfer of ``n`` bytes lasts
+``n`` units) and divided once at the end, so ``cycles`` is the exactly
+rounded quotient.
 
 The result is a :class:`DramStats`: row hits/misses, activations,
 occupancy cycles per channel, effective bandwidth and per-component
@@ -26,9 +39,13 @@ re-checks for every DRAM-backed plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+from numpy.typing import NDArray
 
 from ..obs import get_tracer, metrics_registry
-from .mapping import AddressLayout, MappingPolicy, Region
+from .mapping import MappingPolicy, Region
 from .spec import DramSpec
 
 
@@ -112,14 +129,38 @@ def combine_stats(parts: list[DramStats]) -> DramStats:
     return total
 
 
-class _BankState:
-    """Open row and readiness time of one DRAM bank."""
+class DramRequests(NamedTuple):
+    """An access stream as parallel arrays, one entry per request."""
 
-    __slots__ = ("open_row", "free_at")
+    region: NDArray[np.int64]  #: index into the layer's region tuple
+    offset: NDArray[np.int64]  #: byte offset within the region
+    nbytes: NDArray[np.int64]  #: request length in bytes (positive)
+    write: NDArray[np.bool_]
 
-    def __init__(self) -> None:
-        self.open_row: int | None = None
-        self.free_at = 0.0
+
+def split_at(
+    start: NDArray[np.int64], nbytes: NDArray[np.int64], quantum: NDArray[np.int64] | int
+) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.int64], NDArray[np.int64]]:
+    """Split byte ranges ``[start, start + nbytes)`` at multiples of ``quantum``.
+
+    Returns ``(owner, piece_start, piece_bytes, block)`` with one entry per
+    piece, in range order: the index of the range each piece came from,
+    where it starts, its length and ``piece_start // quantum``.
+    """
+    first = start // quantum
+    pieces = (start + nbytes - 1) // quantum - first + 1
+    if pieces.size == 0 or int(pieces.max()) == 1:
+        owner = np.arange(start.size, dtype=np.int64)
+        return owner, start, nbytes, first
+    owner = np.repeat(np.arange(start.size, dtype=np.int64), pieces)
+    step = np.arange(owner.size, dtype=np.int64)
+    step -= np.repeat(np.cumsum(pieces) - pieces, pieces)
+    block = first[owner] + step
+    if not isinstance(quantum, int):
+        quantum = quantum[owner]
+    lo = np.maximum(start[owner], block * quantum)
+    hi = np.minimum((start + nbytes)[owner], (block + 1) * quantum)
+    return owner, lo, hi - lo, block
 
 
 def simulate_accesses(
@@ -128,11 +169,29 @@ def simulate_accesses(
     spec: DramSpec,
     mapping: MappingPolicy,
 ) -> DramStats:
-    """Replay an access stream through the row-buffer state machine."""
+    """Replay a hand-built access stream through the row-buffer state machine."""
+    requests = DramRequests(
+        region=np.array([a.region for a in accesses], dtype=np.int64),
+        offset=np.array([a.offset for a in accesses], dtype=np.int64),
+        nbytes=np.array([a.nbytes for a in accesses], dtype=np.int64),
+        write=np.array([a.write for a in accesses], dtype=np.bool_),
+    )
+    return simulate_requests(requests, regions, spec, mapping)
+
+
+def simulate_requests(
+    requests: DramRequests,
+    regions: tuple[Region, ...],
+    spec: DramSpec,
+    mapping: MappingPolicy,
+) -> DramStats:
+    """Replay a request stream through the row-buffer state machine."""
     with get_tracer().start(
-        "dram_stream", mapping=mapping.name, requests_count=len(accesses)
+        "dram_stream", mapping=mapping.name, requests_count=requests.nbytes.size
     ) as span:
-        stats = _simulate_accesses(accesses, regions, spec, mapping)
+        stats, segments, stall_events = _simulate(requests, regions, spec, mapping)
+        span.set_attr("segments_count", segments)
+        span.set_attr("stall_events_count", stall_events)
         span.set_attr("row_hits_count", stats.row_hits)
         span.set_attr("row_misses_count", stats.row_misses)
         span.set_attr("total_bytes", stats.total_bytes)
@@ -145,64 +204,109 @@ def simulate_accesses(
     return stats
 
 
-def _simulate_accesses(
-    accesses: list[DramAccess] | tuple[DramAccess, ...],
+def _simulate(
+    requests: DramRequests,
     regions: tuple[Region, ...],
     spec: DramSpec,
     mapping: MappingPolicy,
-) -> DramStats:
-    layout: AddressLayout = mapping.layout(spec, regions)
-    row_bytes = spec.row_bytes
-    burst_bytes = spec.burst_bytes
-    bus_rate = spec.channel_bytes_per_cycle
+) -> tuple[DramStats, int, int]:
+    """Stats of the stream, its segment count and its stall-event count."""
+    writes = int(requests.nbytes[requests.write].sum())
+    reads = int(requests.nbytes.sum()) - writes
+    if reads + writes == 0:
+        return DramStats(), 0, 0
 
-    bus = [0.0] * spec.channels
-    banks: dict[tuple[int, int], _BankState] = {}
+    # Row segments in request order, located in one array call.
+    owner, offset, seg_bytes = split_at(
+        requests.offset, requests.nbytes, spec.row_bytes
+    )[:3]
+    channel, bank, row = mapping.layout(spec, regions).locate(
+        requests.region[owner], offset
+    )
+    segments = seg_bytes.size
+    bursts = int(((seg_bytes + (spec.burst_bytes - 1)) // spec.burst_bytes).sum())
 
-    reads = writes = bursts = hits = misses = 0
+    # Channel order: each channel's segments contiguous and in request
+    # order.  Times are in units of 1/rate cycles, so a segment's transfer
+    # lasts ``seg_bytes`` units and a running sum of bytes is bus time.
+    busy = np.bincount(channel, minlength=spec.channels)
+    busy = busy[busy > 0]
+    lasts = np.cumsum(busy) - 1  # each busy channel's last segment
+    firsts = lasts - busy + 1  # ... and its first
+    by_channel = np.argsort(channel, kind="stable")
+    key = (channel * spec.banks_per_channel + bank)[by_channel]
+    row = row[by_channel]
+    seg_bytes = seg_bytes[by_channel]
+    done = np.cumsum(seg_bytes)  # stall-free bus time at each segment's end
+    origin = done[firsts] - seg_bytes[firsts]  # ... at each channel's start
 
-    for access in accesses:
-        offset = access.offset
-        remaining = access.nbytes
-        if access.write:
-            writes += access.nbytes
-        else:
-            reads += access.nbytes
-        while remaining > 0:
-            seg_bytes = min(remaining, row_bytes - offset % row_bytes)
-            channel, bank_idx, row = layout.locate(access.region, offset)
-            bank = banks.setdefault((channel, bank_idx), _BankState())
-            seg_bursts = -(-seg_bytes // burst_bytes)
-            bursts += seg_bursts
-            if bank.open_row == row:
-                hits += seg_bursts
-                start = max(bus[channel], bank.free_at)
-            else:
-                misses += 1
-                hits += seg_bursts - 1
-                penalty = spec.row_open_penalty if bank.open_row is None else (
-                    spec.row_miss_penalty
-                )
-                bank.open_row = row
-                start = max(bus[channel], bank.free_at + penalty)
-            end = start + seg_bytes / bus_rate
-            bus[channel] = end
-            bank.free_at = end
-            offset += seg_bytes
-            remaining -= seg_bytes
+    # A stable sort by bank makes each segment's predecessor in its bank
+    # its neighbour: a different bank means a cold bank, a different row
+    # a row miss.
+    by_bank = np.argsort(key, kind="stable")
+    key = key[by_bank]
+    row = row[by_bank]
+    cold = np.empty(segments, dtype=np.bool_)
+    cold[0] = True
+    np.not_equal(key[1:], key[:-1], out=cold[1:])
+    miss = cold.copy()
+    miss[1:] |= row[1:] != row[:-1]
+    at = np.flatnonzero(miss)
+    misses = at.size
 
-    total_bytes = reads + writes
-    cycles = max(bus) if total_bytes else 0.0
-    return DramStats(
+    # Stall events: misses whose penalty exceeds the bus time since their
+    # bank's previous segment ended (since the channel's start when cold).
+    # Only they can push the channel's stall ``U`` up; every other segment
+    # starts the moment the bus frees.
+    cold = cold[at]
+    position = by_bank[at]
+    prev = np.where(cold, -1, by_bank[at - 1])
+    lane = np.searchsorted(firsts, position, side="right") - 1  # busy channel
+    rate = spec.channel_bytes_per_cycle
+    slack = np.where(
+        cold, spec.row_open_penalty * rate, spec.row_miss_penalty * rate
+    ) - (done[position] - seg_bytes[position] - np.where(cold, origin[lane], done[prev]))
+    event = np.flatnonzero(slack > 0)
+    event = event[np.argsort(position[event])]
+    position = position[event]
+    slack = slack[event]
+    prev = prev[event]
+    lane = lane[event]
+
+    # U_j of the previous segment is the running stall of the last event
+    # at or before it in the same channel (0 when there is none).
+    look = np.searchsorted(position, prev, side="right") - 1
+    floor = np.searchsorted(position, firsts[lane])
+    stall = [0] * position.size
+    current = -1
+    running = 0
+    for k, (gain, at_k, base) in enumerate(
+        zip(slack.tolist(), look.tolist(), floor.tolist())
+    ):
+        if base != current:
+            current = base
+            running = 0
+        candidate = gain + (stall[at_k] if at_k >= base else 0)
+        if candidate > running:
+            running = candidate
+        stall[k] = running
+
+    final = np.zeros(firsts.size, dtype=np.int64)
+    np.maximum.at(final, lane, np.array(stall, dtype=np.int64))
+    cycles = int((done[lasts] - origin + final).max()) / rate
+
+    total = reads + writes
+    stats = DramStats(
         reads_bytes=reads,
         writes_bytes=writes,
         bursts=bursts,
-        row_hits=hits,
+        row_hits=bursts - misses,
         row_misses=misses,
         activations=misses,
         cycles=cycles,
-        ideal_cycles=total_bytes / spec.peak_bytes_per_cycle,
+        ideal_cycles=total / spec.peak_bytes_per_cycle,
         act_energy_pj=misses * spec.act_pj,
         read_energy_pj=reads * spec.read_pj_per_byte,
         write_energy_pj=writes * spec.write_pj_per_byte,
     )
+    return stats, segments, len(stall)

@@ -29,8 +29,8 @@ across mappings.  Three policies are provided:
     per-step ifmap/filter/ofmap interleaving causes no conflicts at all.
 
 Policies resolve a layer's :class:`Region` list into an
-:class:`AddressLayout` once, then the backend queries ``locate`` per
-row-block.
+:class:`AddressLayout` once, then the backend locates every row segment
+of the access stream in one array-valued ``locate`` call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,13 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.typing import NDArray
+
 from .spec import DramSpec
+
+#: (channel, bank, row) coordinate arrays, one entry per located offset.
+Coordinates = tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.int64]]
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,14 @@ class AddressLayout(abc.ABC):
     """A resolved placement: (region, byte offset) → (channel, bank, row)."""
 
     @abc.abstractmethod
-    def locate(self, region_index: int, offset: int) -> tuple[int, int, int]:
-        """DRAM coordinates of the row-block containing ``offset``."""
+    def locate(
+        self, region: NDArray[np.int64], offset: NDArray[np.int64]
+    ) -> Coordinates:
+        """DRAM coordinates of the row-block containing each ``offset``.
+
+        ``region`` and ``offset`` are equal-length arrays of region indices
+        and byte offsets within those regions.
+        """
 
 
 class MappingPolicy(abc.ABC):
@@ -91,16 +103,22 @@ class MappingPolicy(abc.ABC):
         """Resolve the regions of one layer into an address layout."""
 
 
+def _region_bases(regions: tuple[Region, ...]) -> NDArray[np.int64]:
+    return np.array([region.base for region in regions], dtype=np.int64)
+
+
 class _RowMajorLayout(AddressLayout):
     """Contiguous layout: row fastest, then bank, then channel."""
 
     def __init__(self, spec: DramSpec, regions: tuple[Region, ...]) -> None:
         self._spec = spec
-        self._regions = regions
+        self._bases = _region_bases(regions)
 
-    def locate(self, region_index: int, offset: int) -> tuple[int, int, int]:
+    def locate(
+        self, region: NDArray[np.int64], offset: NDArray[np.int64]
+    ) -> Coordinates:
         spec = self._spec
-        block = (self._regions[region_index].base + offset) // spec.row_bytes
+        block = (self._bases[region] + offset) // spec.row_bytes
         row = block % spec.rows_per_bank
         rest = block // spec.rows_per_bank
         bank = rest % spec.banks_per_channel
@@ -123,14 +141,17 @@ class _BankInterleavedLayout(AddressLayout):
 
     def __init__(self, spec: DramSpec, regions: tuple[Region, ...]) -> None:
         self._spec = spec
-        self._regions = regions
+        self._bases = _region_bases(regions)
 
-    def locate(self, region_index: int, offset: int) -> tuple[int, int, int]:
+    def locate(
+        self, region: NDArray[np.int64], offset: NDArray[np.int64]
+    ) -> Coordinates:
         spec = self._spec
-        block = (self._regions[region_index].base + offset) // spec.row_bytes
+        block = (self._bases[region] + offset) // spec.row_bytes
         channel = block % spec.channels
-        bank = (block // spec.channels) % spec.banks_per_channel
-        row = (block // (spec.channels * spec.banks_per_channel)) % spec.rows_per_bank
+        rest = block // spec.channels
+        bank = rest % spec.banks_per_channel
+        row = (rest // spec.banks_per_channel) % spec.rows_per_bank
         return channel, bank, row
 
 
@@ -188,15 +209,19 @@ class _ReuseAwareLayout(AddressLayout):
     def __init__(self, spec: DramSpec, regions: tuple[Region, ...]) -> None:
         self._spec = spec
         weights = tuple(r.traffic if r.traffic > 0 else r.size for r in regions)
-        self._shares = partition_banks(spec.banks_per_channel, weights)
+        shares = partition_banks(spec.banks_per_channel, weights)
+        self._starts = np.array([start for start, _ in shares], dtype=np.int64)
+        self._counts = np.array([count for _, count in shares], dtype=np.int64)
 
-    def locate(self, region_index: int, offset: int) -> tuple[int, int, int]:
+    def locate(
+        self, region: NDArray[np.int64], offset: NDArray[np.int64]
+    ) -> Coordinates:
         spec = self._spec
-        start, count = self._shares[region_index]
+        count = self._counts[region]
         block = offset // spec.row_bytes
         channel = block % spec.channels
         k = block // spec.channels
-        bank = start + k % count
+        bank = self._starts[region] + k % count
         row = (k // count) % spec.rows_per_bank
         return channel, bank, row
 

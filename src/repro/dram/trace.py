@@ -14,6 +14,10 @@ such schedule to the banked-DRAM access stream the backend consumes:
   which is exactly what creates row-buffer conflicts under mappings that
   let operands share banks.
 
+The lowering is array-valued end to end: each step group tiles its
+per-step chunk pattern, a running sum per region places every chunk, and
+chunks that run past the end of their region are split at the wrap.
+
 :func:`dram_effective_bandwidth` reduces the simulated stream to the one
 number the latency estimator and the step-level engine consume: delivered
 elements per cycle, memoized per (schedule, layer, device) because the
@@ -24,9 +28,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+from numpy.typing import NDArray
+
 from ..nn.layer import LayerSpec
 from ..policies.base import LayerSchedule
-from .backend import DramAccess, DramStats, simulate_accesses
+from .backend import DramRequests, DramStats, simulate_requests, split_at
 from .mapping import MappingPolicy, Region, get_mapping
 from .spec import DramSpec
 
@@ -72,44 +79,56 @@ def layer_regions(
     return tuple(regions)
 
 
-def schedule_accesses(
+def schedule_requests(
     schedule: LayerSchedule,
     regions: tuple[Region, ...],
     bytes_per_elem: int,
-) -> list[DramAccess]:
-    """Lower a streaming schedule to the DRAM request stream it implies."""
-    accesses: list[DramAccess] = []
-    cursors = [0, 0, 0]
-    sizes = [region.size for region in regions]
+) -> DramRequests:
+    """Lower a streaming schedule to the DRAM request stream it implies.
 
-    def emit(region: int, nbytes: int, write: bool) -> None:
-        # Sequential within the region; wraps for multi-pass re-reads.
-        remaining = nbytes
-        while remaining > 0:
-            cursor = cursors[region]
-            chunk = min(remaining, sizes[region] - cursor)
-            accesses.append(
-                DramAccess(region=region, offset=cursor, nbytes=chunk, write=write)
-            )
-            cursors[region] = (cursor + chunk) % sizes[region]
-            remaining -= chunk
-
-    if schedule.resident_ifmap:
-        emit(IFMAP, schedule.resident_ifmap * bytes_per_elem, False)
-    if schedule.resident_filters:
-        emit(FILTERS, schedule.resident_filters * bytes_per_elem, False)
+    Requests are in stream order: the resident ifmap and filter loads, then
+    every step's ifmap, filter and store chunks.  Each region has its own
+    cursor; a chunk that runs past the end of its region wraps to the
+    start (multi-pass re-reads) and is split into one request per pass.
+    """
+    # (region, bytes) rows: the resident loads, then each step group's
+    # per-step pattern tiled ``count`` times.
+    resident = ((IFMAP, schedule.resident_ifmap), (FILTERS, schedule.resident_filters))
+    parts: list[NDArray[np.int64]] = [
+        np.array([[index], [elems * bytes_per_elem]], dtype=np.int64)
+        for index, elems in resident
+        if elems
+    ]
     for group in schedule.groups:
-        ifmap_bytes = group.ifmap * bytes_per_elem
-        filter_bytes = group.filters * bytes_per_elem
-        store_bytes = group.store * bytes_per_elem
-        for _ in range(group.count):
-            if ifmap_bytes:
-                emit(IFMAP, ifmap_bytes, False)
-            if filter_bytes:
-                emit(FILTERS, filter_bytes, False)
-            if store_bytes:
-                emit(OFMAP, store_bytes, True)
-    return accesses
+        step = [
+            (index, elems * bytes_per_elem)
+            for index, elems in (
+                (IFMAP, group.ifmap), (FILTERS, group.filters), (OFMAP, group.store)
+            )
+            if elems
+        ]
+        if step:
+            parts.append(np.tile(np.array(step, dtype=np.int64).T, group.count))
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return DramRequests(empty, empty, empty, np.zeros(0, dtype=np.bool_))
+    region, nbytes = np.concatenate(parts, axis=1)
+
+    # Unwrapped cursor: bytes the region has streamed before each request.
+    cursor = np.empty_like(nbytes)
+    for index in range(len(regions)):
+        mine = region == index
+        streamed = np.cumsum(nbytes[mine])
+        cursor[mine] = streamed - nbytes[mine]
+    sizes = np.array([r.size for r in regions], dtype=np.int64)[region]
+    owner, start, length, passes = split_at(cursor, nbytes, sizes)
+    region = region[owner]
+    return DramRequests(
+        region=region,
+        offset=start - passes * sizes[owner],
+        nbytes=length,
+        write=region == OFMAP,
+    )
 
 
 def simulate_schedule(
@@ -122,8 +141,8 @@ def simulate_schedule(
     """Trace-simulate one layer's schedule on the banked DRAM."""
     policy = _resolve_mapping(dram, mapping)
     regions = layer_regions(schedule, layer, bytes_per_elem, dram)
-    accesses = schedule_accesses(schedule, regions, bytes_per_elem)
-    return simulate_accesses(accesses, regions, dram, policy)
+    requests = schedule_requests(schedule, regions, bytes_per_elem)
+    return simulate_requests(requests, regions, dram, policy)
 
 
 def _resolve_mapping(dram: DramSpec, mapping: MappingPolicy | str | None) -> MappingPolicy:
@@ -167,3 +186,8 @@ def dram_effective_bandwidth(
     return _effective_bandwidth(
         schedule, layer, dram, bytes_per_elem, flat_elems_per_cycle
     )
+
+
+def clear_dram_memo() -> None:
+    """Drop the memoized effective bandwidths (cold-start benches)."""
+    _effective_bandwidth.cache_clear()

@@ -24,6 +24,7 @@ from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
 from .latency import (
     LatencyBreakdown,
     clear_latency_memo,
+    effective_dram_bandwidth,
     schedule_latency,
     schedule_latency_batch,
 )
@@ -121,11 +122,15 @@ def estimate_latency_batch(
 ) -> list[LatencyBreakdown]:
     """Latency of every plan of a grid in one vectorized recurrence pass.
 
-    Flat DRAM model only (see :func:`schedule_latency_batch`); bit-identical
-    to :func:`estimate_latency` per plan.
+    Each plan runs at its own effective bandwidth (trace-simulated when
+    ``spec.dram`` is banked); bit-identical to :func:`estimate_latency`
+    per plan.
     """
     return schedule_latency_batch(
-        [p.schedule for p in plans], spec, [p.prefetch for p in plans]
+        [p.schedule for p in plans],
+        spec,
+        [p.prefetch for p in plans],
+        [effective_dram_bandwidth(p.schedule, spec, p.layer) for p in plans],
     )
 
 
@@ -152,13 +157,12 @@ def evaluate_plans(
     into a :class:`PolicyEvaluation` (and from there into cached plans,
     cache keys or JSON exports) — a type-pinning test enforces this.
 
-    Falls back to per-plan scalar evaluation under ``REPRO_SCALAR_PLANNER``
-    and whenever ``spec.dram`` is banked (trace-simulated bandwidth is
-    inherently per-candidate); results are bit-identical either way.
+    Falls back to per-plan scalar evaluation under ``REPRO_SCALAR_PLANNER``;
+    results are bit-identical either way.
     """
     if not plans:
         return []
-    if scalar_planner_enabled() or spec.dram is not None:
+    if scalar_planner_enabled():
         return [_evaluate_plan(plan, spec) for plan in plans]
     b = spec.bytes_per_elem
     memory = estimate_memory_batch(plans, spec)

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..arch.spec import AcceleratorSpec
-from ..dram.trace import dram_effective_bandwidth
+from ..dram.trace import clear_dram_memo, dram_effective_bandwidth
 from ..nn.layer import LayerSpec
 from ..policies.base import LayerSchedule, StepGroup
 
@@ -167,7 +167,10 @@ _BATCH_GROUP_LIMIT = 16
 
 
 def _batch_totals(
-    schedules: Sequence[LayerSchedule], bw: float, rate: float, prefetch: bool
+    schedules: Sequence[LayerSchedule],
+    bw: NDArray[np.float64],
+    rate: float,
+    prefetch: bool,
 ) -> NDArray[np.float64]:
     """Final ``max(state)`` of every schedule's recurrence, vectorized.
 
@@ -181,8 +184,9 @@ def _batch_totals(
       store chain (``store == 0`` keeps ``store_t``) untouched and can only
       lift ``pe_t`` to ``load_t``, which the maximum already contains.
 
-    Every arithmetic expression mirrors :func:`_advance_group` operand for
-    operand, so float64 results are bit-identical to the scalar path.
+    ``bw`` holds each schedule's own bandwidth.  Every arithmetic
+    expression mirrors :func:`_advance_group` operand for operand, so
+    float64 results are bit-identical to the scalar path.
     """
     count_rows = len(schedules)
     max_groups = max((len(s.groups) for s in schedules), default=0)
@@ -246,14 +250,17 @@ _TOTALS_MEMO_MAX = 65536
 
 
 def clear_latency_memo() -> None:
-    """Drop the memoized recurrence totals (cold-start benches)."""
+    """Drop the memoized recurrence totals and DRAM effective bandwidths
+    (cold-start benches)."""
     _TOTALS_MEMO.clear()
+    clear_dram_memo()
 
 
 def schedule_latency_batch(
     schedules: Sequence[LayerSchedule],
     spec: AcceleratorSpec,
     prefetch_flags: Sequence[bool],
+    bandwidths: Sequence[float],
 ) -> list[LatencyBreakdown]:
     """Batch :func:`schedule_latency` over a layer's whole candidate grid.
 
@@ -262,16 +269,11 @@ def schedule_latency_batch(
     split into two sub-batches by flag) and is **bit-identical** to calling
     :func:`schedule_latency` per candidate — the parity suite asserts it.
 
-    Only valid for the flat DRAM model: a banked ``spec.dram`` makes each
-    candidate's bandwidth depend on its own simulated address trace, which
-    stays on the scalar path.
+    ``bandwidths`` gives each candidate's off-chip bandwidth in
+    elements/cycle, as :func:`effective_dram_bandwidth` returns it: the
+    flat constant, or under a banked ``spec.dram`` the candidate's own
+    trace-simulated rate.
     """
-    if spec.dram is not None:
-        raise ValueError(
-            "schedule_latency_batch requires the flat DRAM model; "
-            "trace-simulated bandwidth is per-candidate (use schedule_latency)"
-        )
-    bw = spec.dram_bandwidth_elems_per_cycle
     rate = spec.macs_per_cycle
     if len(_TOTALS_MEMO) > _TOTALS_MEMO_MAX:
         _TOTALS_MEMO.clear()
@@ -281,25 +283,30 @@ def schedule_latency_batch(
         for i, p in enumerate(prefetch_flags):
             if bool(p) is not flag:
                 continue
-            cached = _TOTALS_MEMO.get((schedules[i], bw, rate, flag))
+            cached = _TOTALS_MEMO.get((schedules[i], bandwidths[i], rate, flag))
             if cached is None:
                 rows.append(i)
             else:
                 totals_by_index[i] = cached
         short = [i for i in rows if len(schedules[i].groups) <= _BATCH_GROUP_LIMIT]
         if short:
-            totals = _batch_totals([schedules[i] for i in short], bw, rate, flag)
+            totals = _batch_totals(
+                [schedules[i] for i in short],
+                np.array([bandwidths[i] for i in short], dtype=np.float64),
+                rate,
+                flag,
+            )
             for j, i in enumerate(short):
                 totals_by_index[i] = float(totals[j])
         for i in rows:
             if i not in totals_by_index:
-                totals_by_index[i] = _scalar_total(schedules[i], bw, rate, flag)
+                totals_by_index[i] = _scalar_total(schedules[i], bandwidths[i], rate, flag)
         for i in rows:
-            _TOTALS_MEMO[(schedules[i], bw, rate, flag)] = totals_by_index[i]  # repro: noqa[R060] -- benign race: idempotent memo put of a deterministic value; dict item assignment is atomic under the GIL
+            _TOTALS_MEMO[(schedules[i], bandwidths[i], rate, flag)] = totals_by_index[i]  # repro: noqa[R060] -- benign race: idempotent memo put of a deterministic value; dict item assignment is atomic under the GIL
     results: list[LatencyBreakdown] = []
     for i, schedule in enumerate(schedules):
         compute = schedule.total_macs / rate
-        dma = (schedule.total_load + schedule.total_store) / bw
+        dma = (schedule.total_load + schedule.total_store) / bandwidths[i]
         total = totals_by_index[i]
         if prefetch_flags[i]:
             # Port-work conservation, exactly as the scalar path.

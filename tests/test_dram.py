@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.arch import AcceleratorSpec, kib
@@ -19,7 +20,7 @@ from repro.dram import (
     get_mapping,
     layer_regions,
     partition_banks,
-    schedule_accesses,
+    schedule_requests,
     simulate_accesses,
     simulate_plan_dram,
     simulate_schedule,
@@ -28,6 +29,8 @@ from repro.estimators import schedule_latency
 from repro.manager import MemoryManager
 from repro.nn.zoo import get_model
 from repro.policies import NAMED_POLICIES
+
+from .dram_reference import schedule_accesses
 
 SPEC = AcceleratorSpec(glb_bytes=kib(256))
 
@@ -97,6 +100,13 @@ def _regions(spec, sizes, traffics=None):
     return tuple(regions)
 
 
+def _locate(layout, region, offsets):
+    """``layout.locate`` over ``offsets`` of one region, as (c, b, r) tuples."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    region = np.full(offsets.shape, region, dtype=np.int64)
+    return list(zip(*(coord.tolist() for coord in layout.locate(region, offsets))))
+
+
 class TestMappings:
     def test_registry(self):
         assert set(MAPPING_NAMES) == set(KNOWN_MAPPINGS) == set(MAPPING_POLICIES)
@@ -111,21 +121,22 @@ class TestMappings:
         regions = _regions(spec, [5 * spec.row_bytes, 300, 7000], [10, 20, 30])
         layout = get_mapping(name).layout(spec, regions)
         for region in regions:
-            for offset in range(0, region.size, spec.row_bytes // 2):
-                channel, bank, row = layout.locate(region.index, offset)
+            offsets = range(0, region.size, spec.row_bytes // 2)
+            located = _locate(layout, region.index, offsets)
+            for channel, bank, row in located:
                 assert 0 <= channel < spec.channels
                 assert 0 <= bank < spec.banks_per_channel
                 assert 0 <= row < spec.rows_per_bank
-                assert layout.locate(region.index, offset) == (channel, bank, row)
+            assert _locate(layout, region.index, offsets) == located
 
     def test_row_major_packs_small_tensors_into_one_bank(self):
         spec = DramSpec()
         regions = _regions(spec, [4 * spec.row_bytes, 4 * spec.row_bytes])
         layout = get_mapping("row_major").layout(spec, regions)
         coords = {
-            layout.locate(r.index, off)[:2]
+            coord[:2]
             for r in regions
-            for off in range(0, r.size, spec.row_bytes)
+            for coord in _locate(layout, r.index, range(0, r.size, spec.row_bytes))
         }
         assert coords == {(0, 0)}  # one bank of one channel: the conflict case
 
@@ -133,9 +144,7 @@ class TestMappings:
         spec = DramSpec()
         regions = _regions(spec, [4 * spec.row_bytes])
         layout = get_mapping("bank_interleaved").layout(spec, regions)
-        located = [
-            layout.locate(0, block * spec.row_bytes) for block in range(4)
-        ]
+        located = _locate(layout, 0, [block * spec.row_bytes for block in range(4)])
         assert located == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
 
     def test_reuse_aware_gives_operands_disjoint_banks(self):
@@ -148,8 +157,8 @@ class TestMappings:
         layout = get_mapping("reuse_aware").layout(spec, regions)
         banks_per_region = [
             {
-                layout.locate(r.index, off)[1]
-                for off in range(0, r.size, spec.row_bytes)
+                coord[1]
+                for coord in _locate(layout, r.index, range(0, r.size, spec.row_bytes))
             }
             for r in regions
         ]
@@ -250,6 +259,30 @@ class TestBackend:
         assert merged.cycles == pytest.approx(2 * stats.cycles)
         assert combine_stats([]) == DramStats()
 
+    def test_stream_span_counts_requests_segments_and_stall_events(self):
+        from repro.obs import disable_tracing, enable_tracing
+
+        spec = DramSpec(channels=1, banks_per_channel=1)
+        regions = _regions(spec, [spec.row_bytes, spec.row_bytes])
+        ping_pong = [
+            DramAccess(region=i % 2, offset=0, nbytes=spec.row_bytes + 64 * (i == 0))
+            for i in range(4)
+        ]
+        tracer = enable_tracing()
+        try:
+            simulate_accesses(ping_pong, regions, spec, get_mapping("row_major"))
+            (span,) = [s for s in tracer.drain() if s.name == "dram_stream"]
+        finally:
+            disable_tracing()
+        attrs = span.attr_dict()
+        assert attrs["requests_count"] == 4
+        # The first request spills 64 bytes into row 1, which the second
+        # request then hits.
+        assert attrs["segments_count"] == 5
+        # Every other row switch of the single bank is a stall event: it
+        # follows the bank's previous segment with no bus time between.
+        assert attrs["stall_events_count"] == attrs["row_misses_count"] == 4
+
     def test_access_and_region_validation(self):
         with pytest.raises(ValueError):
             DramAccess(region=0, offset=0, nbytes=0)
@@ -283,6 +316,15 @@ class TestTrace:
             region = regions[access.region]
             assert 0 <= access.offset < region.size
             assert access.offset + access.nbytes <= region.size
+        requests = schedule_requests(schedule, regions, 1)
+        assert list(
+            zip(
+                requests.region.tolist(),
+                requests.offset.tolist(),
+                requests.nbytes.tolist(),
+                requests.write.tolist(),
+            )
+        ) == [(a.region, a.offset, a.nbytes, a.write) for a in accesses]
 
     @pytest.mark.parametrize("mapping", MAPPING_NAMES)
     def test_simulation_matches_schedule_bytes(self, schedule, layer, mapping):
@@ -294,6 +336,31 @@ class TestTrace:
     def test_effective_bandwidth_below_flat_peak(self, schedule, layer):
         bw = dram_effective_bandwidth(schedule, layer, DEFAULT_DDR4_SPEC, 1, 16.0)
         assert 0.0 < bw <= 16.0
+
+    def test_clear_evaluation_memo_resets_dram_memo(self, monkeypatch):
+        from repro import Objective, plan_heterogeneous
+        from repro.dram import trace
+        from repro.estimators.evaluate import clear_evaluation_memo
+
+        calls = []
+        original = trace.simulate_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trace, "simulate_schedule", counting)
+        model = get_model("MobileNet")
+        spec = AcceleratorSpec(glb_bytes=kib(512), dram=DEFAULT_DDR4_SPEC)
+        clear_evaluation_memo()
+        first = plan_heterogeneous(model, spec, Objective.LATENCY)
+        cold = len(calls)
+        assert cold > 0
+        assert plan_heterogeneous(model, spec, Objective.LATENCY) == first
+        assert len(calls) == cold  # every bandwidth memoized
+        clear_evaluation_memo()
+        assert plan_heterogeneous(model, spec, Objective.LATENCY) == first
+        assert len(calls) == 2 * cold  # cold again: every schedule re-simulated
 
 
 # ----------------------------------------------------------------------

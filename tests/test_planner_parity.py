@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.analyzer import Objective, plan_heterogeneous, plan_to_dict, select_policy
 from repro.analyzer.algorithm1 import _reject_reason, _select_index
 from repro.arch import AcceleratorSpec, kib
+from repro.dram import DEFAULT_DDR4_SPEC
 from repro.estimators import evaluate_layer
 from repro.nn import LayerKind, LayerSpec, make_model
 from repro.nn.zoo import PAPER_MODEL_NAMES, get_model
@@ -66,6 +67,21 @@ def test_zoo_plans_byte_identical_scalar_vs_vectorized():
         assert vectorized == scalar, f"{name} @ {glb_kb} kB ({objective})"
 
 
+def test_ddr4_plans_byte_identical_scalar_vs_vectorized():
+    """Banked DRAM: per-candidate trace-simulated bandwidths go through the
+    same batched recurrence and still match the scalar path."""
+    for name, objective in (
+        ("MobileNet", Objective.LATENCY),
+        ("ResNet18", Objective.ACCESSES),
+    ):
+        model = get_model(name)
+        spec = AcceleratorSpec(glb_bytes=kib(128), dram=DEFAULT_DDR4_SPEC)
+        vectorized = _plan_bytes(model, spec, objective)
+        with scalar_mode():
+            scalar = _plan_bytes(model, spec, objective)
+        assert vectorized == scalar, f"{name} ({objective})"
+
+
 @st.composite
 def chain_models(draw):
     """Random sequential CNNs (1–4 conv/pw/dw layers, consistent shapes)."""
@@ -107,12 +123,13 @@ def chain_models(draw):
     glb=st.sampled_from([kib(8), kib(32), kib(64), kib(256)]),
     width=st.sampled_from([8, 16]),
     objective=st.sampled_from([Objective.ACCESSES, Objective.LATENCY]),
+    dram=st.sampled_from([None, DEFAULT_DDR4_SPEC]),
 )
 def test_fuzzed_plans_byte_identical_scalar_vs_vectorized(
-    model, glb, width, objective
+    model, glb, width, objective, dram
 ):
     assert not scalar_planner_enabled()
-    spec = AcceleratorSpec(glb_bytes=glb, data_width_bits=width)
+    spec = AcceleratorSpec(glb_bytes=glb, data_width_bits=width, dram=dram)
     vectorized = _plan_bytes(model, spec, objective)
     with scalar_mode():
         scalar = _plan_bytes(model, spec, objective)
