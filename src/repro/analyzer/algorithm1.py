@@ -7,7 +7,7 @@ tie-broken on latency.  The latency-objective variant (used for ``Hom_l`` /
 lexicographic :meth:`~repro.analyzer.objectives.Objective.key`.
 
 When the caller passes an ``audit`` list, the selection also records one
-:class:`~repro.obs.audit.CandidateRecord` per feasible candidate — the
+:data:`~repro.obs.audit.CandidateRow` per feasible candidate — the
 winner with its metrics, every loser with the concrete reason it lost
 (how much more traffic / how many more cycles than the winner).  The
 recording is pure bookkeeping over already-computed values and never
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..estimators.evaluate import PolicyEvaluation
-from ..obs.audit import CandidateRecord
+from ..obs.audit import CandidateRow
 from ..plancore import scalar_planner_enabled, stable_masked_argmin
 from .objectives import Objective
 
@@ -90,7 +90,7 @@ def _select_index(
 def select_policy(
     evaluations: list[PolicyEvaluation],
     objective: Objective,
-    audit: list[CandidateRecord] | None = None,
+    audit: list[CandidateRow] | None = None,
 ) -> PolicyEvaluation:
     """Algorithm 1 lines 6–19 for one layer.
 
@@ -99,7 +99,7 @@ def select_policy(
     feasible policy at all — Algorithm 1's fallback tile search should have
     produced one before this point.
 
-    ``audit``, when given, receives one record per candidate with the
+    ``audit``, when given, receives one row per candidate with the
     accept/reject reason; it does not affect the selection.
     """
     if not evaluations:
@@ -115,16 +115,7 @@ def select_policy(
             else:
                 reason = _reject_reason(ev, winner, objective)
             audit.append(
-                CandidateRecord(
-                    label=ev.label,
-                    policy=ev.policy_name,
-                    prefetch=ev.prefetch,
-                    feasible=True,
-                    chosen=chosen,
-                    reason=reason,
-                    memory_bytes=ev.memory_bytes,
-                    accesses_bytes=ev.accesses_bytes,
-                    latency_cycles=ev.latency_cycles,
-                )
+                (ev.label, ev.policy_name, ev.prefetch, True, chosen, reason,
+                 ev.memory_bytes, ev.accesses_bytes, ev.latency_cycles)
             )
     return winner

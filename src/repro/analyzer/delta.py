@@ -43,14 +43,14 @@ from ..arch.spec import AcceleratorSpec
 from ..estimators.evaluate import PolicyAttempt, PolicyEvaluation, evaluate_layer
 from ..nn.model import Model
 from ..obs import get_tracer, metrics_registry
-from ..obs.audit import CandidateRecord, TrailBuilder
+from ..obs.audit import CandidateRow, TrailBuilder
 from ..plancore import scalar_planner_enabled
 from ..policies.base import Policy
 from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
 from .algorithm1 import select_policy
 from .objectives import Objective
 from .plan import ExecutionPlan, make_assignment
-from .planner import _candidate_records, _maybe_verify
+from .planner import _candidate_rows, _maybe_verify
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ class SweepPlanner:
             )
             assignments = []
             for i, state in enumerate(states):
-                selected: list[CandidateRecord] = []
+                selected: list[CandidateRow] = []
                 choice = select_policy(
                     list(state.evaluations),
                     self._objective,
@@ -215,7 +215,7 @@ class SweepPlanner:
                     trail.add_layer(
                         i,
                         self._model.layers[i].name,
-                        _candidate_records(list(state.attempts), selected),
+                        _candidate_rows(list(state.attempts), selected),
                     )
                 assignments.append(make_assignment(i, choice, spec))
 

@@ -16,7 +16,7 @@ from ..estimators.evaluate import PolicyEvaluation
 from ..estimators.latency import schedule_latency
 from ..nn.layer import LayerSpec
 from ..nn.model import Model
-from ..obs.audit import CandidateRecord, DecisionTrail, LayerDecision
+from ..obs.audit import DecisionTrail, LayerDecision
 from ..policies.base import LayerSchedule, StepGroup
 from .objectives import Objective
 
@@ -164,27 +164,21 @@ class ExecutionPlan:
 
         Planner-built plans carry the full trail (every candidate per
         layer with its accept/reject reason).  For plans without one —
-        hand-assembled or deserialized from an older cache — a minimal
-        trail is synthesized from the assignments: one chosen record per
-        layer, no rejected candidates.
+        hand-assembled, or from a planner variant that records none (the
+        ``het(named-only)`` ablation) — a minimal trail is synthesized from
+        the assignments: one chosen row per layer, no rejected candidates.
         """
         if self.audit is not None:
             return self.audit
+        reason = "reconstructed from assignment (no audit recorded)"
         layers = tuple(
             LayerDecision(
                 index=a.index,
                 layer=a.layer.name,
-                candidates=(
-                    CandidateRecord(
-                        label=a.label,
-                        policy=a.policy_name,
-                        prefetch=a.prefetch,
-                        feasible=True,
-                        chosen=True,
-                        reason="reconstructed from assignment (no audit recorded)",
-                        memory_bytes=a.memory_bytes,
-                        accesses_bytes=a.accesses_bytes,
-                        latency_cycles=a.latency_cycles,
+                rows=(
+                    (
+                        a.label, a.policy_name, a.prefetch, True, True, reason,
+                        a.memory_bytes, a.accesses_bytes, a.latency_cycles,
                     ),
                 ),
             )

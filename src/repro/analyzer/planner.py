@@ -31,7 +31,7 @@ from ..arch.spec import AcceleratorSpec
 from ..estimators.evaluate import PolicyAttempt, PolicyEvaluation, evaluate_layer
 from ..nn.model import Model
 from ..obs import get_tracer, metrics_registry
-from ..obs.audit import CandidateRecord, TrailBuilder
+from ..obs.audit import CandidateRow, TrailBuilder
 from ..policies.base import Policy
 from ..policies.registry import NAMED_POLICIES
 from .algorithm1 import select_policy
@@ -70,37 +70,29 @@ def _maybe_verify(plan: ExecutionPlan, verify: bool) -> ExecutionPlan:
     return plan
 
 
-def _infeasible_record(attempt: PolicyAttempt) -> CandidateRecord:
-    """Audit record for a (policy, prefetch) try that fit no tiling."""
+def _infeasible_row(attempt: PolicyAttempt) -> CandidateRow:
+    """Audit row for a (policy, prefetch) try that fit no tiling."""
     reason = (
         "no tiling fits the GLB with double buffering (Eq. (2))"
         if attempt.prefetch
         else "no tiling fits the GLB budget (Eq. (1))"
     )
-    return CandidateRecord(
-        label=attempt.label,
-        policy=attempt.policy_name,
-        prefetch=attempt.prefetch,
-        feasible=False,
-        chosen=False,
-        reason=reason,
+    return (
+        attempt.label, attempt.policy_name, attempt.prefetch,
+        False, False, reason, None, None, None,
     )
 
 
-def _candidate_records(
-    attempts: list[PolicyAttempt], selected: list[CandidateRecord]
-) -> list[CandidateRecord]:
-    """Merge infeasible attempts with Algorithm 1's records, in try order."""
-    by_label = {record.label: record for record in selected}
-    records: list[CandidateRecord] = []
-    for attempt in attempts:
-        if attempt.feasible:
-            record = by_label.get(attempt.label)
-            if record is not None:
-                records.append(record)
-        else:
-            records.append(_infeasible_record(attempt))
-    return records
+def _candidate_rows(
+    attempts: list[PolicyAttempt], selected: list[CandidateRow]
+) -> list[CandidateRow]:
+    """Merge infeasible attempts with Algorithm 1's rows, in try order."""
+    by_label = {row[0]: row for row in selected}
+    return [
+        by_label[attempt.label] if attempt.feasible else _infeasible_row(attempt)
+        for attempt in attempts
+        if not attempt.feasible or attempt.label in by_label
+    ]
 
 
 def _reconcile_chosen(
@@ -112,11 +104,11 @@ def _reconcile_chosen(
     trail keeps the original winner with an override reason.
     """
     chosen_by_index = {
-        decision.index: decision.chosen for decision in trail.layers
+        decision.index: decision.chosen_row for decision in trail.layers
     }
     for assignment in assignments:
         chosen = chosen_by_index.get(assignment.index)
-        if chosen is None or chosen.label != assignment.label:
+        if chosen is None or chosen[0] != assignment.label:
             trail.rechoose(
                 assignment.index,
                 assignment.label,
@@ -174,12 +166,12 @@ def plan_heterogeneous(
             )
         assignments = []
         for i, evaluations in enumerate(candidates):
-            selected: list[CandidateRecord] = []
+            selected: list[CandidateRow] = []
             choice = select_policy(evaluations, objective, audit=selected)
             trail.add_layer(
                 i,
                 model.layers[i].name,
-                _candidate_records(attempts_per_layer[i], selected),
+                _candidate_rows(attempts_per_layer[i], selected),
             )
             assignments.append(make_assignment(i, choice, spec))
         scheme = "het"
@@ -257,10 +249,10 @@ def plan_homogeneous(
             )
             if not evaluations:
                 return None
-            selected: list[CandidateRecord] = []
+            selected: list[CandidateRow] = []
             choice = select_policy(evaluations, objective, audit=selected)
             trail.add_layer(
-                i, layer.name, _candidate_records(attempts, selected)
+                i, layer.name, _candidate_rows(attempts, selected)
             )
             assignments.append(make_assignment(i, choice, spec))
     return _maybe_verify(

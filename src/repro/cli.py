@@ -612,7 +612,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     chosen = [d.chosen.label for d in trail.layers if d.chosen is not None]
     print(
         f"\n{len(trail.layers)} layers, "
-        f"{sum(len(d.candidates) for d in trail.layers)} candidates considered, "
+        f"{sum(len(d.rows) for d in trail.layers)} candidates considered, "
         f"policies chosen: {', '.join(sorted(set(chosen)))}"
     )
     return 0

@@ -18,11 +18,25 @@ imports from the planner (the planner imports *us*).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Any
+
+#: One candidate as stored in a trail, in :class:`CandidateRecord` field
+#: order: ``(label, policy, prefetch, feasible, chosen, reason,
+#: memory_bytes, accesses_bytes, latency_cycles)``.  Plain tuples pickle
+#: to a fraction of the bytes and decode time of dataclass instances, and
+#: a cached plan holds about a thousand of them.
+CandidateRow = tuple[str, str, bool, bool, bool, str, int | None, int | None, float | None]
+
+
+def _status(chosen: bool, feasible: bool) -> str:
+    if chosen:
+        return "chosen"
+    return "rejected" if feasible else "infeasible"
 
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """One (policy, prefetch) instantiation the planner considered."""
+    """One (policy, prefetch) instantiation: the read view of a :data:`CandidateRow`."""
 
     #: Candidate label, e.g. ``"p2+p"`` (Table 4 style).
     label: str
@@ -44,9 +58,7 @@ class CandidateRecord:
     @property
     def status(self) -> str:
         """``chosen`` / ``rejected`` / ``infeasible``."""
-        if self.chosen:
-            return "chosen"
-        return "rejected" if self.feasible else "infeasible"
+        return _status(self.chosen, self.feasible)
 
 
 @dataclass(frozen=True)
@@ -55,20 +67,36 @@ class LayerDecision:
 
     index: int
     layer: str
-    candidates: tuple[CandidateRecord, ...]
+    #: The candidates as :data:`CandidateRow` tuples, in try order.
+    rows: tuple[CandidateRow, ...]
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # Cache entries pickled before trails held rows carry
+        # ``candidates`` instead; refusing them makes the cache recompute.
+        if "rows" not in state:
+            raise ValueError("LayerDecision state without candidate rows")
+        self.__dict__.update(state)
+
+    @property
+    def candidates(self) -> tuple[CandidateRecord, ...]:
+        """Every candidate as a :class:`CandidateRecord` view."""
+        return tuple(CandidateRecord(*row) for row in self.rows)
+
+    @property
+    def chosen_row(self) -> CandidateRow | None:
+        """The accepted candidate's row (None only for malformed trails)."""
+        return next((row for row in self.rows if row[4]), None)
 
     @property
     def chosen(self) -> CandidateRecord | None:
         """The accepted candidate (None only for malformed trails)."""
-        for candidate in self.candidates:
-            if candidate.chosen:
-                return candidate
-        return None
+        row = self.chosen_row
+        return None if row is None else CandidateRecord(*row)
 
     @property
     def rejected(self) -> tuple[CandidateRecord, ...]:
         """Every candidate that was not accepted (incl. infeasible ones)."""
-        return tuple(c for c in self.candidates if not c.chosen)
+        return tuple(CandidateRecord(*row) for row in self.rows if not row[4])
 
 
 @dataclass(frozen=True)
@@ -80,10 +108,6 @@ class DecisionTrail:
     glb_bytes: int
     layers: tuple[LayerDecision, ...]
     notes: tuple[str, ...] = ()
-
-    def with_note(self, note: str) -> "DecisionTrail":
-        """A copy of the trail with ``note`` appended."""
-        return replace(self, notes=self.notes + (note,))
 
     def to_payload(self) -> dict[str, object]:
         """JSON-safe rendering (``repro explain --format json``)."""
@@ -98,18 +122,18 @@ class DecisionTrail:
                     "layer": decision.layer,
                     "candidates": [
                         {
-                            "label": c.label,
-                            "policy": c.policy,
-                            "prefetch": c.prefetch,
-                            "feasible": c.feasible,
-                            "chosen": c.chosen,
-                            "status": c.status,
-                            "reason": c.reason,
-                            "memory_bytes": c.memory_bytes,
-                            "accesses_bytes": c.accesses_bytes,
-                            "latency_cycles": c.latency_cycles,
+                            "label": row[0],
+                            "policy": row[1],
+                            "prefetch": row[2],
+                            "feasible": row[3],
+                            "chosen": row[4],
+                            "status": _status(row[4], row[3]),
+                            "reason": row[5],
+                            "memory_bytes": row[6],
+                            "accesses_bytes": row[7],
+                            "latency_cycles": row[8],
                         }
-                        for c in decision.candidates
+                        for row in decision.rows
                     ],
                 }
                 for decision in self.layers
@@ -127,13 +151,9 @@ class TrailBuilder:
     layers: list[LayerDecision] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def add_layer(
-        self, index: int, layer: str, candidates: list[CandidateRecord]
-    ) -> None:
+    def add_layer(self, index: int, layer: str, rows: list[CandidateRow]) -> None:
         """Record one layer's full candidate set."""
-        self.layers.append(
-            LayerDecision(index=index, layer=layer, candidates=tuple(candidates))
-        )
+        self.layers.append(LayerDecision(index=index, layer=layer, rows=tuple(rows)))
 
     def note(self, text: str) -> None:
         """Append a trail-level note (e.g. inter-layer pass summary)."""
@@ -148,21 +168,15 @@ class TrailBuilder:
         for pos, decision in enumerate(self.layers):
             if decision.index != index:
                 continue
-            updated: list[CandidateRecord] = []
-            for candidate in decision.candidates:
-                if candidate.label == label:
-                    updated.append(replace(candidate, chosen=True, reason=reason))
-                elif candidate.chosen:
-                    updated.append(
-                        replace(
-                            candidate,
-                            chosen=False,
-                            reason="Algorithm 1 pick, overridden by inter-layer DP",
-                        )
-                    )
-                else:
-                    updated.append(candidate)
-            self.layers[pos] = replace(decision, candidates=tuple(updated))
+            updated: list[CandidateRow] = []
+            for row in decision.rows:
+                if row[0] == label:
+                    row = row[:4] + (True, reason) + row[6:]
+                elif row[4]:
+                    overridden = "Algorithm 1 pick, overridden by inter-layer DP"
+                    row = row[:4] + (False, overridden) + row[6:]
+                updated.append(row)
+            self.layers[pos] = replace(decision, rows=tuple(updated))
             return
 
     def build(self) -> DecisionTrail:

@@ -131,17 +131,21 @@ class CacheIndex:
 
         A single ``O_APPEND`` write of one short line: atomic with
         respect to every other concurrent writer, never read-modify-
-        write.  Failures are swallowed — the index is a performance
-        structure, not a correctness one (disk remains authoritative).
+        write.  The directory is created only when the first open finds
+        it missing, so a hit costs no ``mkdir``.  Failures are swallowed —
+        the index is a performance structure, not a correctness one (disk
+        remains authoritative).
         """
         line = json.dumps(
             {"key": key, "size_bytes": int(size_bytes)}, sort_keys=True
         )
+        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd = os.open(
-                self.journal_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
+            try:
+                fd = os.open(self.journal_path, flags, 0o644)
+            except FileNotFoundError:
+                self.root.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.journal_path, flags, 0o644)
             try:
                 os.write(fd, (line + "\n").encode())
             finally:

@@ -106,6 +106,22 @@ class TestCacheIndex:
         assert index.compact() == 1
         assert len(index.journal_path.read_text().splitlines()) == 1
 
+    def test_record_creates_missing_directory(self, tmp_path):
+        index = CacheIndex(tmp_path / "fresh" / "plans")
+        index.record("aa" + "0" * 62, 7)
+        assert [e.size_bytes for e in index._replay().values()] == [7]
+
+    def test_hit_record_makes_no_directory(self, cache_dir, monkeypatch):
+        key = "aa" + "0" * 62
+        _store_blob(key, 100)
+
+        def no_mkdir(*args, **kwargs):
+            raise AssertionError("mkdir on a cache hit")
+
+        monkeypatch.setattr(type(cache_dir), "mkdir", no_mkdir)
+        assert cache.lookup(key)[0]
+        assert len(cache.index().journal_path.read_text().splitlines()) == 2
+
     def test_entry_file_layout_matches_cache(self, cache_dir):
         key = "ab" + "0" * 62
         _store_blob(key, 10)

@@ -7,9 +7,12 @@ in-process memoization so the on-disk path is actually exercised.
 
 from __future__ import annotations
 
+import copyreg
 import dataclasses
+import io
 import json
 import os
+import pickle
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.experiments.engine import plan_tasks, run_experiments
 from repro.experiments.runner import ARTIFACTS, UnknownArtifactError, main, run_all, run_report
 from repro.manager import MemoryManager
 from repro.nn.zoo import get_model
+from repro.obs.audit import LayerDecision
 
 #: Fast artifact subset used for the parity checks.
 FAST_SUBSET = ["table2", "fig1", "dram-sweep"]
@@ -122,6 +126,39 @@ class TestCacheStorage:
         plan = common.het_plan("MobileNet", 64)
         assert plan.total_accesses_bytes > 0
         assert not entry.exists() or entry.read_bytes() != b"not a pickle"
+
+    def test_pre_row_trail_entry_recomputes(self):
+        """An entry pickled when trails held ``CandidateRecord`` instances
+        is refused on load and recomputed, never served with a wrong trail."""
+        model = get_model("MobileNet")
+        manager = MemoryManager(common.spec_for(64))
+        fresh = manager.plan(model)
+
+        class OldShapePickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is not LayerDecision:
+                    return NotImplemented
+                state = {"index": obj.index, "layer": obj.layer, "candidates": obj.candidates}
+                return copyreg.__newobj__, (LayerDecision,), state
+
+        buffer = io.BytesIO()
+        OldShapePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(fresh)
+        assert b"CandidateRecord" in buffer.getvalue()
+        key = cache.plan_cache_key("het", model, manager.spec, Objective.ACCESSES)
+        entry = cache.cache_dir() / key[:2] / f"{key}.pkl"
+        entry.parent.mkdir(parents=True)
+        entry.write_bytes(buffer.getvalue())
+
+        plan, hit, got_key = manager.plan_cached_detail(model)
+        assert (hit, got_key) == (False, key)
+        assert plan == fresh
+        assert plan.explain().to_payload() == fresh.explain().to_payload()
+        again, hit, _ = manager.plan_cached_detail(model)
+        assert hit and again == fresh
+
+    def test_plan_pickle_holds_no_candidate_records(self):
+        plan = common.het_plan("MobileNet", 64)
+        assert b"CandidateRecord" not in pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)
 
     def test_no_cache_env_disables(self, monkeypatch):
         monkeypatch.setenv(cache.ENV_NO_CACHE, "1")

@@ -34,7 +34,7 @@ from repro.obs import (
     metrics_registry,
     set_tracer,
 )
-from repro.obs.audit import CandidateRecord, TrailBuilder
+from repro.obs.audit import CandidateRecord, LayerDecision, TrailBuilder
 from repro.report.diagnostics import TELEMETRY_SCHEMA_ID, validate_telemetry_payload
 
 
@@ -211,44 +211,54 @@ def test_diff_snapshots_subtracts_counters_and_drops_zero_deltas():
 # ----------------------------------------------------------------------
 
 
-def _candidate(label, *, chosen=False, feasible=True, reason="r"):
-    return CandidateRecord(
-        label=label,
-        policy=label.replace("+p", ""),
-        prefetch=label.endswith("+p"),
-        feasible=feasible,
-        chosen=chosen,
-        reason=reason,
-        memory_bytes=100 if feasible else None,
-        accesses_bytes=200 if feasible else None,
-        latency_cycles=300.0 if feasible else None,
+def _row(label, *, chosen=False, feasible=True, reason="r"):
+    """One trail row in ``CandidateRecord`` field order."""
+    return (
+        label,
+        label.replace("+p", ""),
+        label.endswith("+p"),
+        feasible,
+        chosen,
+        reason,
+        100 if feasible else None,
+        200 if feasible else None,
+        300.0 if feasible else None,
     )
 
 
 def test_candidate_status_values():
-    assert _candidate("p1", chosen=True).status == "chosen"
-    assert _candidate("p2").status == "rejected"
-    assert _candidate("p3", feasible=False).status == "infeasible"
+    assert CandidateRecord(*_row("p1", chosen=True)).status == "chosen"
+    assert CandidateRecord(*_row("p2")).status == "rejected"
+    assert CandidateRecord(*_row("p3", feasible=False)).status == "infeasible"
+
+
+def test_layer_decision_views_follow_rows():
+    decision = LayerDecision(
+        index=0, layer="conv1", rows=(_row("p1"), _row("p2+p", chosen=True))
+    )
+    assert decision.candidates == tuple(CandidateRecord(*r) for r in decision.rows)
+    assert decision.chosen_row == _row("p2+p", chosen=True)
+    assert decision.chosen == CandidateRecord(*_row("p2+p", chosen=True))
+    assert decision.rejected == (CandidateRecord(*_row("p1")),)
 
 
 def test_trail_builder_rechoose_flips_winner_with_reason():
     builder = TrailBuilder(scheme="het", objective="accesses", glb_bytes=65536)
-    builder.add_layer(0, "conv1", [_candidate("p1", chosen=True), _candidate("p2+p")])
+    builder.add_layer(0, "conv1", [_row("p1", chosen=True), _row("p2+p")])
     builder.rechoose(0, "p2+p", "selected by inter-layer DP")
     builder.note("inter-layer pass: 1 ofmap donation(s) applied")
     trail = builder.build()
     (decision,) = trail.layers
-    assert decision.chosen is not None and decision.chosen.label == "p2+p"
-    old = next(c for c in decision.candidates if c.label == "p1")
-    assert not old.chosen and "overridden by inter-layer DP" in old.reason
+    old, new = decision.rows
+    assert new == _row("p2+p", chosen=True, reason="selected by inter-layer DP")
+    assert old[:4] == _row("p1")[:4] and old[6:] == _row("p1")[6:]
+    assert not old[4] and "overridden by inter-layer DP" in old[5]
     assert trail.notes == ("inter-layer pass: 1 ofmap donation(s) applied",)
 
 
 def test_trail_payload_is_json_safe():
     builder = TrailBuilder(scheme="het", objective="accesses", glb_bytes=65536)
-    builder.add_layer(
-        0, "conv1", [_candidate("p1", chosen=True), _candidate("p4", feasible=False)]
-    )
+    builder.add_layer(0, "conv1", [_row("p1", chosen=True), _row("p4", feasible=False)])
     payload = builder.build().to_payload()
     assert json.loads(json.dumps(payload)) == payload
     statuses = [c["status"] for c in payload["layers"][0]["candidates"]]

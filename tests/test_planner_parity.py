@@ -26,6 +26,7 @@ from repro.dram import DEFAULT_DDR4_SPEC
 from repro.estimators import evaluate_layer
 from repro.nn import LayerKind, LayerSpec, make_model
 from repro.nn.zoo import PAPER_MODEL_NAMES, get_model
+from repro.obs.audit import CandidateRecord
 from repro.plancore import ENV_SCALAR_PLANNER, scalar_planner_enabled
 
 
@@ -202,7 +203,7 @@ def test_audit_trail_records_subcycle_reason(conv_layer, spec64):
     )
     audit = []
     select_policy([first, slower], Objective.ACCESSES, audit=audit)
-    rejected = [r for r in audit if not r.chosen]
+    rejected = [CandidateRecord(*row) for row in audit if not row[4]]
     assert len(rejected) == 1
     assert "<1 cycle slower" in rejected[0].reason
 
