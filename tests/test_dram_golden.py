@@ -1,7 +1,8 @@
 """Golden digests of DDR4-backed plans: the banked-DRAM path stays bit-identical.
 
 Each case plans one model at 256 KiB with ``DEFAULT_DDR4_SPEC`` under one
-mapping policy and objective, and compares the SHA-256 of the canonical
+mapping policy and objective (plus two 128 KiB cases on the default
+mapping), and compares the SHA-256 of the canonical
 ``plan_to_dict`` export and of the explain payload with
 ``golden/ddr4_plans.json``.  An intentional plan change regenerates the
 file in the same change (``python tests/test_dram_golden.py``) and says
@@ -31,21 +32,26 @@ GLB_KB = 256
 OBJECTIVES = (Objective.ACCESSES, Objective.LATENCY)
 
 CASES = [
-    (model, mapping, objective)
+    (model, GLB_KB, mapping, objective)
     for model in MODELS
     for mapping in MAPPING_NAMES
     for objective in OBJECTIVES
+] + [
+    ("MobileNet", 128, DEFAULT_DDR4_SPEC.mapping, Objective.LATENCY),
+    ("ResNet18", 128, DEFAULT_DDR4_SPEC.mapping, Objective.ACCESSES),
 ]
 
 
-def case_id(model: str, mapping: str, objective: Objective) -> str:
-    return f"{model}/{GLB_KB}/{mapping}/{objective.value}"
+def case_id(model: str, glb_kb: int, mapping: str, objective: Objective) -> str:
+    return f"{model}/{glb_kb}/{mapping}/{objective.value}"
 
 
-def digests(model: str, mapping: str, objective: Objective) -> dict[str, str]:
+def digests(
+    model: str, glb_kb: int, mapping: str, objective: Objective
+) -> dict[str, str]:
     """SHA-256 of the plan export and of its explain payload."""
     dram = dataclasses.replace(DEFAULT_DDR4_SPEC, mapping=mapping)
-    spec = AcceleratorSpec(glb_bytes=kib(GLB_KB), dram=dram)
+    spec = AcceleratorSpec(glb_bytes=kib(glb_kb), dram=dram)
     plan = plan_heterogeneous(get_model(model), spec, objective)
     return {
         "plan": hashlib.sha256(canonical_json(plan_to_dict(plan))).hexdigest(),
@@ -56,11 +62,15 @@ def digests(model: str, mapping: str, objective: Objective) -> dict[str, str]:
 
 
 @pytest.mark.parametrize(
-    ("model", "mapping", "objective"), CASES, ids=[case_id(*case) for case in CASES]
+    ("model", "glb_kb", "mapping", "objective"),
+    CASES,
+    ids=[case_id(*case) for case in CASES],
 )
-def test_ddr4_plan_matches_golden(model, mapping, objective):
-    expected = json.loads(GOLDEN.read_text())[case_id(model, mapping, objective)]
-    assert digests(model, mapping, objective) == expected
+def test_ddr4_plan_matches_golden(model, glb_kb, mapping, objective):
+    expected = json.loads(GOLDEN.read_text())[
+        case_id(model, glb_kb, mapping, objective)
+    ]
+    assert digests(model, glb_kb, mapping, objective) == expected
 
 
 if __name__ == "__main__":
