@@ -17,11 +17,7 @@ next to the repository root (CI uploads both):
 * ``BENCH_experiments.json`` — the experiment engine's smoke subset run
   cold and then warm through the persistent cache with ``--jobs 2``
   semantics, recording per-artifact wall time, cache hits/misses and the
-  warm-over-cold speedup (outputs are asserted bit-identical);
-* ``BENCH_plan.json`` — cold planning of the zoo smoke suite on the scalar
-  parity-oracle path (``REPRO_SCALAR_PLANNER=1``) vs the vectorized grid
-  planner, asserting byte-identical exported plans and recording the
-  speedup (CI fails the job if the vectorized path is not faster).
+  warm-over-cold speedup (outputs are asserted bit-identical).
 """
 
 from __future__ import annotations
@@ -112,76 +108,6 @@ def _experiments_benchmark_record() -> dict:
     }
 
 
-def _plan_benchmark_record() -> dict:
-    """Cold-plan the zoo smoke suite, scalar oracle vs vectorized grid.
-
-    Both passes start from a cleared per-layer evaluation memo (the memo is
-    part of the vectorized design and disabled on the scalar path anyway),
-    plan every (model, GLB, objective) combo via ``plan_heterogeneous`` and
-    serialize the plans — asserting byte-identity before reporting speedup.
-    """
-    import gc
-
-    from repro.analyzer import Objective, plan_heterogeneous, plan_to_dict
-    from repro.arch import AcceleratorSpec, kib
-    from repro.estimators.evaluate import clear_evaluation_memo
-    from repro.nn.zoo import PAPER_MODEL_NAMES, get_model
-    from repro.plancore import ENV_SCALAR_PLANNER
-
-    # The full Fig. 5/8 planning grid: zoo × paper GLB ladder × objectives.
-    combos = [
-        (get_model(name), AcceleratorSpec(glb_bytes=kib(glb_kb)), objective)
-        for name in PAPER_MODEL_NAMES
-        for glb_kb in (64, 128, 256, 512, 1024)
-        for objective in (Objective.ACCESSES, Objective.LATENCY)
-    ]
-
-    def run_suite() -> tuple[float, list[str]]:
-        clear_evaluation_memo()
-        # CPU time, not wall clock: planning is single-threaded CPU-bound
-        # work and CI runners are noisy neighbours.  GC is paused during
-        # the timed region (both paths) so heap pressure from earlier
-        # benchmarks cannot skew either side.
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.process_time()
-            plans = [plan_heterogeneous(m, s, o) for m, s, o in combos]
-            seconds = time.process_time() - start
-        finally:
-            gc.enable()
-        # Serialization is identical work on both paths; keep it untimed.
-        return seconds, [
-            json.dumps(plan_to_dict(p), sort_keys=True) for p in plans
-        ]
-
-    # Untimed warm-up: the first vectorized plan in a process pays one-time
-    # NumPy internals (ufunc caches etc.) that are not planning work.
-    m0, s0, o0 = combos[0]
-    plan_heterogeneous(m0, s0, o0)
-
-    os.environ[ENV_SCALAR_PLANNER] = "1"
-    try:
-        scalar_seconds, scalar_plans = run_suite()
-    finally:
-        os.environ.pop(ENV_SCALAR_PLANNER, None)
-    # Best of two cold passes: the suite is ~1 s vectorized, so a second
-    # pass is cheap insurance against scheduler noise.
-    vectorized_seconds, vectorized_plans = run_suite()
-    vectorized_seconds = min(vectorized_seconds, run_suite()[0])
-    identical = scalar_plans == vectorized_plans
-    assert identical, "scalar and vectorized planners diverged on the smoke suite"
-    return {
-        "combos": len(combos),
-        "glb_sizes_kb": [64, 128, 256, 512, 1024],
-        "objectives": ["accesses", "latency"],
-        "scalar_seconds": scalar_seconds,
-        "vectorized_seconds": vectorized_seconds,
-        "speedup": scalar_seconds / vectorized_seconds if vectorized_seconds else None,
-        "bit_identical_plans": identical,
-    }
-
-
 def pytest_sessionfinish(session, exitstatus):
     """Write the perf-trajectory JSONs at the repo root after every run."""
     if exitstatus != 0 or session.config.option.collectonly:
@@ -192,7 +118,4 @@ def pytest_sessionfinish(session, exitstatus):
     )
     (root / "BENCH_experiments.json").write_text(
         json.dumps(_experiments_benchmark_record(), indent=2) + "\n"
-    )
-    (root / "BENCH_plan.json").write_text(
-        json.dumps(_plan_benchmark_record(), indent=2) + "\n"
     )

@@ -47,7 +47,7 @@ Catalog overview
   are flagged with their witness chains.
 * ``R070``–``R074`` — the **value-range** pack (project scope): an
   interval abstract interpreter (:mod:`repro.analysis.interval`) over
-  the estimator/plancore int64 closed forms, seeded from the declared
+  the estimator and tile-search int64 closed forms, seeded from the declared
   spec bounds in :mod:`repro.arch.bounds`.  A NumPy int64 wraparound
   raises no error — it silently corrupts plans — so every int64
   intermediate must be *provably* below 2**63 over the supported spec
@@ -311,7 +311,7 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "past shutdown and past the serve drain sequence."
     ),
     "R070": (
-        "Every int64 intermediate in the estimator/plancore closed "
+        "Every int64 intermediate in the estimator and tile-search closed "
         "forms must be provably below 2**63 when evaluated over the "
         "declared spec bounds (``repro.arch.bounds``): NumPy int64 "
         "arithmetic wraps silently, so an unprovable product of layer "

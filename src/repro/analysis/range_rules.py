@@ -1,7 +1,7 @@
 """Value-range / overflow prover rule pack (``R070``–``R074``, project scope).
 
 An interval abstract interpreter (:mod:`repro.analysis.interval`) over
-the estimator/plancore arithmetic.  Every function body is interpreted
+the estimator and tile-search arithmetic.  Every function body is interpreted
 once: locals carry :class:`~repro.analysis.interval.Abstract` values
 seeded from the declared spec bounds (:mod:`repro.arch.bounds`), NumPy
 array creations with explicit ``dtype=`` keywords enter the fixed-width

@@ -16,11 +16,8 @@ changes which candidate wins.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..estimators.evaluate import PolicyEvaluation
 from ..obs.audit import CandidateRow
-from ..plancore import scalar_planner_enabled, stable_masked_argmin
 from .objectives import Objective
 
 
@@ -60,31 +57,19 @@ def _select_index(
 ) -> int:
     """Index of the Algorithm 1 winner, with **explicitly stable** ties.
 
-    Exact key ties keep the earliest-listed candidate.  The scalar path
-    encodes the candidate index into the comparison key (rather than
-    leaning on ``min()`` happening to be stable), and the vectorized path
-    selects with :func:`~repro.plancore.stable_masked_argmin`, whose
-    tie-break is lowest-index by construction — so the two paths cannot
-    diverge on ties.
+    Exact key ties keep the earliest-listed candidate: the candidate index
+    is the last component of the comparison key, rather than leaning on
+    ``min()`` happening to be stable.
     """
-    if scalar_planner_enabled():
-        return min(
-            range(len(evaluations)),
-            key=lambda i: (
-                *objective.key(
-                    evaluations[i].accesses_bytes, evaluations[i].latency_cycles
-                ),
-                i,
+    return min(
+        range(len(evaluations)),
+        key=lambda i: (
+            *objective.key(
+                evaluations[i].accesses_bytes, evaluations[i].latency_cycles
             ),
-        )
-    accesses = np.array([ev.accesses_bytes for ev in evaluations], dtype=np.int64)
-    latency = np.array([ev.latency_cycles for ev in evaluations], dtype=np.float64)
-    keys = (
-        (accesses, latency) if objective is Objective.ACCESSES else (latency, accesses)
+            i,
+        ),
     )
-    index = stable_masked_argmin(np.ones(len(evaluations), dtype=np.bool_), *keys)
-    assert index is not None  # evaluations is non-empty and the mask all-True
-    return index
 
 
 def select_policy(

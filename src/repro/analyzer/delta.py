@@ -26,10 +26,6 @@ Invalidation invariant (what moves what):
   byte conversions and the latency model depend on them in ways no
   capacity signature covers.
 
-Under ``REPRO_SCALAR_PLANNER`` the planner re-plans every layer at every
-point and never touches the (vectorized) signature machinery — the scalar
-parity oracle has no incremental path; results are identical either way.
-
 Metrics: every ``plan()`` call adds per-layer counts to the PR 5 counters
 ``planner_layers_replanned_count`` / ``planner_layers_reused_count``, so
 sweeps can assert they evaluated strictly fewer layers than points×layers.
@@ -44,7 +40,6 @@ from ..estimators.evaluate import PolicyAttempt, PolicyEvaluation, evaluate_laye
 from ..nn.model import Model
 from ..obs import get_tracer, metrics_registry
 from ..obs.audit import CandidateRow, TrailBuilder
-from ..plancore import scalar_planner_enabled
 from ..policies.base import Policy
 from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
 from .algorithm1 import select_policy
@@ -138,13 +133,11 @@ class SweepPlanner:
 
     def plan(self, spec: AcceleratorSpec) -> ExecutionPlan:
         """Plan the model at one sweep point, reusing what cannot have moved."""
-        scalar = scalar_planner_enabled()
-        if scalar or not self._only_glb_moved(spec):
-            # Scalar parity oracle (no incremental path), a non-GLB spec
-            # field moved, or this is the first point: nothing of the
-            # previous evaluations is trustworthy.
+        if not self._only_glb_moved(spec):
+            # A non-GLB spec field moved, or this is the first point:
+            # nothing of the previous evaluations is trustworthy.
             self._states = [None] * len(self._model.layers)
-        self._last_spec = None if scalar else spec
+        self._last_spec = spec
 
         tracer = get_tracer()
         registry = metrics_registry()
@@ -159,9 +152,7 @@ class SweepPlanner:
             objective=self._objective.value,
         ) as plan_span:
             for i, layer in enumerate(self._model.layers):
-                # The signature machinery is vectorized; the scalar oracle
-                # skips it and re-plans unconditionally (states were reset).
-                signature = () if scalar else self._signature(i, budget)
+                signature = self._signature(i, budget)
                 state = self._states[i]
                 if state is None or state.signature != signature:
                     attempts: list[PolicyAttempt] = []

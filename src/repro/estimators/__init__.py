@@ -3,11 +3,9 @@
 from .evaluate import (
     PolicyEvaluation,
     estimate_accesses,
-    estimate_accesses_batch,
     estimate_latency,
     estimate_latency_batch,
     estimate_memory,
-    estimate_memory_batch,
     evaluate_layer,
     evaluate_plans,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "estimate_memory",
     "estimate_accesses",
     "estimate_latency",
-    "estimate_memory_batch",
-    "estimate_accesses_batch",
     "estimate_latency_batch",
     "LatencyBreakdown",
     "schedule_latency",

@@ -31,13 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-from numpy.typing import NDArray
-
 from ..arch.spec import AcceleratorSpec
 from ..nn.layer import LayerSpec
 from ..nn.model import Model
-from ..plancore import scalar_planner_enabled
 from ..policies.base import Policy
 
 if TYPE_CHECKING:  # imported lazily to avoid an analyzer<->estimators cycle
@@ -67,29 +63,6 @@ def layer_bound(layer: LayerSpec, glb_elems: int) -> TrafficBound:
     return TrafficBound(compulsory=compulsory, pebbling=pebbling)
 
 
-def _bound_arrays(
-    model: Model, glb_elems: int
-) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    """Per-layer ``(compulsory, pebbling)`` bound terms as int64 arrays.
-
-    All quantities fit comfortably in int64 (traffic elements per layer are
-    bounded by tensor sizes, far below 2**63), so the vectorized arithmetic
-    is exact and identical to the Python-int scalar path.
-    """
-    if glb_elems <= 0:
-        raise ValueError("glb_elems must be positive")
-    compulsory = np.array(
-        [
-            Policy.ifmap_pass_elems(layer) + layer.filter_elems + layer.ofmap_elems
-            for layer in model.layers
-        ],
-        dtype=np.int64,
-    )
-    macs = np.array([layer.macs for layer in model.layers], dtype=np.int64)
-    pebbling = -(-macs // glb_elems)  # ceil(MACs / S)
-    return compulsory, pebbling
-
-
 def model_bound(model: Model, spec: AcceleratorSpec) -> int:
     """Lower bound on a model's layer-by-layer off-chip traffic, in bytes.
 
@@ -98,17 +71,9 @@ def model_bound(model: Model, spec: AcceleratorSpec) -> int:
     eliding intermediate tensors, so this bound applies to plans without
     inter-layer reuse (and with it, to a weaker variant that removes the
     donated ofmap/ifmap terms — see :func:`model_bound_interlayer`).
-
-    Evaluated over all layers at once as int64 arrays (exact, so it is
-    identical to the scalar path retained under ``REPRO_SCALAR_PLANNER``).
     """
-    if scalar_planner_enabled():
-        total = sum(
-            layer_bound(layer, spec.glb_elems).combined for layer in model.layers
-        )
-        return total * spec.bytes_per_elem
-    compulsory, pebbling = _bound_arrays(model, spec.glb_elems)
-    return int(np.maximum(compulsory, pebbling).sum()) * spec.bytes_per_elem
+    total = sum(layer_bound(layer, spec.glb_elems).combined for layer in model.layers)
+    return total * spec.bytes_per_elem
 
 
 def model_bound_interlayer(model: Model, spec: AcceleratorSpec) -> int:
@@ -117,35 +82,16 @@ def model_bound_interlayer(model: Model, spec: AcceleratorSpec) -> int:
     Optimistically assumes every producer→consumer pair elides both the
     ofmap write and the (padded) ifmap read; non-chain tensors still move.
     """
-    if scalar_planner_enabled():
-        total = 0
-        for i, layer in enumerate(model.layers):
-            bound = layer_bound(layer, spec.glb_elems)
-            compulsory = bound.compulsory
-            if i > 0 and model.feeds_next(i - 1):
-                compulsory -= Policy.ifmap_pass_elems(layer)
-            if i < len(model.layers) - 1 and model.feeds_next(i):
-                compulsory -= layer.ofmap_elems
-            total += max(compulsory, bound.pebbling)
-        return total * spec.bytes_per_elem
-    if not model.layers:
-        return 0
-    compulsory, pebbling = _bound_arrays(model, spec.glb_elems)
-    layers = model.layers
-    chained = np.array(
-        [model.feeds_next(i) for i in range(len(layers) - 1)] + [False],
-        dtype=np.bool_,
-    )
-    ifmap_pass = np.array(
-        [Policy.ifmap_pass_elems(layer) for layer in layers], dtype=np.int64
-    )
-    ofmap = np.array([layer.ofmap_elems for layer in layers], dtype=np.int64)
-    # Consumers of a chained producer elide their ifmap read; the producers
-    # elide their ofmap write.
-    compulsory = compulsory.copy()
-    compulsory[1:] -= np.where(chained[:-1], ifmap_pass[1:], 0)
-    compulsory -= np.where(chained, ofmap, 0)
-    return int(np.maximum(compulsory, pebbling).sum()) * spec.bytes_per_elem
+    total = 0
+    for i, layer in enumerate(model.layers):
+        bound = layer_bound(layer, spec.glb_elems)
+        compulsory = bound.compulsory
+        if i > 0 and model.feeds_next(i - 1):
+            compulsory -= Policy.ifmap_pass_elems(layer)
+        if i < len(model.layers) - 1 and model.feeds_next(i):
+            compulsory -= layer.ofmap_elems
+        total += max(compulsory, bound.pebbling)
+    return total * spec.bytes_per_elem
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-from numpy.typing import NDArray
-
 from ..arch.spec import AcceleratorSpec
 from ..nn.layer import LayerSpec
-from ..plancore import scalar_planner_enabled
 from ..policies.base import CandidatePlan, Policy
 from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
 from .latency import (
@@ -97,26 +93,6 @@ def estimate_latency(plan: CandidatePlan, spec: AcceleratorSpec) -> LatencyBreak
     return schedule_latency(plan.schedule, spec, plan.prefetch, layer=plan.layer)
 
 
-def estimate_memory_batch(
-    plans: Sequence[CandidatePlan], spec: AcceleratorSpec
-) -> NDArray[np.int64]:
-    """GLB bytes of every plan of a candidate grid, as one int64 array."""
-    return (
-        np.array([p.memory_elems for p in plans], dtype=np.int64)
-        * spec.bytes_per_elem
-    )
-
-
-def estimate_accesses_batch(
-    plans: Sequence[CandidatePlan], spec: AcceleratorSpec
-) -> NDArray[np.int64]:
-    """Off-chip traffic bytes of every plan of a grid, as one int64 array."""
-    return (
-        np.array([p.traffic.total for p in plans], dtype=np.int64)
-        * spec.bytes_per_elem
-    )
-
-
 def estimate_latency_batch(
     plans: Sequence[CandidatePlan], spec: AcceleratorSpec
 ) -> list[LatencyBreakdown]:
@@ -134,52 +110,29 @@ def estimate_latency_batch(
     )
 
 
-def _evaluate_plan(plan: CandidatePlan, spec: AcceleratorSpec) -> PolicyEvaluation:
-    b = spec.bytes_per_elem
-    return PolicyEvaluation(
-        plan=plan,
-        memory_bytes=estimate_memory(plan, spec),
-        accesses_bytes=estimate_accesses(plan, spec),
-        read_bytes=plan.traffic.reads * b,
-        write_bytes=plan.traffic.writes * b,
-        latency=estimate_latency(plan, spec),
-    )
-
-
 def evaluate_plans(
     plans: Sequence[CandidatePlan], spec: AcceleratorSpec
 ) -> list[PolicyEvaluation]:
     """Evaluate a layer's whole candidate grid in one shot.
 
-    The default path computes memory/accesses/read/write bytes as int64
-    arrays and all latencies through one batched recurrence, then coerces
-    back to native Python ``int``/``float`` so no NumPy scalar ever leaks
-    into a :class:`PolicyEvaluation` (and from there into cached plans,
-    cache keys or JSON exports) — a type-pinning test enforces this.
-
-    Falls back to per-plan scalar evaluation under ``REPRO_SCALAR_PLANNER``;
-    results are bit-identical either way.
+    Byte counts are native ``int`` products; all latencies come from one
+    batched recurrence (:func:`estimate_latency_batch`), which returns
+    native ``float`` fields, so no NumPy scalar ever reaches a
+    :class:`PolicyEvaluation` (and from there cached plans, cache keys or
+    JSON exports) — a type-pinning test enforces this.
     """
-    if not plans:
-        return []
-    if scalar_planner_enabled():
-        return [_evaluate_plan(plan, spec) for plan in plans]
     b = spec.bytes_per_elem
-    memory = estimate_memory_batch(plans, spec)
-    accesses = estimate_accesses_batch(plans, spec)
-    reads = np.array([p.traffic.reads for p in plans], dtype=np.int64) * b
-    writes = np.array([p.traffic.writes for p in plans], dtype=np.int64) * b
     latencies = estimate_latency_batch(plans, spec)
     return [
         PolicyEvaluation(
             plan=plan,
-            memory_bytes=int(memory[i]),
-            accesses_bytes=int(accesses[i]),
-            read_bytes=int(reads[i]),
-            write_bytes=int(writes[i]),
-            latency=latencies[i],
+            memory_bytes=estimate_memory(plan, spec),
+            accesses_bytes=estimate_accesses(plan, spec),
+            read_bytes=plan.traffic.reads * b,
+            write_bytes=plan.traffic.writes * b,
+            latency=latency,
         )
-        for i, plan in enumerate(plans)
+        for plan, latency in zip(plans, latencies)
     ]
 
 
@@ -204,24 +157,13 @@ def evaluate_layer(
     trail; passing it changes no result.
 
     The result is a pure function of the arguments (everything involved is
-    a frozen dataclass), so the vectorized path memoizes it — CNNs repeat
-    layer shapes heavily, both within a model and across a zoo.  The
-    scalar parity oracle bypasses the memo entirely.
+    a frozen dataclass), so it is memoized — CNNs repeat layer shapes
+    heavily, both within a model and across a zoo.
 
     Returns an empty list only when even the tile-search fallback cannot
     fit, which for sane GLB sizes does not happen (the fallback's smallest
     footprint is a couple of rows).
     """
-    if scalar_planner_enabled():
-        return _evaluate_layer_uncached(
-            layer,
-            spec,
-            policies,
-            use_fallback,
-            allow_prefetch,
-            always_fallback,
-            attempts,
-        )
     evaluations, tries = _evaluate_layer_memo(
         layer, spec, policies, use_fallback, allow_prefetch, always_fallback
     )

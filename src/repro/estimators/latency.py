@@ -243,8 +243,7 @@ def _batch_totals(
 #: Memo of final recurrence totals, keyed by the exact inputs that decide
 #: them.  Fixed-tile policies emit *identical* schedules across a GLB
 #: ladder, so sweeps re-request the same totals at every size; the batch
-#: API (vectorized path only — the scalar oracle never reaches it) reuses
-#: them.  Bounded by wholesale reset; cleared with the evaluation memo.
+#: API reuses them (:func:`schedule_latency` does not).  Bounded by wholesale reset; cleared with the evaluation memo.
 _TOTALS_MEMO: dict[tuple[LayerSchedule, float, float, bool], float] = {}
 _TOTALS_MEMO_MAX = 65536
 

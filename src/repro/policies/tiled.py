@@ -27,24 +27,23 @@ returns the feasible plan with the fewest off-chip accesses, tie-broken
 toward fewer steps.
 
 The search is the planner's hot loop (hundreds to thousands of tile
-candidates per layer), so by default it runs **vectorized**: the whole
-candidate grid's memory footprints, traffic totals and step counts are
-evaluated as NumPy arrays in one shot (every quantity has a closed form
-in ``(n_f, o_t, w_t)`` — band sums factor into a row-sum × column-sum
+candidates per layer), so it runs **vectorized**: the whole candidate
+grid's memory footprints, traffic totals and step counts are evaluated as
+NumPy arrays in one shot (every quantity has a closed form in
+``(n_f, o_t, w_t)`` — band sums factor into a row-sum × column-sum
 product), the winner is picked with a stable masked argmin, and only the
 winning candidate is instantiated into a full :class:`CandidatePlan` by
-the exact scalar construction.  ``REPRO_SCALAR_PLANNER=1`` selects the
-original candidate-at-a-time loop instead; both paths are bit-identical
-(same winner, same tie-breaks — the parity suite asserts it).
+the exact scalar construction.  The test suite keeps a candidate-at-a-time
+reference loop and asserts the same winner, tie-breaks included.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..arch.units import ceil_div
 from ..nn.layer import LayerSpec
-from ..plancore import scalar_planner_enabled, stable_masked_argmin
 from .base import CandidatePlan, LayerSchedule, Policy, StepGroup, TileSizes, Traffic
 from .p4 import split_blocks
 
@@ -60,6 +59,28 @@ def _candidate_values(limit: int) -> list[int]:
     return sorted(set(values))
 
 
+def stable_masked_argmin(
+    mask: NDArray[np.bool_], *keys: NDArray[np.generic]
+) -> int | None:
+    """Index of the lexicographic minimum of ``keys`` where ``mask`` holds.
+
+    The array analogue of ``min(candidates, key=...)`` over the feasible
+    subsequence: candidates are compared by ``keys[0]``, ties by
+    ``keys[1]``, and so on; remaining exact ties keep the **lowest index**
+    (the earliest-enumerated candidate), exactly like Python's stable
+    ``min()``.  Returns ``None`` when no candidate is feasible.
+    """
+    alive = np.flatnonzero(mask)
+    if alive.size == 0:
+        return None
+    for key in keys:
+        values = key[alive]
+        alive = alive[values == values.min()]
+        if alive.size == 1:
+            break
+    return int(alive[0])
+
+
 class TiledFallback(Policy):
     """Tile search over filter blocks × ofmap row bands × column bands."""
 
@@ -69,8 +90,6 @@ class TiledFallback(Policy):
         self, layer: LayerSpec, budget_elems: int, prefetch: bool
     ) -> CandidatePlan | None:
         """Search tile shapes; return the fewest-accesses feasible plan."""
-        if scalar_planner_enabled():
-            return self._plan_scalar(layer, budget_elems, prefetch)
         params = self._search(layer, budget_elems, prefetch)
         if params is None:
             return None
@@ -83,17 +102,13 @@ class TiledFallback(Policy):
         from the budget.  Same winner ⇒ bit-identical plan."""
         return self._search(layer, budget_elems, prefetch)
 
-    # ------------------------------------------------------------------
-    # Vectorized grid search (the default path)
-    # ------------------------------------------------------------------
-
     def _search(
         self, layer: LayerSpec, budget_elems: int, prefetch: bool
     ) -> tuple[int, int, int] | None:
         """Winning ``(n_f, o_t, w_t)`` of the tile grid, or None.
 
-        Mirrors the scalar loop exactly: height-wise candidates first
-        (``w_t = O_W``), the width direction only when nothing fits.
+        Height-wise candidates first (``w_t = O_W``), the width direction
+        only when nothing fits.
         """
         n_limit = layer.in_c if layer.kind.is_depthwise else layer.num_filters
         nf_vals = _candidate_values(n_limit)
@@ -126,11 +141,10 @@ class TiledFallback(Policy):
         bands tile independently, and block sums collapse through
         ``Σ count = ⌈total/n_f⌉`` and ``Σ count·size = total``.  The
         winner minimizes ``(traffic, steps)`` with the earliest grid
-        index kept on exact ties — the same key and tie-break as the
-        scalar loop's strict-improvement ``consider()``.
+        index kept on exact ties.
         """
-        # Candidate axes in the scalar loop's nesting order (n_f outer,
-        # o_t middle, w_t inner), flattened C-order.
+        # Candidate axes in enumeration order (n_f outer, o_t middle,
+        # w_t inner), flattened C-order.
         n_f = np.repeat(
             np.asarray(nf_vals, dtype=np.int64), len(ot_vals) * len(wt_vals)
         )
@@ -188,46 +202,6 @@ class TiledFallback(Policy):
         if index is None:
             return None
         return (int(n_f[index]), int(o_t[index]), int(w_t[index]))
-
-    # ------------------------------------------------------------------
-    # Scalar path (parity oracle, REPRO_SCALAR_PLANNER=1)
-    # ------------------------------------------------------------------
-
-    def _plan_scalar(
-        self, layer: LayerSpec, budget_elems: int, prefetch: bool
-    ) -> CandidatePlan | None:
-        """The original candidate-at-a-time search (kept as parity oracle)."""
-        best: CandidatePlan | None = None
-        best_key: tuple[int, int] | None = None
-        n_limit = layer.in_c if layer.kind.is_depthwise else layer.num_filters
-
-        def consider(plan: CandidatePlan | None) -> None:
-            nonlocal best, best_key
-            if plan is None:
-                return
-            key = (plan.traffic.total, plan.schedule.num_steps)
-            if best_key is None or key < best_key:
-                best, best_key = plan, key
-
-        for n_f in _candidate_values(n_limit):
-            for o_t in _candidate_values(layer.out_h):
-                consider(
-                    self._instantiate(
-                        layer, budget_elems, prefetch, n_f, o_t, layer.out_w
-                    )
-                )
-        if best is None:
-            # Height-wise tiling alone cannot fit: engage the width
-            # direction (Fig. 2a width-wise access with column halos).
-            for n_f in _candidate_values(n_limit):
-                for o_t in _candidate_values(layer.out_h):
-                    for w_t in _candidate_values(layer.out_w)[:-1]:
-                        consider(
-                            self._instantiate(
-                                layer, budget_elems, prefetch, n_f, o_t, w_t
-                            )
-                        )
-        return best
 
     def _instantiate(
         self,

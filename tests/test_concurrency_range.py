@@ -495,7 +495,7 @@ def test_r070_proves_bounded_closed_form_clean(tmp_path: Path) -> None:
 
 
 def test_r070_repo_closed_forms_prove_clean() -> None:
-    """The acceptance proof: the real estimator/plancore arithmetic
+    """The acceptance proof: the real estimator and tile-search arithmetic
     carries no unprovable int64 intermediate over the declared bounds."""
     repo_root = Path(__file__).resolve().parent.parent
     report = analyze_paths(

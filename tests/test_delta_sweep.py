@@ -31,7 +31,6 @@ from repro.experiments.common import het_plan_ladder, spec_for
 from repro.experiments.sweep import bandwidth_sweep, glb_sweep
 from repro.nn.zoo import get_model
 from repro.obs import metrics_registry
-from repro.plancore import ENV_SCALAR_PLANNER
 
 LADDER_KB = (64, 128, 256, 512, 1024)
 
@@ -99,22 +98,6 @@ def test_non_glb_spec_move_invalidates_every_layer():
         model.layers
     )
     assert _json(back) == _json(plan_heterogeneous(model, spec, Objective.LATENCY))
-
-
-def test_scalar_mode_disables_reuse_but_not_parity():
-    model = get_model("AlexNet")
-    planner = SweepPlanner(model, Objective.ACCESSES)
-    os.environ[ENV_SCALAR_PLANNER] = "1"
-    try:
-        reused0 = _counter("planner_layers_reused_count")
-        for glb_kb in (128, 256):
-            spec = AcceleratorSpec(glb_bytes=kib(glb_kb))
-            assert _json(planner.plan(spec)) == _json(
-                plan_heterogeneous(model, spec, Objective.ACCESSES)
-            )
-        assert _counter("planner_layers_reused_count") == reused0
-    finally:
-        os.environ.pop(ENV_SCALAR_PLANNER, None)
 
 
 def test_glb_sweep_delta_path_matches_per_point_path():

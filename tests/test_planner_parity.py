@@ -1,21 +1,20 @@
-"""Scalar-vs-vectorized planner parity (the PR 8 parity oracle).
+"""Single-path planner invariants the golden digests cannot isolate.
 
-The vectorized grid planner must be *bit-identical* to the original scalar
-implementation retained behind ``REPRO_SCALAR_PLANNER=1``: same winners,
-same tie-breaks, same audit trails, same exported JSON bytes.  These tests
-plan the zoo and hypothesis-fuzzed random chains under both paths and
-compare the serialized artifacts, and pin the exact Python types of every
-:class:`~repro.estimators.PolicyEvaluation` field so NumPy scalars can
-never leak into plans (and from there into cache keys or JSON output).
+The golden suites (``test_flat_golden.py``, ``test_dram_golden.py``) pin
+whole plans and trails.  These tests pin the pieces underneath: the
+batched latency recurrence equals the per-plan recurrence exactly, ties
+keep the earliest candidate, reject reasons are truthful, and every
+:class:`~repro.estimators.PolicyEvaluation` field is a native Python type
+so NumPy scalars can never leak into plans (and from there into cache
+keys or JSON output).
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,122 +22,120 @@ from repro.analyzer import Objective, plan_heterogeneous, plan_to_dict, select_p
 from repro.analyzer.algorithm1 import _reject_reason, _select_index
 from repro.arch import AcceleratorSpec, kib
 from repro.dram import DEFAULT_DDR4_SPEC
-from repro.estimators import evaluate_layer
-from repro.nn import LayerKind, LayerSpec, make_model
+from repro.estimators import (
+    estimate_latency,
+    evaluate_layer,
+    evaluate_plans,
+    schedule_latency,
+    schedule_latency_batch,
+)
+from repro.estimators import latency as latency_module
+from repro.nn import make_model
 from repro.nn.zoo import PAPER_MODEL_NAMES, get_model
 from repro.obs.audit import CandidateRecord
-from repro.plancore import ENV_SCALAR_PLANNER, scalar_planner_enabled
+from repro.policies import FALLBACK_POLICY, NAMED_POLICIES, LayerSchedule, StepGroup
+
+# ----------------------------------------------------------------------
+# Batched latency recurrence vs the per-plan recurrence
+# ----------------------------------------------------------------------
 
 
-@contextmanager
-def scalar_mode():
-    """Run the enclosed block on the scalar parity-oracle path."""
-    previous = os.environ.get(ENV_SCALAR_PLANNER)
-    os.environ[ENV_SCALAR_PLANNER] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_SCALAR_PLANNER, None)
-        else:
-            os.environ[ENV_SCALAR_PLANNER] = previous
+def _candidate_grids(model_names, spec):
+    """Every distinct layer's full candidate grid (named policies and the
+    tile search, with and without prefetch) at ``spec``."""
+    seen = set()
+    for name in model_names:
+        for layer in get_model(name).layers:
+            if layer in seen:
+                continue
+            seen.add(layer)
+            yield [
+                plan
+                for policy in (*NAMED_POLICIES, FALLBACK_POLICY)
+                for prefetch in (False, True)
+                if (plan := policy.plan(layer, spec.glb_elems, prefetch)) is not None
+            ]
 
 
-def _plan_bytes(model, spec, objective):
-    plan = plan_heterogeneous(model, spec, objective)
-    exported = json.dumps(plan_to_dict(plan), sort_keys=True)
-    trail = json.dumps(plan.explain().to_payload(), sort_keys=True)
-    return exported, trail
-
-
-def test_zoo_plans_byte_identical_scalar_vs_vectorized():
-    """Full zoo: exported plans and explain() trails match byte for byte."""
-    assert not scalar_planner_enabled()
-    cases = [
-        (name, glb_kb, Objective.ACCESSES)
-        for name in PAPER_MODEL_NAMES
-        for glb_kb in (64, 256)
-    ] + [("ResNet18", 128, Objective.LATENCY)]
-    for name, glb_kb, objective in cases:
-        model = get_model(name)
-        spec = AcceleratorSpec(glb_bytes=kib(glb_kb))
-        vectorized = _plan_bytes(model, spec, objective)
-        with scalar_mode():
-            scalar = _plan_bytes(model, spec, objective)
-        assert vectorized == scalar, f"{name} @ {glb_kb} kB ({objective})"
-
-
-def test_ddr4_plans_byte_identical_scalar_vs_vectorized():
-    """Banked DRAM: per-candidate trace-simulated bandwidths go through the
-    same batched recurrence and still match the scalar path."""
-    for name, objective in (
-        ("MobileNet", Objective.LATENCY),
-        ("ResNet18", Objective.ACCESSES),
-    ):
-        model = get_model(name)
-        spec = AcceleratorSpec(glb_bytes=kib(128), dram=DEFAULT_DDR4_SPEC)
-        vectorized = _plan_bytes(model, spec, objective)
-        with scalar_mode():
-            scalar = _plan_bytes(model, spec, objective)
-        assert vectorized == scalar, f"{name} ({objective})"
-
-
-@st.composite
-def chain_models(draw):
-    """Random sequential CNNs (1–4 conv/pw/dw layers, consistent shapes)."""
-    num_layers = draw(st.integers(1, 4))
-    hw = draw(st.sampled_from([8, 16, 28, 33]))
-    channels = draw(st.integers(2, 16))
-    layers = []
-    for i in range(num_layers):
-        kind = draw(
-            st.sampled_from([LayerKind.CONV, LayerKind.POINTWISE, LayerKind.DEPTHWISE])
-        )
-        if kind is LayerKind.POINTWISE:
-            f, pad = 1, 0
-        else:
-            f, pad = draw(st.sampled_from([(3, 1), (5, 2)]))
-        stride = draw(st.sampled_from([1, 2]))
-        # Depth-wise layers are modeled as a single grouped filter.
-        num_filters = 1 if kind is LayerKind.DEPTHWISE else draw(st.integers(2, 24))
-        layer = LayerSpec(
-            name=f"l{i}",
-            kind=kind,
-            in_h=hw,
-            in_w=hw,
-            in_c=channels,
-            f_h=f,
-            f_w=f,
-            num_filters=num_filters,
-            stride=stride,
-            padding=pad,
-        )
-        layers.append(layer)
-        hw, channels = layer.out_h, layer.out_c
-    return make_model("fuzz-chain", layers)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    model=chain_models(),
-    glb=st.sampled_from([kib(8), kib(32), kib(64), kib(256)]),
-    width=st.sampled_from([8, 16]),
-    objective=st.sampled_from([Objective.ACCESSES, Objective.LATENCY]),
-    dram=st.sampled_from([None, DEFAULT_DDR4_SPEC]),
+@pytest.mark.parametrize(
+    ("model_names", "spec"),
+    [
+        (PAPER_MODEL_NAMES, AcceleratorSpec(glb_bytes=kib(64))),
+        (PAPER_MODEL_NAMES, AcceleratorSpec(glb_bytes=kib(256))),
+        (
+            ("ResNet18", "MobileNet"),
+            AcceleratorSpec(glb_bytes=kib(256), dram=DEFAULT_DDR4_SPEC),
+        ),
+    ],
+    ids=["flat-64", "flat-256", "ddr4-256"],
 )
-def test_fuzzed_plans_byte_identical_scalar_vs_vectorized(
-    model, glb, width, objective, dram
-):
-    assert not scalar_planner_enabled()
-    spec = AcceleratorSpec(glb_bytes=glb, data_width_bits=width, dram=dram)
-    vectorized = _plan_bytes(model, spec, objective)
-    with scalar_mode():
-        scalar = _plan_bytes(model, spec, objective)
-    assert vectorized == scalar
+def test_batched_latency_equals_per_plan_latency(model_names, spec):
+    """``evaluate_plans`` runs one batched recurrence per grid; every
+    candidate's breakdown must equal the per-plan recurrence exactly."""
+    latency_module.clear_latency_memo()
+    for plans in _candidate_grids(model_names, spec):
+        batched = evaluate_plans(plans, spec)
+        for evaluation, plan in zip(batched, plans, strict=True):
+            assert evaluation.latency == estimate_latency(plan, spec), plan.label
+
+
+_GROUP = st.builds(
+    StepGroup,
+    count=st.integers(1, 64),
+    ifmap=st.sampled_from([0, 0, 1, 7, 96, 1_000]),
+    filters=st.sampled_from([0, 0, 9, 300]),
+    macs=st.sampled_from([0, 5, 256, 4_096, 100_000]),
+    store=st.sampled_from([0, 0, 3, 64, 1_000]),
+)
+
+_SCHEDULE = st.builds(
+    LayerSchedule,
+    groups=st.lists(
+        _GROUP, max_size=latency_module._BATCH_GROUP_LIMIT + 8
+    ).map(tuple),
+    resident_ifmap=st.sampled_from([0, 0, 50, 4_000]),
+    resident_filters=st.sampled_from([0, 0, 27, 2_304]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            _SCHEDULE,
+            st.booleans(),
+            st.one_of(
+                st.sampled_from([16.0, 3.0, 5.5, 12.75, 0.3]),
+                st.floats(0.1, 512.0, allow_nan=False, allow_infinity=False),
+            ),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    ops_per_cycle=st.sampled_from([512, 2, 96, 1_000]),
+)
+def test_batched_recurrence_matches_per_schedule_recurrence(rows, ops_per_cycle):
+    """Drawn schedules mixing long and short group lists, zero-load and
+    zero-store groups, prefetch flags and arbitrary bandwidths; the repeat
+    call is served from the totals memo and must agree too."""
+    spec = AcceleratorSpec(glb_bytes=kib(64), ops_per_cycle=ops_per_cycle)
+    schedules = [schedule for schedule, _, _ in rows]
+    flags = [flag for _, flag, _ in rows]
+    bandwidths = [bandwidth for _, _, bandwidth in rows]
+    expected = [
+        schedule_latency(
+            schedule, replace(spec, dram_bandwidth_elems_per_cycle=bandwidth), flag
+        )
+        for schedule, flag, bandwidth in rows
+    ]
+    latency_module.clear_latency_memo()
+    assert schedule_latency_batch(schedules, spec, flags, bandwidths) == expected
+    assert len(latency_module._TOTALS_MEMO) == len(set(rows))
+    assert schedule_latency_batch(schedules, spec, flags, bandwidths) == expected
 
 
 # ----------------------------------------------------------------------
-# Satellite: explicitly stable tie-breaking
+# Explicitly stable tie-breaking
 # ----------------------------------------------------------------------
 
 
@@ -154,21 +151,16 @@ def _twin_evaluations(conv_layer, spec64):
 
 
 def test_tie_break_keeps_earlier_candidate(conv_layer, spec64):
-    """On exact key ties Algorithm 1 must keep the earlier-listed candidate,
-    on both the scalar and the vectorized selection path."""
+    """On exact key ties Algorithm 1 must keep the earlier-listed candidate."""
     first, twin = _twin_evaluations(conv_layer, spec64)
     for objective in (Objective.ACCESSES, Objective.LATENCY):
         assert select_policy([first, twin], objective) is first
         assert select_policy([twin, first], objective) is twin
         assert _select_index([first, twin], objective) == 0
-        with scalar_mode():
-            assert select_policy([first, twin], objective) is first
-            assert select_policy([twin, first], objective) is twin
-            assert _select_index([first, twin], objective) == 0
 
 
 # ----------------------------------------------------------------------
-# Satellite: truthful sub-cycle reject reasons
+# Truthful sub-cycle reject reasons
 # ----------------------------------------------------------------------
 
 
@@ -209,15 +201,18 @@ def test_audit_trail_records_subcycle_reason(conv_layer, spec64):
 
 
 # ----------------------------------------------------------------------
-# Satellite: no NumPy scalar leakage into PolicyEvaluation
+# No NumPy scalar leakage into PolicyEvaluation
 # ----------------------------------------------------------------------
 
 
 def test_policy_evaluation_field_types_are_native(conv_layer, spec64):
     """Exact Python types: int64/float64 leakage would poison cached plans,
-    cache keys and JSON exports."""
-    assert not scalar_planner_enabled()
-    evaluations = evaluate_layer(conv_layer, spec64, always_fallback=True)
+    cache keys and JSON exports.  Flat and banked-DRAM specs both."""
+    evaluations = [
+        ev
+        for spec in (spec64, replace(spec64, dram=DEFAULT_DDR4_SPEC))
+        for ev in evaluate_layer(conv_layer, spec, always_fallback=True)
+    ]
     assert evaluations
     for ev in evaluations:
         assert type(ev.memory_bytes) is int, ev.label

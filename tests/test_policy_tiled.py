@@ -1,8 +1,12 @@
 """Tile-search fallback: fits tiny budgets, never beats the compulsory minimum."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.nn import LayerKind, LayerSpec
 from repro.policies import FALLBACK_POLICY, TiledFallback
+
+from .tiled_reference import reference_tiled_plan
 
 BIG = 1 << 40
 
@@ -106,3 +110,52 @@ class TestWidthDirection:
         assert s.total_filter_load == t.filter_reads
         assert s.total_store == t.ofmap_writes
         assert s.total_macs == layer.macs
+
+
+@st.composite
+def search_layers(draw) -> LayerSpec:
+    """Conv, depth-wise and 1×1 layers, strides 1–3, including filters
+    larger than the unpadded input (covered only thanks to padding)."""
+    kind = draw(
+        st.sampled_from([LayerKind.CONV, LayerKind.DEPTHWISE, LayerKind.POINTWISE])
+    )
+    if kind is LayerKind.POINTWISE:
+        f_h = f_w = 1
+        padding = 0
+    else:
+        f_h = draw(st.integers(1, 7))
+        f_w = draw(st.integers(1, 7))
+        padding = draw(st.integers(0, 3))
+    in_h = draw(st.integers(max(1, f_h - 2 * padding), 40))
+    in_w = draw(st.integers(max(1, f_w - 2 * padding), 40))
+    return LayerSpec(
+        name="fuzz",
+        kind=kind,
+        in_h=in_h,
+        in_w=in_w,
+        in_c=draw(st.integers(1, 48)),
+        f_h=f_h,
+        f_w=f_w,
+        num_filters=1 if kind is LayerKind.DEPTHWISE else draw(st.integers(1, 48)),
+        stride=draw(st.integers(1, 3)),
+        padding=padding,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layer=search_layers(),
+    budget=st.one_of(st.integers(1, 1_000), st.integers(1_000, 200_000)),
+    prefetch=st.booleans(),
+)
+def test_grid_search_matches_reference_loop(layer, budget, prefetch):
+    """The vectorized grid search picks the reference loop's winner, tie-break
+    included, and its capacity signature names that winner."""
+    expected = reference_tiled_plan(layer, budget, prefetch)
+    policy = TiledFallback()
+    assert policy.plan(layer, budget, prefetch) == expected
+    signature = policy.capacity_signature(layer, budget, prefetch)
+    if expected is None:
+        assert signature is None
+    else:
+        assert signature == (expected.block_size, *expected.tile_shape)
