@@ -71,6 +71,12 @@ class SweepPlanner:
     decision trail (e.g. the ``het(named-only)`` ablation), and
     ``always_fallback=False`` restricts the tile search to its rescue role
     exactly as :func:`~repro.analyzer.planner.candidate_evaluations` does.
+
+    :func:`~repro.estimators.evaluate.evaluate_layer` now does the same
+    reuse per candidate: its candidate memo keys on the capacity
+    signature, so plain re-planning across a GLB ladder also plans and
+    evaluates each candidate once per signature.  This class only still
+    skips the ``evaluate_layer`` call of layers whose signature held.
     """
 
     def __init__(

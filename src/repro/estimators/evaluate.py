@@ -9,7 +9,7 @@ fits, mirroring paper §3.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -17,6 +17,7 @@ from ..arch.spec import AcceleratorSpec
 from ..nn.layer import LayerSpec
 from ..policies.base import CandidatePlan, Policy
 from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
+from ..policies.tiled import clear_grid_memo
 from .latency import (
     LatencyBreakdown,
     clear_latency_memo,
@@ -157,8 +158,17 @@ def evaluate_layer(
     trail; passing it changes no result.
 
     The result is a pure function of the arguments (everything involved is
-    a frozen dataclass), so it is memoized — CNNs repeat layer shapes
-    heavily, both within a model and across a zoo.
+    a frozen dataclass), so it is memoized at two levels.  The per-layer
+    memo returns a repeated call at the same spec.  Behind it, the
+    candidate memo keys each (policy, prefetch) try on the layer, every
+    spec field but ``glb_bytes``, the policy name, the prefetch flag and
+    the policy's capacity signature at this budget, and stores the
+    evaluation (None when infeasible).  Equal signatures imply identical
+    plans, so across a GLB sweep a candidate is planned and evaluated
+    once per signature, not once per size; only memo misses go through
+    ``policy.plan()`` and one batched :func:`evaluate_plans`.  The tile
+    search memoizes its budget-independent grid arrays the same way
+    (:func:`~repro.policies.tiled.tile_grid`).
 
     Returns an empty list only when even the tile-search fallback cannot
     fit, which for sane GLB sizes does not happen (the fallback's smallest
@@ -190,9 +200,34 @@ def _evaluate_layer_memo(
 
 
 def clear_evaluation_memo() -> None:
-    """Drop the in-process per-layer evaluation memo (cold-start benches)."""
+    """Drop the in-process evaluation memos (cold-start benches): the
+    per-layer and per-candidate memos, the tile grids, the latency totals
+    and the DRAM effective bandwidths."""
     _evaluate_layer_memo.cache_clear()
+    _CANDIDATE_MEMO.clear()
+    clear_grid_memo()
     clear_latency_memo()
+
+
+#: Spec fields a candidate's evaluation depends on: every field but
+#: ``glb_bytes``, which reaches a candidate only through its budget and so
+#: through its capacity signature.
+_SPEC_KEY_FIELDS = tuple(
+    f.name for f in fields(AcceleratorSpec) if f.name != "glb_bytes"
+)
+
+#: Candidate memo across GLB sizes: ``(layer, spec key, policy name,
+#: prefetch, capacity signature)`` -> the evaluation, or None when the
+#: candidate does not fit.  Equal signatures imply identical plans
+#: (:meth:`~repro.policies.base.Policy.capacity_signature`), so a GLB
+#: sweep plans and evaluates each candidate once per signature instead of
+#: once per size.  Same discipline as the latency totals memo: one
+#: ``.get`` with a sentinel (None is a real value), idempotent puts of
+#: deterministic values, and a wholesale reset above the cap, which one
+#: cold flat zoo pass (about 5.1k candidates) stays well below.
+_CANDIDATE_MEMO: dict[tuple[object, ...], PolicyEvaluation | None] = {}
+_CANDIDATE_MEMO_MAX = 32768
+_MISSING = object()
 
 
 def _evaluate_layer_uncached(
@@ -206,23 +241,43 @@ def _evaluate_layer_uncached(
 ) -> list[PolicyEvaluation]:
     budget = spec.glb_elems
     prefetch_options = (False, True) if allow_prefetch else (False,)
-    plans: list[CandidatePlan] = []
+    spec_key = tuple(getattr(spec, name) for name in _SPEC_KEY_FIELDS)
+    if len(_CANDIDATE_MEMO) > _CANDIDATE_MEMO_MAX:
+        _CANDIDATE_MEMO.clear()
+    # One slot per (policy, prefetch) try in Algorithm 1 order.  Memo hits
+    # fill ``found`` directly; misses are planned now and evaluated below
+    # in one batch.
+    tries: list[PolicyAttempt] = []
+    keys: list[tuple[object, ...]] = []
+    found: list[PolicyEvaluation | None] = []
+    misses: dict[int, CandidatePlan] = {}
+
+    def visit(policy: Policy, fallback: bool) -> None:
+        for prefetch in prefetch_options:
+            signature = policy.capacity_signature(layer, budget, prefetch)
+            key = (layer, spec_key, policy.name, prefetch, signature)
+            value = _CANDIDATE_MEMO.get(key, _MISSING)
+            if value is _MISSING:
+                plan = policy.plan(layer, budget, prefetch)
+                feasible = plan is not None
+                if plan is None:
+                    _CANDIDATE_MEMO[key] = None
+                else:
+                    misses[len(found)] = plan
+            else:
+                feasible = value is not None
+            tries.append(PolicyAttempt(policy.name, prefetch, feasible, fallback))
+            keys.append(key)
+            found.append(value if isinstance(value, PolicyEvaluation) else None)
+
     for policy in policies:
-        for prefetch in prefetch_options:
-            plan = policy.plan(layer, budget, prefetch)
-            if attempts is not None:
-                attempts.append(PolicyAttempt(policy.name, prefetch, plan is not None))
-            if plan is not None:
-                plans.append(plan)
-    if use_fallback and (always_fallback or not plans):
-        for prefetch in prefetch_options:
-            plan = FALLBACK_POLICY.plan(layer, budget, prefetch)
-            if attempts is not None:
-                attempts.append(
-                    PolicyAttempt(
-                        FALLBACK_POLICY.name, prefetch, plan is not None, fallback=True
-                    )
-                )
-            if plan is not None:
-                plans.append(plan)
-    return evaluate_plans(plans, spec)
+        visit(policy, False)
+    if use_fallback and (always_fallback or not any(t.feasible for t in tries)):
+        visit(FALLBACK_POLICY, True)
+    if misses:
+        for i, evaluation in zip(misses, evaluate_plans(list(misses.values()), spec)):
+            _CANDIDATE_MEMO[keys[i]] = evaluation
+            found[i] = evaluation
+    if attempts is not None:
+        attempts.extend(tries)
+    return [evaluation for evaluation in found if evaluation is not None]

@@ -241,9 +241,12 @@ def _batch_totals(
 
 
 #: Memo of final recurrence totals, keyed by the exact inputs that decide
-#: them.  Fixed-tile policies emit *identical* schedules across a GLB
-#: ladder, so sweeps re-request the same totals at every size; the batch
-#: API reuses them (:func:`schedule_latency` does not).  Bounded by wholesale reset; cleared with the evaluation memo.
+#: them.  Schedules do not carry layer names, so layers that repeat a
+#: shape under another name re-request the same totals: about 40% of the
+#: candidates a cold flat zoo pass evaluates hit here (the candidate memo
+#: in :mod:`repro.estimators.evaluate` already absorbs repeats across GLB
+#: sizes).  The batch API reuses them (:func:`schedule_latency` does
+#: not).  Bounded by wholesale reset; cleared with the evaluation memo.
 _TOTALS_MEMO: dict[tuple[LayerSchedule, float, float, bool], float] = {}
 _TOTALS_MEMO_MAX = 65536
 

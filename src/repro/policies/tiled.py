@@ -33,11 +33,16 @@ NumPy arrays in one shot (every quantity has a closed form in
 ``(n_f, o_t, w_t)`` — band sums factor into a row-sum × column-sum
 product), the winner is picked with a stable masked argmin, and only the
 winning candidate is instantiated into a full :class:`CandidatePlan` by
-the exact scalar construction.  The test suite keeps a candidate-at-a-time
-reference loop and asserts the same winner, tie-breaks included.
+the exact scalar construction.  The grid arrays depend on the layer alone,
+so they are built once per layer and memoized (:func:`tile_grid`); each
+call only masks the footprints against its budget.  The test suite
+keeps a candidate-at-a-time reference loop and asserts the same winner,
+tie-breaks included.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -81,6 +86,127 @@ def stable_masked_argmin(
     return int(alive[0])
 
 
+class TileGrid(NamedTuple):
+    """One layer's candidate grid as read-only arrays, in enumeration order.
+
+    ``footprint`` is the Eq. (1) residency ``I_Tile + F_Tile + O_Tile`` of
+    every candidate (doubled per Eq. (2) by the caller); ``traffic`` and
+    ``steps`` are the winner's sort keys.  None of them depends on the
+    budget or on prefetching.
+    """
+
+    n_f: NDArray[np.int64]
+    o_t: NDArray[np.int64]
+    w_t: NDArray[np.int64]
+    footprint: NDArray[np.int64]
+    traffic: NDArray[np.int64]
+    steps: NDArray[np.int64]
+
+
+#: Memo of built grids keyed by ``(layer, width_wise)``: a GLB sweep asks
+#: for the same layer's grid at every size.  Same discipline as the
+#: latency totals memo — idempotent puts of deterministic values, reset
+#: wholesale above the cap, cleared with the evaluation memo.
+_GRID_MEMO: dict[tuple[LayerSpec, bool], TileGrid] = {}
+_GRID_MEMO_MAX = 4096
+
+
+def clear_grid_memo() -> None:
+    """Drop the memoized tile grids (cold-start benches)."""
+    _GRID_MEMO.clear()
+
+
+def tile_grid(layer: LayerSpec, width_wise: bool) -> TileGrid:
+    """The layer's height-wise (``w_t = O_W``) or width-wise grid, memoized.
+
+    Every per-candidate quantity of :meth:`TiledFallback._instantiate` has
+    a closed form: the band sum ``Σ covered_rows·covered_cols`` factors
+    into ``(Σ covered_rows)·(Σ covered_cols)`` because row and column
+    bands tile independently, and block sums collapse through
+    ``Σ count = ⌈total/n_f⌉`` and ``Σ count·size = total``.
+    """
+    key = (layer, width_wise)
+    grid = _GRID_MEMO.get(key)
+    if grid is None:
+        if len(_GRID_MEMO) > _GRID_MEMO_MAX:
+            _GRID_MEMO.clear()
+        grid = _build_grid(layer, width_wise)
+        _GRID_MEMO[key] = grid
+    return grid
+
+
+def _build_grid(layer: LayerSpec, width_wise: bool) -> TileGrid:
+    n_limit = layer.in_c if layer.kind.is_depthwise else layer.num_filters
+    nf_vals = _candidate_values(n_limit)
+    ot_vals = _candidate_values(layer.out_h)
+    wt_vals = _candidate_values(layer.out_w)[:-1] if width_wise else [layer.out_w]
+    # Candidate axes in enumeration order (n_f outer, o_t middle, w_t
+    # inner), flattened C-order.
+    n_f = np.repeat(np.asarray(nf_vals, dtype=np.int64), len(ot_vals) * len(wt_vals))
+    o_t = np.tile(
+        np.repeat(np.asarray(ot_vals, dtype=np.int64), len(wt_vals)), len(nf_vals)
+    )
+    w_t = np.tile(np.asarray(wt_vals, dtype=np.int64), len(nf_vals) * len(ot_vals))
+
+    depthwise = layer.kind.is_depthwise
+    row_step = min(layer.stride, layer.f_h)
+    col_step = min(layer.stride, layer.f_w)
+    filter_area = layer.f_h * layer.f_w
+
+    # Eq. (1) residency terms of every candidate.
+    window_cols = np.minimum(layer.padded_w, layer.f_w + (w_t - 1) * col_step)
+    window = layer.f_h * window_cols * (n_f if depthwise else 1)
+    filter_slice = filter_area * n_f
+    ofmap_tile = o_t * w_t * n_f
+    footprint = window + filter_slice + ofmap_tile
+
+    # Band structure: Σ_bands covered_rows·covered_cols factors into
+    # (Σ_bh covered_rows)·(Σ_bw covered_cols).
+    bands_h = -(-layer.out_h // o_t)
+    bands_w = -(-layer.out_w // w_t)
+    rows_last = layer.out_h - (bands_h - 1) * o_t
+    cols_last = layer.out_w - (bands_w - 1) * w_t
+    cr_full = np.minimum(layer.padded_h, layer.f_h + (o_t - 1) * row_step)
+    cr_last = np.minimum(layer.padded_h, layer.f_h + (rows_last - 1) * row_step)
+    cc_full = np.minimum(layer.padded_w, layer.f_w + (w_t - 1) * col_step)
+    cc_last = np.minimum(layer.padded_w, layer.f_w + (cols_last - 1) * col_step)
+    sum_rows = (bands_h - 1) * cr_full + cr_last
+    sum_cols = (bands_w - 1) * cc_full + cc_last
+    bands = bands_h * bands_w
+
+    # Filter blocking: Σ count = ⌈total/n_f⌉ blocks, Σ count·size = total.
+    total_items = layer.in_c if depthwise else layer.num_filters
+    num_blocks = -(-total_items // n_f)
+
+    if depthwise:
+        total_ifmap = sum_rows * sum_cols * layer.in_c
+        total_filters = bands * filter_area * layer.in_c
+        num_steps = bands * num_blocks
+    else:
+        chan_iters = layer.in_c
+        total_ifmap = sum_rows * sum_cols * chan_iters * num_blocks
+        total_filters = bands * chan_iters * filter_area * layer.num_filters
+        num_steps = bands * num_blocks * (chan_iters + 1)
+    traffic_total = total_ifmap + total_filters + layer.ofmap_elems
+
+    grid = TileGrid(n_f, o_t, w_t, footprint, traffic_total, num_steps)
+    for array in grid:
+        array.setflags(write=False)
+    return grid
+
+
+def _grid_winner(
+    grid: TileGrid, factor: int, budget_elems: int
+) -> tuple[int, int, int] | None:
+    """Best candidate of ``grid`` whose ``factor``-scaled footprint fits:
+    minimum ``(traffic, steps)``, earliest grid index on exact ties."""
+    feasible = factor * grid.footprint <= budget_elems
+    index = stable_masked_argmin(feasible, grid.traffic, grid.steps)
+    if index is None:
+        return None
+    return (int(grid.n_f[index]), int(grid.o_t[index]), int(grid.w_t[index]))
+
+
 class TiledFallback(Policy):
     """Tile search over filter blocks × ofmap row bands × column bands."""
 
@@ -110,98 +236,11 @@ class TiledFallback(Policy):
         Height-wise candidates first (``w_t = O_W``), the width direction
         only when nothing fits.
         """
-        n_limit = layer.in_c if layer.kind.is_depthwise else layer.num_filters
-        nf_vals = _candidate_values(n_limit)
-        ot_vals = _candidate_values(layer.out_h)
-        winner = self._grid_winner(
-            layer, budget_elems, prefetch, nf_vals, ot_vals, [layer.out_w]
-        )
-        if winner is None:
-            wt_vals = _candidate_values(layer.out_w)[:-1]
-            if wt_vals:
-                winner = self._grid_winner(
-                    layer, budget_elems, prefetch, nf_vals, ot_vals, wt_vals
-                )
-        return winner
-
-    def _grid_winner(
-        self,
-        layer: LayerSpec,
-        budget_elems: int,
-        prefetch: bool,
-        nf_vals: list[int],
-        ot_vals: list[int],
-        wt_vals: list[int],
-    ) -> tuple[int, int, int] | None:
-        """Best feasible candidate of one ``n_f × o_t × w_t`` grid.
-
-        Every per-candidate quantity of :meth:`_instantiate` has a closed
-        form: the band sum ``Σ covered_rows·covered_cols`` factors into
-        ``(Σ covered_rows)·(Σ covered_cols)`` because row and column
-        bands tile independently, and block sums collapse through
-        ``Σ count = ⌈total/n_f⌉`` and ``Σ count·size = total``.  The
-        winner minimizes ``(traffic, steps)`` with the earliest grid
-        index kept on exact ties.
-        """
-        # Candidate axes in enumeration order (n_f outer, o_t middle,
-        # w_t inner), flattened C-order.
-        n_f = np.repeat(
-            np.asarray(nf_vals, dtype=np.int64), len(ot_vals) * len(wt_vals)
-        )
-        o_t = np.tile(
-            np.repeat(np.asarray(ot_vals, dtype=np.int64), len(wt_vals)),
-            len(nf_vals),
-        )
-        w_t = np.tile(np.asarray(wt_vals, dtype=np.int64), len(nf_vals) * len(ot_vals))
-
-        depthwise = layer.kind.is_depthwise
-        row_step = min(layer.stride, layer.f_h)
-        col_step = min(layer.stride, layer.f_w)
-        filter_area = layer.f_h * layer.f_w
-
-        # Eq. (1) residency terms of every candidate.
-        window_cols = np.minimum(layer.padded_w, layer.f_w + (w_t - 1) * col_step)
-        window = layer.f_h * window_cols * (n_f if depthwise else 1)
-        filter_slice = filter_area * n_f
-        ofmap_tile = o_t * w_t * n_f
         factor = 2 if prefetch else 1
-        feasible = factor * (window + filter_slice + ofmap_tile) <= budget_elems
-        if not bool(feasible.any()):
-            return None
-
-        # Band structure: Σ_bands covered_rows·covered_cols factors into
-        # (Σ_bh covered_rows)·(Σ_bw covered_cols).
-        bands_h = -(-layer.out_h // o_t)
-        bands_w = -(-layer.out_w // w_t)
-        rows_last = layer.out_h - (bands_h - 1) * o_t
-        cols_last = layer.out_w - (bands_w - 1) * w_t
-        cr_full = np.minimum(layer.padded_h, layer.f_h + (o_t - 1) * row_step)
-        cr_last = np.minimum(layer.padded_h, layer.f_h + (rows_last - 1) * row_step)
-        cc_full = np.minimum(layer.padded_w, layer.f_w + (w_t - 1) * col_step)
-        cc_last = np.minimum(layer.padded_w, layer.f_w + (cols_last - 1) * col_step)
-        sum_rows = (bands_h - 1) * cr_full + cr_last
-        sum_cols = (bands_w - 1) * cc_full + cc_last
-        bands = bands_h * bands_w
-
-        # Filter blocking: Σ count = ⌈total/n_f⌉ blocks, Σ count·size = total.
-        total_items = layer.in_c if depthwise else layer.num_filters
-        num_blocks = -(-total_items // n_f)
-
-        if depthwise:
-            total_ifmap = sum_rows * sum_cols * layer.in_c
-            total_filters = bands * filter_area * layer.in_c
-            num_steps = bands * num_blocks
-        else:
-            chan_iters = layer.in_c
-            total_ifmap = sum_rows * sum_cols * chan_iters * num_blocks
-            total_filters = bands * chan_iters * filter_area * layer.num_filters
-            num_steps = bands * num_blocks * (chan_iters + 1)
-        traffic_total = total_ifmap + total_filters + layer.ofmap_elems
-
-        index = stable_masked_argmin(feasible, traffic_total, num_steps)
-        if index is None:
-            return None
-        return (int(n_f[index]), int(o_t[index]), int(w_t[index]))
+        winner = _grid_winner(tile_grid(layer, False), factor, budget_elems)
+        if winner is None:
+            winner = _grid_winner(tile_grid(layer, True), factor, budget_elems)
+        return winner
 
     def _instantiate(
         self,

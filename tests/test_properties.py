@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import AcceleratorSpec
-from repro.estimators import schedule_latency
+from repro.arch import PAPER_DATA_WIDTHS, AcceleratorSpec
+from repro.dram import DEFAULT_DDR4_SPEC
+from repro.estimators import evaluate_layer, schedule_latency
+from repro.estimators.evaluate import clear_evaluation_memo
 from repro.nn import LayerKind, LayerSpec
 from repro.policies import (
     FALLBACK_POLICY,
@@ -164,6 +166,64 @@ def test_p4_p5_traffic_decreases_with_budget(layer, prefetch):
             if previous is not None:
                 assert plan.traffic.total <= previous, policy.name
             previous = plan.traffic.total
+
+
+@settings(max_examples=200, deadline=None)
+@given(layer=layers(), budget=budgets, other=budgets, prefetch=prefetches)
+def test_equal_capacity_signatures_imply_equal_plans(layer, budget, other, prefetch):
+    """The capacity-signature contract the candidate memo and the sweep
+    planner rest on: same signature at two budgets => same plan."""
+    for policy in ALL_POLICIES:
+        for second in (other, budget + 1, budget * 2):
+            if policy.capacity_signature(
+                layer, budget, prefetch
+            ) == policy.capacity_signature(layer, second, prefetch):
+                assert policy.plan(layer, budget, prefetch) == policy.plan(
+                    layer, second, prefetch
+                ), policy.name
+
+
+#: (budget in elements, data width, flat bandwidth, banked DDR4 or not)
+memo_points = st.tuples(
+    budgets,
+    st.sampled_from(PAPER_DATA_WIDTHS),
+    st.sampled_from([2.0, 16.0, 100.0]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layer=layers(),
+    point=memo_points,
+    warm=st.lists(memo_points, min_size=1, max_size=3),
+    always_fallback=st.booleans(),
+)
+def test_warm_candidate_memo_matches_cold_evaluation(layer, point, warm, always_fallback):
+    """``evaluate_layer`` at one spec, after the candidate memo was warmed
+    at other budgets (same other fields) and at other widths, bandwidths
+    and DRAM models (same budget), returns what a cold call returns: the
+    same evaluations and the same attempt trail."""
+    def run(elems, width, bandwidth, ddr4):
+        spec = AcceleratorSpec(
+            glb_bytes=elems * (width // 8),
+            data_width_bits=width,
+            dram_bandwidth_elems_per_cycle=bandwidth,
+            dram=DEFAULT_DDR4_SPEC if ddr4 else None,
+        )
+        attempts = []
+        evaluations = evaluate_layer(
+            layer, spec, always_fallback=always_fallback, attempts=attempts
+        )
+        return evaluations, attempts
+
+    clear_evaluation_memo()
+    cold = run(*point)
+    clear_evaluation_memo()
+    for elems, width, bandwidth, ddr4 in warm:
+        run(elems, *point[1:])
+        run(point[0], width, bandwidth, ddr4)
+    assert run(*point) == cold
 
 
 # ----------------------------------------------------------------------
