@@ -6,8 +6,13 @@ Each case plans one paper zoo model on the flat DRAM model at 64 or
 SHA-256 of the canonical ``plan_to_dict`` export and of the explain
 payload with ``golden/flat_plans.json``.  Extra ``het`` cases cover
 ResNet18 at 128 KiB under latency, and the zoo at 32 KiB and at 1 KiB,
-where the tile search tiles width-wise.  The explain digest pins the
-decision trail byte for byte.  An intentional plan change regenerates
+where the tile search tiles width-wise; MnasNet at 128, 512 and
+1024 KiB; AlexNet under latency at off-chip bandwidths of 4, 16 and 64
+elements/cycle; and the ``het(named-only)`` ablation (the tile search
+only rescues layers no named policy fits) for ResNet18 and
+EfficientNetB0 at 64, 128 and 256 KiB.  The explain digest pins the
+decision trail byte for byte; named-only plans carry no trail, so only
+their export is pinned.  An intentional plan change regenerates
 the file in the same change (``python tests/test_flat_golden.py``) and
 says why.
 """
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +29,7 @@ import pytest
 from repro import AcceleratorSpec, Objective, best_homogeneous, plan_heterogeneous
 from repro.analyzer.export import plan_to_dict
 from repro.arch.units import kib
+from repro.experiments.ablations import _het_named_only
 from repro.nn.zoo import PAPER_MODEL_NAMES, get_model
 from repro.serve.protocol import canonical_json
 
@@ -31,38 +38,63 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "flat_plans.json"
 GLB_KB = (64, 256)
 OBJECTIVES = (Objective.ACCESSES, Objective.LATENCY)
 SCHEMES = ("het", "het+il", "het+il(joint)", "hom")
+#: The reference off-chip bandwidth (elements/cycle); case ids name any other.
+BANDWIDTH = AcceleratorSpec().dram_bandwidth_elems_per_cycle
 
 CASES = [
-    (model, glb_kb, objective, scheme)
+    (model, glb_kb, objective, scheme, BANDWIDTH)
     for model in PAPER_MODEL_NAMES
     for glb_kb in GLB_KB
     for objective in OBJECTIVES
     for scheme in SCHEMES
 ] + [
-    ("ResNet18", 128, Objective.LATENCY, "het"),
+    ("ResNet18", 128, Objective.LATENCY, "het", BANDWIDTH),
     # 1 KiB is the only zoo budget where the tile search's width-wise
     # branch engages; 32 KiB is a mid-pressure point between them.
     *(
-        (model, glb_kb, objective, "het")
+        (model, glb_kb, objective, "het", BANDWIDTH)
         for glb_kb in (1, 32)
         for model in PAPER_MODEL_NAMES
         for objective in OBJECTIVES
     ),
+    # A GLB ladder's upper rungs, a bandwidth ladder, and the rescue-only
+    # ablation's ladder.
+    *(
+        ("MnasNet", glb_kb, Objective.ACCESSES, "het", BANDWIDTH)
+        for glb_kb in (128, 512, 1024)
+    ),
+    *(
+        ("AlexNet", 256, Objective.LATENCY, "het", bandwidth)
+        for bandwidth in (4.0, 16.0, 64.0)
+    ),
+    *(
+        (model, glb_kb, Objective.ACCESSES, "het(named-only)", BANDWIDTH)
+        for model in ("ResNet18", "EfficientNetB0")
+        for glb_kb in (64, 128, 256)
+    ),
 ]
 
 
-def case_id(model: str, glb_kb: int, objective: Objective, scheme: str) -> str:
-    return f"{model}/{glb_kb}/{objective.value}/{scheme}"
+def case_id(
+    model: str, glb_kb: int, objective: Objective, scheme: str, bandwidth: float
+) -> str:
+    case = f"{model}/{glb_kb}/{objective.value}/{scheme}"
+    return case if bandwidth == BANDWIDTH else f"{case}/bw{bandwidth:g}"
 
 
 def digests(
-    model: str, glb_kb: int, objective: Objective, scheme: str
+    model: str, glb_kb: int, objective: Objective, scheme: str, bandwidth: float
 ) -> dict[str, str]:
-    """SHA-256 of the plan export and of its explain payload."""
+    """SHA-256 of the plan export and, when it has a trail, of its explain payload."""
     net = get_model(model)
-    spec = AcceleratorSpec(glb_bytes=kib(glb_kb))
+    spec = replace(
+        AcceleratorSpec(glb_bytes=kib(glb_kb)),
+        dram_bandwidth_elems_per_cycle=bandwidth,
+    )
     if scheme == "hom":
         plan = best_homogeneous(net, spec, objective)
+    elif scheme == "het(named-only)":
+        plan = _het_named_only(net, spec, objective)
     else:
         plan = plan_heterogeneous(
             net,
@@ -71,22 +103,23 @@ def digests(
             interlayer=scheme != "het",
             interlayer_mode="joint" if scheme == "het+il(joint)" else "opportunistic",
         )
-    return {
-        "plan": hashlib.sha256(canonical_json(plan_to_dict(plan))).hexdigest(),
-        "explain": hashlib.sha256(
+    digest = {"plan": hashlib.sha256(canonical_json(plan_to_dict(plan))).hexdigest()}
+    if plan.audit is not None:
+        digest["explain"] = hashlib.sha256(
             canonical_json(plan.explain().to_payload())
-        ).hexdigest(),
-    }
+        ).hexdigest()
+    return digest
 
 
 @pytest.mark.parametrize(
-    ("model", "glb_kb", "objective", "scheme"),
+    ("model", "glb_kb", "objective", "scheme", "bandwidth"),
     CASES,
     ids=[case_id(*case) for case in CASES],
 )
-def test_flat_plan_matches_golden(model, glb_kb, objective, scheme):
-    expected = json.loads(GOLDEN.read_text())[case_id(model, glb_kb, objective, scheme)]
-    assert digests(model, glb_kb, objective, scheme) == expected
+def test_flat_plan_matches_golden(model, glb_kb, objective, scheme, bandwidth):
+    case = (model, glb_kb, objective, scheme, bandwidth)
+    expected = json.loads(GOLDEN.read_text())[case_id(*case)]
+    assert digests(*case) == expected
 
 
 if __name__ == "__main__":
