@@ -2,7 +2,6 @@
 
 from .algorithm1 import select_policy
 from .batch import BatchedPlan, batch_sweep, plan_batched
-from .delta import SweepPlanner
 from .export import load_plan_dict, plan_to_dict, save_plan
 from .interlayer import apply_opportunistic_interlayer, plan_chain_with_interlayer
 from .objectives import Objective
@@ -44,5 +43,4 @@ __all__ = [
     "BatchedPlan",
     "plan_batched",
     "batch_sweep",
-    "SweepPlanner",
 ]

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..analyzer import Objective, SweepPlanner
-from ..analyzer.plan import ExecutionPlan
+from ..analyzer import Objective
+from ..analyzer.algorithm1 import select_policy
+from ..analyzer.plan import ExecutionPlan, make_assignment
+from ..analyzer.planner import candidate_evaluations
 from ..arch.spec import AcceleratorSpec
 from ..arch.units import kib, reduction_pct
 from ..nn.model import Model
@@ -29,7 +31,7 @@ from ..scalesim.config import Dataflow
 from ..scalesim.presets import baseline_config
 from ..scalesim.simulator import simulate
 from . import cache
-from .common import GLB_SIZES_KB, het_plan, het_plan_ladder, spec_for
+from .common import GLB_SIZES_KB, het_plan, spec_for
 
 # ----------------------------------------------------------------------
 # Ablation 1: opportunistic vs joint inter-layer planning
@@ -55,11 +57,8 @@ def interlayer_modes(
 ) -> list[InterlayerAblationRow]:
     """Compare the two inter-layer planning modes per buffer size."""
     rows = []
-    # The no-interlayer references share policy selections across the
-    # ladder, so plan them with delta re-planning (byte-identical plans
-    # and cache keys; the interlayer variants stay per-point).
-    bases = het_plan_ladder(get_model(model_name), glb_sizes_kb)
-    for glb_kb, base in zip(glb_sizes_kb, bases):
+    for glb_kb in glb_sizes_kb:
+        base = het_plan(model_name, glb_kb)
         opp = het_plan(model_name, glb_kb, interlayer=True)
         joint = het_plan(model_name, glb_kb, interlayer=True, interlayer_mode="joint")
         rows.append(
@@ -114,31 +113,28 @@ class FallbackAblationRow:
         return 100.0 * (1.0 - self.with_search_mib / self.named_only_mib)
 
 
-def _named_only_planner(
-    model: Model, objective: Objective = Objective.ACCESSES
-) -> SweepPlanner:
-    """Delta planner for the rescue-only variant, shared across a ladder."""
-    return SweepPlanner(
-        model,
-        objective,
-        scheme="het(named-only)",
-        always_fallback=False,
-        record_audit=False,
-    )
-
-
 def _het_named_only(
-    model: Model,
-    spec: AcceleratorSpec,
-    objective: Objective = Objective.ACCESSES,
-    planner: SweepPlanner | None = None,
+    model: Model, spec: AcceleratorSpec, objective: Objective = Objective.ACCESSES
 ) -> ExecutionPlan:
     """Heterogeneous plan where the tile search only rescues layers no
     named policy can fit (Algorithm 1 as literally written)."""
-    if planner is None:
-        planner = _named_only_planner(model, objective)
+
+    def compute() -> ExecutionPlan:
+        candidates = candidate_evaluations(model, spec, always_fallback=False)
+        assignments = [
+            make_assignment(i, select_policy(evs, objective), spec)
+            for i, evs in enumerate(candidates)
+        ]
+        return ExecutionPlan(
+            model=model,
+            spec=spec,
+            objective=objective,
+            scheme="het(named-only)",
+            assignments=tuple(assignments),
+        )
+
     key = cache.plan_cache_key("het(named-only)", model, spec, objective)
-    return cache.fetch(key, lambda: planner.plan(spec))
+    return cache.fetch(key, compute)
 
 
 def fallback_participation(
@@ -149,10 +145,8 @@ def fallback_participation(
     rows = []
     for name in model_names:
         model = get_model(name)
-        planner = _named_only_planner(model)
         for glb_kb in glb_sizes_kb:
-            spec = spec_for(glb_kb)
-            named = _het_named_only(model, spec, planner=planner)
+            named = _het_named_only(model, spec_for(glb_kb))
             full = het_plan(name, glb_kb)
             rows.append(
                 FallbackAblationRow(

@@ -22,15 +22,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from ..analyzer import (
-    ExecutionPlan,
-    Objective,
-    SweepPlanner,
-    best_homogeneous,
-    plan_heterogeneous,
-)
+from ..analyzer import ExecutionPlan, Objective, best_homogeneous, plan_heterogeneous
 from ..arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
 from ..arch.units import kib
 from ..estimators.evaluate import clear_evaluation_memo
@@ -101,37 +95,6 @@ def cached_hom_plan(
             model, spec, objective, allow_prefetch=allow_prefetch
         ),
     )
-
-
-def het_plan_ladder(
-    model: Model,
-    glb_sizes_kb: Sequence[int],
-    objective: Objective = Objective.ACCESSES,
-    data_width_bits: int = 8,
-) -> list[ExecutionPlan]:
-    """Heterogeneous plans for a whole GLB ladder, delta-replanned.
-
-    Byte-identical to calling :func:`cached_het_plan` per size — including
-    the on-disk cache keys, so ladder-planned and point-planned runs share
-    cache entries — but sizes missing from the cache re-plan only the
-    layers whose capacity-check outcome moved since the previous rung
-    (:class:`~repro.analyzer.SweepPlanner`).
-    """
-    planner = SweepPlanner(model, objective)
-    plans = []
-    for glb_kb in glb_sizes_kb:
-        spec = spec_for(glb_kb, data_width_bits)
-        key = cache.plan_cache_key(
-            "het",
-            model,
-            spec,
-            objective,
-            allow_prefetch=True,
-            interlayer=False,
-            interlayer_mode="opportunistic",
-        )
-        plans.append(cache.fetch(key, lambda spec=spec: planner.plan(spec)))
-    return plans
 
 
 @lru_cache(maxsize=None)

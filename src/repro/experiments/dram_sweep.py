@@ -19,9 +19,8 @@ from ..dram.backend import DramStats
 from ..dram.mapping import MAPPING_NAMES
 from ..dram.planstats import simulate_plan_dram
 from ..dram.spec import DEFAULT_DDR4_SPEC, DramSpec
-from ..nn.zoo import get_model
 from ..report.table import Table
-from .common import all_model_names, het_plan_ladder
+from .common import all_model_names, het_plan
 
 #: GLB size used for the sweep (the paper's reference 256 kB point).
 SWEEP_GLB_KB = 256
@@ -52,15 +51,14 @@ def run(
 ) -> list[DramSweepCell]:
     """Sweep every mapping policy over every model's heterogeneous plan.
 
-    ``glb_kb`` may be a ladder of sizes; each model's plans are then
-    delta-replanned across the ladder (:func:`het_plan_ladder`), with
-    single-size output byte-identical to the historical behaviour.
+    ``glb_kb`` may be a ladder of sizes; each size's plan comes from
+    :func:`het_plan`, so plans another artifact already built are reused.
     """
     ladder = (glb_kb,) if isinstance(glb_kb, int) else tuple(glb_kb)
     cells = []
     for name in models or all_model_names():
-        plans = het_plan_ladder(get_model(name), ladder)
-        for size, plan in zip(ladder, plans):
+        for size in ladder:
+            plan = het_plan(name, size)
             for mapping in mappings:
                 result = simulate_plan_dram(plan, dram, mapping)
                 cells.append(

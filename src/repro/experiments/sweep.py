@@ -11,20 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ..analyzer import (
-    ExecutionPlan,
-    Objective,
-    SweepPlanner,
-    plan_heterogeneous,
-)
+from ..analyzer import ExecutionPlan, Objective, plan_heterogeneous
 from ..arch.spec import AcceleratorSpec
 from ..arch.units import to_kib, to_mib
 from ..nn.model import Model
 from ..report.table import Table, series_table
-
-#: ``plan_heterogeneous`` kwargs :class:`~repro.analyzer.SweepPlanner` can
-#: reproduce exactly; any other kwarg keeps a sweep on the per-point path.
-_DELTA_KWARGS = frozenset({"allow_prefetch", "verify"})
 
 
 @dataclass(frozen=True)
@@ -57,25 +48,18 @@ def glb_sweep(
 ) -> list[SweepPoint]:
     """Sweep the GLB capacity.
 
-    Successive sizes re-plan only the layers whose capacity-check outcome
-    can flip (see :class:`~repro.analyzer.SweepPlanner`); plans are
-    byte-identical to calling :func:`~repro.analyzer.plan_heterogeneous`
-    per size.  Kwargs the delta planner cannot reproduce (``interlayer``)
-    keep the per-point path.
+    Each size is planned by :func:`~repro.analyzer.plan_heterogeneous`;
+    its candidate memo evaluates each candidate once per capacity
+    signature, so sizes after the first re-plan cheaply.
     """
     spec = base_spec or AcceleratorSpec()
-    if not set(plan_kwargs) <= _DELTA_KWARGS:
-        return [
-            _point(
-                size,
-                plan_heterogeneous(
-                    model, spec.with_glb(size), objective, **plan_kwargs
-                ),
-            )
-            for size in sizes_bytes
-        ]
-    planner = SweepPlanner(model, objective, **plan_kwargs)
-    return [_point(size, planner.plan(spec.with_glb(size))) for size in sizes_bytes]
+    return [
+        _point(
+            size,
+            plan_heterogeneous(model, spec.with_glb(size), objective, **plan_kwargs),
+        )
+        for size in sizes_bytes
+    ]
 
 
 def bandwidth_sweep(
@@ -85,31 +69,17 @@ def bandwidth_sweep(
     base_spec: AcceleratorSpec | None = None,
     **plan_kwargs,
 ) -> list[SweepPoint]:
-    """Sweep the off-chip bandwidth (latency objective by default).
-
-    Bandwidth is *not* a GLB move, so the delta planner invalidates every
-    layer at every point — this sweep exercises (and the sweep-parity test
-    asserts) the full-invalidation side of the delta invariant.
-    """
+    """Sweep the off-chip bandwidth (latency objective by default)."""
     spec = base_spec or AcceleratorSpec()
-    if not set(plan_kwargs) <= _DELTA_KWARGS:
-        return [
-            _point(
-                bandwidth,
-                plan_heterogeneous(
-                    model,
-                    replace(spec, dram_bandwidth_elems_per_cycle=bandwidth),
-                    objective,
-                    **plan_kwargs,
-                ),
-            )
-            for bandwidth in bandwidths_elems_per_cycle
-        ]
-    planner = SweepPlanner(model, objective, **plan_kwargs)
     return [
         _point(
             bandwidth,
-            planner.plan(replace(spec, dram_bandwidth_elems_per_cycle=bandwidth)),
+            plan_heterogeneous(
+                model,
+                replace(spec, dram_bandwidth_elems_per_cycle=bandwidth),
+                objective,
+                **plan_kwargs,
+            ),
         )
         for bandwidth in bandwidths_elems_per_cycle
     ]

@@ -208,8 +208,9 @@ class Policy(abc.ABC):
 
         **Contract:** equal signatures at two budgets imply :meth:`plan`
         returns identical results at both — the soundness condition for
-        delta re-planning across a GLB-size sweep
-        (:class:`~repro.analyzer.delta.SweepPlanner`).  For the fixed
+        the candidate memo of
+        :func:`~repro.estimators.evaluate.evaluate_layer`, which reuses an
+        evaluation across GLB sizes by this signature.  For the fixed
         policies that is the Eq. (1)/(2) feasibility bit; budget-dependent
         policies encode their chosen parameters (block size ``n``, winning
         tile shape).  The default is maximally conservative: the budget

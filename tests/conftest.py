@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,21 @@ def _session_cache_dir(tmp_path_factory: pytest.TempPathFactory):
         os.environ.pop(cache.ENV_CACHE_DIR, None)
     else:
         os.environ[cache.ENV_CACHE_DIR] = previous
+
+
+@pytest.fixture(scope="session")
+def repo_lint_report():
+    """One in-process ``repro lint`` run over ``src/repro``, baseline off.
+
+    Linting the whole tree takes seconds, so every test that asserts on
+    the repository's own findings shares this report.
+    """
+    from repro.analysis import analyze_paths
+
+    repo_root = Path(__file__).resolve().parent.parent
+    return analyze_paths(
+        [repo_root / "src" / "repro"], root=repo_root, use_baseline=False
+    )
 
 
 @pytest.fixture

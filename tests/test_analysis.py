@@ -518,10 +518,8 @@ def test_committed_baseline_is_empty() -> None:
 # ----------------------------------------------------------------------
 
 
-def test_repo_sources_lint_clean() -> None:
-    report = analyze_paths(
-        [REPO_ROOT / "src" / "repro"], root=REPO_ROOT, use_baseline=False
-    )
+def test_repo_sources_lint_clean(repo_lint_report) -> None:
+    report = repo_lint_report
     assert report.files > 100 and report.checks > report.files
     offenders = "\n".join(f.render() for f in report.active)
     assert report.ok(strict=True), f"unsuppressed findings:\n{offenders}"

@@ -494,14 +494,10 @@ def test_r070_proves_bounded_closed_form_clean(tmp_path: Path) -> None:
     assert "R070" not in active_codes(report)
 
 
-def test_r070_repo_closed_forms_prove_clean() -> None:
+def test_r070_repo_closed_forms_prove_clean(repo_lint_report) -> None:
     """The acceptance proof: the real estimator and tile-search arithmetic
     carries no unprovable int64 intermediate over the declared bounds."""
-    repo_root = Path(__file__).resolve().parent.parent
-    report = analyze_paths(
-        [repo_root / "src" / "repro"], root=repo_root, use_baseline=False
-    )
-    assert not [f for f in report if f.code == "R070" and f.active]
+    assert not [f for f in repo_lint_report if f.code == "R070" and f.active]
 
 
 # ----------------------------------------------------------------------

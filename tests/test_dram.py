@@ -460,6 +460,21 @@ class TestSweepExperiment:
         best = dram_sweep.best_mapping_per_model(cells)
         assert set(best) == set(cycles)
 
+    def test_reuses_plans_built_earlier_in_the_process(self, monkeypatch):
+        """With the disk cache off, the sweep takes a plan another artifact
+        already built from the in-process memo instead of planning again."""
+        from repro.experiments import cache, common, dram_sweep
+        from repro.obs import metrics_registry
+
+        monkeypatch.setenv(cache.ENV_NO_CACHE, "1")
+        common.clear_in_process_caches()
+        planned = metrics_registry().counter("planner_layers_count")
+        common.het_plan("MnasNet", 256)
+        before = planned.value
+        assert before > 0
+        dram_sweep.run(models=("MnasNet",), glb_kb=(256,))
+        assert planned.value == before
+
     def test_cli_dram_subcommand(self, capsys):
         from repro.cli import main
 
