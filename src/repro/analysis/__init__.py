@@ -13,11 +13,11 @@ grandfathered findings live in the committed ``lint-baseline.json``.
 Checking is interprocedural where it matters: a project-wide call graph
 (:mod:`repro.analysis.callgraph`) feeds unit-flow inference
 (``R040``–``R044``, :mod:`repro.analysis.unitflow`) and determinism-
-reachability analysis (``R050``–``R053``,
+reachability analysis (``R052``–``R053``,
 :mod:`repro.analysis.reach_rules`), so a ``_bytes`` value crossing a
-module boundary into an ``_elems`` parameter, or an RNG call three
-levels below a cache-key constructor, is caught from the declaration
-conventions alone.
+module boundary into an ``_elems`` parameter, or an unsorted
+``json.dumps`` three levels below a cache-key constructor, is caught
+from the declaration conventions alone.
 
 Entry points: :func:`analyze_paths`, :func:`analyze_source`, and the
 ``repro lint`` CLI subcommand (``--format sarif`` exports SARIF 2.1.0

@@ -1,8 +1,8 @@
 """Project-wide call graph over the analyzed source set.
 
-The per-file rule packs (R001–R015) see one AST at a time; the
+The per-file rule packs (R002–R015) see one AST at a time; the
 interprocedural packs — unit-flow (R040–R044, :mod:`.unitflow`) and
-determinism-reachability (R050–R053, :mod:`.reach_rules`) — need to know
+determinism-reachability (R052–R053, :mod:`.reach_rules`) — need to know
 *who calls whom across the whole of* ``src/repro``.  This module builds
 that graph once per :class:`~repro.analysis.rules.Project` (cached on
 the project via :meth:`Project.callgraph`) from nothing but the parsed
@@ -11,10 +11,11 @@ ASTs:
 * every function and method gets a dotted :attr:`FunctionInfo.qualname`
   (``repro.experiments.cache.fetch``,
   ``repro.manager.MemoryManager.plan_cached``, nested defs included);
-* call sites are resolved through import aliases (absolute *and*
-  relative imports, package re-exports followed transitively), local
-  bindings, and ``self``/``cls`` method dispatch within the enclosing
-  class;
+* call sites are resolved through each file's import aliases
+  (:attr:`SourceFile.aliases <repro.analysis.rules.SourceFile.aliases>`:
+  absolute *and* relative imports, package re-exports followed
+  transitively), local bindings, and ``self``/``cls`` method dispatch
+  within the enclosing class;
 * decorators are transparent — an ``@lru_cache``- or
   ``@functools.wraps``-wrapped function keeps its identity, so calls to
   the decorated name still resolve to its body;
@@ -35,7 +36,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .determinism_rules import import_map, resolve_call_target
+from .determinism_rules import resolve_call_target
 from .rules import Project, SourceFile
 
 #: Decorator names that never change a function's call-graph identity.
@@ -45,22 +46,6 @@ TRANSPARENT_DECORATORS = frozenset(
     {"lru_cache", "cache", "wraps", "property", "cached_property",
      "staticmethod", "classmethod", "rule", "dataclass"}
 )
-
-
-def module_name(relpath: str) -> str:
-    """Dotted module name of a project-relative ``.py`` path.
-
-    ``src/repro/experiments/cache.py`` → ``repro.experiments.cache``;
-    a package ``__init__.py`` maps to the package itself.
-    """
-    parts = relpath.replace("\\", "/").split("/")
-    if parts and parts[0] == "src":
-        parts = parts[1:]
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(p for p in parts if p)
 
 
 @dataclass(frozen=True)
@@ -147,6 +132,24 @@ class CallGraph:
                 yield info
 
 
+def own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """All nodes of a scope's body, excluding nested def/class bodies.
+
+    ``scope`` is a function, class or module node.  Lambda bodies are
+    *included*: a lambda has no call-graph identity of its own, so its
+    body belongs to the enclosing scope (``cache.fetch(key, lambda:
+    plan(...))`` runs in the caller).  Walking every module, class and
+    function node this way visits each node of a file exactly once.
+    """
+    stack: list[ast.AST] = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
 class _DefCollector(ast.NodeVisitor):
     """First pass: record every function definition with its qualname."""
 
@@ -190,37 +193,6 @@ class _DefCollector(ast.NodeVisitor):
         self.scope.pop()
 
 
-def _relative_base(module: str, file: SourceFile, level: int) -> str:
-    """Package a ``from .``-import of ``level`` dots resolves against."""
-    parts = module.split(".") if module else []
-    is_package = file.relpath.replace("\\", "/").endswith("__init__.py")
-    if not is_package and parts:
-        parts = parts[:-1]
-    drop = level - 1
-    if drop:
-        parts = parts[:-drop] if drop < len(parts) else []
-    return ".".join(parts)
-
-
-def _alias_map(file: SourceFile, module: str) -> dict[str, str]:
-    """Local alias → dotted path, with relative imports resolved.
-
-    Extends :func:`~repro.analysis.determinism_rules.import_map` (which
-    only handles absolute imports) by rewriting ``from .x import y`` /
-    ``from .. import z`` against the importing module's package.
-    """
-    aliases = import_map(file.tree)
-    for node in ast.walk(file.tree):
-        if isinstance(node, ast.ImportFrom) and node.level > 0:
-            base = _relative_base(module, file, node.level)
-            target = f"{base}.{node.module}" if node.module else base
-            for a in node.names:
-                if a.name != "*":
-                    dotted = f"{target}.{a.name}" if target else a.name
-                    aliases[a.asname or a.name] = dotted
-    return aliases
-
-
 @dataclass
 class _Resolver:
     """Resolves dotted paths to known functions, following re-exports."""
@@ -228,6 +200,11 @@ class _Resolver:
     graph: CallGraph
     #: module → alias map (covers package ``__init__`` re-exports).
     module_aliases: dict[str, dict[str, str]]
+
+    @classmethod
+    def for_project(cls, graph: CallGraph, project: Project) -> "_Resolver":
+        """A resolver over every analyzed file's alias map."""
+        return cls(graph, {f.module: f.aliases for f in project.files})
 
     def resolve(self, dotted: str, depth: int = 0) -> str | None:
         """Qualname of the function a dotted path names, if known."""
@@ -252,14 +229,12 @@ class _EdgeCollector(ast.NodeVisitor):
         graph: CallGraph,
         resolver: _Resolver,
         file: SourceFile,
-        module: str,
-        aliases: dict[str, str],
     ) -> None:
         self.graph = graph
         self.resolver = resolver
         self.file = file
-        self.module = module
-        self.aliases = aliases
+        self.module = file.module
+        self.aliases = file.aliases
         self.scope: list[str] = []
         self.class_stack: list[str] = []
 
@@ -354,18 +329,9 @@ class _EdgeCollector(ast.NodeVisitor):
 def build_callgraph(project: Project) -> CallGraph:
     """Construct the whole-program call graph for an analyzed project."""
     graph = CallGraph()
-    modules: list[tuple[SourceFile, str]] = []
     for file in project.files:
-        module = module_name(file.relpath)
-        modules.append((file, module))
-        _DefCollector(graph, file, module).visit(file.tree)
-    module_aliases = {
-        module: _alias_map(file, module) for file, module in modules
-    }
-    resolver = _Resolver(graph=graph, module_aliases=module_aliases)
-    for file, module in modules:
-        collector = _EdgeCollector(
-            graph, resolver, file, module, module_aliases[module]
-        )
-        collector.visit(file.tree)
+        _DefCollector(graph, file, file.module).visit(file.tree)
+    resolver = _Resolver.for_project(graph, project)
+    for file in project.files:
+        _EdgeCollector(graph, resolver, file).visit(file.tree)
     return graph

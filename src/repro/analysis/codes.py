@@ -3,19 +3,22 @@
 Mirrors the structure of :mod:`repro.verify.codes` (the runtime plan
 verifier's ``V`` catalog): codes are stable identifiers referenced by
 tests, suppression comments and documentation, so existing codes are
-never renumbered — new rules append new codes.  ``docs/static-analysis.md``
-mirrors this table and a test asserts the two stay in sync.
+never renumbered and a retired code is never reused — new rules append
+new codes.  ``docs/static-analysis.md`` mirrors this table and a test
+asserts the two stay in sync.
 
 Catalog overview
 ----------------
 * ``R000`` is the engine-level code for files the analyzer cannot parse.
-* ``R001``–``R004`` — the **unit-safety** pack: the paper's Eqs. (1)/(2)
+* ``R002``–``R004`` — the **unit-safety** pack: the paper's Eqs. (1)/(2)
   GLB accounting mixes elements, bytes and bits, and a single silent
-  unit slip flips which policy wins, so raw unit arithmetic is flagged.
+  unit slip flips which policy wins, so bare doubling, float creep and
+  raw conversion factors are flagged (unit *mixes* are R043's job).
 * ``R010``–``R015`` — the **determinism & parallel-safety** pack: the
   experiment engine fans work across a process pool backed by a
   content-addressed cache, so nondeterministic inputs, unpicklable
-  callables and order-unstable digests are silent output corrupters.
+  callables and module-level mutable state are silent output
+  corrupters.
 * ``R020``–``R023`` — the **registry-consistency** pack: cross-file
   invariants (diagnostic catalogs, the policy registry, the experiment
   artifact registry) that no per-file linter can see.
@@ -24,17 +27,15 @@ Catalog overview
   record on ``__exit__`` and metric names declare their unit by suffix —
   that silent misuse would erode without a check.
 * ``R040``–``R044`` — the **unit-flow** pack (project scope): the
-  interprocedural upgrade of R001–R004.  A whole-program call graph
+  interprocedural unit checks.  A whole-program call graph
   (:mod:`repro.analysis.callgraph`) carries an inferred unit lattice
   (:mod:`repro.analysis.unitflow`) across call and return boundaries,
   so a ``_bytes`` value returned into an ``_elems`` parameter two
   modules away is no longer invisible.
-* ``R050``–``R053`` — the **determinism-reachability** pack (project
-  scope): the whole-program upgrade of R010–R015.  Starting from the
-  determinism roots (cache-key construction, pool-worker entry points,
-  ``plan_cached``, ``handle_*`` serve endpoint handlers), any
-  *transitively reachable* nondeterminism source
-  is flagged with its call chain.
+* ``R052``–``R053`` — the **determinism-reachability** pack (project
+  scope): starting from the cache-key roots (digest/key-named
+  functions and ``plan_cached``), any *transitively reachable*
+  order-unstable serialization is flagged with its call chain.
 * ``R060``–``R066`` — the **concurrency-safety** pack (project scope):
   the serve daemon is the first genuinely concurrent subsystem
   (``ThreadingHTTPServer`` handler threads, loadgen client thunks,
@@ -60,15 +61,12 @@ from __future__ import annotations
 #: code → short title (stable; rendered in reports and docs).
 RULE_TITLES: dict[str, str] = {
     "R000": "unparsable source file",
-    "R001": "byte/element unit mix",
     "R002": "bare double-buffer factor",
     "R003": "float creep in integer-unit assignment",
     "R004": "magic unit-conversion constant",
     "R010": "nondeterministic call in library code",
     "R011": "environment read in library code",
     "R012": "unpicklable callable submitted to process pool",
-    "R013": "unordered set iteration in digest construction",
-    "R014": "unsorted JSON serialization in digest construction",
     "R015": "mutable module-level state",
     "R020": "diagnostic catalog inconsistent",
     "R021": "policy class not registered",
@@ -81,8 +79,6 @@ RULE_TITLES: dict[str, str] = {
     "R042": "cross-unit assignment through dataflow",
     "R043": "interprocedural unit mix in arithmetic",
     "R044": "unit-cast helper misuse",
-    "R050": "nondeterministic call reachable from determinism root",
-    "R051": "environment read reachable from determinism root",
     "R052": "unordered set iteration reachable from cache-key path",
     "R053": "unsorted JSON serialization reachable from cache-key path",
     "R060": "unlocked shared-state write reachable from multiple thread roots",
@@ -104,13 +100,6 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     "R000": (
         "Every analyzed source file must parse as Python; a syntax error "
         "makes every other rule blind to the file."
-    ),
-    "R001": (
-        "Additive arithmetic and ordering comparisons must not mix "
-        "quantities carrying different units (``*_bytes`` vs ``*_elems`` "
-        "vs ``*_bits`` vs ``*_cycles``): the Eq. (1)/(2) GLB accounting "
-        "is only meaningful when both sides share a unit, and a silent "
-        "byte/element mix scales results by the data width."
     ),
     "R002": (
         "The Eq. (2) double-buffer factor must come from the prefetch "
@@ -152,17 +141,6 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "pickle, so they fail only at runtime and only on the parallel "
         "path."
     ),
-    "R013": (
-        "Functions that build cache keys or digests must not iterate "
-        "sets or frozensets without ``sorted()``: set order varies with "
-        "``PYTHONHASHSEED`` across worker processes, silently forking "
-        "the cache key for identical inputs."
-    ),
-    "R014": (
-        "``json.dumps`` inside cache-key/digest construction must pass "
-        "``sort_keys=True`` so that dict insertion order cannot leak "
-        "into content-addressed keys."
-    ),
     "R015": (
         "Module-level mutable state (list/dict/set literals, mutable "
         "collection constructors, non-frozen dataclass instances bound "
@@ -187,9 +165,11 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "documented artifact set and the runnable one cannot drift."
     ),
     "R023": (
-        "No source file or documentation table may reference a "
-        "diagnostic code (``V0xx``/``R0xx``) that is absent from its "
-        "catalog — stale codes in docs or checks are dead identifiers."
+        "No source file, documentation table or ``# repro: noqa[...]`` "
+        "marker may reference a diagnostic code (``V0xx``/``R0xx``) "
+        "that is absent from its catalog — stale codes in docs or "
+        "checks are dead identifiers, and a stale or misspelled noqa "
+        "code silences nothing while looking like a sign-off."
     ),
     "R030": (
         "Tracer spans (``tracer.start(...)``) must be opened with a "
@@ -226,9 +206,12 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     ),
     "R043": (
         "Additive arithmetic and ordering comparisons must not mix "
-        "units even when one operand's unit is only known through "
-        "interprocedural inference (a call's return unit or a "
-        "propagated local) — the whole-program extension of R001."
+        "units (``*_bytes`` vs ``*_elems`` vs ``*_bits`` vs "
+        "``*_cycles``), whether a unit is declared by a name suffix or "
+        "only known through interprocedural inference (a call's return "
+        "unit or a propagated local): the Eq. (1)/(2) GLB accounting is "
+        "only meaningful when both sides share a unit, and a silent "
+        "byte/element mix scales results by the data width."
     ),
     "R044": (
         "The unit-cast helpers have fixed input units (``to_kib``/"
@@ -236,32 +219,18 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "not bytes): applying a cast to an operand of a different "
         "inferred unit double- or mis-converts silently."
     ),
-    "R050": (
-        "No nondeterministic call (RNG, wall clock, pid, uuid) may be "
-        "transitively reachable from a determinism root — cache-key "
-        "construction, a pool-worker entry point, ``plan_cached``, or a "
-        "``handle_*`` serve endpoint handler — because one "
-        "nondeterministic frame anywhere in the chain forks cache keys, "
-        "worker outputs, or served payloads for identical inputs."
-    ),
-    "R051": (
-        "No ambient environment read may be transitively reachable "
-        "from a determinism root unless it is a documented "
-        "configuration boundary: an env-dependent value flowing into a "
-        "cache key or worker result makes outputs depend on the "
-        "invoking shell."
-    ),
     "R052": (
         "No function transitively reachable from cache-key "
         "construction may iterate a set/frozenset without ``sorted()`` "
-        "— whatever its name.  R013 only checks digest-*named* "
-        "functions; this rule closes the gap for helpers on the key "
-        "path."
+        "— whatever its name: set order varies with "
+        "``PYTHONHASHSEED`` across worker processes, silently forking "
+        "the cache key for identical inputs."
     ),
     "R053": (
         "No function transitively reachable from cache-key "
         "construction may call ``json.dumps`` without "
-        "``sort_keys=True`` — the whole-program extension of R014."
+        "``sort_keys=True``, so that dict insertion order cannot leak "
+        "into content-addressed keys."
     ),
     "R060": (
         "Shared mutable state (module globals, attributes of module-"
@@ -352,15 +321,12 @@ RULE_DESCRIPTIONS: dict[str, str] = {
 #: "observability", "unitflow", "reachability", "concurrency", "range").
 RULE_PACKS: dict[str, str] = {
     "R000": "engine",
-    "R001": "units",
     "R002": "units",
     "R003": "units",
     "R004": "units",
     "R010": "determinism",
     "R011": "determinism",
     "R012": "determinism",
-    "R013": "determinism",
-    "R014": "determinism",
     "R015": "determinism",
     "R020": "registry",
     "R021": "registry",
@@ -373,8 +339,6 @@ RULE_PACKS: dict[str, str] = {
     "R042": "unitflow",
     "R043": "unitflow",
     "R044": "unitflow",
-    "R050": "reachability",
-    "R051": "reachability",
     "R052": "reachability",
     "R053": "reachability",
     "R060": "concurrency",
@@ -396,11 +360,8 @@ RULE_PACKS: dict[str, str] = {
 #: rather than corrupts); R071 is a hazard (promotion is often the
 #: documented latency boundary, the corruption cases are R070/R072).
 WARNING_CODES: frozenset[str] = frozenset(
-    {"R004", "R011", "R051", "R065", "R066", "R071"}
+    {"R004", "R011", "R065", "R066", "R071"}
 )
-
-#: All pack names, in catalog order of their first code.
-ALL_PACKS: tuple[str, ...] = tuple(dict.fromkeys(RULE_PACKS.values()))
 
 #: All catalog codes in numeric order.
 ALL_RULE_CODES: tuple[str, ...] = tuple(sorted(RULE_TITLES))

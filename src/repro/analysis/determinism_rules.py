@@ -15,18 +15,18 @@ deterministically ordered data.  These rules encode the contract:
 * ``R012`` flags lambdas/nested functions submitted to a process pool
   (they fail to pickle, but only at runtime and only on the parallel
   path).
-* ``R013``/``R014`` flag order-unstable constructs inside functions that
-  build digests or cache keys (set iteration without ``sorted``,
-  ``json.dumps`` without ``sort_keys=True``) — set order varies with
-  ``PYTHONHASHSEED`` across worker processes.
 * ``R015`` flags mutable module-level state: each pool worker gets a
   private copy, so mutations silently diverge between processes.
+
+Order-unstable cache-key construction (set iteration, unsorted
+``json.dumps``) is checked by the reachability pack
+(:mod:`repro.analysis.reach_rules`), which follows the key path through
+every helper rather than only digest-named functions.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from .findings import Finding
@@ -77,36 +77,10 @@ _POOL_CONSTRUCTORS = frozenset(
     }
 )
 
-#: Function names that construct digests / cache keys (R013, R014).
-_DIGEST_CONTEXT = re.compile(r"digest|fingerprint|canonical|hash|(?:^|_)key")
-
 #: Mutable builtin constructors for R015.
 _MUTABLE_CONSTRUCTORS = frozenset(
     {"list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque", "OrderedDict"}
 )
-
-
-def import_map(tree: ast.Module) -> dict[str, str]:
-    """Map local alias → dotted module/object path from import statements.
-
-    ``import numpy as np`` maps ``np → numpy``; ``from random import
-    choice`` maps ``choice → random.choice``; ``from concurrent.futures
-    import ProcessPoolExecutor`` maps the class to its dotted path.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                aliases[a.asname or a.name.split(".")[0]] = (
-                    a.name if a.asname else a.name.split(".")[0]
-                )
-                if a.asname:
-                    aliases[a.asname] = a.name
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for a in node.names:
-                if a.name != "*":
-                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-    return aliases
 
 
 def resolve_call_target(func: ast.expr, aliases: dict[str, str]) -> str | None:
@@ -127,7 +101,7 @@ class _NondeterminismVisitor(ast.NodeVisitor):
 
     def __init__(self, file: SourceFile) -> None:
         self.file = file
-        self.aliases = import_map(file.tree)
+        self.aliases = file.aliases
         self.findings: list[Finding] = []
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -205,7 +179,7 @@ class _PoolSubmitVisitor(ast.NodeVisitor):
 
     def __init__(self, file: SourceFile) -> None:
         self.file = file
-        self.aliases = import_map(file.tree)
+        self.aliases = file.aliases
         self.pool_names: set[str] = set()
         self.nested_defs: set[str] = set()
         self.findings: list[Finding] = []
@@ -297,70 +271,6 @@ def check_pool_submissions(file: SourceFile) -> Iterator[Finding]:
     # The second pass records pool names / nested defs twice; findings were
     # cleared in between, so each violation is reported exactly once.
     yield from visitor.findings
-
-
-def _digest_functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function whose name marks it as digest/key construction."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if _DIGEST_CONTEXT.search(node.name.lower()):
-                yield node
-
-
-def _is_set_expr(node: ast.expr) -> bool:
-    """Whether an expression evidently evaluates to a set/frozenset."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    return False
-
-
-@rule("R013")
-def check_unordered_digest_iteration(file: SourceFile) -> Iterator[Finding]:
-    """Flag set iteration without sorted() inside digest construction."""
-    for func in _digest_functions(file.tree):
-        for node in ast.walk(func):
-            iters: list[ast.expr] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if _is_set_expr(it):
-                    yield file.finding(
-                        "R013",
-                        node,
-                        f"iteration over an unordered set in digest function "
-                        f"'{func.name}'; wrap it in sorted() — set order "
-                        f"varies with PYTHONHASHSEED across processes",
-                    )
-
-
-@rule("R014")
-def check_unsorted_json_digest(file: SourceFile) -> Iterator[Finding]:
-    """Flag json.dumps without sort_keys=True in digest construction."""
-    aliases = import_map(file.tree)
-    for func in _digest_functions(file.tree):
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_target(node.func, aliases)
-            if target != "json.dumps":
-                continue
-            sorts = any(
-                kw.arg == "sort_keys"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            )
-            if not sorts:
-                yield file.finding(
-                    "R014",
-                    node,
-                    f"json.dumps in digest function '{func.name}' must pass "
-                    f"sort_keys=True so dict order cannot leak into keys",
-                )
 
 
 def _frozen_dataclasses(tree: ast.Module) -> tuple[set[str], set[str]]:

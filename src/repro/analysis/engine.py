@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .baseline import BASELINE_FILENAME, Baseline, load_baseline
-from .codes import ALL_PACKS
 from .findings import AnalysisReport, Finding
 from .rules import Project, SourceFile, all_rules
 from .suppressions import suppressed_at
@@ -106,23 +105,12 @@ def analyze_paths(
     root: Path | None = None,
     baseline: Baseline | None = None,
     use_baseline: bool = True,
-    packs: Sequence[str] | None = None,
-    changed_files: Sequence[Path | str] | None = None,
 ) -> AnalysisReport:
     """Run every rule over the given files/directories.
 
     ``root`` defaults to the nearest ancestor with a ``pyproject.toml``;
     ``baseline`` defaults to ``<root>/lint-baseline.json`` when present
     (pass ``use_baseline=False`` to ignore it).
-
-    ``packs`` restricts the run to the named rule packs (see
-    :data:`~repro.analysis.codes.ALL_PACKS`); unknown names raise
-    :class:`ValueError`.  ``changed_files`` switches on incremental mode:
-    only the listed files (intersected with the discovered set) are
-    analyzed, and the project-scope packs — whose whole-program call
-    graph would be incomplete over a partial file set — are skipped, so
-    the result is sound for the file-scope rules and fast for editor
-    save hooks.
     """
     started = time.perf_counter()
     resolved = [Path(p) for p in paths]
@@ -130,9 +118,6 @@ def analyze_paths(
     if missing:
         raise FileNotFoundError(f"no such file or directory: {missing[0]}")
     files = iter_python_files(resolved)
-    if changed_files is not None:
-        changed = {Path(p).resolve() for p in changed_files}
-        files = [f for f in files if f in changed]
     if root is None:
         root = find_project_root(files[0] if files else Path.cwd())
     if baseline is None:
@@ -142,19 +127,6 @@ def analyze_paths(
 
     registry = all_rules()
     file_rules = registry.file_rules()
-    project_rules = registry.project_rules()
-    if packs is not None:
-        wanted = set(packs)
-        unknown = sorted(wanted - set(ALL_PACKS))
-        if unknown:
-            raise ValueError(
-                f"unknown rule pack(s): {', '.join(unknown)} "
-                f"(known: {', '.join(ALL_PACKS)})"
-            )
-        file_rules = tuple(r for r in file_rules if r.pack in wanted)
-        project_rules = tuple(r for r in project_rules if r.pack in wanted)
-    if changed_files is not None:
-        project_rules = ()
 
     sources: list[SourceFile] = []
     findings: list[Finding] = []
@@ -173,7 +145,7 @@ def analyze_paths(
             findings.extend(file_rule.check(source))
 
     project = Project(root=root, files=tuple(sources))
-    for project_rule in project_rules:
+    for project_rule in registry.project_rules():
         checks += 1
         findings.extend(project_rule.check(project))
 

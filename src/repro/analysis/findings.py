@@ -31,7 +31,7 @@ class Finding:
     Attributes
     ----------
     code:
-        Stable identifier from the catalog (``"R001"`` … — see
+        Stable identifier from the catalog (``"R002"`` … — see
         :data:`repro.analysis.codes.RULE_TITLES`).
     path:
         Project-relative path of the offending file (``/``-separated).
@@ -103,7 +103,7 @@ class Finding:
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
     def render(self) -> str:
-        """One-line rendering: ``path:line: R001 [error] message``."""
+        """One-line rendering: ``path:line: R002 [error] message``."""
         flags = ""
         if self.suppressed:
             flags = " (suppressed)"

@@ -1,90 +1,64 @@
-"""Determinism-reachability rule pack (``R050``–``R053``, project scope).
+"""Determinism-reachability rule pack (``R052``–``R053``, project scope).
 
-The per-file determinism pack (R010–R015) flags hazardous constructs
-*wherever they occur*; it cannot say whether a given ``random.random()``
-actually matters.  This pack adds the missing judgement: it walks the
-project call graph (:mod:`repro.analysis.callgraph`) from the
-**determinism roots** — the functions whose output must be bit-identical
-across processes and reruns — and flags hazards that are *transitively
-reachable* from them, each finding carrying a witness call chain.
+Cache keys must serialize their inputs in a deterministic order, or
+identical inputs fork the key between worker processes.  A per-file
+check can only inspect functions whose *names* mark them as key
+construction; the helpers they call are invisible to it.  This pack
+walks the project call graph (:mod:`repro.analysis.callgraph`) from the
+**cache-key roots** and flags order-unstable serialization anywhere on
+the key path, each finding carrying a witness call chain.
 
 Roots
 -----
 * **cache-key constructors** — functions whose names mark them as
-  digest/key construction (``model_digest``, ``plan_cache_key``, …; the
-  same naming contract R013/R014 use);
+  digest/key construction (``model_digest``, ``plan_cache_key``, …);
+  the root itself sits at depth 0 of the walk, so its own body is
+  checked like any helper's;
 * **``plan_cached``** — the manager entry point whose results are
-  persisted under those keys;
-* **pool-worker entry points** — functions submitted to a process pool
-  or installed as its ``initializer=`` (they run in worker processes
-  whose outputs feed the shared cache);
-* **serve request handlers** — functions named ``handle_*`` (the
-  ``repro serve`` endpoint contract): their responses are served from
-  and stored into the shared plan cache, so anything nondeterministic
-  they can reach would leak divergent payloads to clients.
+  persisted under those keys.
 
 Rules
 -----
-* **R050** — a nondeterministic call (RNG, wall clock, pid, uuid) is
-  reachable from any root; error.
-* **R051** — an environment read is reachable from any root; warning,
-  like its per-file sibling R011 — configuration boundaries are
-  sometimes intentional, but a reachable one needs an explicit
-  ``noqa[R051]`` sign-off *in addition to* the local ``noqa[R011]``.
-* **R052** — unordered set iteration is reachable from the cache-key
-  path in a function R013's name heuristic does not cover.
-* **R053** — ``json.dumps`` without ``sort_keys=True`` is reachable from
-  the cache-key path in a function R014 does not cover.
+* **R052** — unordered set iteration reachable from the cache-key path.
+* **R053** — ``json.dumps`` without ``sort_keys=True`` reachable from
+  the cache-key path.
 
-R050/R051 anchor at the hazardous call itself (same line as the
-R010/R011 finding, so one ``noqa`` comment can carry both codes);
-R052/R053 skip digest-named functions, where the per-file rules already
-fire, to avoid duplicate findings.
+Nondeterministic calls and environment reads are flagged wherever they
+occur by the per-file R010/R011, so they need no reachability pass.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .callgraph import CallGraph, _alias_map, _Resolver, module_name
-from .determinism_rules import (
-    _DIGEST_CONTEXT,
-    _ENV_READ_CALLS,
-    _NondeterminismVisitor,
-    _POOL_CONSTRUCTORS,
-    _is_set_expr,
-    import_map,
-    resolve_call_target,
-)
+from .callgraph import CallGraph, own_nodes
+from .determinism_rules import resolve_call_target
 from .findings import Finding
 from .rules import Project, rule
+
+#: Function names that construct digests / cache keys (the key roots).
+_DIGEST_CONTEXT = re.compile(r"digest|fingerprint|canonical|hash|(?:^|_)key")
 
 
 @dataclass(frozen=True)
 class _Source:
     """One hazardous construct found inside a function body."""
 
-    kind: str  # "nondet" | "env" | "set" | "json"
+    kind: str  # "set" | "json"
     node: ast.AST
     detail: str
 
 
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """All nodes of a function body, excluding nested def/class bodies.
-
-    Lambda bodies are *included*: a lambda has no call-graph identity of
-    its own, so hazards inside it belong to the enclosing function
-    (``cache.fetch(key, lambda: plan(...))`` runs in the caller).
-    """
-    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
+def _is_set_expr(node: ast.expr) -> bool:
+    """Whether an expression evidently evaluates to a set/frozenset."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in ("set", "frozenset")
+    return False
 
 
 def _function_sources(
@@ -92,30 +66,18 @@ def _function_sources(
 ) -> list[_Source]:
     """Hazard sources inside one function's own body."""
     sources: list[_Source] = []
-    for node in _own_nodes(func):
+    for node in own_nodes(func):
         if isinstance(node, ast.Call):
-            target = resolve_call_target(node.func, aliases)
-            if target is None:
+            if resolve_call_target(node.func, aliases) != "json.dumps":
                 continue
-            if target in _ENV_READ_CALLS:
-                sources.append(_Source("env", node, f"{target}()"))
-            elif _NondeterminismVisitor._is_nondeterministic(target, node):
-                sources.append(_Source("nondet", node, f"{target}()"))
-            elif target == "json.dumps":
-                sorts = any(
-                    kw.arg == "sort_keys"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                    for kw in node.keywords
-                )
-                if not sorts:
-                    sources.append(
-                        _Source("json", node, "json.dumps without sort_keys")
-                    )
-        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
-            target = resolve_call_target(node.value, aliases)
-            if target == "os.environ":
-                sources.append(_Source("env", node, "os.environ[...]"))
+            sorts = any(
+                kw.arg == "sort_keys"
+                and isinstance(kw.value, ast.Constant)
+                and kw.value.value is True
+                for kw in node.keywords
+            )
+            if not sorts:
+                sources.append(_Source("json", node, "json.dumps without sort_keys"))
         else:
             iters: list[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -132,115 +94,25 @@ def _function_sources(
     return sources
 
 
-def _is_pool_ctor(value: ast.expr, aliases: dict[str, str]) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    target = resolve_call_target(value.func, aliases)
-    return target in _POOL_CONSTRUCTORS if target else False
-
-
 class ReachAnalysis:
-    """Shared reachability state for the R050–R053 checkers."""
+    """Shared reachability state for the R052/R053 checkers."""
 
-    def __init__(self, project: Project, graph: CallGraph) -> None:
+    def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
-        module_aliases = {
-            module_name(f.relpath): _alias_map(f, module_name(f.relpath))
-            for f in project.files
+        roots = {
+            qualname
+            for qualname, info in graph.functions.items()
+            if _DIGEST_CONTEXT.search(info.name.lower()) or info.name == "plan_cached"
         }
-        resolver = _Resolver(graph=graph, module_aliases=module_aliases)
-
-        #: qualname → hazard sources inside that function's own body.
+        #: reached qualname → witness chain, from the cache-key roots.
+        self.reach_keys = graph.reachable_from(roots)
+        #: reached qualname → hazard sources inside its own body.
         self.sources: dict[str, list[_Source]] = {}
-        for qualname, info in graph.functions.items():
-            found = _function_sources(info.node, import_map(info.file.tree))
+        for qualname in self.reach_keys:
+            info = graph.functions[qualname]
+            found = _function_sources(info.node, info.file.aliases)
             if found:
                 self.sources[qualname] = found
-
-        self.key_roots = {
-            qualname
-            for qualname, info in graph.functions.items()
-            if _DIGEST_CONTEXT.search(info.name.lower())
-        }
-        self.cache_roots = {
-            qualname
-            for qualname, info in graph.functions.items()
-            if info.name == "plan_cached"
-        }
-        self.worker_roots = self._collect_worker_roots(project, resolver)
-        self.serve_roots = {
-            qualname
-            for qualname, info in graph.functions.items()
-            if info.name.startswith("handle_")
-        }
-
-        all_roots = (
-            self.key_roots
-            | self.cache_roots
-            | self.worker_roots
-            | self.serve_roots
-        )
-        #: reached qualname → witness chain, from every root.
-        self.reach_all = graph.reachable_from(all_roots)
-        #: reached qualname → witness chain, from the cache-key path only.
-        self.reach_keys = graph.reachable_from(self.key_roots | self.cache_roots)
-
-    def _collect_worker_roots(
-        self, project: Project, resolver: _Resolver
-    ) -> set[str]:
-        """Functions handed to process pools (submit/map/initializer)."""
-        roots: set[str] = set()
-        for file in project.files:
-            module = module_name(file.relpath)
-            aliases = _alias_map(file, module)
-
-            def resolve_ref(expr: ast.expr) -> str | None:
-                if isinstance(expr, ast.Name):
-                    for candidate in (
-                        aliases.get(expr.id, expr.id),
-                        f"{module}.{expr.id}",
-                    ):
-                        resolved = resolver.resolve(candidate)
-                        if resolved is not None:
-                            return resolved
-                    return None
-                dotted = resolve_call_target(expr, aliases)
-                return resolver.resolve(dotted) if dotted else None
-
-            pool_names: set[str] = set()
-            for node in ast.walk(file.tree):
-                if isinstance(node, ast.Assign) and _is_pool_ctor(
-                    node.value, aliases
-                ):
-                    pool_names.update(
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    )
-                elif isinstance(node, ast.With):
-                    for item in node.items:
-                        if _is_pool_ctor(item.context_expr, aliases) and isinstance(
-                            item.optional_vars, ast.Name
-                        ):
-                            pool_names.add(item.optional_vars.id)
-            for node in ast.walk(file.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                if _is_pool_ctor(node, aliases):
-                    for kw in node.keywords:
-                        if kw.arg == "initializer":
-                            resolved = resolve_ref(kw.value)
-                            if resolved is not None:
-                                roots.add(resolved)
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("submit", "map")
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in pool_names
-                    and node.args
-                ):
-                    resolved = resolve_ref(node.args[0])
-                    if resolved is not None:
-                        roots.add(resolved)
-        return roots
 
 
 def reach_for(project: Project) -> ReachAnalysis:
@@ -248,7 +120,7 @@ def reach_for(project: Project) -> ReachAnalysis:
     graph = project.callgraph()
     cached: ReachAnalysis | None = getattr(graph, "_reach_cache", None)
     if cached is None:
-        cached = ReachAnalysis(project, graph)
+        cached = ReachAnalysis(graph)
         setattr(graph, "_reach_cache", cached)
     return cached
 
@@ -259,22 +131,12 @@ def _chain_str(chain: tuple[str, ...]) -> str:
     return " -> ".join(shown)
 
 
-def _emit(
-    reach: ReachAnalysis,
-    reached: dict[str, tuple[str, ...]],
-    kind: str,
-    code: str,
-    describe: str,
-    *,
-    skip_digest_named: bool = False,
-) -> Iterator[Finding]:
-    """Findings for every ``kind`` source inside the reached set."""
-    for qualname in sorted(reached):
+def _emit(reach: ReachAnalysis, kind: str, code: str, describe: str) -> Iterator[Finding]:
+    """Findings for every ``kind`` source on the cache-key path."""
+    for qualname in sorted(reach.sources):
         info = reach.graph.functions[qualname]
-        if skip_digest_named and _DIGEST_CONTEXT.search(info.name.lower()):
-            continue  # the per-file R013/R014 already fire here
-        chain = reached[qualname]
-        for source in reach.sources.get(qualname, ()):
+        chain = reach.reach_keys[qualname]
+        for source in reach.sources[qualname]:
             if source.kind != kind:
                 continue
             yield info.file.finding(
@@ -286,58 +148,24 @@ def _emit(
             )
 
 
-@rule("R050", scope="project")
-def check_reachable_nondeterminism(project: Project) -> Iterator[Finding]:
-    """Flag RNG/clock/pid calls reachable from a determinism root."""
-    reach = reach_for(project)
-    yield from _emit(
-        reach,
-        reach.reach_all,
-        "nondet",
-        "R050",
-        "cached results and worker outputs must be bit-identical across "
-        "processes and reruns",
-    )
-
-
-@rule("R051", scope="project")
-def check_reachable_environment_reads(project: Project) -> Iterator[Finding]:
-    """Flag environment reads reachable from a determinism root."""
-    reach = reach_for(project)
-    yield from _emit(
-        reach,
-        reach.reach_all,
-        "env",
-        "R051",
-        "an intentional configuration boundary on this path needs an "
-        "explicit noqa[R051] sign-off",
-    )
-
-
 @rule("R052", scope="project")
 def check_reachable_set_iteration(project: Project) -> Iterator[Finding]:
     """Flag unordered set iteration reachable from the cache-key path."""
-    reach = reach_for(project)
     yield from _emit(
-        reach,
-        reach.reach_keys,
+        reach_for(project),
         "set",
         "R052",
         "set order varies with PYTHONHASHSEED, so the serialized key "
         "diverges between worker processes",
-        skip_digest_named=True,
     )
 
 
 @rule("R053", scope="project")
 def check_reachable_unsorted_json(project: Project) -> Iterator[Finding]:
     """Flag unsorted json.dumps reachable from the cache-key path."""
-    reach = reach_for(project)
     yield from _emit(
-        reach,
-        reach.reach_keys,
+        reach_for(project),
         "json",
         "R053",
         "dict order leaks into the serialized key; pass sort_keys=True",
-        skip_digest_named=True,
     )

@@ -242,6 +242,18 @@ def check_unknown_code_references(project: Project) -> Iterator[Finding]:
                         f"reference to {code}, which is not defined in "
                         f"{file.relpath}",
                     )
+        if prefix == "R":  # noqa markers silence lint findings only
+            for other in project.files:
+                for marker in other.suppressions:
+                    for code in sorted(marker.codes - defined):
+                        yield project.finding(
+                            "R023",
+                            other.relpath,
+                            marker.line,
+                            f"noqa marker names {code}, which is not defined "
+                            f"in {file.relpath}; a stale or misspelled code "
+                            f"silences nothing",
+                        )
         doc = project.doc_text(doc_rel)
         if doc is not None:
             doc_lines = doc.splitlines()

@@ -20,15 +20,32 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .codes import RULE_PACKS, RULE_TITLES
+from .codes import RULE_TITLES
 from .findings import Finding, severity_of
 from .suppressions import Suppression, parse_suppressions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .callgraph import CallGraph
+
+
+def module_name(relpath: str) -> str:
+    """Dotted module name of a project-relative ``.py`` path.
+
+    ``src/repro/experiments/cache.py`` → ``repro.experiments.cache``;
+    a package ``__init__.py`` maps to the package itself.
+    """
+    parts = relpath.replace("\\", "/").split("/")
+    if parts and parts[0] == "src":
+        parts = parts[1:]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(p for p in parts if p)
 
 
 @dataclass(frozen=True)
@@ -51,6 +68,48 @@ class SourceFile:
             tree=ast.parse(source, filename=str(path)),
             suppressions=parse_suppressions(source),
         )
+
+    @cached_property
+    def module(self) -> str:
+        """Dotted module name of the file (see :func:`module_name`)."""
+        return module_name(self.relpath)
+
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        """Local alias → dotted path for every import in the file.
+
+        ``import numpy as np`` maps ``np → numpy``; ``from random import
+        choice`` maps ``choice → random.choice``; ``from .x import y``
+        resolves against the file's own package.  Built once per file
+        and shared by every rule that resolves names.
+        """
+        aliases: dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.asname:
+                        aliases[a.asname] = a.name
+                    else:
+                        head = a.name.split(".")[0]
+                        aliases[head] = head
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    base = ".".join(p for p in (self._package(node.level), base) if p)
+                for a in node.names:
+                    if a.name != "*":
+                        aliases[a.asname or a.name] = f"{base}.{a.name}" if base else a.name
+        return aliases
+
+    def _package(self, level: int) -> str:
+        """Package a ``from .``-import of ``level`` dots resolves against."""
+        parts = self.module.split(".") if self.module else []
+        if not self.relpath.replace("\\", "/").endswith("__init__.py") and parts:
+            parts = parts[:-1]
+        drop = level - 1
+        if drop:
+            parts = parts[:-drop] if drop < len(parts) else []
+        return ".".join(parts)
 
     def finding(self, code: str, node: ast.AST | int, message: str) -> Finding:
         """Build a finding anchored to an AST node (or raw line number).
@@ -150,11 +209,6 @@ class Rule:
     def title(self) -> str:
         """Catalog title of the rule's code."""
         return RULE_TITLES[self.code]
-
-    @property
-    def pack(self) -> str:
-        """Catalog pack of the rule's code."""
-        return RULE_PACKS[self.code]
 
 
 @dataclass

@@ -41,7 +41,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .callgraph import CallGraph, _alias_map, _Resolver, module_name
+from .callgraph import CallGraph, _Resolver
 from .determinism_rules import _POOL_CONSTRUCTORS, resolve_call_target
 from .rules import Project, SourceFile
 
@@ -136,7 +136,7 @@ def _collect_classes(project: Project) -> dict[str, list[str]]:
     """Bare class name → dotted ``module.Class`` paths, project-wide."""
     classes: dict[str, list[str]] = {}
     for file in project.files:
-        module = module_name(file.relpath)
+        module = file.module
         for node in ast.walk(file.tree):
             if isinstance(node, ast.ClassDef):
                 classes.setdefault(node.name, []).append(f"{module}.{node.name}")
@@ -177,14 +177,10 @@ class ThreadAnalysis:
     def __init__(self, project: Project, graph: CallGraph) -> None:
         self.project = project
         self.graph = graph
-        self.module_aliases = {
-            module_name(f.relpath): _alias_map(f, module_name(f.relpath))
-            for f in project.files
-        }
-        self.resolver = _Resolver(graph=graph, module_aliases=self.module_aliases)
+        self.resolver = _Resolver.for_project(graph, project)
         self.classes = _collect_classes(project)
         self.globals_by_module = {
-            module_name(f.relpath): _module_globals(f) for f in project.files
+            f.module: _module_globals(f) for f in project.files
         }
         self.shared_classes = self._shared_class_fixpoint()
         #: Resolved call-node id → callee qualname (from the call graph).
@@ -218,7 +214,7 @@ class ThreadAnalysis:
         shared: set[str] = set()
         class_bodies: dict[str, ast.ClassDef] = {}
         for file in self.project.files:
-            module = module_name(file.relpath)
+            module = file.module
             for stmt in file.tree.body:
                 if isinstance(stmt, ast.ClassDef):
                     class_bodies[f"{module}.{stmt.name}"] = stmt
@@ -288,8 +284,8 @@ class ThreadAnalysis:
                 add(qualname, "request handler", concurrent=True, isolated=False)
 
         for file in self.project.files:
-            module = module_name(file.relpath)
-            aliases = self.module_aliases[module]
+            module = file.module
+            aliases = file.aliases
             thread_pools: set[str] = set()
             process_pools: set[str] = set()
             for node in ast.walk(file.tree):
@@ -501,7 +497,7 @@ class _FactCollector:
         self.module = info.module
         self.cls = info.cls
         self.func_name = info.name
-        self.aliases = analysis.module_aliases.get(info.module, {})
+        self.aliases = info.file.aliases
         self.facts = FunctionFacts()
         self.owner = f"{info.module}.{info.cls}" if info.cls else info.module
         self.global_decls: set[str] = set()

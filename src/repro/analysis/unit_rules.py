@@ -1,4 +1,4 @@
-"""Unit-safety rule pack (``R001``–``R004``).
+"""Unit-safety rule pack (``R002``–``R004``).
 
 The paper's GLB accounting (Eqs. 1–2, Table 2) mixes three unit systems:
 tensor *elements* (tile sizes, budgets), *bytes* (GLB capacity, traffic)
@@ -6,10 +6,12 @@ and *bits* (data width), plus *cycles* on the latency side.  The library
 convention is suffix-typed names (``glb_bytes``, ``ifmap_elems``,
 ``data_width_bits``, ``latency_cycles``) with all conversions funneled
 through :mod:`repro.arch.units` and ``AcceleratorSpec.bytes_per_elem``.
-These rules make the convention checkable: arithmetic that mixes
-suffix-units, bare ``* 2`` double-buffer factors, float creep into
-integer-unit assignments, and raw ``8``/``1024`` conversion factors are
-flagged at the AST level.
+These rules make the convention checkable: bare ``* 2`` double-buffer
+factors, float creep into integer-unit assignments, and raw
+``8``/``1024`` conversion factors are flagged at the AST level.
+Arithmetic that mixes units is the unit-flow pack's R043
+(:mod:`repro.analysis.unitflow`), which sees suffixes and inferred
+units alike.
 
 Unit inference is deliberately name-based (the repo's suffix convention),
 so the rules are heuristics — precise enough to gate CI because the
@@ -107,48 +109,6 @@ class _FunctionStackVisitor(ast.NodeVisitor):
     def in_function_matching(self, pattern: re.Pattern[str]) -> bool:
         """Whether any enclosing function name matches ``pattern``."""
         return any(pattern.search(name) for name in self.stack)
-
-
-class _UnitMixVisitor(_FunctionStackVisitor):
-    """R001: additive/comparison arithmetic across different units."""
-
-    def __init__(self, file: SourceFile) -> None:
-        super().__init__()
-        self.file = file
-
-    def _check_pair(self, node: ast.AST, left: ast.expr, right: ast.expr) -> None:
-        lu, ru = unit_of(left), unit_of(right)
-        if lu is not None and ru is not None and lu != ru:
-            self.findings.append(
-                self.file.finding(
-                    "R001",
-                    node,
-                    f"mixes {lu} ({_src(left)}) with {ru} ({_src(right)}); "
-                    f"convert through repro.arch.units first",
-                )
-            )
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        """Flag ``+``/``-`` across units (multiplicative ops are rates)."""
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_pair(node, node.left, node.right)
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        """Flag ordering comparisons across units."""
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                self._check_pair(node, left, right)
-        self.generic_visit(node)
-
-
-@rule("R001")
-def check_unit_mix(file: SourceFile) -> Iterator[Finding]:
-    """Flag additive arithmetic/comparisons mixing suffix-typed units."""
-    visitor = _UnitMixVisitor(file)
-    visitor.visit(file.tree)
-    yield from visitor.findings
 
 
 _PREFETCH_CONTEXT = re.compile(r"prefetch|double_buffer")

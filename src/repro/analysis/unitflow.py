@@ -1,8 +1,8 @@
 """Interprocedural unit-flow rule pack (``R040``–``R044``, project scope).
 
-The per-file unit pack (R001–R004) sees only suffix-typed *names*; a
-``_bytes`` value returned into an ``_elems`` parameter two modules away
-is invisible to it.  This pack closes that hole with a small abstract
+A per-file check sees only suffix-typed *names*; a ``_bytes`` value
+returned into an ``_elems`` parameter two modules away is invisible to
+it.  This pack closes that hole with a small abstract
 interpretation over the project call graph
 (:mod:`repro.analysis.callgraph`):
 
@@ -37,8 +37,9 @@ to a fixpoint over the call graph, then five checks run:
   expression infers a different one;
 * **R042** — an assignment binding a unit-suffixed name to a value of a
   different inferred unit;
-* **R043** — additive/comparison unit mixes that only interprocedural
-  inference can see (the R001 extension);
+* **R043** — additive/comparison unit mixes anywhere in a file
+  (function, class and module bodies, lambdas included), whether the
+  units come from name suffixes or only from inference;
 * **R044** — a sanctioned cast applied to the wrong input unit
   (``to_kib(n_elems)``, ``kib(x_bytes)``).
 """
@@ -49,10 +50,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .callgraph import CallGraph, FunctionInfo
+from .callgraph import CallGraph, FunctionInfo, own_nodes
 from .findings import Finding
-from .rules import Project, rule
-from .unit_rules import unit_of as suffix_unit_of
+from .rules import Project, SourceFile, rule
 
 #: Plain units of the lattice (rates are ``"rate:<num>/<den>"`` strings).
 PLAIN_UNITS = ("bytes", "bits", "elems", "kib", "cycles", "pj", "seconds")
@@ -568,45 +568,56 @@ def check_assignment_units(project: Project) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 
 
-@rule("R043", scope="project")
-def check_interproc_unit_mix(project: Project) -> Iterator[Finding]:
-    """Flag unit mixes only visible through interprocedural inference."""
-    flow = unitflow_for(project)
+def _unit_scopes(
+    flow: UnitFlow,
+) -> Iterator[tuple[SourceFile, ast.AST, dict[str, str | None]]]:
+    """(file, scope node, initial env) for every function, class and module.
+
+    Functions start from their parameter units; module and class bodies
+    start empty.  Cast helpers are skipped — their bodies *are* the
+    sanctioned unit transitions.
+    """
     for _qualname, info in sorted(flow.graph.functions.items()):
-        if _is_cast(info):
-            continue
-        env = flow._initial_env(info)
-        binops: list[tuple[ast.expr, ast.expr, ast.AST]] = []
-        for stmt in _own_statements(info.node):
+        if not _is_cast(info):
+            yield info.file, info.node, flow._initial_env(info)
+    for file in flow.project.files:
+        yield file, file.tree, {}
+        for node in ast.walk(file.tree):
+            if isinstance(node, ast.ClassDef):
+                yield file, node, {}
+
+
+@rule("R043", scope="project")
+def check_unit_mix(project: Project) -> Iterator[Finding]:
+    """Flag additive arithmetic/comparisons mixing units.
+
+    Every scope of every file is checked — function, class and module
+    bodies, lambdas included — with units taken from name suffixes and
+    from interprocedural inference alike.
+    """
+    flow = unitflow_for(project)
+    for file, scope, env in _unit_scopes(flow):
+        for stmt in _own_statements(scope):
             flow._bind_stmt(stmt, env)
-            for node in _walk_no_defs(stmt):
-                if isinstance(node, ast.BinOp) and isinstance(
-                    node.op, (ast.Add, ast.Sub)
-                ):
-                    binops.append((node.left, node.right, node))
-                elif isinstance(node, ast.Compare):
-                    operands = [node.left, *node.comparators]
-                    for op, left, right in zip(
-                        node.ops, operands, operands[1:]
-                    ):
-                        if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                            binops.append((left, right, node))
-        for left, right, anchor in binops:
-            lu, ru = flow.infer(left, env), flow.infer(right, env)
-            if not (is_plain(lu) and is_plain(ru)) or lu == ru:
-                continue
-            # R001's suffix-only view already fires on these; skip them.
-            sl, sr = suffix_unit_of(left), suffix_unit_of(right)
-            if sl is not None and sr is not None and sl != sr:
-                continue
-            yield info.file.finding(
-                "R043",
-                anchor,
-                f"mixes {_describe(lu)} ({_src(left)}) with "
-                f"{_describe(ru)} ({_src(right)}) through dataflow the "
-                f"per-file R001 cannot see; convert through "
-                f"repro.arch.units first",
-            )
+        for node in own_nodes(scope):
+            pairs: list[tuple[ast.expr, ast.expr]] = []
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+                pairs.append((node.left, node.right))
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                for op, left, right in zip(node.ops, operands, operands[1:]):
+                    if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
+                        pairs.append((left, right))
+            for left, right in pairs:
+                lu, ru = flow.infer(left, env), flow.infer(right, env)
+                if is_plain(lu) and is_plain(ru) and lu != ru:
+                    yield file.finding(
+                        "R043",
+                        node,
+                        f"mixes {_describe(lu)} ({_src(left)}) with "
+                        f"{_describe(ru)} ({_src(right)}); convert through "
+                        f"repro.arch.units first",
+                    )
 
 
 # ----------------------------------------------------------------------

@@ -441,21 +441,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"error: baseline file not found: {args.baseline}", file=sys.stderr)
             return 2
         baseline = load_baseline(baseline_path)
-    packs = None
-    if args.packs:
-        packs = [name.strip() for name in args.packs.split(",") if name.strip()]
     try:
         report = analyze_paths(
-            paths,
-            baseline=baseline,
-            use_baseline=not args.no_baseline,
-            packs=packs,
-            changed_files=args.changed_files,
+            paths, baseline=baseline, use_baseline=not args.no_baseline
         )
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # missing path, stale baseline
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -895,23 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-silenced",
         action="store_true",
         help="also list suppressed and baselined findings",
-    )
-    p.add_argument(
-        "--packs",
-        metavar="NAMES",
-        help=(
-            "comma-separated rule packs to run (e.g. 'concurrency,range'); "
-            "default: all packs"
-        ),
-    )
-    p.add_argument(
-        "--changed-files",
-        nargs="+",
-        metavar="PATH",
-        help=(
-            "incremental mode: analyze only these files (file-scope rules "
-            "only — the whole-program packs need the full file set)"
-        ),
     )
     p.add_argument("--list-codes", action="store_true", help="print the rule catalog")
     p.set_defaults(func=cmd_lint)

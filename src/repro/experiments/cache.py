@@ -154,15 +154,15 @@ stats = CacheStats()  # repro: noqa[R015] -- per-process counters by design; wor
 
 def cache_enabled() -> bool:
     """Whether the persistent cache is active (``REPRO_NO_CACHE`` unset)."""
-    return not os.environ.get(ENV_NO_CACHE)  # repro: noqa[R011,R051] -- documented cache kill-switch, affects speed only; reachable from plan_cached but never enters keys or results
+    return not os.environ.get(ENV_NO_CACHE)  # repro: noqa[R011] -- documented cache kill-switch, affects speed only; reachable from plan_cached but never enters keys or results
 
 
 def cache_dir() -> Path:
     """The active cache directory (not necessarily existing yet)."""
-    override = os.environ.get(ENV_CACHE_DIR)  # repro: noqa[R011,R051] -- documented cache location knob, affects placement only; reachable from plan_cached but never enters keys or results
+    override = os.environ.get(ENV_CACHE_DIR)  # repro: noqa[R011] -- documented cache location knob, affects placement only; reachable from plan_cached but never enters keys or results
     if override:
         return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")  # repro: noqa[R011,R051] -- XDG convention for cache placement, never results; reachable from plan_cached but never enters keys or results
+    base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")  # repro: noqa[R011] -- XDG convention for cache placement, never results; reachable from plan_cached but never enters keys or results
     return Path(base) / "repro" / f"plans-v{CACHE_SCHEMA_VERSION}"
 
 
@@ -173,7 +173,7 @@ def cache_max_bytes() -> int | None:
     are treated as unset.  Affects only retention (what gets recomputed),
     never the bytes of any result.
     """
-    raw = os.environ.get(ENV_CACHE_MAX_MB)  # repro: noqa[R011,R051] -- documented retention knob, affects eviction only; reachable from plan_cached but never enters keys or results
+    raw = os.environ.get(ENV_CACHE_MAX_MB)  # repro: noqa[R011] -- documented retention knob, affects eviction only; reachable from plan_cached but never enters keys or results
     if not raw:
         return None
     try:

@@ -2,7 +2,7 @@
 
 Every metric name must end in a unit suffix (``_bytes``, ``_elems``,
 ``_cycles``, ``_count``, ``_ns``, ``_seconds``, ``_ratio``, ``_bits``) —
-the same convention the R001 unit lint applies to variables, enforced
+the same convention the R043 unit lint applies to variables, enforced
 here at registration time and statically by lint rule R031.
 
 The registry is per-process; worker processes reset theirs at pool entry

@@ -232,7 +232,7 @@ def configure_worker() -> None:
     """
     from . import metrics
 
-    if os.environ.get(ENV_TRACE):  # repro: noqa[R011,R051] -- telemetry on/off flag for workers, never affects results; worker-root boundary is exactly where config reads belong
+    if os.environ.get(ENV_TRACE):  # repro: noqa[R011] -- telemetry on/off flag for workers, never affects results; worker-root boundary is exactly where config reads belong
         set_tracer(Tracer())
     else:
         set_tracer(NullTracer())

@@ -9,9 +9,9 @@ layer.  The package splits into five modules:
   :mod:`repro.report.diagnostics`, same style as ``repro-diagnostics/1``).
 * :mod:`~repro.serve.handlers` — pure endpoint handlers
   (``handle_plan``, ``handle_explain``, …) mapping validated request
-  parameters to response payloads; they are determinism roots for the
-  R05x reachability lint and the unit of work fanned out to the
-  process pool.
+  parameters to response payloads; they are thread roots for the R06x
+  concurrency lint and the unit of work fanned out to the process
+  pool.
 * :mod:`~repro.serve.cache_index` — the shared plan cache's LRU index:
   an append-only journal that survives concurrent writers, plus size-cap
   eviction.

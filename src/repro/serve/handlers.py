@@ -11,10 +11,11 @@ the same code path serves three callers:
   payload by calling the handler directly and compares it against the
   served bytes).
 
-The ``handle_`` prefix is a naming contract: the determinism-
-reachability lint (R050–R053) treats every ``handle_*`` function as a
-root, so any nondeterministic call that becomes reachable from a serve
-endpoint is flagged with a witness chain in ``repro lint``.
+The ``handle_`` prefix is a naming contract: the concurrency lint
+(R060–R066) treats every ``handle_*`` function as a thread root that
+runs concurrently with itself, so unlocked shared-state writes reachable
+from a serve endpoint are flagged with a witness chain in ``repro
+lint``.  Nondeterministic calls are flagged wherever they occur (R010).
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Tests for the domain static analyzer (``repro lint``, R0xx codes).
 
-Covers: one firing and one clean fixture per rule, inline suppressions,
+Covers: one firing and one clean fixture per file-scope and registry
+rule (the interprocedural packs are in ``test_interproc.py`` and
+``test_concurrency_range.py``), inline suppressions,
 the baseline mechanism, the shared lint/verify JSON schema, the CLI exit
 codes (including a deliberately seeded bug from each rule pack), and the
 self-check that the repository's own sources lint clean.
@@ -58,7 +60,7 @@ def test_catalog_is_consistent() -> None:
     assert set(RULE_PACKS) == set(RULE_TITLES)
     assert WARNING_CODES <= set(RULE_TITLES)
     assert severity_of("R004") is Severity.WARNING
-    assert severity_of("R001") is Severity.ERROR
+    assert severity_of("R002") is Severity.ERROR
 
 
 def test_unknown_code_rejected() -> None:
@@ -88,26 +90,8 @@ def test_r000_clean_on_valid_source() -> None:
 
 
 # ----------------------------------------------------------------------
-# Unit-safety pack (R001-R004)
+# Unit-safety pack (R002-R004); unit mixes are R043 (test_interproc.py)
 # ----------------------------------------------------------------------
-
-
-def test_r001_fires_on_byte_element_addition() -> None:
-    src = "def fits(ifmap_bytes: int, halo_elems: int) -> int:\n"
-    src += "    return ifmap_bytes + halo_elems\n"
-    assert "R001" in active_codes(analyze_source(src))
-
-
-def test_r001_fires_on_cross_unit_comparison() -> None:
-    src = "def over(tile_elems: int, glb_bytes: int) -> bool:\n"
-    src += "    return tile_elems > glb_bytes\n"
-    assert "R001" in active_codes(analyze_source(src))
-
-
-def test_r001_clean_on_same_unit_math() -> None:
-    src = "def total(ifmap_bytes: int, filter_bytes: int) -> int:\n"
-    src += "    return ifmap_bytes + filter_bytes\n"
-    assert "R001" not in active_codes(analyze_source(src))
 
 
 def test_r002_fires_on_bare_doubling() -> None:
@@ -211,49 +195,6 @@ def test_r012_clean_on_module_level_worker() -> None:
         "        pool.submit(worker)\n"
     )
     assert "R012" not in active_codes(analyze_source(src))
-
-
-def test_r013_fires_on_set_iteration_in_key() -> None:
-    src = (
-        "def make_key(parts: list[str]) -> str:\n"
-        "    return ''.join(p for p in set(parts))\n"
-    )
-    assert "R013" in active_codes(analyze_source(src))
-
-
-def test_r013_clean_when_sorted() -> None:
-    src = (
-        "def make_key(parts: list[str]) -> str:\n"
-        "    return ''.join(p for p in sorted(set(parts)))\n"
-    )
-    assert "R013" not in active_codes(analyze_source(src))
-
-
-def test_r014_fires_on_unsorted_dumps_in_digest() -> None:
-    src = (
-        "import json\n\n"
-        "def model_digest(payload: dict) -> str:\n"
-        "    return json.dumps(payload)\n"
-    )
-    assert "R014" in active_codes(analyze_source(src))
-
-
-def test_r014_clean_with_sort_keys() -> None:
-    src = (
-        "import json\n\n"
-        "def model_digest(payload: dict) -> str:\n"
-        "    return json.dumps(payload, sort_keys=True)\n"
-    )
-    assert "R014" not in active_codes(analyze_source(src))
-
-
-def test_r014_clean_outside_digest_context() -> None:
-    src = (
-        "import json\n\n"
-        "def pretty(payload: dict) -> str:\n"
-        "    return json.dumps(payload)\n"
-    )
-    assert "R014" not in active_codes(analyze_source(src))
 
 
 def test_r015_fires_on_module_level_dict() -> None:
@@ -388,6 +329,50 @@ def test_r023_clean_on_known_references(tmp_path: Path) -> None:
     assert "R023" not in active_codes(report)
 
 
+R_CATALOG = {
+    "analysis/codes.py": (
+        'RULE_TITLES = {"R011": "env read"}\n'
+        'RULE_DESCRIPTIONS = {"R011": "env read invariant"}\n'
+    ),
+}
+
+
+def test_r023_fires_on_stale_noqa_code(tmp_path: Path) -> None:
+    """A marker naming a retired or misspelled code silences nothing."""
+    root = mini_project(
+        tmp_path,
+        {
+            **R_CATALOG,
+            "pkg/cfg.py": (
+                "import os\n"
+                "KNOB = os.environ.get('K')  # repro: noqa[R011,R051] -- knob\n"
+                "x = 1  # repro: noqa[R111] -- misspelled\n"
+            ),
+        },
+    )
+    report = analyze_paths([root], root=root, use_baseline=False)
+    r023 = sorted((f.line, f.message) for f in report.active if f.code == "R023")
+    assert [line for line, _ in r023] == [2, 3]
+    assert "R051" in r023[0][1] and "R111" in r023[1][1]
+    # the valid half of the marker still silences its finding
+    assert "R011" not in active_codes(report)
+
+
+def test_r023_clean_on_known_noqa_codes(tmp_path: Path) -> None:
+    root = mini_project(
+        tmp_path,
+        {
+            **R_CATALOG,
+            "pkg/cfg.py": (
+                "import os\n"
+                "KNOB = os.environ.get('K')  # repro: noqa[R011] -- knob\n"
+            ),
+        },
+    )
+    report = analyze_paths([root], root=root, use_baseline=False)
+    assert "R023" not in active_codes(report)
+
+
 # ----------------------------------------------------------------------
 # Observability pack (R030-R031)
 # ----------------------------------------------------------------------
@@ -453,27 +438,27 @@ def test_r031_clean_on_suffixed_names_and_variables() -> None:
 
 def test_noqa_suppresses_matching_code() -> None:
     src = (
-        "def fits(a_bytes: int, b_elems: int) -> int:\n"
-        "    return a_bytes + b_elems  # repro: noqa[R001] -- reviewed\n"
+        "def residency(tile_bytes: int) -> int:\n"
+        "    return tile_bytes * 2  # repro: noqa[R002] -- reviewed\n"
     )
     findings = analyze_source(src)
-    (finding,) = [f for f in findings if f.code == "R001"]
+    (finding,) = [f for f in findings if f.code == "R002"]
     assert finding.suppressed and not finding.active
 
 
 def test_noqa_does_not_suppress_other_codes() -> None:
     src = (
-        "def fits(a_bytes: int, b_elems: int) -> int:\n"
-        "    return a_bytes + b_elems  # repro: noqa[R002] -- wrong code\n"
+        "def residency(tile_bytes: int) -> int:\n"
+        "    return tile_bytes * 2  # repro: noqa[R004] -- wrong code\n"
     )
-    assert "R001" in active_codes(analyze_source(src))
+    assert "R002" in active_codes(analyze_source(src))
 
 
 def test_parse_suppressions_captures_codes_and_reason() -> None:
-    src = "x = 1  # repro: noqa[R001, R015] -- both intentional\n"
+    src = "x = 1  # repro: noqa[R002, R015] -- both intentional\n"
     (supp,) = parse_suppressions(src)
     assert supp.line == 1
-    assert set(supp.codes) == {"R001", "R015"}
+    assert set(supp.codes) == {"R002", "R015"}
     assert supp.reason == "both intentional"
 
 
@@ -562,7 +547,7 @@ def test_cli_seeded_unit_bug_fails(
         },
     )
     assert main(["lint", str(root), "--no-baseline", "--strict"]) == 1
-    assert "R001" in capsys.readouterr().out
+    assert "R043" in capsys.readouterr().out
 
 
 def test_cli_seeded_determinism_bug_fails(
@@ -647,7 +632,7 @@ def test_lint_json_matches_shared_schema(
     assert payload["schema"] == SCHEMA_ID
     assert payload["tool"] == "lint"
     assert payload["ok"] is False
-    assert any(e["code"] == "R001" for e in payload["diagnostics"])
+    assert any(e["code"] == "R043" for e in payload["diagnostics"])
 
 
 def test_verify_json_matches_shared_schema(

@@ -5,19 +5,14 @@ Each rule gets a seeded firing fixture and a clean fixture; the
 archetypal cases from the issue — an unlocked shared counter reachable
 from handler threads (R060, witness chain asserted) and an int64
 product exceeding 2**63 over the declared spec bounds (R070) — are
-covered explicitly, plus the SARIF round-trip for both packs and the
-``--packs`` / ``--changed-files`` selection modes.
+covered explicitly, plus the SARIF round-trip for both packs.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import analyze_paths
-from repro.cli import main
 from repro.report.diagnostics import validate_sarif_payload
 from repro.report.sarif import FINGERPRINT_KEY, sarif_payload
 
@@ -741,91 +736,3 @@ def test_sarif_round_trip_for_new_packs(tmp_path: Path) -> None:
             assert isinstance(fp, str) and fp
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     assert "R060" in rule_ids and "R070" in rule_ids
-
-
-# ----------------------------------------------------------------------
-# Pack selection and incremental mode
-# ----------------------------------------------------------------------
-
-_TWO_HAZARDS = {
-    "pkg/two.py": (
-        "import numpy as np\n"
-        "hits = {}\n"
-        "def handle_one(request):\n"
-        "    hits[request] = 1\n"
-        "def f(a_bytes, b_elems):\n"
-        "    return a_bytes + b_elems\n"
-    ),
-}
-
-
-def test_packs_selection_runs_only_named_packs(tmp_path: Path) -> None:
-    root = mini_project(tmp_path, dict(_TWO_HAZARDS))
-    full = analyze_paths([root], root=root, use_baseline=False)
-    assert {"R001", "R060"} <= active_codes(full)
-    only_units = analyze_paths(
-        [root], root=root, use_baseline=False, packs=["units"]
-    )
-    assert "R001" in active_codes(only_units)
-    assert "R060" not in active_codes(only_units)
-    only_conc = analyze_paths(
-        [root], root=root, use_baseline=False, packs=["concurrency"]
-    )
-    assert "R060" in active_codes(only_conc)
-    assert "R001" not in active_codes(only_conc)
-
-
-def test_packs_unknown_name_raises(tmp_path: Path) -> None:
-    root = mini_project(tmp_path, dict(_TWO_HAZARDS))
-    with pytest.raises(ValueError, match="unknown rule pack"):
-        analyze_paths([root], root=root, use_baseline=False, packs=["nope"])
-
-
-def test_packs_cli_flag_and_bad_name_exit_code(tmp_path: Path, capsys) -> None:
-    root = mini_project(tmp_path, dict(_TWO_HAZARDS))
-    assert main(["lint", str(root), "--packs", "registry"]) == 0
-    capsys.readouterr()
-    assert main(["lint", str(root), "--packs", "nope"]) == 2
-    assert "unknown rule pack" in capsys.readouterr().err
-
-
-def test_changed_files_limits_scope_and_skips_project_rules(
-    tmp_path: Path,
-) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/clean.py": "def ok():\n    return 1\n",
-            **_TWO_HAZARDS,
-        },
-    )
-    report = analyze_paths(
-        [root],
-        root=root,
-        use_baseline=False,
-        changed_files=[root / "pkg" / "two.py"],
-    )
-    assert report.files == 1
-    # File-scope units rule still fires on the changed file…
-    assert "R001" in active_codes(report)
-    # …but the whole-program packs are skipped (their call graph would
-    # be incomplete over a partial file set).
-    assert "R060" not in active_codes(report)
-
-
-def test_changed_files_cli_flag(tmp_path: Path, capsys) -> None:
-    root = mini_project(tmp_path, dict(_TWO_HAZARDS))
-    code = main(
-        [
-            "lint",
-            str(root),
-            "--changed-files",
-            str(root / "pkg" / "two.py"),
-            "--format",
-            "json",
-        ]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1  # R001 fires on the changed file
-    codes = {f["code"] for f in payload["diagnostics"]}
-    assert "R001" in codes and "R060" not in codes

@@ -3,7 +3,8 @@
 Covers: the project-wide call graph (qualnames, import/re-export
 resolution, method dispatch, decorator transparency, reference edges),
 the unit lattice and its transfer functions, the unit-flow rules
-(R040–R044) and determinism-reachability rules (R050–R053) on seeded
+(R040–R044, R043 in every scope) and determinism-reachability rules
+(R052–R053) on seeded
 fixture packages, the SARIF 2.1.0 export, content-addressed baseline
 fingerprints, and the lint wall-time budget.
 """
@@ -14,8 +15,8 @@ import json
 from pathlib import Path
 
 from repro.analysis import Finding, analyze_paths
-from repro.analysis.callgraph import build_callgraph, module_name
-from repro.analysis.rules import Project, SourceFile
+from repro.analysis.callgraph import build_callgraph
+from repro.analysis.rules import Project, SourceFile, module_name
 from repro.analysis.unitflow import (
     divide_units,
     join_units,
@@ -253,7 +254,7 @@ def test_r042_fires_on_cross_unit_assignment(tmp_path: Path) -> None:
     assert "R042" in active_codes(report)
 
 
-def test_r043_fires_only_where_suffixes_cannot_see(tmp_path: Path) -> None:
+def test_r043_fires_on_mix_seen_only_through_inference(tmp_path: Path) -> None:
     root = mini_project(
         tmp_path,
         {
@@ -269,11 +270,67 @@ def test_r043_fires_only_where_suffixes_cannot_see(tmp_path: Path) -> None:
         },
     )
     report = analyze_paths([root], root=root, use_baseline=False)
-    assert "R043" in active_codes(report)
-    # suffix-visible mixes stay R001's business
-    assert all(
-        f.code != "R043" or "footprint_bytes()" in f.message for f in report
+    (finding,) = [f for f in report.active if f.code == "R043"]
+    assert "footprint_bytes()" in finding.message
+
+
+def r043_lines(tmp_path: Path, source: str) -> list[int]:
+    """Lines of the active R043 findings in a one-file fixture project."""
+    root = mini_project(tmp_path, {"pkg/x.py": source})
+    report = analyze_paths([root], root=root, use_baseline=False)
+    return sorted(f.line for f in report.active if f.code == "R043")
+
+
+def test_r043_fires_on_byte_element_addition(tmp_path: Path) -> None:
+    src = "def fits(ifmap_bytes: int, halo_elems: int) -> int:\n"
+    src += "    return ifmap_bytes + halo_elems\n"
+    assert r043_lines(tmp_path, src) == [2]
+
+
+def test_r043_fires_on_cross_unit_comparison(tmp_path: Path) -> None:
+    src = "def over(tile_elems: int, glb_bytes: int) -> bool:\n"
+    src += "    return tile_elems > glb_bytes\n"
+    assert r043_lines(tmp_path, src) == [2]
+
+
+def test_r043_clean_on_same_unit_math(tmp_path: Path) -> None:
+    src = "def total(ifmap_bytes: int, filter_bytes: int) -> int:\n"
+    src += "    return ifmap_bytes + filter_bytes\n"
+    assert r043_lines(tmp_path, src) == []
+
+
+def test_r043_fires_at_module_level(tmp_path: Path) -> None:
+    src = "a_bytes = 4\nb_elems = 2\ntotal = a_bytes + b_elems\n"
+    assert r043_lines(tmp_path, src) == [3]
+
+
+def test_r043_fires_in_class_body(tmp_path: Path) -> None:
+    src = (
+        "class Budget:\n"
+        "    glb_bytes = 1024\n"
+        "    tile_elems = 64\n"
+        "    spare = glb_bytes - tile_elems\n"
     )
+    assert r043_lines(tmp_path, src) == [4]
+
+
+def test_r043_fires_in_lambda_bodies(tmp_path: Path) -> None:
+    src = (
+        "mix = lambda a_bytes, b_elems: a_bytes + b_elems\n"
+        "def order(items, n_elems):\n"
+        "    return sorted(items, key=lambda x_bytes: x_bytes < n_elems)\n"
+    )
+    assert r043_lines(tmp_path, src) == [1, 3]
+
+
+def test_r043_clean_on_rate_arithmetic(tmp_path: Path) -> None:
+    src = (
+        "def stalls(glb_bytes, bytes_per_cycle, latency_cycles):\n"
+        "    return glb_bytes / bytes_per_cycle > latency_cycles\n"
+        "def faster(bytes_per_cycle, peak_bytes_per_cycle):\n"
+        "    return bytes_per_cycle < peak_bytes_per_cycle\n"
+    )
+    assert r043_lines(tmp_path, src) == []
 
 
 def test_r044_fires_on_cast_misuse(tmp_path: Path) -> None:
@@ -322,53 +379,78 @@ def test_unitflow_clean_on_consistent_units(tmp_path: Path) -> None:
 
 
 # ----------------------------------------------------------------------
-# Determinism-reachability rules (R050–R053)
+# Determinism-reachability rules (R052–R053)
 # ----------------------------------------------------------------------
 
 
-def test_r050_fires_on_rng_reachable_from_key_path(tmp_path: Path) -> None:
-    """random.random() two calls below make_key must fire with a chain."""
+def reach_codes(tmp_path: Path, source: str) -> set[str]:
+    """Active R052/R053 codes of a one-file fixture project."""
+    root = mini_project(tmp_path, {"pkg/k.py": source})
+    report = analyze_paths([root], root=root, use_baseline=False)
+    return active_codes(report) & {"R052", "R053"}
+
+
+def test_r052_fires_on_set_iteration_in_key(tmp_path: Path) -> None:
+    src = (
+        "def make_key(parts: list[str]) -> str:\n"
+        "    return ''.join(p for p in set(parts))\n"
+    )
+    assert reach_codes(tmp_path, src) == {"R052"}
+
+
+def test_r052_clean_when_sorted(tmp_path: Path) -> None:
+    src = (
+        "def make_key(parts: list[str]) -> str:\n"
+        "    return ''.join(p for p in sorted(set(parts)))\n"
+    )
+    assert reach_codes(tmp_path, src) == set()
+
+
+def test_r053_fires_on_unsorted_dumps_in_digest(tmp_path: Path) -> None:
+    src = (
+        "import json\n\n"
+        "def model_digest(payload: dict) -> str:\n"
+        "    return json.dumps(payload)\n"
+    )
+    assert reach_codes(tmp_path, src) == {"R053"}
+
+
+def test_r053_clean_with_sort_keys(tmp_path: Path) -> None:
+    src = (
+        "import json\n\n"
+        "def model_digest(payload: dict) -> str:\n"
+        "    return json.dumps(payload, sort_keys=True)\n"
+    )
+    assert reach_codes(tmp_path, src) == set()
+
+
+def test_r053_clean_outside_digest_context(tmp_path: Path) -> None:
+    src = (
+        "import json\n\n"
+        "def pretty(payload: dict) -> str:\n"
+        "    return json.dumps(payload)\n"
+    )
+    assert reach_codes(tmp_path, src) == set()
+
+
+def test_r052_r053_fire_in_nested_defs_lambdas_and_methods(tmp_path: Path) -> None:
     root = mini_project(
         tmp_path,
         {
-            "pkg/__init__.py": "",
-            "pkg/noise.py": (
-                "import random\n"
-                "def jitter():\n"
-                "    return random.random()\n"
-            ),
-            "pkg/keys.py": (
-                "from pkg.noise import jitter\n"
-                "def salt():\n"
-                "    return jitter()\n"
-                "def make_key(name: str) -> str:\n"
-                "    return f'{name}-{salt()}'\n"
+            "pkg/k.py": (
+                "import json\n"
+                "class Planner:\n"
+                "    def cache_key(self, parts, payload):\n"
+                "        def members():\n"
+                "            return [p for p in set(parts)]\n"
+                "        encode = lambda d: json.dumps(d)\n"
+                "        return str(members()) + encode(payload)\n"
             ),
         },
     )
     report = analyze_paths([root], root=root, use_baseline=False)
-    r050 = [f for f in report if f.code == "R050" and f.active]
-    assert r050, "reachable RNG must fire R050"
-    assert any(
-        "make_key" in f.message and "->" in f.message for f in r050
-    ), "finding must carry the witness call chain"
-
-
-def test_r051_fires_on_reachable_env_read(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/cfg.py": (
-                "import os\n"
-                "def lookup():\n"
-                "    return os.environ.get('KNOB')\n"
-                "def plan_cached():\n"
-                "    return lookup()\n"
-            ),
-        },
-    )
-    report = analyze_paths([root], root=root, use_baseline=False)
-    assert "R051" in active_codes(report)
+    lines = {(f.code, f.line) for f in report.active}
+    assert {("R052", 5), ("R053", 6)} <= lines
 
 
 def test_r052_r053_fire_on_helpers_below_key_functions(tmp_path: Path) -> None:
@@ -387,64 +469,38 @@ def test_r052_r053_fire_on_helpers_below_key_functions(tmp_path: Path) -> None:
         },
     )
     report = analyze_paths([root], root=root, use_baseline=False)
-    codes = active_codes(report)
-    assert "R052" in codes and "R053" in codes
-    # helpers are not digest-named, so the per-file rules stay silent
-    assert "R013" not in codes and "R014" not in codes
+    findings = [f for f in report.active if f.code in ("R052", "R053")]
+    assert {f.code for f in findings} == {"R052", "R053"}
+    assert all(
+        "cache_key -> " in f.message for f in findings
+    ), "findings must carry the witness call chain"
 
 
-def test_r050_noqa_at_source_line_suppresses(tmp_path: Path) -> None:
+def test_r053_noqa_at_source_line_suppresses(tmp_path: Path) -> None:
     root = mini_project(
         tmp_path,
         {
             "pkg/k.py": (
-                "import random\n"
-                "def make_key():\n"
-                "    return random.random()  "
-                "# repro: noqa[R010,R050] -- test seam\n"
+                "import json\n"
+                "def make_key(payload):\n"
+                "    return json.dumps(payload)  "
+                "# repro: noqa[R053] -- test seam\n"
             ),
         },
     )
     report = analyze_paths([root], root=root, use_baseline=False)
-    assert not active_codes(report) & {"R010", "R050"}
-    assert {"R010", "R050"} <= {f.code for f in report.suppressed}
-
-
-def test_pool_workers_are_determinism_roots(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/w.py": (
-                "import time\n"
-                "from concurrent.futures import ProcessPoolExecutor\n"
-                "def work(x):\n"
-                "    return time.time()\n"
-                "def run():\n"
-                "    with ProcessPoolExecutor() as pool:\n"
-                "        return pool.submit(work, 1)\n"
-            ),
-        },
-    )
-    report = analyze_paths([root], root=root, use_baseline=False)
-    r050 = [f for f in report if f.code == "R050" and f.active]
-    assert any("work" in f.message for f in r050)
+    assert "R053" not in active_codes(report)
+    assert "R053" in {f.code for f in report.suppressed}
 
 
 def test_reachability_clean_when_hazard_not_reachable(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/x.py": (
-                "import random\n"
-                "def shuffle_demo():\n"
-                "    return random.random()\n"
-                "def make_key(name: str) -> str:\n"
-                "    return name\n"
-            ),
-        },
+    src = (
+        "def shuffle_demo(items):\n"
+        "    return [x for x in set(items)]\n"
+        "def make_key(name: str) -> str:\n"
+        "    return name\n"
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
-    assert "R050" not in active_codes(report)  # R010 still fires, R050 not
+    assert reach_codes(tmp_path, src) == set()
 
 
 # ----------------------------------------------------------------------
@@ -467,12 +523,12 @@ def test_sarif_payload_validates_and_carries_fingerprints(tmp_path: Path) -> Non
     assert validate_sarif_payload(payload) == []
     run = payload["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
-    result = next(r for r in run["results"] if r["ruleId"] == "R001")
+    result = next(r for r in run["results"] if r["ruleId"] == "R043")
     fp = result["partialFingerprints"][FINGERPRINT_KEY]
-    (finding,) = [f for f in report if f.code == "R001"]
+    (finding,) = [f for f in report if f.code == "R043"]
     assert fp == finding.fingerprint()
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert "R001" in rule_ids
+    assert "R043" in rule_ids
 
 
 def test_sarif_marks_suppressed_findings(tmp_path: Path) -> None:
@@ -481,14 +537,14 @@ def test_sarif_marks_suppressed_findings(tmp_path: Path) -> None:
         {
             "pkg/x.py": (
                 "def f(a_bytes: int, b_elems: int) -> int:\n"
-                "    return a_bytes + b_elems  # repro: noqa[R001] -- ok\n"
+                "    return a_bytes + b_elems  # repro: noqa[R043] -- ok\n"
             ),
         },
     )
     report = analyze_paths([root], root=root, use_baseline=False)
     payload = sarif_payload(report)
     result = next(
-        r for r in payload["runs"][0]["results"] if r["ruleId"] == "R001"
+        r for r in payload["runs"][0]["results"] if r["ruleId"] == "R043"
     )
     assert result["suppressions"][0]["kind"] == "inSource"
 
@@ -553,7 +609,7 @@ def test_findings_carry_source_snippets(tmp_path: Path) -> None:
         },
     )
     report = analyze_paths([root], root=root, use_baseline=False)
-    (finding,) = [f for f in report if f.code == "R001"]
+    (finding,) = [f for f in report if f.code == "R043"]
     assert finding.snippet.strip() == "return a_bytes + b_elems"
     assert finding.normalized_snippet() == "return a_bytes + b_elems"
 
