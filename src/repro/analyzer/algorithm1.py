@@ -16,6 +16,8 @@ changes which candidate wins.
 
 from __future__ import annotations
 
+import sys
+
 from ..estimators.evaluate import PolicyEvaluation
 from ..obs.audit import CandidateRow
 from .objectives import Objective
@@ -85,7 +87,9 @@ def select_policy(
     produced one before this point.
 
     ``audit``, when given, receives one row per candidate with the
-    accept/reject reason; it does not affect the selection.
+    accept/reject reason; it does not affect the selection.  Reasons are
+    interned, so the many trails that repeat one reason hold (and pickle)
+    one string.
     """
     if not evaluations:
         raise ValueError("no feasible policy for layer; tile search failed")
@@ -100,7 +104,7 @@ def select_policy(
             else:
                 reason = _reject_reason(ev, winner, objective)
             audit.append(
-                (ev.label, ev.policy_name, ev.prefetch, True, chosen, reason,
+                (ev.label, ev.policy_name, ev.prefetch, True, chosen, sys.intern(reason),
                  ev.memory_bytes, ev.accesses_bytes, ev.latency_cycles)
             )
     return winner

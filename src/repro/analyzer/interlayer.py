@@ -80,8 +80,8 @@ def apply_opportunistic_interlayer(
         flags[i] = (receives, donates)
         receives = donates
     return [
-        make_assignment(i, assignments[i].evaluation, spec, receives=rec, donates=don)
-        for i, (rec, don) in enumerate(flags)
+        make_assignment(i, a.layer, a.evaluation, spec, receives=rec, donates=don)
+        for i, (a, (rec, don)) in enumerate(zip(assignments, flags))
     ]
 
 
@@ -118,7 +118,7 @@ def plan_chain_with_interlayer(
                     if not _fits(ev, spec, receives, donates):
                         continue
                     cell[(j, receives, donates)] = make_assignment(
-                        i, ev, spec, receives=receives, donates=donates
+                        i, model.layers[i], ev, spec, receives=receives, donates=donates
                     )
         cells.append(cell)
 

@@ -74,8 +74,8 @@ def plan_weighted(
     if any(not evs for evs in candidates):
         raise ValueError(f"{model.name}: some layer has no feasible policy")
     assignments = [
-        make_assignment(i, _select_weighted(evs, alpha), spec)
-        for i, evs in enumerate(candidates)
+        make_assignment(i, layer, _select_weighted(evs, alpha), spec)
+        for i, (layer, evs) in enumerate(zip(model.layers, candidates))
     ]
     objective = Objective.LATENCY if alpha >= 0.5 else Objective.ACCESSES
     return ExecutionPlan(

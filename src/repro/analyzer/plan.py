@@ -97,18 +97,26 @@ class LayerAssignment:
 
 def make_assignment(
     index: int,
+    layer: LayerSpec,
     evaluation: PolicyEvaluation,
     spec: AcceleratorSpec,
     receives: bool = False,
     donates: bool = False,
 ) -> LayerAssignment:
-    """Materialize an assignment, recomputing metrics under inter-layer reuse."""
+    """Bind the model's ``layer`` to the evaluation chosen for it, with
+    metrics recomputed under inter-layer reuse.
+
+    ``evaluation`` is planned on the layer's shape and shared by every
+    layer of that shape (:func:`~repro.estimators.evaluate_layer`), so
+    ``evaluation.plan.layer`` carries no name; the assignment is where
+    the model's named layer comes back.
+    """
     plan = evaluation.plan
     b = spec.bytes_per_elem
     if not receives and not donates:
         return LayerAssignment(
             index=index,
-            layer=plan.layer,
+            layer=layer,
             evaluation=evaluation,
             accesses_bytes=evaluation.accesses_bytes,
             read_bytes=evaluation.read_bytes,
@@ -123,7 +131,7 @@ def make_assignment(
     latency = schedule_latency(schedule, spec, plan.prefetch, layer=plan.layer)
     return LayerAssignment(
         index=index,
-        layer=plan.layer,
+        layer=layer,
         evaluation=evaluation,
         receives=receives,
         donates=donates,

@@ -28,7 +28,13 @@ Both are pure bookkeeping: plans are bit-identical with tracing on or off.
 from __future__ import annotations
 
 from ..arch.spec import AcceleratorSpec
-from ..estimators.evaluate import PolicyAttempt, PolicyEvaluation, evaluate_layer
+from ..estimators.evaluate import (
+    DecisionSlot,
+    PolicyAttempt,
+    PolicyEvaluation,
+    evaluate_layer,
+)
+from ..nn.layer import LayerSpec
 from ..nn.model import Model
 from ..obs import get_tracer, metrics_registry
 from ..obs.audit import CandidateRow, TrailBuilder
@@ -116,6 +122,51 @@ def _reconcile_chosen(
             )
 
 
+def _plan_layer(
+    trail: TrailBuilder,
+    index: int,
+    layer: LayerSpec,
+    spec: AcceleratorSpec,
+    objective: Objective,
+    policies: tuple[Policy, ...],
+    allow_prefetch: bool,
+    always_fallback: bool,
+) -> tuple[list[PolicyEvaluation], LayerAssignment | None]:
+    """Algorithm 1 for one layer, shared by ``Het`` and ``Hom``.
+
+    Evaluates the layer, records its trail rows and returns its feasible
+    evaluations with its assignment (None when nothing fits).  The pick
+    and its rows are memoized in the evaluation's decision slot
+    (:data:`~repro.estimators.evaluate.DecisionSlot`), so
+    :func:`select_policy` runs only for a candidate set and objective it
+    has not decided before; the trail then references the memo's rows.
+    """
+    attempts: list[PolicyAttempt] = []
+    slots: list[DecisionSlot] = []
+    evaluations = evaluate_layer(
+        layer,
+        spec,
+        policies=policies,
+        allow_prefetch=allow_prefetch,
+        always_fallback=always_fallback,
+        attempts=attempts,
+        decisions=slots,
+    )
+    if not evaluations:
+        return evaluations, None
+    slot = slots[0]
+    decision = slot.get(objective)
+    if decision is None:
+        selected: list[CandidateRow] = []
+        choice = select_policy(evaluations, objective, audit=selected)
+        winner = next(j for j, ev in enumerate(evaluations) if ev is choice)
+        decision = (winner, tuple(_candidate_rows(attempts, selected)))
+        slot[objective] = decision
+    winner, rows = decision
+    trail.add_layer(index, layer.name, rows)
+    return evaluations, make_assignment(index, layer, evaluations[winner], spec)
+
+
 def plan_heterogeneous(
     model: Model,
     spec: AcceleratorSpec,
@@ -144,36 +195,25 @@ def plan_heterogeneous(
         objective=objective.value,
     ) as plan_span:
         candidates: list[list[PolicyEvaluation]] = []
-        attempts_per_layer: list[list[PolicyAttempt]] = []
-        for layer in model.layers:
-            attempts: list[PolicyAttempt] = []
+        assignments: list[LayerAssignment] = []
+        empty: list[str] = []
+        for i, layer in enumerate(model.layers):
             with tracer.start("plan_layer", layer=layer.name) as layer_span:
-                evaluations = evaluate_layer(
-                    layer,
-                    spec,
-                    allow_prefetch=allow_prefetch,
-                    always_fallback=True,
-                    attempts=attempts,
+                evaluations, assignment = _plan_layer(
+                    trail, i, layer, spec, objective,
+                    NAMED_POLICIES, allow_prefetch, always_fallback=True,
                 )
                 layer_span.set_attr("candidates_count", len(evaluations))
             candidates.append(evaluations)
-            attempts_per_layer.append(attempts)
-        empty = [model.layers[i].name for i, c in enumerate(candidates) if not c]
+            if assignment is None:
+                empty.append(layer.name)
+            else:
+                assignments.append(assignment)
         if empty:
             raise ValueError(
                 f"{model.name}: no feasible policy for layers {empty} at "
                 f"GLB={spec.glb_bytes} bytes"
             )
-        assignments = []
-        for i, evaluations in enumerate(candidates):
-            selected: list[CandidateRow] = []
-            choice = select_policy(evaluations, objective, audit=selected)
-            trail.add_layer(
-                i,
-                model.layers[i].name,
-                _candidate_rows(attempts_per_layer[i], selected),
-            )
-            assignments.append(make_assignment(i, choice, spec))
         scheme = "het"
         if interlayer:
             if interlayer_mode == "opportunistic":
@@ -238,23 +278,13 @@ def plan_homogeneous(
     assignments = []
     with get_tracer().start("plan_homogeneous", model=model.name, family=family):
         for i, layer in enumerate(model.layers):
-            attempts: list[PolicyAttempt] = []
-            evaluations = evaluate_layer(
-                layer,
-                spec,
-                policies=family_policies,
-                use_fallback=True,
-                allow_prefetch=allow_prefetch,
-                attempts=attempts,
+            _, assignment = _plan_layer(
+                trail, i, layer, spec, objective,
+                family_policies, allow_prefetch, always_fallback=False,
             )
-            if not evaluations:
+            if assignment is None:
                 return None
-            selected: list[CandidateRow] = []
-            choice = select_policy(evaluations, objective, audit=selected)
-            trail.add_layer(
-                i, layer.name, _candidate_rows(attempts, selected)
-            )
-            assignments.append(make_assignment(i, choice, spec))
+            assignments.append(assignment)
     return _maybe_verify(
         ExecutionPlan(
             model=model,

@@ -14,13 +14,14 @@ from functools import lru_cache
 from typing import Sequence
 
 from ..arch.spec import AcceleratorSpec
+from ..dram.trace import clear_dram_memo
 from ..nn.layer import LayerSpec
+from ..obs.audit import CandidateRow
 from ..policies.base import CandidatePlan, Policy
 from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
 from ..policies.tiled import clear_grid_memo
 from .latency import (
     LatencyBreakdown,
-    clear_latency_memo,
     effective_dram_bandwidth,
     schedule_latency,
     schedule_latency_batch,
@@ -73,6 +74,15 @@ class PolicyEvaluation:
     @property
     def latency_cycles(self) -> float:
         return self.latency.total_cycles
+
+
+#: Algorithm 1's decision over one candidate set under one objective: the
+#: winner's index into the feasible evaluations and the audit-trail rows
+#: of every try, in try order.
+Decision = tuple[int, tuple[CandidateRow, ...]]
+
+#: Objective -> :data:`Decision`, filled by the planner.
+DecisionSlot = dict[object, Decision]
 
 
 def estimate_memory(plan: CandidatePlan, spec: AcceleratorSpec) -> int:
@@ -145,6 +155,7 @@ def evaluate_layer(
     allow_prefetch: bool = True,
     always_fallback: bool = False,
     attempts: list[PolicyAttempt] | None = None,
+    decisions: list[DecisionSlot] | None = None,
 ) -> list[PolicyEvaluation]:
     """All feasible policy instantiations of one layer within the GLB.
 
@@ -155,58 +166,54 @@ def evaluate_layer(
 
     When ``attempts`` is given, every instantiation try is appended to it
     as a :class:`PolicyAttempt` (feasible or not) for the decision audit
-    trail; passing it changes no result.
+    trail; when ``decisions`` is given, the candidate set's
+    :data:`DecisionSlot` is appended to it.  Neither changes the result.
 
-    The result is a pure function of the arguments (everything involved is
-    a frozen dataclass), so it is memoized at two levels.  The per-layer
-    memo returns a repeated call at the same spec.  Behind it, the
-    candidate memo keys each (policy, prefetch) try on the layer, every
-    spec field but ``glb_bytes``, the policy name, the prefetch flag and
-    the policy's capacity signature at this budget, and stores the
-    evaluation (None when infeasible).  Equal signatures imply identical
-    plans, so across a GLB sweep a candidate is planned and evaluated
-    once per signature, not once per size; only memo misses go through
-    ``policy.plan()`` and one batched :func:`evaluate_plans`.  The tile
-    search memoizes its budget-independent grid arrays the same way
-    (:func:`~repro.policies.tiled.tile_grid`).
+    The layer is planned as its :attr:`~repro.nn.layer.LayerSpec.shape`:
+    nothing here depends on the name, so every returned
+    :class:`PolicyEvaluation` (and its ``plan.layer``) is shared by all
+    layers of that shape.  The caller attaches the name where it emits a
+    plan (:func:`~repro.analyzer.plan.make_assignment`).
+
+    The result is a pure function of the shape and the other arguments
+    (everything involved is a frozen dataclass), so it is memoized at two
+    levels.  The per-layer memo returns a repeated call at the same spec.
+    Behind it, the candidate memo keys each (policy, prefetch) try on the
+    shape, every spec field but ``glb_bytes``, the policy name, the
+    prefetch flag and the policy's capacity signature at this budget, and
+    stores the evaluation (None when infeasible).  Equal signatures imply
+    identical plans, so across a GLB sweep a candidate is planned and
+    evaluated once per signature, not once per size; only memo misses go
+    through ``policy.plan()`` and one batched :func:`evaluate_plans`.  The
+    tile search memoizes its budget-independent grid arrays the same way
+    (:func:`~repro.policies.tiled.tile_grid`).  Per-layer entries whose
+    tuples of candidate keys are equal see equal evaluations, so they
+    share one decision slot, in which the planner memoizes Algorithm 1's
+    pick per objective.
 
     Returns an empty list only when even the tile-search fallback cannot
     fit, which for sane GLB sizes does not happen (the fallback's smallest
     footprint is a couple of rows).
     """
-    evaluations, tries = _evaluate_layer_memo(
-        layer, spec, policies, use_fallback, allow_prefetch, always_fallback
+    evaluations, tries, slot = _evaluate_layer_memo(
+        layer.shape, spec, policies, use_fallback, allow_prefetch, always_fallback
     )
     if attempts is not None:
         attempts.extend(tries)
+    if decisions is not None:
+        decisions.append(slot)
     return list(evaluations)
-
-
-@lru_cache(maxsize=4096)
-def _evaluate_layer_memo(
-    layer: LayerSpec,
-    spec: AcceleratorSpec,
-    policies: tuple[Policy, ...],
-    use_fallback: bool,
-    allow_prefetch: bool,
-    always_fallback: bool,
-) -> tuple[tuple[PolicyEvaluation, ...], tuple[PolicyAttempt, ...]]:
-    """Memoized evaluation grid of one layer (immutable results, safe to share)."""
-    attempts: list[PolicyAttempt] = []
-    evaluations = _evaluate_layer_uncached(
-        layer, spec, policies, use_fallback, allow_prefetch, always_fallback, attempts
-    )
-    return tuple(evaluations), tuple(attempts)
 
 
 def clear_evaluation_memo() -> None:
     """Drop the in-process evaluation memos (cold-start benches): the
-    per-layer and per-candidate memos, the tile grids, the latency totals
+    per-layer and per-candidate memos, the decision slots, the tile grids
     and the DRAM effective bandwidths."""
     _evaluate_layer_memo.cache_clear()
     _CANDIDATE_MEMO.clear()
+    _DECISION_MEMO.clear()
     clear_grid_memo()
-    clear_latency_memo()
+    clear_dram_memo()
 
 
 #: Spec fields a candidate's evaluation depends on: every field but
@@ -216,29 +223,41 @@ _SPEC_KEY_FIELDS = tuple(
     f.name for f in fields(AcceleratorSpec) if f.name != "glb_bytes"
 )
 
-#: Candidate memo across GLB sizes: ``(layer, spec key, policy name,
+#: Candidate memo across GLB sizes: ``(shape, spec key, policy name,
 #: prefetch, capacity signature)`` -> the evaluation, or None when the
 #: candidate does not fit.  Equal signatures imply identical plans
 #: (:meth:`~repro.policies.base.Policy.capacity_signature`), so a GLB
 #: sweep plans and evaluates each candidate once per signature instead of
-#: once per size.  Same discipline as the latency totals memo: one
-#: ``.get`` with a sentinel (None is a real value), idempotent puts of
-#: deterministic values, and a wholesale reset above the cap, which one
-#: cold flat zoo pass (about 5.1k candidates) stays well below.
+#: once per size.  Every memo here and in the tile search follows one
+#: discipline: one ``.get`` (with a sentinel here, as None is a real
+#: value), idempotent puts of deterministic values, and a wholesale reset
+#: above the cap, which one cold flat zoo pass (about 3.1k candidates)
+#: stays well below.
 _CANDIDATE_MEMO: dict[tuple[object, ...], PolicyEvaluation | None] = {}
 _CANDIDATE_MEMO_MAX = 32768
 _MISSING = object()
 
+#: Decision slots keyed by a per-layer entry's tuple of candidate-memo
+#: keys, which fixes its tries and evaluations and so every decision over
+#: them: across GLB sizes whose signatures held, and across layers of one
+#: shape, Algorithm 1 runs once per objective.  Same discipline as the
+#: candidate memo: a single ``.get``, idempotent puts, a wholesale reset
+#: above the cap (a racing or reset miss only costs a re-selection).
+_DECISION_MEMO: dict[tuple[tuple[object, ...], ...], DecisionSlot] = {}
+_DECISION_MEMO_MAX = 16384
 
-def _evaluate_layer_uncached(
-    layer: LayerSpec,
+
+@lru_cache(maxsize=4096)
+def _evaluate_layer_memo(
+    shape: LayerSpec,
     spec: AcceleratorSpec,
     policies: tuple[Policy, ...],
     use_fallback: bool,
     allow_prefetch: bool,
     always_fallback: bool,
-    attempts: list[PolicyAttempt] | None,
-) -> list[PolicyEvaluation]:
+) -> tuple[tuple[PolicyEvaluation, ...], tuple[PolicyAttempt, ...], DecisionSlot]:
+    """Memoized evaluation grid of one shape (immutable results, safe to
+    share) with its decision slot."""
     budget = spec.glb_elems
     prefetch_options = (False, True) if allow_prefetch else (False,)
     spec_key = tuple(getattr(spec, name) for name in _SPEC_KEY_FIELDS)
@@ -254,11 +273,11 @@ def _evaluate_layer_uncached(
 
     def visit(policy: Policy, fallback: bool) -> None:
         for prefetch in prefetch_options:
-            signature = policy.capacity_signature(layer, budget, prefetch)
-            key = (layer, spec_key, policy.name, prefetch, signature)
+            signature = policy.capacity_signature(shape, budget, prefetch)
+            key = (shape, spec_key, policy.name, prefetch, signature)
             value = _CANDIDATE_MEMO.get(key, _MISSING)
             if value is _MISSING:
-                plan = policy.plan(layer, budget, prefetch)
+                plan = policy.plan(shape, budget, prefetch)
                 feasible = plan is not None
                 if plan is None:
                     _CANDIDATE_MEMO[key] = None
@@ -278,6 +297,11 @@ def _evaluate_layer_uncached(
         for i, evaluation in zip(misses, evaluate_plans(list(misses.values()), spec)):
             _CANDIDATE_MEMO[keys[i]] = evaluation
             found[i] = evaluation
-    if attempts is not None:
-        attempts.extend(tries)
-    return [evaluation for evaluation in found if evaluation is not None]
+    decision_key = tuple(keys)
+    slot = _DECISION_MEMO.get(decision_key)
+    if slot is None:
+        if len(_DECISION_MEMO) > _DECISION_MEMO_MAX:
+            _DECISION_MEMO.clear()
+        slot = _DECISION_MEMO[decision_key] = {}
+    evaluations = tuple(evaluation for evaluation in found if evaluation is not None)
+    return evaluations, tuple(tries), slot

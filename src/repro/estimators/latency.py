@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..arch.spec import AcceleratorSpec
-from ..dram.trace import clear_dram_memo, dram_effective_bandwidth
+from ..dram.trace import dram_effective_bandwidth
 from ..nn.layer import LayerSpec
 from ..policies.base import LayerSchedule, StepGroup
 
@@ -240,24 +240,6 @@ def _batch_totals(
     return np.maximum(np.maximum(load_t, pe_t), store_t)
 
 
-#: Memo of final recurrence totals, keyed by the exact inputs that decide
-#: them.  Schedules do not carry layer names, so layers that repeat a
-#: shape under another name re-request the same totals: about 40% of the
-#: candidates a cold flat zoo pass evaluates hit here (the candidate memo
-#: in :mod:`repro.estimators.evaluate` already absorbs repeats across GLB
-#: sizes).  The batch API reuses them (:func:`schedule_latency` does
-#: not).  Bounded by wholesale reset; cleared with the evaluation memo.
-_TOTALS_MEMO: dict[tuple[LayerSchedule, float, float, bool], float] = {}
-_TOTALS_MEMO_MAX = 65536
-
-
-def clear_latency_memo() -> None:
-    """Drop the memoized recurrence totals and DRAM effective bandwidths
-    (cold-start benches)."""
-    _TOTALS_MEMO.clear()
-    clear_dram_memo()
-
-
 def schedule_latency_batch(
     schedules: Sequence[LayerSchedule],
     spec: AcceleratorSpec,
@@ -277,19 +259,9 @@ def schedule_latency_batch(
     trace-simulated rate.
     """
     rate = spec.macs_per_cycle
-    if len(_TOTALS_MEMO) > _TOTALS_MEMO_MAX:
-        _TOTALS_MEMO.clear()
     totals_by_index: dict[int, float] = {}
     for flag in (False, True):
-        rows = []
-        for i, p in enumerate(prefetch_flags):
-            if bool(p) is not flag:
-                continue
-            cached = _TOTALS_MEMO.get((schedules[i], bandwidths[i], rate, flag))
-            if cached is None:
-                rows.append(i)
-            else:
-                totals_by_index[i] = cached
+        rows = [i for i, p in enumerate(prefetch_flags) if bool(p) is flag]
         short = [i for i in rows if len(schedules[i].groups) <= _BATCH_GROUP_LIMIT]
         if short:
             totals = _batch_totals(
@@ -303,8 +275,6 @@ def schedule_latency_batch(
         for i in rows:
             if i not in totals_by_index:
                 totals_by_index[i] = _scalar_total(schedules[i], bandwidths[i], rate, flag)
-        for i in rows:
-            _TOTALS_MEMO[(schedules[i], bandwidths[i], rate, flag)] = totals_by_index[i]  # repro: noqa[R060] -- benign race: idempotent memo put of a deterministic value; dict item assignment is atomic under the GIL
     results: list[LatencyBreakdown] = []
     for i, schedule in enumerate(schedules):
         compute = schedule.total_macs / rate

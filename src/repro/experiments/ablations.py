@@ -122,8 +122,8 @@ def _het_named_only(
     def compute() -> ExecutionPlan:
         candidates = candidate_evaluations(model, spec, always_fallback=False)
         assignments = [
-            make_assignment(i, select_policy(evs, objective), spec)
-            for i, evs in enumerate(candidates)
+            make_assignment(i, layer, select_policy(evs, objective), spec)
+            for i, (layer, evs) in enumerate(zip(model.layers, candidates))
         ]
         return ExecutionPlan(
             model=model,

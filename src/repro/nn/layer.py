@@ -13,7 +13,7 @@ estimators reason in elements and convert to bytes only through an
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..arch.bounds import (
     MAX_CHANNELS,
@@ -145,6 +145,24 @@ class LayerSpec:
                 f"{MAX_LAYER_MACS}"
             )
 
+    @property
+    def shape(self) -> LayerSpec:
+        """The layer's shape: a nameless twin equal in every other field.
+
+        Interned, so every layer of one shape returns the same object.
+        Nothing the planner computes depends on the name, so the planning
+        core plans on the shape and its memos are shared by all layers of
+        that shape.
+        """
+        shape = _SHAPES.get(self)
+        if shape is None:
+            if len(_SHAPES) > _SHAPES_MAX:
+                _SHAPES.clear()
+            twin = replace(self, name="") if self.name else self
+            shape = _SHAPES.setdefault(twin, twin)
+            _SHAPES[self] = shape
+        return shape
+
     # ------------------------------------------------------------------
     # Derived shapes
     # ------------------------------------------------------------------
@@ -224,3 +242,12 @@ class LayerSpec:
             f"-> {self.out_h}x{self.out_w}x{self.out_c} "
             f"(f={self.f_h}x{self.f_w}, n={self.num_filters}, s={self.stride}, p={self.padding})"
         )
+
+
+#: Intern table of layer shapes: every layer seen, named or not, maps to
+#: the one nameless twin of its shape (:attr:`LayerSpec.shape`).  Same
+#: discipline as the planner memos: idempotent puts of deterministic
+#: values and a wholesale reset above the cap (after a reset, equal
+#: shapes are still equal, only no longer the same object).
+_SHAPES: dict[LayerSpec, LayerSpec] = {}
+_SHAPES_MAX = 65536

@@ -18,7 +18,7 @@ imports from the planner (the planner imports *us*).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Sequence
 
 #: One candidate as stored in a trail, in :class:`CandidateRecord` field
 #: order: ``(label, policy, prefetch, feasible, chosen, reason,
@@ -151,8 +151,9 @@ class TrailBuilder:
     layers: list[LayerDecision] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def add_layer(self, index: int, layer: str, rows: list[CandidateRow]) -> None:
-        """Record one layer's full candidate set."""
+    def add_layer(self, index: int, layer: str, rows: Sequence[CandidateRow]) -> None:
+        """Record one layer's full candidate set (a tuple is kept as is,
+        so layers that share a decision share its rows)."""
         self.layers.append(LayerDecision(index=index, layer=layer, rows=tuple(rows)))
 
     def note(self, text: str) -> None:

@@ -104,9 +104,10 @@ class TileGrid(NamedTuple):
 
 
 #: Memo of built grids keyed by ``(layer, width_wise)``: a GLB sweep asks
-#: for the same layer's grid at every size.  Same discipline as the
-#: latency totals memo — idempotent puts of deterministic values, reset
-#: wholesale above the cap, cleared with the evaluation memo.
+#: for the same layer's grid at every size, and the planner passes each
+#: layer's name-blind shape, so layers of one shape share a grid.  Same
+#: discipline as the candidate memo — idempotent puts of deterministic
+#: values, reset wholesale above the cap, cleared with the evaluation memo.
 _GRID_MEMO: dict[tuple[LayerSpec, bool], TileGrid] = {}
 _GRID_MEMO_MAX = 4096
 

@@ -119,6 +119,7 @@ def _layer_cost(
     producer = plan.assignments[index - 1]
     fallback = make_assignment(
         index,
+        assignment.layer,
         assignment.evaluation,
         plan.spec,
         receives=False,

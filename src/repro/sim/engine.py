@@ -169,7 +169,7 @@ def simulate_assignment(
     port_work = (loads + stores + schedule.resident_load) / bw
     total = max(load_t, pe_t, store_t, port_work if prefetch else 0.0)
     result = LayerSimResult(
-        name=plan.layer.name,
+        name=assignment.layer.name,
         cycles=total,
         dram_load_elems=loads + schedule.resident_load,
         dram_store_elems=stores,

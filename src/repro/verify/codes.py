@@ -131,7 +131,8 @@ CODE_DESCRIPTIONS: dict[str, str] = {
     ),
     "V017": (
         "The plan must have one assignment per model layer, in order, "
-        "each referencing the layer at its own index."
+        "each referencing the layer at its own index and a candidate "
+        "planned for that layer's shape."
     ),
     "V018": (
         "The trace-simulated DRAM cycles of a layer's schedule must be at "

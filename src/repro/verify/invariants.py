@@ -48,14 +48,19 @@ def check_candidate(
     budget_elems: int,
     *,
     layer_index: int | None = None,
+    layer_name: str | None = None,
 ) -> None:
-    """Run every candidate-level invariant on ``plan`` against ``budget_elems``."""
+    """Run every candidate-level invariant on ``plan`` against ``budget_elems``.
+
+    ``layer_name`` names the diagnostics when the plan's own layer is a
+    nameless shape (:attr:`~repro.nn.layer.LayerSpec.shape`).
+    """
     layer = plan.layer
     schedule = plan.schedule
     traffic = plan.traffic
     where = {
         "layer_index": layer_index,
-        "layer_name": layer.name,
+        "layer_name": layer.name if layer_name is None else layer_name,
         "policy": plan.label,
     }
 

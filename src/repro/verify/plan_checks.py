@@ -140,7 +140,8 @@ def check_assignment_metrics(
 
 
 def check_plan_structure(out: DiagnosticCollector, plan: ExecutionPlan) -> None:
-    """V017: one assignment per layer, in order, referencing its own layer."""
+    """V017: one assignment per layer, in order, referencing its own layer
+    and a candidate of that layer's shape."""
     out.check(
         len(plan.assignments) == len(plan.model.layers),
         "V017",
@@ -167,6 +168,16 @@ def check_plan_structure(out: DiagnosticCollector, plan: ExecutionPlan) -> None:
                 layer_name=plan.model.layers[position].name,
                 policy=assignment.label,
             )
+        # Candidates are planned and memoized per shape, so a candidate
+        # of another shape must never reach the assignment.
+        out.check(
+            assignment.evaluation.plan.layer.shape == assignment.layer.shape,
+            "V017",
+            "assignment's candidate was planned for a layer of another shape",
+            layer_index=position,
+            layer_name=assignment.layer.name,
+            policy=assignment.label,
+        )
 
 
 def check_interlayer_chain(out: DiagnosticCollector, plan: ExecutionPlan) -> None:

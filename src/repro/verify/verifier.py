@@ -79,6 +79,7 @@ def verify_plan(
             assignment.evaluation.plan,
             plan.spec.glb_elems,
             layer_index=assignment.index,
+            layer_name=assignment.layer.name,
         )
         check_assignment_capacity(out, assignment, plan)
         check_assignment_metrics(out, assignment, plan)

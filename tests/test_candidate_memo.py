@@ -1,11 +1,13 @@
-"""The candidate and tile-grid memos behind ``evaluate_layer``.
+"""The candidate, tile-grid and decision memos behind the planners.
 
-``evaluate_layer`` plans and evaluates each (layer, policy, prefetch)
-candidate once per capacity signature, and the tile search builds each
-layer's grid once.  These tests pin what the memos must not change: a
-cleared memo is truly cold, concurrent planning matches sequential
-planning even while the memos reset, and cached grid arrays cannot be
-mutated by a caller.
+``evaluate_layer`` plans each layer as its name-blind shape and evaluates
+each (shape, policy, prefetch) candidate once per capacity signature; the
+tile search builds each shape's grid once; and the planners run Algorithm
+1 once per distinct candidate set and objective.  These tests pin how much
+work a cold zoo pass does, and what the memos must not change: a cleared
+memo is truly cold, concurrent planning matches sequential planning even
+while the memos reset, layers that share a shape share a decision but keep
+their names, and cached grid arrays cannot be mutated by a caller.
 """
 
 from __future__ import annotations
@@ -15,27 +17,35 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.analyzer import Objective, plan_heterogeneous
+from repro.analyzer import Objective, plan_heterogeneous, planner
 from repro.analyzer.export import plan_to_dict
 from repro.arch import AcceleratorSpec, kib
+from repro.dram import DEFAULT_DDR4_SPEC, trace
 from repro.estimators import evaluate
 from repro.estimators.evaluate import clear_evaluation_memo
+from repro.nn import LayerKind, LayerSpec
+from repro.nn import layer as layer_module
+from repro.nn.model import make_model
 from repro.nn.zoo import get_model
 from repro.policies import tiled
 from repro.policies.registry import FALLBACK_POLICY, NAMED_POLICIES
 from repro.serve.protocol import canonical_json
 
 LADDER = (kib(64), kib(128), kib(256), kib(512), kib(1024))
+ZOO = ("EfficientNetB0", "GoogLeNet", "MnasNet", "MobileNet", "MobileNetV2", "ResNet18")
+COUNTS = ("plan", "candidates", "build_grid", "select", "dram")
 
 
 @pytest.fixture
 def calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
-    """Count ``policy.plan``, ``evaluate_plans`` and tile-grid builds."""
-    counts = {"plan": 0, "evaluate_plans": 0, "build_grid": 0}
+    """Count ``policy.plan`` calls, the candidates ``evaluate_plans``
+    evaluates, tile-grid builds, ``select_policy`` calls in the planners
+    and DRAM trace simulations."""
+    counts = dict.fromkeys(COUNTS, 0)
 
-    def counting(name, original):
+    def counting(name, original, weight=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += weight(*args)
             return original(*args, **kwargs)
 
         return wrapper
@@ -43,10 +53,41 @@ def calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
     for cls in {type(p) for p in (*NAMED_POLICIES, FALLBACK_POLICY)}:
         monkeypatch.setattr(cls, "plan", counting("plan", cls.plan))
     monkeypatch.setattr(
-        evaluate, "evaluate_plans", counting("evaluate_plans", evaluate.evaluate_plans)
+        evaluate,
+        "evaluate_plans",
+        counting("candidates", evaluate.evaluate_plans, lambda plans, spec: len(plans)),
     )
     monkeypatch.setattr(tiled, "_build_grid", counting("build_grid", tiled._build_grid))
+    monkeypatch.setattr(planner, "select_policy", counting("select", planner.select_policy))
+    monkeypatch.setattr(trace, "simulate_schedule", counting("dram", trace.simulate_schedule))
     return counts
+
+
+def test_cold_flat_zoo_pass_plans_each_distinct_decision_once(calls):
+    # 301 layers of 161 shapes, 5 GLB sizes, 2 objectives, inter-layer
+    # reuse off and on: 6,020 layer decisions, 1,270 of them distinct.
+    clear_evaluation_memo()
+    for name in ZOO:
+        model = get_model(name)
+        for glb in LADDER:
+            spec = AcceleratorSpec(glb_bytes=glb)
+            for objective in Objective:
+                for interlayer in (False, True):
+                    plan_heterogeneous(model, spec, objective, interlayer=interlayer)
+    assert calls["select"] <= 1270
+    assert calls["candidates"] <= 3062
+    assert calls["build_grid"] <= 161
+    assert calls["dram"] == 0
+
+
+def test_cold_ddr4_pass_simulates_each_shape_schedule_once(calls):
+    clear_evaluation_memo()
+    for name in ("MnasNet", "MobileNet", "ResNet18"):
+        model = get_model(name)
+        for glb in (kib(256), kib(512), kib(1024)):
+            spec = AcceleratorSpec(glb_bytes=glb, dram=DEFAULT_DDR4_SPEC)
+            plan_heterogeneous(model, spec, Objective.ACCESSES)
+    assert 0 < calls["dram"] <= 505
 
 
 def test_clear_evaluation_memo_makes_the_next_plan_cold(calls):
@@ -55,13 +96,15 @@ def test_clear_evaluation_memo_makes_the_next_plan_cold(calls):
     clear_evaluation_memo()
     first = plan_heterogeneous(model, spec, Objective.ACCESSES)
     cold = dict(calls)
-    assert cold["plan"] > 0 and cold["evaluate_plans"] > 0 and cold["build_grid"] > 0
+    assert cold["plan"] > 0 and cold["candidates"] > 0 and cold["build_grid"] > 0
+    # One selection per distinct layer shape: every decision was made.
+    assert cold["select"] == len({layer.shape for layer in model.layers})
 
     # Another GLB size reuses candidates whose signature did not move.
     plan_heterogeneous(model, spec.with_glb(kib(1024)), Objective.ACCESSES)
     assert calls["plan"] - cold["plan"] < cold["plan"]
 
-    calls.update(plan=0, evaluate_plans=0, build_grid=0)
+    calls.update(dict.fromkeys(COUNTS, 0))
     clear_evaluation_memo()
     assert plan_heterogeneous(model, spec, Objective.ACCESSES) == first
     assert calls == cold  # nothing survived the clear
@@ -94,9 +137,13 @@ def test_concurrent_planning_matches_sequential_through_memo_resets(monkeypatch)
     clear_evaluation_memo()
     expected = _exports(specs, jobs=1)
 
-    candidates, grids = _CountingDict(), _CountingDict()
+    candidates, decisions, grids, shapes = (_CountingDict() for _ in range(4))
     monkeypatch.setattr(evaluate, "_CANDIDATE_MEMO", candidates)
     monkeypatch.setattr(evaluate, "_CANDIDATE_MEMO_MAX", 16)
+    monkeypatch.setattr(evaluate, "_DECISION_MEMO", decisions)
+    monkeypatch.setattr(evaluate, "_DECISION_MEMO_MAX", 2)
+    monkeypatch.setattr(layer_module, "_SHAPES", shapes)
+    monkeypatch.setattr(layer_module, "_SHAPES_MAX", 4)
     monkeypatch.setattr(tiled, "_GRID_MEMO", grids)
     monkeypatch.setattr(tiled, "_GRID_MEMO_MAX", 2)
     interval = sys.getswitchinterval()
@@ -106,8 +153,29 @@ def test_concurrent_planning_matches_sequential_through_memo_resets(monkeypatch)
         got = _exports(specs, jobs=4)
     finally:
         sys.setswitchinterval(interval)
-    assert candidates.clears > 0 and grids.clears > 0
+    assert all(memo.clears > 0 for memo in (candidates, decisions, grids, shapes))
     assert got == expected
+
+
+def _conv(name: str) -> LayerSpec:
+    return LayerSpec(name=name, kind=LayerKind.CONV, in_h=28, in_w=28, in_c=64,
+                     f_h=3, f_w=3, num_filters=64, padding=1)
+
+
+def test_same_shape_layers_share_one_decision_and_keep_their_names(calls):
+    model = make_model("twins", [_conv("first"), _conv("second")])
+    clear_evaluation_memo()
+    plan = plan_heterogeneous(model, AcceleratorSpec(glb_bytes=kib(64)), Objective.ACCESSES)
+    assert calls["select"] == 1
+    first, second = plan.assignments
+    assert first.evaluation is second.evaluation
+    assert first.evaluation.plan.layer.name == ""
+    assert plan.audit is not None
+    assert plan.audit.layers[0].rows is plan.audit.layers[1].rows
+    assert [a.layer for a in plan.assignments] == list(model.layers)
+    assert [row["layer"] for row in plan_to_dict(plan)["layers"]] == ["first", "second"]
+    payload = plan.explain().to_payload()["layers"]
+    assert [decision["layer"] for decision in payload] == ["first", "second"]
 
 
 def test_cached_grid_arrays_are_read_only():

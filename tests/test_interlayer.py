@@ -83,8 +83,8 @@ class TestRequiredMemory:
 class TestAssignmentMetrics:
     def test_receives_removes_ifmap_reads(self, conv_layer, spec1m):
         ev = evaluate_layer(conv_layer, spec1m)[0]
-        plain = make_assignment(0, ev, spec1m)
-        received = make_assignment(0, ev, spec1m, receives=True)
+        plain = make_assignment(0, conv_layer, ev, spec1m)
+        received = make_assignment(0, conv_layer, ev, spec1m, receives=True)
         b = spec1m.bytes_per_elem
         assert (
             plain.read_bytes - received.read_bytes
@@ -93,16 +93,16 @@ class TestAssignmentMetrics:
 
     def test_donates_removes_ofmap_writes(self, conv_layer, spec1m):
         ev = evaluate_layer(conv_layer, spec1m)[0]
-        plain = make_assignment(0, ev, spec1m)
-        donated = make_assignment(0, ev, spec1m, donates=True)
+        plain = make_assignment(0, conv_layer, ev, spec1m)
+        donated = make_assignment(0, conv_layer, ev, spec1m, donates=True)
         assert donated.write_bytes == 0
         assert donated.accesses_bytes < plain.accesses_bytes
 
     def test_adjustments_never_increase_latency(self, conv_layer, spec1m):
         for ev in evaluate_layer(conv_layer, spec1m):
-            plain = make_assignment(0, ev, spec1m)
+            plain = make_assignment(0, conv_layer, ev, spec1m)
             for receives, donates in ((True, False), (False, True), (True, True)):
-                adj = make_assignment(0, ev, spec1m, receives=receives, donates=donates)
+                adj = make_assignment(0, conv_layer, ev, spec1m, receives=receives, donates=donates)
                 assert adj.latency_cycles <= plain.latency_cycles + 1e-9
 
 

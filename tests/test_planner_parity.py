@@ -72,7 +72,6 @@ def _candidate_grids(model_names, spec):
 def test_batched_latency_equals_per_plan_latency(model_names, spec):
     """``evaluate_plans`` runs one batched recurrence per grid; every
     candidate's breakdown must equal the per-plan recurrence exactly."""
-    latency_module.clear_latency_memo()
     for plans in _candidate_grids(model_names, spec):
         batched = evaluate_plans(plans, spec)
         for evaluation, plan in zip(batched, plans, strict=True):
@@ -116,8 +115,7 @@ _SCHEDULE = st.builds(
 )
 def test_batched_recurrence_matches_per_schedule_recurrence(rows, ops_per_cycle):
     """Drawn schedules mixing long and short group lists, zero-load and
-    zero-store groups, prefetch flags and arbitrary bandwidths; the repeat
-    call is served from the totals memo and must agree too."""
+    zero-store groups, prefetch flags and arbitrary bandwidths."""
     spec = AcceleratorSpec(glb_bytes=kib(64), ops_per_cycle=ops_per_cycle)
     schedules = [schedule for schedule, _, _ in rows]
     flags = [flag for _, flag, _ in rows]
@@ -128,9 +126,6 @@ def test_batched_recurrence_matches_per_schedule_recurrence(rows, ops_per_cycle)
         )
         for schedule, flag, bandwidth in rows
     ]
-    latency_module.clear_latency_memo()
-    assert schedule_latency_batch(schedules, spec, flags, bandwidths) == expected
-    assert len(latency_module._TOTALS_MEMO) == len(set(rows))
     assert schedule_latency_batch(schedules, spec, flags, bandwidths) == expected
 
 

@@ -38,7 +38,7 @@ class TestAssignmentSimulation:
     def _assignment(self, layer, spec, label=None):
         evs = evaluate_layer(layer, spec)
         ev = evs[0] if label is None else next(e for e in evs if e.label == label)
-        return make_assignment(0, ev, spec), ev
+        return make_assignment(0, layer, ev, spec), ev
 
     def test_traffic_counted_exactly(self, conv_layer):
         assignment, ev = self._assignment(conv_layer, SPEC)
@@ -48,16 +48,16 @@ class TestAssignmentSimulation:
 
     def test_latency_matches_estimator(self, conv_layer):
         for ev in evaluate_layer(conv_layer, SPEC):
-            assignment = make_assignment(0, ev, SPEC)
+            assignment = make_assignment(0, conv_layer, ev, SPEC)
             result = simulate_assignment(assignment, SPEC)
             assert result.cycles == pytest.approx(ev.latency_cycles, rel=1e-6)
 
     def test_receives_removes_ifmap_traffic(self, conv_layer):
         evs = evaluate_layer(conv_layer, SPEC)
         ev = evs[0]
-        plain = simulate_assignment(make_assignment(0, ev, SPEC), SPEC)
+        plain = simulate_assignment(make_assignment(0, conv_layer, ev, SPEC), SPEC)
         received = simulate_assignment(
-            make_assignment(0, ev, SPEC, receives=True), SPEC
+            make_assignment(0, conv_layer, ev, SPEC, receives=True), SPEC
         )
         assert (
             plain.dram_load_elems - received.dram_load_elems
@@ -67,7 +67,7 @@ class TestAssignmentSimulation:
     def test_trace_events_recorded(self, small_conv):
         ev = evaluate_layer(small_conv, SPEC)[0]
         trace: list[TraceEvent] = []
-        simulate_assignment(make_assignment(0, ev, SPEC), SPEC, record_trace=trace)
+        simulate_assignment(make_assignment(0, small_conv, ev, SPEC), SPEC, record_trace=trace)
         assert trace
         kinds = {e.kind for e in trace}
         assert kinds <= {"load_resident", "load_ifmap", "load_filters", "store"}
@@ -77,13 +77,13 @@ class TestAssignmentSimulation:
     def test_trace_times_nondecreasing_per_kind(self, small_conv):
         ev = evaluate_layer(small_conv, SPEC)[0]
         trace: list[TraceEvent] = []
-        simulate_assignment(make_assignment(0, ev, SPEC), SPEC, record_trace=trace)
+        simulate_assignment(make_assignment(0, small_conv, ev, SPEC), SPEC, record_trace=trace)
         stores = [e.time for e in trace if e.kind == "store"]
         assert stores == sorted(stores)
 
     def test_compute_busy_matches_macs(self, small_conv):
         ev = evaluate_layer(small_conv, SPEC)[0]
-        result = simulate_assignment(make_assignment(0, ev, SPEC), SPEC)
+        result = simulate_assignment(make_assignment(0, small_conv, ev, SPEC), SPEC)
         assert result.compute_busy_cycles == pytest.approx(
             small_conv.macs / SPEC.macs_per_cycle
         )
@@ -121,3 +121,13 @@ class TestPlanSimulation:
         assert result.dram_total_elems == (
             result.dram_load_elems + result.dram_store_elems
         )
+
+    def test_layer_results_carry_the_model_layer_names(self):
+        # Candidates are shared per shape: ResNet18's 21 layers have 12.
+        model = get_model("ResNet18")
+        assert len({layer.shape for layer in model.layers}) == 12
+        plan = plan_heterogeneous(model, AcceleratorSpec(glb_bytes=kib(128)))
+        result = simulate_plan(plan)
+        assert [layer.name for layer in result.layers] == [
+            layer.name for layer in model.layers
+        ]

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analyzer import make_assignment
 from repro.arch import AcceleratorSpec, kib
 from repro.manager import MemoryManager
 from repro.nn import LayerKind, LayerSpec
@@ -277,6 +278,16 @@ class TestPlanCorruptions:
         assignments[0], assignments[1] = assignments[1], assignments[0]
         bad = replace(plan, assignments=tuple(assignments))
         assert "V017" in verify_plan(bad, check_layouts=False).codes
+
+    def test_v017_candidate_of_another_shape(self, spec):
+        # A self-consistent assignment that binds layer 0 to layer 1's
+        # candidate: only the shape check can tell.
+        plan = MemoryManager(spec).plan(tiny_model())
+        first, second = plan.assignments[:2]
+        assert first.layer.shape != second.layer.shape
+        swapped = make_assignment(0, first.layer, second.evaluation, spec)
+        bad = replace(plan, assignments=(swapped, *plan.assignments[1:]))
+        assert verify_plan(bad, check_layouts=False).codes == ("V017",)
 
     def test_check_plan_raises_with_report(self, plan):
         bad = corrupt_assignment(
