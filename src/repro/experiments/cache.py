@@ -23,7 +23,9 @@ A cache key is the SHA-256 of a canonical JSON payload containing
 
 Values are stored with :mod:`pickle`, which round-trips the frozen plan
 dataclasses bit-identically (floats included), so cached results render
-exactly like freshly computed ones.
+exactly like freshly computed ones.  A ``bytes`` value (the serve
+daemon's stored reply bodies) is written verbatim behind a short length
+header instead, so reading it back is one file read and no unpickling.
 
 Environment
 -----------
@@ -85,6 +87,11 @@ ENV_NO_CACHE = "REPRO_NO_CACHE"
 ENV_CACHE_MAX_MB = "REPRO_CACHE_MAX_MB"
 
 _SENTINEL = object()
+
+#: Header of an entry holding a ``bytes`` value verbatim; the value's
+#: decimal length and a newline follow it.  A pickle of protocol 2 or
+#: later starts with byte ``0x80``, so the two formats never collide.
+_RAW_MAGIC = b"repro-raw "
 
 
 @dataclass
@@ -193,8 +200,31 @@ def index() -> CacheIndex:
 # ----------------------------------------------------------------------
 
 
+#: ``id(model)`` -> ``(model, digest)``.  Holding the model keeps its id
+#: from being reused while the entry lives; the table is cleared
+#: wholesale above :data:`_DIGESTS_MAX`, like the interned layer shapes.
+_DIGESTS: dict[int, tuple[Model, str]] = {}
+_DIGESTS_MAX = 64
+_DIGESTS_LOCK = threading.Lock()
+
+
 def model_digest(model: Model) -> str:
-    """Digest of a model's identity: name + every layer's hyperparameters."""
+    """Digest of a model's identity: name + every layer's hyperparameters.
+
+    Memoized per model object (models are immutable), so a daemon that
+    answers many requests for one zoo model hashes its layers once.
+    """
+    memo = _DIGESTS.get(id(model))
+    if memo is None:
+        memo = (model, _model_digest(model))
+        with _DIGESTS_LOCK:
+            if len(_DIGESTS) >= _DIGESTS_MAX:
+                _DIGESTS.clear()
+            _DIGESTS[id(model)] = memo
+    return memo[1]
+
+
+def _model_digest(model: Model) -> str:
     payload = [model.name]
     for layer in model.layers:
         payload.append(
@@ -285,15 +315,22 @@ def _entry_path(key: str) -> Path:
 def load(key: str) -> Any:
     """Return the cached value for ``key`` or ``_SENTINEL`` on a miss.
 
-    Corrupt or unreadable entries are deleted and counted as misses, so a
-    crashed writer can never poison later runs.
+    Corrupt, truncated or unreadable entries are deleted and counted as
+    misses, so a crashed writer can never poison later runs.
     """
     if not cache_enabled():
         return _SENTINEL
     path = _entry_path(key)
     try:
         with path.open("rb") as handle:
-            return pickle.load(handle)
+            if handle.read(len(_RAW_MAGIC)) != _RAW_MAGIC:
+                handle.seek(0)
+                return pickle.load(handle)
+            size = int(handle.readline())
+            value = handle.read()
+            if len(value) != size:
+                raise ValueError(f"raw entry holds {len(value)} of {size} bytes")
+            return value
     except FileNotFoundError:
         return _SENTINEL
     except Exception:
@@ -307,10 +344,12 @@ def load(key: str) -> Any:
 def store(key: str, value: Any) -> None:
     """Atomically persist ``value`` under ``key`` (no-op when disabled).
 
-    The write lands via ``mkstemp`` + ``os.replace`` so readers only ever
-    see complete entries; the LRU journal records the store, and when
-    ``REPRO_CACHE_MAX_MB`` caps the cache, least-recently-used entries
-    beyond the cap are evicted (never the entry just written).
+    ``bytes`` values are written verbatim behind :data:`_RAW_MAGIC`,
+    everything else is pickled.  The write lands via ``mkstemp`` +
+    ``os.replace`` so readers only ever see complete entries; the LRU
+    journal records the store, and when ``REPRO_CACHE_MAX_MB`` caps the
+    cache, least-recently-used entries beyond the cap are evicted (never
+    the entry just written).
     """
     if not cache_enabled():
         return
@@ -319,7 +358,10 @@ def store(key: str, value: Any) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            if isinstance(value, bytes):
+                handle.write(b"%s%d\n%s" % (_RAW_MAGIC, len(value), value))
+            else:
+                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
         stats.count_store()
         metrics_registry().counter("plan_cache_stores_count").add(1)

@@ -10,8 +10,8 @@ layer.  The package splits into five modules:
 * :mod:`~repro.serve.handlers` — pure endpoint handlers
   (``handle_plan``, ``handle_explain``, …) mapping validated request
   parameters to response payloads; they are thread roots for the R06x
-  concurrency lint and the unit of work fanned out to the process
-  pool.
+  concurrency lint.  ``respond``, the unit of work fanned out to the
+  process pool, answers repeated requests from stored reply bytes.
 * :mod:`~repro.serve.cache_index` — the shared plan cache's LRU index:
   an append-only journal that survives concurrent writers, plus size-cap
   eviction.

@@ -11,6 +11,12 @@ the same code path serves three callers:
   payload by calling the handler directly and compares it against the
   served bytes).
 
+The daemon itself calls :func:`respond`, which wraps :func:`execute`
+with *reply entries*: the exact response body of a ``plan``,
+``explain`` or ``simulate`` request, stored in the shared cache the
+first time the request is answered from a cache hit and sent again,
+after one file read, to every later identical request.
+
 The ``handle_`` prefix is a naming contract: the concurrency lint
 (R060–R066) treats every ``handle_*`` function as a thread root that
 runs concurrently with itself, so unlocked shared-state writes reachable
@@ -20,7 +26,10 @@ lint``.  Nondeterministic calls are flagged wherever they occur (R010).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import replace
+from pathlib import Path
 from typing import Any, Callable
 
 from ..analyzer import Objective
@@ -29,10 +38,13 @@ from ..arch.spec import AcceleratorSpec
 from ..arch.units import kib
 from ..manager import MemoryManager
 from ..nn.zoo import ALL_MODEL_NAMES, get_model
+from ..obs import metrics_registry
 from .protocol import (
     ENDPOINTS,
+    POST_ENDPOINTS,
     ProtocolError,
     PlanRequest,
+    canonical_json,
     error_response,
     ok_response,
     parse_plan_request,
@@ -244,3 +256,66 @@ def execute(endpoint: str, params: Any = None) -> tuple[int, dict[str, Any]]:
             endpoint, "internal", f"{type(exc).__name__}: {exc}"
         )
     return 200, ok_response(endpoint, result)
+
+
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 of the ``repro`` package's ``.py`` sources, once per process.
+
+    Part of every reply key, so a reply rendered by other code is never
+    served.  Requests name only zoo models, which the sources define, so
+    the digest covers model content too.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix().encode()
+        source = path.read_bytes()
+        digest.update(b"%s\0%d\0" % (name, len(source)))
+        digest.update(source)
+    return digest.hexdigest()
+
+
+def reply_key(endpoint: str, params: Any) -> str | None:
+    """The reply-entry key of a request, or ``None`` when it has none.
+
+    Only valid ``plan``/``explain``/``simulate`` requests have one; the
+    request is keyed in its canonical form, so differently cased model
+    names share an entry.
+    """
+    from ..experiments import cache
+
+    if endpoint not in POST_ENDPOINTS:
+        return None
+    try:
+        request = _canonical_request(params)
+    except ProtocolError:
+        return None
+    return cache.make_key(
+        "reply", endpoint=endpoint, request=request.to_params(), code=code_digest()
+    )
+
+
+def respond(endpoint: str, params: Any = None) -> tuple[int, bytes]:
+    """Answer one request: ``(http_status, response body bytes)``.
+
+    The body is ``canonical_json(execute(endpoint, params)[1])``.  A
+    request whose reply entry exists is answered from it with no
+    unpickling and no rendering.  A reply is stored only when
+    :func:`execute` answered from a cache hit, so a stored body always
+    says ``"hit": true`` and a request is rendered at most twice (on its
+    miss and on its first hit); misses and errors are never stored.
+    """
+    from ..experiments import cache
+
+    key = reply_key(endpoint, params)
+    if key is not None:
+        hit, body = cache.lookup(key)
+        if hit:
+            metrics_registry().counter("serve_reply_hits_count").add(1)
+            return 200, body
+    status, envelope = execute(endpoint, params)
+    body = canonical_json(envelope)
+    if key is not None and status == 200 and envelope["result"]["cache"]["hit"]:
+        cache.store(key, body)
+    return status, body

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -229,6 +231,29 @@ class TestHttpDaemon:
         assert status == 405
         assert envelope["error"]["code"] == "bad-request"
 
+    def test_keep_alive_responses_do_not_stall(self, daemon):
+        body = json.dumps({"model": "MobileNet", "glb_kb": 48}).encode()
+        port = int(daemon.rsplit(":", 1)[1])
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        try:
+            for _ in range(2):  # plan, then store the reply entry
+                connection.request("POST", "/plan", body)
+                assert connection.getresponse().read()
+            start = time.perf_counter()
+            for index in range(20):
+                if index % 2:
+                    connection.request("POST", "/plan", body)
+                else:
+                    connection.request("GET", "/health")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        # A response written in two parts waits ~40 ms for the delayed ACK.
+        assert elapsed < 0.5, f"20 kept-alive requests took {elapsed:.3f} s"
+
     def test_unknown_model_http(self, daemon):
         status, envelope = _post(
             f"{daemon}/plan", json.dumps({"model": "SkyNet"}).encode()
@@ -237,22 +262,26 @@ class TestHttpDaemon:
         assert envelope["error"]["code"] == "unknown-model"
 
 
+def _spawn_daemon(tmp_path) -> tuple[subprocess.Popen, str]:
+    """``repro serve`` in a subprocess on an ephemeral port, and its URL."""
+    env = dict(
+        os.environ,
+        REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])),
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    return proc, proc.stdout.readline().split()[-2]
+
+
 class TestGracefulShutdown:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
-        env = dict(
-            os.environ,
-            REPRO_CACHE_DIR=str(tmp_path / "cache"),
-            PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])),
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0"],
-            env=env,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
+        proc, url = _spawn_daemon(tmp_path)
         try:
-            announce = proc.stdout.readline()
-            url = announce.split()[-2]
             status, envelope = _post(
                 f"{url}/plan",
                 json.dumps({"model": "MobileNet", "glb_kb": 32}).encode(),
@@ -269,6 +298,23 @@ class TestGracefulShutdown:
         index = CacheIndex(tmp_path / "cache")
         journal_lines = index.journal_path.read_text().splitlines()
         assert len(journal_lines) == len(list(index.iter_keys()))
+
+    def test_sigterm_closes_idle_keep_alive_connection(self, tmp_path):
+        proc, url = _spawn_daemon(tmp_path)
+        port = int(url.rsplit(":", 1)[1])
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        try:
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200 and response.read()
+            # The connection stays open and idle while the daemon drains.
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=5) == 0
+        finally:
+            connection.close()
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
 
 
 class TestLoadGenerator:
