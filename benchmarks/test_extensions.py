@@ -11,11 +11,10 @@ from repro.experiments import ablations, energy, resolution
 from repro.nn.zoo import get_model
 from repro.runtime import Discipline, Request, schedule
 
-from conftest import run_once
 
 
-def test_energy_comparison(benchmark, fresh, capsys):
-    cells = run_once(benchmark, energy.run)
+def test_energy_comparison(fresh, capsys):
+    cells = energy.run()
     with capsys.disabled():
         print("\n" + energy.to_table(cells).render())
     by = {(c.model, c.glb_kb): c for c in cells}
@@ -25,8 +24,8 @@ def test_energy_comparison(benchmark, fresh, capsys):
         assert 0.0 < c.het_dram_share < 1.0
 
 
-def test_ablation_interlayer_modes(benchmark, fresh, capsys):
-    rows = run_once(benchmark, ablations.interlayer_modes)
+def test_ablation_interlayer_modes(fresh, capsys):
+    rows = ablations.interlayer_modes()
     with capsys.disabled():
         print("\n" + ablations.interlayer_modes_table(rows).render())
     assert all(r.joint_extra_benefit_pct >= -1e-9 for r in rows)
@@ -34,32 +33,32 @@ def test_ablation_interlayer_modes(benchmark, fresh, capsys):
     assert any(r.joint_extra_benefit_pct > 1.0 for r in rows)
 
 
-def test_ablation_fallback_participation(benchmark, fresh, capsys):
-    rows = run_once(benchmark, ablations.fallback_participation)
+def test_ablation_fallback_participation(fresh, capsys):
+    rows = ablations.fallback_participation()
     with capsys.disabled():
         print("\n" + ablations.fallback_participation_table(rows).render())
     assert all(r.search_benefit_pct >= -1e-9 for r in rows)
 
 
-def test_ablation_baseline_dataflows(benchmark, fresh, capsys):
-    rows = run_once(benchmark, ablations.baseline_dataflows)
+def test_ablation_baseline_dataflows(fresh, capsys):
+    rows = ablations.baseline_dataflows()
     with capsys.disabled():
         print("\n" + ablations.baseline_dataflows_table(rows).render())
     assert all(min(r.os_cycles, r.ws_cycles, r.is_cycles) > 0 for r in rows)
 
 
-def test_resolution_sweep(benchmark, fresh, capsys):
-    rows = run_once(benchmark, resolution.run)
+def test_resolution_sweep(fresh, capsys):
+    rows = resolution.run()
     with capsys.disabled():
         print("\n" + resolution.to_table(rows).render())
     accesses = [r.accesses_bytes for r in rows]
     assert accesses == sorted(accesses)
 
 
-def test_pareto_frontier(benchmark, fresh, capsys):
+def test_pareto_frontier(fresh, capsys):
     spec = AcceleratorSpec(glb_bytes=kib(64))
     model = get_model("MobileNet")
-    frontier = run_once(benchmark, pareto_frontier, model, spec, 11)
+    frontier = pareto_frontier(model, spec, 11)
     with capsys.disabled():
         print(f"\nPareto frontier ({len(frontier)} points):")
         for p in frontier:
@@ -70,7 +69,7 @@ def test_pareto_frontier(benchmark, fresh, capsys):
     assert len(frontier) >= 3
 
 
-def test_multitenant_scheduling(benchmark, fresh, capsys):
+def test_multitenant_scheduling(fresh, capsys):
     spec = AcceleratorSpec(glb_bytes=kib(256))
     requests = [
         Request(name, plan_heterogeneous(get_model(name), spec, interlayer=True))
@@ -83,7 +82,7 @@ def test_multitenant_scheduling(benchmark, fresh, capsys):
             schedule(requests, Discipline.ROUND_ROBIN),
         )
 
-    fcfs, rr = run_once(benchmark, run_both)
+    fcfs, rr = run_both()
     with capsys.disabled():
         print(
             f"\nfcfs: makespan={fcfs.makespan_cycles:,.0f} "
@@ -96,10 +95,10 @@ def test_multitenant_scheduling(benchmark, fresh, capsys):
     assert rr.total_accesses_bytes >= fcfs.total_accesses_bytes
 
 
-def test_bounds_optimality_gap(benchmark, fresh, capsys):
+def test_bounds_optimality_gap(fresh, capsys):
     from repro.experiments import bounds
 
-    rows = run_once(benchmark, bounds.run)
+    rows = bounds.run()
     with capsys.disabled():
         print("\n" + bounds.to_table(rows).render())
     # The extension headline: Het sits essentially on the layer-by-layer

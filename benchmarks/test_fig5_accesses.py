@@ -15,11 +15,10 @@ from collections import Counter
 
 from repro.experiments import fig5
 
-from conftest import run_once
 
 
-def test_fig5_access_volume_grid(benchmark, fresh, capsys):
-    cells = run_once(benchmark, fig5.run)
+def test_fig5_access_volume_grid(fresh, capsys):
+    cells = fig5.run()
     with capsys.disabled():
         print("\n" + fig5.to_table(cells).render())
 

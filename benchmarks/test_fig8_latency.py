@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from repro.experiments import fig8
 
-from conftest import run_once
 
 
-def test_fig8_latency_grid(benchmark, fresh, capsys):
-    cells = run_once(benchmark, fig8.run)
+def test_fig8_latency_grid(fresh, capsys):
+    cells = fig8.run()
     with capsys.disabled():
         print("\n" + fig8.to_table(cells).render())
 

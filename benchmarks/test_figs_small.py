@@ -6,11 +6,10 @@ import pytest
 
 from repro.experiments import fig1, fig3, fig6, fig7, fig9, fig10, fig11
 
-from conftest import run_once
 
 
-def test_fig1_motivation(benchmark, fresh, capsys):
-    cases = run_once(benchmark, fig1.run)
+def test_fig1_motivation(fresh, capsys):
+    cases = fig1.run()
     with capsys.disabled():
         print("\n" + fig1.to_table(cases).render())
     by = {c.case: c for c in cases}
@@ -19,8 +18,8 @@ def test_fig1_motivation(benchmark, fresh, capsys):
     assert by["A"].glb_feasible and by["B"].glb_feasible
 
 
-def test_fig3_resnet18_breakdown(benchmark, fresh, capsys):
-    rows = run_once(benchmark, fig3.run)
+def test_fig3_resnet18_breakdown(fresh, capsys):
+    rows = fig3.run()
     with capsys.disabled():
         print("\n" + fig3.to_table(rows).render())
     # Early layers feature-map-heavy, late layers filter-heavy (paper §3.3).
@@ -28,8 +27,8 @@ def test_fig3_resnet18_breakdown(benchmark, fresh, capsys):
     assert rows[-2].filter_kib > rows[-2].ifmap_kib + rows[-2].ofmap_kib
 
 
-def test_fig6_het_breakdown(benchmark, fresh, capsys):
-    rows = run_once(benchmark, fig6.run)
+def test_fig6_het_breakdown(fresh, capsys):
+    rows = fig6.run()
     with capsys.disabled():
         print("\n" + fig6.to_table(rows).render())
     assert len(rows) == 21
@@ -38,8 +37,8 @@ def test_fig6_het_breakdown(benchmark, fresh, capsys):
     assert len({r.label for r in rows}) >= 3
 
 
-def test_fig7_data_width_sweep(benchmark, fresh, capsys):
-    cells = run_once(benchmark, fig7.run)
+def test_fig7_data_width_sweep(fresh, capsys):
+    cells = fig7.run()
     with capsys.disabled():
         print("\n" + fig7.to_table(cells).render())
     by = {(c.data_width_bits, c.glb_kb): c for c in cells}
@@ -51,8 +50,8 @@ def test_fig7_data_width_sweep(benchmark, fresh, capsys):
         assert c.het_benefit_pct >= -1e-9
 
 
-def test_fig9_objective_tradeoff(benchmark, fresh, capsys):
-    rows = run_once(benchmark, fig9.run)
+def test_fig9_objective_tradeoff(fresh, capsys):
+    rows = fig9.run()
     with capsys.disabled():
         print("\n" + fig9.to_table(rows).render())
     for r in rows:
@@ -63,8 +62,8 @@ def test_fig9_objective_tradeoff(benchmark, fresh, capsys):
     assert min(r.accesses_benefit_pct for r in rows) <= -5.0
 
 
-def test_fig10_prefetching(benchmark, fresh, capsys):
-    rows = run_once(benchmark, fig10.run)
+def test_fig10_prefetching(fresh, capsys):
+    rows = fig10.run()
     with capsys.disabled():
         print("\n" + fig10.to_table(rows).render())
     assert all(r.latency_benefit_pct > 5.0 for r in rows)  # paper: ~15%
@@ -72,8 +71,8 @@ def test_fig10_prefetching(benchmark, fresh, capsys):
     assert all(r.prefetch_coverage >= 0.9 for r in rows)  # paper: 93–100%
 
 
-def test_fig11_interlayer_reuse(benchmark, fresh, capsys):
-    rows = run_once(benchmark, fig11.run)
+def test_fig11_interlayer_reuse(fresh, capsys):
+    rows = fig11.run()
     geo_acc, geo_lat = fig11.geomean_benefits(glb_kb=1024)
     with capsys.disabled():
         print("\n" + fig11.to_table(rows).render())

@@ -5,7 +5,7 @@ naming its code.  Markers accept multiple codes and an optional (but
 strongly encouraged — the project convention requires it for anything
 intentionally kept) free-text reason after ``--``::
 
-    stats = CacheStats()  # repro: noqa[R015] -- per-process counters by design
+    memo = {}  # repro: noqa[R015] -- per-process memo by design
     base = os.environ.get("XDG")  # repro: noqa[R011,R010] -- documented knob
 
 Blanket suppressions (bare ``noqa`` without codes) are deliberately not

@@ -603,7 +603,7 @@ class _FactCollector:
             )
         if root.id in self.analysis.globals_by_module.get(self.module, set()):
             return True
-        # writes through an imported module/object (cache.stats.hits += 1)
+        # writes through an imported module/object (module.total += 1)
         return isinstance(target, (ast.Attribute, ast.Subscript)) and root.id in self.aliases
 
     def _record_writes(

@@ -24,9 +24,11 @@ description (the Fig. 4 input format, see ``repro.nn.io``).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .analyzer import Objective, save_plan
 from .arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
@@ -608,30 +610,40 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiments(args: argparse.Namespace) -> int:
-    """Forward to the experiments runner (engine-backed).
+def add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the experiment runner's flags and bind ``parser`` to it.
 
-    Unknown artifact ids exit with an argparse-style error (code 2)
-    listing the available ids, exactly like ``python -m repro.experiments``.
+    ``repro experiments`` and ``python -m repro.experiments`` both build
+    their parser here.  The runner is imported only when a run starts:
+    it imports every artifact generator, which no other subcommand needs.
     """
-    from .experiments.runner import main as experiments_main
+    parser.add_argument("--csv", metavar="DIR", help="export CSVs to this directory")
+    parser.add_argument(
+        "--jobs", "-j", type=int, default=1, metavar="N",
+        help="worker processes (default 1 = serial; output is identical)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the persistent on-disk plan cache for this run",
+    )
+    parser.add_argument(
+        "--trace-out", metavar="FILE",
+        help="enable tracing and write a Perfetto-loadable Chrome trace "
+        "(repro-telemetry/1 JSON) for the run",
+    )
+    parser.add_argument(
+        "--metrics", action="store_true",
+        help="print the run's merged metric counters/gauges/histograms",
+    )
+    parser.add_argument("artifacts", nargs="*", help="artifact ids to run (default: all)")
+    parser.set_defaults(func=functools.partial(cmd_experiments, parser))
 
-    forwarded = list(args.artifacts)
-    if args.csv:
-        forwarded = ["--csv", args.csv, *forwarded]
-    if args.jobs != 1:
-        forwarded = ["--jobs", str(args.jobs), *forwarded]
-    if args.bench:
-        forwarded = ["--bench", args.bench, *forwarded]
-    if args.no_cache:
-        forwarded = ["--no-cache", *forwarded]
-    if args.clear_cache:
-        forwarded = ["--clear-cache", *forwarded]
-    if args.trace_out:
-        forwarded = ["--trace-out", args.trace_out, *forwarded]
-    if args.metrics:
-        forwarded = ["--metrics", *forwarded]
-    return experiments_main(forwarded)
+
+def cmd_experiments(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Regenerate paper artifacts through the experiment runner."""
+    from .experiments.runner import run
+
+    return run(parser, args)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -671,7 +683,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
             f"({to_mib(result.remaining_bytes):.2f} MiB)"
         )
         return 0
-    counters = cache.stats.snapshot()
+    counters = cache.counters()
     cap = cache.cache_max_bytes()
     table = Table(
         title="Plan cache",
@@ -734,6 +746,18 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     if args.out:
         print(f"wrote {args.out}")
     return 0 if (report.error_count == 0 and report.byte_identical) else 1
+
+
+def _int_at_least(floor: int) -> Callable[[str], int]:
+    """An argparse ``type`` accepting integers no smaller than ``floor``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -901,30 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_dram)
 
-    p = sub.add_parser("experiments", help="regenerate paper artifacts")
-    p.add_argument("artifacts", nargs="*")
-    p.add_argument("--csv", metavar="DIR")
-    p.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = serial; output is identical)",
-    )
-    p.add_argument("--bench", metavar="FILE", help="write timing/cache JSON record")
-    p.add_argument(
-        "--no-cache", action="store_true", help="disable the persistent plan cache"
-    )
-    p.add_argument(
-        "--clear-cache", action="store_true",
-        help="delete the persistent plan cache and exit",
-    )
-    p.add_argument(
-        "--trace-out", metavar="FILE",
-        help="enable tracing and write a Perfetto-loadable Chrome trace",
-    )
-    p.add_argument(
-        "--metrics", action="store_true",
-        help="print the run's merged metric counters",
-    )
-    p.set_defaults(func=cmd_experiments)
+    add_experiment_arguments(sub.add_parser("experiments", help="regenerate paper artifacts"))
 
     p = sub.add_parser("serve", help="planning-as-a-service HTTP daemon")
     p.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -934,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default 0 = execute in request threads)",
     )
     p.add_argument(
-        "--cache-max-mb", type=int, metavar="MB",
+        "--cache-max-mb", type=_int_at_least(1), metavar="MB",
         help="LRU-evict the shared plan cache above this size",
     )
     p.set_defaults(func=cmd_serve)
@@ -942,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="inspect or manage the shared plan cache")
     p.add_argument("action", choices=("stats", "clear", "prune"))
     p.add_argument(
-        "--max-mb", type=int, metavar="MB",
+        "--max-mb", type=_int_at_least(0), metavar="MB",
         help="prune target size (required for 'prune')",
     )
     p.set_defaults(func=cmd_cache)

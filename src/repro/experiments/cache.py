@@ -60,14 +60,14 @@ import os
 import pickle
 import tempfile
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 from ..arch.spec import AcceleratorSpec
 from ..arch.units import mib
 from ..nn.model import Model
-from ..obs import metrics_registry
+from ..obs import Snapshot, metrics_registry
 from ..serve.cache_index import CacheIndex, PruneResult
 
 T = TypeVar("T")
@@ -94,69 +94,27 @@ _SENTINEL = object()
 _RAW_MAGIC = b"repro-raw "
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/store/eviction counters for the current process.
+#: The cache events, each counted by the ``plan_cache_<event>_count``
+#: metric.  These are the only cache counters: ``/stats``, ``repro cache
+#: stats`` and the engine summary all read them through :func:`counters`.
+_EVENTS = ("hits", "misses", "stores", "evictions")
 
-    Thread-safe: the serve daemon's handler threads all bump the
-    module-level instance, so every increment goes through the lock.
+
+def counters(snapshot: Snapshot | None = None) -> dict[str, int]:
+    """Cache event counts from a metrics snapshot or delta.
+
+    Defaults to this process's registry.  Workers count in their own
+    registries, so a pool's counts arrive in the deltas they return.
     """
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    _lock: Any = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    def count_hit(self) -> None:
-        """Record one cache hit under the stats lock."""
-        with self._lock:
-            self.hits += 1
-
-    def count_miss(self) -> None:
-        """Record one cache miss under the stats lock."""
-        with self._lock:
-            self.misses += 1
-
-    def count_store(self) -> None:
-        """Record one store under the stats lock."""
-        with self._lock:
-            self.stores += 1
-
-    def count_evictions(self, amount: int) -> None:
-        """Record evicted entries under the stats lock."""
-        with self._lock:
-            self.evictions += amount
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        with self._lock:
-            self.hits = self.misses = self.stores = self.evictions = 0
-
-    def snapshot(self) -> dict[str, int]:
-        """Return the counters as a plain (picklable) dict."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "evictions": self.evictions,
-            }
-
-    def add(self, other: "CacheStats | dict[str, int]") -> None:
-        """Accumulate another counter set (e.g. a worker's snapshot)."""
-        if isinstance(other, CacheStats):
-            other = other.snapshot()
-        with self._lock:
-            self.hits += other.get("hits", 0)
-            self.misses += other.get("misses", 0)
-            self.stores += other.get("stores", 0)
-            self.evictions += other.get("evictions", 0)
-
-
-#: Process-wide counters; worker processes each get their own copy and the
-#: engine aggregates the snapshots they return.
-stats = CacheStats()  # repro: noqa[R015] -- per-process counters by design; workers return snapshots and the engine aggregates
+    if snapshot is None:
+        snapshot = metrics_registry().snapshot()
+    values = snapshot.get("counters", {})
+    counts: dict[str, int] = {}
+    for event in _EVENTS:
+        value = values.get(f"plan_cache_{event}_count", 0.0)
+        assert isinstance(value, float)
+        counts[event] = int(value)
+    return counts
 
 
 def cache_enabled() -> bool:
@@ -363,7 +321,6 @@ def store(key: str, value: Any) -> None:
             else:
                 pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
-        stats.count_store()
         metrics_registry().counter("plan_cache_stores_count").add(1)
     except OSError:
         try:
@@ -385,7 +342,6 @@ def store(key: str, value: Any) -> None:
 def _count_eviction(result: PruneResult) -> PruneResult:
     """Fold one prune outcome into the process counters/metrics."""
     if result.evicted_count:
-        stats.count_evictions(result.evicted_count)
         metrics_registry().counter("plan_cache_evictions_count").add(
             result.evicted_count
         )
@@ -402,11 +358,9 @@ def lookup(key: str) -> tuple[bool, Any]:
     """
     cached = load(key)
     if cached is not _SENTINEL:
-        stats.count_hit()
         metrics_registry().counter("plan_cache_hits_count").add(1)
         index().record(key, 0)  # size backfilled from disk at reconcile
         return True, cached
-    stats.count_miss()
     metrics_registry().counter("plan_cache_misses_count").add(1)
     return False, None
 

@@ -20,13 +20,12 @@ assembled in the requested artifact order, and the parity suite asserts
 serial == parallel == warm-cache output.
 
 Every run is instrumented: per-artifact wall time and cache hit/miss
-counts surface in the runner summary and can be exported as
-``BENCH_experiments.json`` (see :meth:`EngineReport.write_bench`).
+counts, read from the metrics each worker returns, surface in the runner
+summary.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -178,7 +177,6 @@ def _warm_worker(task: PlanTask) -> dict[str, Any]:
     """Compute one grid cell into the shared on-disk cache."""
     from . import common
 
-    before = cache.stats.snapshot()
     metrics_before = metrics_registry().snapshot()
     kind, model, glb_kb, objective, width, prefetch, interlayer, mode = task
     metrics_registry().counter("cache_prewarm_tasks_count").add(1)
@@ -191,32 +189,19 @@ def _warm_worker(task: PlanTask) -> dict[str, Any]:
             common.het_plan(
                 model, glb_kb, Objective(objective), width, prefetch, interlayer, mode
             )
-    after = cache.stats.snapshot()
-    return {
-        "cache": {k: after[k] - before[k] for k in after},
-        **_telemetry_delta(metrics_before),
-    }
+    return _telemetry_delta(metrics_before)
 
 
-def _artifact_worker(
-    name: str,
-) -> tuple[Table, float, dict[str, int], dict[str, Any]]:
-    """Run one artifact: its table, wall time, cache deltas and telemetry."""
+def _artifact_worker(name: str) -> tuple[Table, float, dict[str, Any]]:
+    """Run one artifact: its table, wall time and telemetry."""
     from .runner import ARTIFACTS
 
-    before = cache.stats.snapshot()
     metrics_before = metrics_registry().snapshot()
     start_ns = clock.monotonic_ns()
     with get_tracer().start("artifact", name=name):
         table = ARTIFACTS[name]()
     seconds = clock.elapsed_seconds(start_ns)
-    after = cache.stats.snapshot()
-    return (
-        table,
-        seconds,
-        {k: after[k] - before[k] for k in after},
-        _telemetry_delta(metrics_before),
-    )
+    return table, seconds, _telemetry_delta(metrics_before)
 
 
 # ----------------------------------------------------------------------
@@ -283,40 +268,6 @@ class EngineReport:
         table.add_row("TOTAL (wall)", round(self.total_seconds, 2),
                       self.cache_hits, self.cache_misses)
         return table
-
-    def bench_record(self) -> dict[str, Any]:
-        """JSON-serializable perf record (``BENCH_experiments.json``)."""
-        return {
-            "schema": 1,
-            "jobs": self.jobs,
-            "total_seconds": self.total_seconds,
-            "cache": {
-                "enabled": cache.cache_enabled(),
-                "dir": str(cache.cache_dir()),
-                "schema_version": cache.CACHE_SCHEMA_VERSION,
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-            },
-            "prewarm": {
-                "tasks": self.prewarm_tasks,
-                "seconds": self.prewarm_seconds,
-                **self.prewarm_stats,
-            },
-            "artifacts": [
-                {
-                    "name": r.name,
-                    "seconds": r.seconds,
-                    "cache_hits": r.cache_hits,
-                    "cache_misses": r.cache_misses,
-                    "cache_stores": r.cache_stores,
-                }
-                for r in self.results
-            ],
-        }
-
-    def write_bench(self, path: str | Path) -> None:
-        """Write the perf record as JSON."""
-        Path(path).write_text(json.dumps(self.bench_record(), indent=2) + "\n")
 
     def telemetry_payload(self) -> dict[str, object]:
         """The run as a ``repro-telemetry/1`` payload (``--trace-out``)."""
@@ -385,24 +336,27 @@ class _TelemetrySink:
         return snapshot
 
 
+def _artifact_result(
+    name: str, outcome: tuple[Table, float, dict[str, Any]], sink: _TelemetrySink
+) -> ArtifactResult:
+    """Absorb one artifact worker's telemetry; its cache counts come from it."""
+    table, seconds, telemetry = outcome
+    sink.absorb(telemetry)
+    counts = cache.counters(telemetry["metrics"])
+    return ArtifactResult(
+        name=name,
+        table=table,
+        seconds=seconds,
+        cache_hits=counts["hits"],
+        cache_misses=counts["misses"],
+        cache_stores=counts["stores"],
+    )
+
+
 def _run_serial(
     names: Sequence[str], sink: _TelemetrySink
 ) -> list[ArtifactResult]:
-    results = []
-    for name in names:
-        table, seconds, delta, telemetry = _artifact_worker(name)
-        sink.absorb(telemetry)
-        results.append(
-            ArtifactResult(
-                name=name,
-                table=table,
-                seconds=seconds,
-                cache_hits=delta["hits"],
-                cache_misses=delta["misses"],
-                cache_stores=delta["stores"],
-            )
-        )
-    return results
+    return [_artifact_result(name, _artifact_worker(name), sink) for name in names]
 
 
 def _run_parallel(
@@ -419,25 +373,12 @@ def _run_parallel(
             start_ns = clock.monotonic_ns()
             with get_tracer().start("prewarm_grid", tasks_count=len(tasks)):
                 for delta in pool.map(_warm_worker, tasks):
-                    for k in warm_stats:
-                        warm_stats[k] += delta["cache"][k]
                     sink.absorb(delta)
             warm_seconds = clock.elapsed_seconds(start_ns)
+            # The sink holds the prewarm deltas only, so far.
+            warm_stats = cache.counters(sink.snapshot())
         futures = [(name, pool.submit(_artifact_worker, name)) for name in names]
-        results = []
-        for name, future in futures:
-            table, seconds, delta, telemetry = future.result()
-            sink.absorb(telemetry)
-            results.append(
-                ArtifactResult(
-                    name=name,
-                    table=table,
-                    seconds=seconds,
-                    cache_hits=delta["hits"],
-                    cache_misses=delta["misses"],
-                    cache_stores=delta["stores"],
-                )
-            )
+        results = [_artifact_result(name, future.result(), sink) for name, future in futures]
     return results, len(tasks), warm_seconds, warm_stats
 
 

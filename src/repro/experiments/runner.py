@@ -5,8 +5,7 @@ Usage::
     python -m repro.experiments                 # print all tables
     python -m repro.experiments --csv DIR       # also write one CSV per artifact
     python -m repro.experiments --jobs 4        # fan across a process pool
-    python -m repro.experiments --bench B.json  # export timing/cache record
-    python -m repro.experiments --clear-cache   # drop the persistent cache
+    python -m repro.experiments --no-cache      # bypass the persistent cache
 
 Execution is delegated to :mod:`repro.experiments.engine`: artifacts (and,
 within the heavy ones, their model × GLB planning grids) fan across
@@ -26,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 if TYPE_CHECKING:
     from .engine import EngineReport
 
+from .. import obs
 from ..report.table import Table
 from . import ablations, bounds, cache, dram_sweep, energy, fig1, fig3, fig5, fig6, fig7, fig8, fig9, fig10, fig11, resolution
 from . import table2, table3, table4
@@ -114,59 +114,22 @@ def run_report(
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: print (and optionally export) artifacts."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--csv", metavar="DIR", help="export CSVs to this directory")
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1 = serial; output is identical)",
-    )
-    parser.add_argument(
-        "--bench",
-        metavar="FILE",
-        help="write the timing/cache record as JSON (BENCH_experiments.json)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent on-disk plan cache for this run",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        help="enable tracing and write a Perfetto-loadable Chrome trace "
-        "(repro-telemetry/1 JSON) for the run",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the run's merged metric counters/gauges/histograms",
-    )
-    parser.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="delete the persistent plan cache and exit",
-    )
-    parser.add_argument(
-        "artifacts",
-        nargs="*",
-        help=f"subset to run (default: all of {', '.join(ARTIFACTS)})",
-    )
-    args = parser.parse_args(argv)
+    from ..cli import add_experiment_arguments
 
-    if args.clear_cache:
-        removed = cache.clear()
-        print(f"cleared {removed} cache entries from {cache.cache_dir()}")
-        return 0
+    parser = argparse.ArgumentParser(prog="python -m repro.experiments", description=__doc__)
+    add_experiment_arguments(parser)
+    return run(parser, parser.parse_args(argv))
+
+
+def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the artifacts ``args`` select; ``parser`` reports usage errors.
+
+    ``--no-cache`` and ``--trace-out`` are exported through the
+    environment so the engine's worker processes inherit them; both are
+    undone before returning, also when the run raises.
+    """
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.no_cache:
-        # Exported so the engine's worker processes inherit it too.
-        os.environ[cache.ENV_NO_CACHE] = "1"
-
     unknown = [n for n in args.artifacts if n not in ARTIFACTS]
     if unknown:
         parser.error(
@@ -174,30 +137,30 @@ def main(argv: list[str] | None = None) -> int:
             f"available artifacts: {', '.join(ARTIFACTS)}"
         )
 
-    if args.trace_out:
-        # Exported so the engine's worker processes trace too; telemetry
-        # only — results are bit-identical with tracing on or off.
-        from .. import obs
-
-        obs.enable_tracing()
-
-    report = run_report(
-        csv_dir=args.csv, only=args.artifacts or None, jobs=args.jobs
-    )
-    for table in report.tables:
-        print(table.render())
-        print()
-    print(report.summary_table().render())
-    if args.metrics:
-        print()
-        print(report.metrics_table().render())
-    if args.bench:
-        report.write_bench(args.bench)
-        print(f"\nperf record written to {args.bench}")
-    if args.trace_out:
-        from .. import obs
-
-        path = report.write_trace(args.trace_out)
-        obs.disable_tracing()
-        print(f"\ntrace written to {path} (load in Perfetto or chrome://tracing)")
+    # Set only when the cache is on, so an inherited kill-switch stays put.
+    disable_cache = args.no_cache and cache.cache_enabled()
+    try:
+        if disable_cache:
+            os.environ[cache.ENV_NO_CACHE] = "1"
+        if args.trace_out:
+            # Telemetry only: results are bit-identical with tracing on or off.
+            obs.enable_tracing()
+        report = run_report(
+            csv_dir=args.csv, only=args.artifacts or None, jobs=args.jobs
+        )
+        for table in report.tables:
+            print(table.render())
+            print()
+        print(report.summary_table().render())
+        if args.metrics:
+            print()
+            print(report.metrics_table().render())
+        if args.trace_out:
+            path = report.write_trace(args.trace_out)
+            print(f"\ntrace written to {path} (load in Perfetto or chrome://tracing)")
+    finally:
+        if args.trace_out:
+            obs.disable_tracing()
+        if disable_cache:
+            os.environ.pop(cache.ENV_NO_CACHE, None)
     return 0

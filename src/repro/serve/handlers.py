@@ -125,7 +125,7 @@ def handle_stats(params: Any = None) -> dict[str, Any]:
             "entries": cache.entry_count(),
             "total_bytes": cache.total_bytes(),
             "max_bytes": cache.cache_max_bytes(),
-            "counters": cache.stats.snapshot(),
+            "counters": cache.counters(),
         }
     }
 

@@ -3,8 +3,7 @@
 ``repro bench serve --clients N --requests M`` replays a seeded traffic
 mix (plan/explain/simulate requests over the model zoo at several GLB
 sizes) against a daemon and reports latency percentiles, throughput and
-cache hit-rate into ``BENCH_serve.json`` — the serving counterpart of
-the experiment engine's ``BENCH_experiments.json``.
+cache hit-rate into ``BENCH_serve.json``.
 
 Determinism without :mod:`random`: request *i* of a run is chosen by the
 SHA-256 digest of ``"<seed>:<i>"`` (:func:`request_mix`), so the same

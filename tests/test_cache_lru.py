@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import cache
+from repro.obs import metrics_registry
 from repro.serve.cache_index import CacheIndex, IndexEntry
 
 
@@ -20,7 +21,7 @@ def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(target))
     monkeypatch.delenv(cache.ENV_NO_CACHE, raising=False)
     monkeypatch.delenv(cache.ENV_CACHE_MAX_MB, raising=False)
-    cache.stats.reset()
+    metrics_registry().reset()
     return target
 
 
@@ -138,7 +139,7 @@ class TestCapEnforcement:
         # three ~0.4 MiB entries under a 1 MiB cap: the oldest must go
         assert cache.entry_count() == 2
         assert cache.total_bytes() <= 1024 * 1024
-        assert cache.stats.evictions >= 1
+        assert cache.counters()["evictions"] >= 1
         survivors = {e.key[:2] for e in cache.index().entries()}
         assert "cc" in survivors  # the entry just stored is never evicted
 
@@ -170,7 +171,7 @@ def _hammer_worker(args: tuple[int, int]) -> dict[str, str]:
     import hashlib
 
     worker_id, rounds = args
-    cache.stats.reset()
+    metrics_registry().reset()
     digests: dict[str, str] = {}
     for round_no in range(rounds):
         for i in range(6):
@@ -232,6 +233,25 @@ class TestCacheCli:
     def test_prune_requires_max_mb(self, cache_dir, capsys):
         assert main(["cache", "prune"]) == 2
         assert "--max-mb is required" in capsys.readouterr().err
+
+    def test_prune_rejects_negative_max_mb(self, cache_dir, capsys):
+        _store_blob("aa" + "0" * 62, 1000)
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "prune", "--max-mb", "-5"])
+        assert exc.value.code == 2
+        assert "--max-mb: must be >= 0, got -5" in capsys.readouterr().err
+        assert cache.entry_count() == 1
+
+    @pytest.mark.parametrize("max_mb", ["0", "-3"])
+    def test_serve_rejects_cache_max_mb_below_one(self, max_mb, capsys, monkeypatch):
+        def boot(*args, **kwargs):
+            raise AssertionError("the daemon must not boot")
+
+        monkeypatch.setattr("repro.serve.server.run_server", boot)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--cache-max-mb", max_mb])
+        assert exc.value.code == 2
+        assert f"--cache-max-mb: must be >= 1, got {max_mb}" in capsys.readouterr().err
 
     def test_clear(self, cache_dir, capsys):
         _store_blob("aa" + "0" * 62, 1000)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import copyreg
 import dataclasses
 import io
-import json
 import os
 import pickle
 
@@ -23,6 +22,7 @@ from repro.experiments.engine import plan_tasks, run_experiments
 from repro.experiments.runner import ARTIFACTS, UnknownArtifactError, main, run_all, run_report
 from repro.manager import MemoryManager
 from repro.nn.zoo import get_model
+from repro.obs import ENV_TRACE, metrics_registry
 from repro.obs.audit import LayerDecision
 
 #: Fast artifact subset used for the parity checks.
@@ -33,15 +33,12 @@ FAST_SUBSET = ["table2", "fig1", "dram-sweep"]
 def isolated_cache(tmp_path, monkeypatch):
     """Point the persistent cache at a fresh tmp dir and reset memoization."""
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "plan-cache"))
-    # Popped directly (not via monkeypatch) because `main(["--no-cache", ...])`
-    # exports the variable itself; monkeypatch must not restore that leak.
-    os.environ.pop(cache.ENV_NO_CACHE, None)
+    monkeypatch.delenv(cache.ENV_NO_CACHE, raising=False)
     common.clear_in_process_caches()
-    cache.stats.reset()
+    metrics_registry().reset()
     yield
-    os.environ.pop(cache.ENV_NO_CACHE, None)
     common.clear_in_process_caches()
-    cache.stats.reset()
+    metrics_registry().reset()
 
 
 class TestCacheKeys:
@@ -62,8 +59,8 @@ class TestCacheKeys:
         common.het_plan("MobileNet", 64, Objective.ACCESSES, 16)
         assert cache.entry_count() == 2
         # And the 16-bit lookup was a miss, not a stale 8-bit hit.
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 2
+        assert cache.counters()["hits"] == 0
+        assert cache.counters()["misses"] == 2
 
     def test_interlayer_mode_in_key(self):
         model = get_model("MnasNet")
@@ -113,7 +110,7 @@ class TestCacheStorage:
         plan = common.het_plan("MobileNet", 64)
         common.clear_in_process_caches()
         again = common.het_plan("MobileNet", 64)
-        assert cache.stats.hits >= 1
+        assert cache.counters()["hits"] >= 1
         assert again.total_accesses_bytes == plan.total_accesses_bytes
         assert again.total_latency_cycles == plan.total_latency_cycles
         assert [a.label for a in again] == [a.label for a in plan]
@@ -177,9 +174,9 @@ class TestCacheStorage:
         plan = MemoryManager(spec).plan_cached(get_model("MobileNet"))
         assert cache.entry_count() == 1
         common.clear_in_process_caches()
-        cache.stats.reset()
+        metrics_registry().reset()
         via_common = common.het_plan("MobileNet", 64)
-        assert cache.stats.hits == 1  # same entry, no recompute
+        assert cache.counters()["hits"] == 1  # same entry, no recompute
         assert via_common.total_accesses_bytes == plan.total_accesses_bytes
 
 
@@ -236,6 +233,14 @@ class TestUnknownArtifact:
             main(["--jobs", "0", "table2"])
         assert exc.value.code == 2
 
+    def test_repro_cli_errors_name_the_subcommand(self, capsys):
+        from repro.cli import main as repro_main
+
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["experiments", "--jobs", "0", "table2"])
+        assert exc.value.code == 2
+        assert "repro experiments: error: --jobs must be >= 1" in capsys.readouterr().err
+
 
 def _renders(tables):
     return [t.render() for t in tables]
@@ -268,20 +273,14 @@ class TestParity:
 
 
 class TestInstrumentation:
-    def test_report_summary_and_bench(self, tmp_path):
+    def test_report_summary(self):
         report = run_report(only=["table2", "dram-sweep"])
         summary = report.summary_table().render()
         assert "table2" in summary and "dram-sweep" in summary
         assert "TOTAL" in summary
-
-        bench = tmp_path / "BENCH_experiments.json"
-        report.write_bench(bench)
-        record = json.loads(bench.read_text())
-        assert record["jobs"] == 1
-        assert record["cache"]["schema_version"] == cache.CACHE_SCHEMA_VERSION
-        names = [a["name"] for a in record["artifacts"]]
-        assert names == ["table2", "dram-sweep"]
-        assert all(a["seconds"] >= 0 for a in record["artifacts"])
+        assert report.jobs == 1
+        assert [r.name for r in report.results] == ["table2", "dram-sweep"]
+        assert all(r.seconds >= 0 for r in report.results)
 
     def test_warm_run_reports_hits(self):
         run_report(only=["dram-sweep"])
@@ -304,21 +303,40 @@ class TestInstrumentation:
 
 
 class TestRunnerCli:
-    def test_jobs_flag_and_bench(self, tmp_path, capsys):
-        bench = tmp_path / "bench.json"
-        assert main(["--jobs", "2", "--bench", str(bench), "table2", "fig1"]) == 0
+    def test_jobs_flag(self, capsys):
+        assert main(["--jobs", "2", "table2", "fig1"]) == 0
         out = capsys.readouterr().out
         assert "Table 2" in out
         assert "Experiment engine summary (jobs=2)" in out
-        assert json.loads(bench.read_text())["jobs"] == 2
-
-    def test_clear_cache_flag(self, capsys):
-        common.het_plan("MobileNet", 64)
-        assert cache.entry_count() == 1
-        assert main(["--clear-cache"]) == 0
-        assert cache.entry_count() == 0
-        assert "cleared 1 cache entries" in capsys.readouterr().out
 
     def test_no_cache_flag(self, capsys):
         assert main(["--no-cache", "table2"]) == 0
         assert cache.entry_count() == 0
+
+    def test_no_cache_flag_does_not_leak_into_the_caller(self, capsys):
+        assert main(["--no-cache", "table2"]) == 0
+        assert cache.cache_enabled()
+        common.het_plan("MobileNet", 64)
+        assert cache.entry_count() == 1
+
+    def test_flags_are_undone_when_the_run_raises(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments import runner
+        from repro.obs import get_tracer
+
+        def boom(**kwargs):
+            assert not cache.cache_enabled()
+            assert get_tracer().enabled
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(runner, "run_report", boom)
+        argv = ["--no-cache", "--trace-out", str(tmp_path / "t.json"), "table2"]
+        with pytest.raises(RuntimeError, match="boom"):
+            main(argv)
+        assert cache.cache_enabled()
+        assert not get_tracer().enabled
+        assert ENV_TRACE not in os.environ
+
+    def test_inherited_kill_switch_stays_set(self, monkeypatch, capsys):
+        monkeypatch.setenv(cache.ENV_NO_CACHE, "1")
+        assert main(["--no-cache", "table2"]) == 0
+        assert not cache.cache_enabled()

@@ -390,12 +390,11 @@ def test_explain_synthesizes_trail_when_audit_missing():
 
 
 def test_warm_parallel_trace_counter_matches_cache_hits(tmp_path, monkeypatch):
-    from repro.experiments import cache
     from repro.experiments.engine import run_experiments
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     run_experiments(["dram-sweep"], jobs=1)  # prime the persistent cache
-    cache.stats.reset()
+    metrics_registry().reset()
     enable_tracing()
     try:
         report = run_experiments(["dram-sweep"], jobs=2)

@@ -137,7 +137,7 @@ def test_reply_entries_are_evicted_in_lru_order(cache_dir, monkeypatch):
     def alive():
         return [key for key in recency if _entry_path(key).is_file()]
 
-    evictions = cache.stats.snapshot()["evictions"]
+    evictions = cache.counters()["evictions"]
     first = [use(16), use(16)][1]
     second = [use(24), use(24)][1]
     use(16)  # a reply hit: the first reply is now more recent than the second
@@ -153,7 +153,7 @@ def test_reply_entries_are_evicted_in_lru_order(cache_dir, monkeypatch):
             outlived = first in survivors
         if first not in survivors:
             break
-    assert cache.stats.snapshot()["evictions"] > evictions
+    assert cache.counters()["evictions"] > evictions
     assert outlived is True
     assert cache.total_bytes() <= cache.cache_max_bytes()
 
@@ -209,7 +209,7 @@ def test_pool_returns_the_in_thread_bytes(tmp_path, monkeypatch):
     def bodies(jobs):
         monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / f"jobs{jobs}"))
         server = ReproServer("127.0.0.1", 0, jobs=jobs)
-        lookups = cache.stats.snapshot()
+        lookups = cache.counters()
         try:
             replies = [
                 server.dispatch(endpoint, REQUEST)
@@ -219,7 +219,7 @@ def test_pool_returns_the_in_thread_bytes(tmp_path, monkeypatch):
         finally:
             server.close()
         # Pool workers count their lookups in their own processes.
-        assert (cache.stats.snapshot() == lookups) == (jobs > 0)
+        assert (cache.counters() == lookups) == (jobs > 0)
         return replies
 
     in_thread = bodies(0)
