@@ -7,8 +7,7 @@ Eq. (1)/(2) GLB accounting, determinism and picklability on the process
 -pool experiment path, and cross-file registry consistency.  Violations
 are :class:`Finding` records with stable ``R0xx`` codes (see
 :mod:`repro.analysis.codes` and ``docs/static-analysis.md``); intentional
-exceptions carry inline ``# repro: noqa[Rxxx] -- reason`` markers, and
-grandfathered findings live in the committed ``lint-baseline.json``.
+exceptions carry inline ``# repro: noqa[Rxxx] -- reason`` markers.
 
 Checking is interprocedural where it matters: a project-wide call graph
 (:mod:`repro.analysis.callgraph`) feeds unit-flow inference
@@ -24,12 +23,6 @@ Entry points: :func:`analyze_paths`, :func:`analyze_source`, and the
 via :mod:`repro.report.sarif`).
 """
 
-from .baseline import (
-    BASELINE_FILENAME,
-    Baseline,
-    load_baseline,
-    write_baseline,
-)
 from .callgraph import CallGraph, FunctionInfo, build_callgraph
 from .codes import (
     ALL_RULE_CODES,
@@ -47,8 +40,6 @@ from .suppressions import Suppression, parse_suppressions
 __all__ = [
     "ALL_RULE_CODES",
     "AnalysisReport",
-    "BASELINE_FILENAME",
-    "Baseline",
     "CallGraph",
     "Finding",
     "FunctionInfo",
@@ -69,9 +60,7 @@ __all__ = [
     "describe_rule",
     "find_project_root",
     "iter_python_files",
-    "load_baseline",
     "parse_suppressions",
     "rule",
     "severity_of",
-    "write_baseline",
 ]

@@ -4,8 +4,8 @@
 lint`` CLI subcommand: it expands the given files/directories into a
 Python file set, parses each file once, runs every file-scope rule per
 file and every project-scope rule once, then applies inline
-``# repro: noqa[Rxxx]`` suppressions and the committed baseline before
-returning an :class:`~repro.analysis.findings.AnalysisReport`.
+``# repro: noqa[Rxxx]`` suppressions before returning an
+:class:`~repro.analysis.findings.AnalysisReport`.
 
 :func:`analyze_source` runs the file-scope rules over an in-memory
 source text — the fixture-test entry point.
@@ -18,7 +18,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .baseline import BASELINE_FILENAME, Baseline, load_baseline
 from .findings import AnalysisReport, Finding
 from .rules import Project, SourceFile, all_rules
 from .suppressions import suppressed_at
@@ -28,8 +27,7 @@ def find_project_root(start: Path) -> Path:
     """Walk up from ``start`` to the directory holding ``pyproject.toml``.
 
     Falls back to ``start`` itself (its parent for files) when no marker
-    is found; the root anchors relative paths, docs lookups and the
-    default baseline location.
+    is found; the root anchors relative paths and docs lookups.
     """
     probe = start if start.is_dir() else start.parent
     for candidate in (probe, *probe.parents):
@@ -88,29 +86,14 @@ def _apply_suppressions(
     return tuple(marked)
 
 
-def _apply_baseline(
-    findings: Iterable[Finding], baseline: Baseline
-) -> tuple[Finding, ...]:
-    marked = []
-    for finding in findings:
-        if not finding.suppressed and baseline.covers(finding):
-            finding = replace(finding, baselined=True)
-        marked.append(finding)
-    return tuple(marked)
-
-
 def analyze_paths(
     paths: Sequence[Path | str],
     *,
     root: Path | None = None,
-    baseline: Baseline | None = None,
-    use_baseline: bool = True,
 ) -> AnalysisReport:
     """Run every rule over the given files/directories.
 
-    ``root`` defaults to the nearest ancestor with a ``pyproject.toml``;
-    ``baseline`` defaults to ``<root>/lint-baseline.json`` when present
-    (pass ``use_baseline=False`` to ignore it).
+    ``root`` defaults to the nearest ancestor with a ``pyproject.toml``.
     """
     started = time.perf_counter()
     resolved = [Path(p) for p in paths]
@@ -120,10 +103,6 @@ def analyze_paths(
     files = iter_python_files(resolved)
     if root is None:
         root = find_project_root(files[0] if files else Path.cwd())
-    if baseline is None:
-        baseline = (
-            load_baseline(root / BASELINE_FILENAME) if use_baseline else Baseline()
-        )
 
     registry = all_rules()
     file_rules = registry.file_rules()
@@ -149,10 +128,8 @@ def analyze_paths(
         checks += 1
         findings.extend(project_rule.check(project))
 
-    marked = _apply_suppressions(findings, sources)
-    marked = _apply_baseline(marked, baseline)
     return AnalysisReport(
-        findings=marked,
+        findings=_apply_suppressions(findings, sources),
         files=len(files),
         checks=checks,
         duration_seconds=time.perf_counter() - started,
@@ -162,8 +139,8 @@ def analyze_paths(
 def analyze_source(source: str, filename: str = "fixture.py") -> tuple[Finding, ...]:
     """Run the file-scope rules over an in-memory source text.
 
-    Suppression markers in the text are honored; the baseline and the
-    project-scope rules are not involved.  This is the entry point the
+    Suppression markers in the text are honored; the project-scope
+    rules are not involved.  This is the entry point the
     per-rule fixture tests use.
     """
     registry = all_rules()

@@ -5,14 +5,14 @@ A :class:`Finding` is the static-analysis sibling of
 invariant, carrying a stable ``R0xx`` code from the
 :mod:`repro.analysis.codes` catalog and a file/line anchor.  Findings
 aggregate into an :class:`AnalysisReport`; a report whose *active* set is
-empty (nothing unsuppressed and unbaselined) means the analyzed sources
-satisfy every rule.
+empty (nothing unsuppressed) means the analyzed sources satisfy every
+rule.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..verify.diagnostics import Severity
@@ -43,12 +43,10 @@ class Finding:
         :class:`~repro.verify.diagnostics.Severity` from the catalog.
     suppressed:
         True when an inline ``# repro: noqa[Rxxx]`` covers the finding.
-    baselined:
-        True when the committed baseline file grandfathers the finding.
     snippet:
         Text of the anchored source line (empty for whole-file or
         out-of-source findings); the normalized snippet is what the
-        baseline fingerprint hashes.
+        fingerprint hashes.
     """
 
     code: str
@@ -57,7 +55,6 @@ class Finding:
     message: str
     severity: Severity = Severity.ERROR
     suppressed: bool = False
-    baselined: bool = False
     snippet: str = ""
 
     def __post_init__(self) -> None:
@@ -76,8 +73,8 @@ class Finding:
 
     @property
     def active(self) -> bool:
-        """Whether the finding still gates (not suppressed, not baselined)."""
-        return not (self.suppressed or self.baselined)
+        """Whether the finding still gates (not suppressed)."""
+        return not self.suppressed
 
     def normalized_snippet(self) -> str:
         """The anchored source line with whitespace collapsed.
@@ -91,12 +88,12 @@ class Finding:
         return collapsed if collapsed else self.message
 
     def fingerprint(self) -> str:
-        """Content-based identity used by the baseline file.
+        """Content-based identity (SARIF ``partialFingerprints``).
 
         Hashes rule code, file path and the *normalized source snippet*
-        — not the line number and not the message — so baselined
-        findings survive unrelated edits above them (line shifts) and
-        message-wording tweaks, and re-arm only when the offending code
+        — not the line number and not the message — so a finding keeps
+        its identity across unrelated edits above it (line shifts) and
+        message-wording tweaks, and changes only when the offending code
         itself changes.
         """
         body = f"{self.code}|{self.path}|{self.normalized_snippet()}"
@@ -104,11 +101,7 @@ class Finding:
 
     def render(self) -> str:
         """One-line rendering: ``path:line: R002 [error] message``."""
-        flags = ""
-        if self.suppressed:
-            flags = " (suppressed)"
-        elif self.baselined:
-            flags = " (baselined)"
+        flags = " (suppressed)" if self.suppressed else ""
         return (
             f"{self.path}:{self.line}: {self.code} "
             f"[{self.severity.value}]{flags}: {self.message}"
@@ -138,7 +131,7 @@ class AnalysisReport:
 
     @property
     def active(self) -> tuple[Finding, ...]:
-        """Findings that still gate (neither suppressed nor baselined)."""
+        """Findings that still gate (not suppressed)."""
         return tuple(f for f in self.findings if f.active)
 
     @property
@@ -150,11 +143,6 @@ class AnalysisReport:
     def suppressed(self) -> tuple[Finding, ...]:
         """Findings silenced by inline ``noqa`` comments."""
         return tuple(f for f in self.findings if f.suppressed)
-
-    @property
-    def baselined(self) -> tuple[Finding, ...]:
-        """Findings grandfathered by the committed baseline."""
-        return tuple(f for f in self.findings if f.baselined)
 
     def ok(self, strict: bool = False) -> bool:
         """Whether the run gates clean.
@@ -172,7 +160,6 @@ class AnalysisReport:
             "errors": len(self.active_errors),
             "warnings": len(self.active) - len(self.active_errors),
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
         }
 
     def render(self, *, show_silenced: bool = False) -> str:
@@ -182,30 +169,8 @@ class AnalysisReport:
         head = (
             f"repro lint: {status} ({c['files']} files, {c['checks']} checks, "
             f"{c['errors']} errors, {c['warnings']} warnings, "
-            f"{c['suppressed']} suppressed, {c['baselined']} baselined, "
-            f"wall time {self.duration_seconds:.2f}s)"
+            f"{c['suppressed']} suppressed, wall time {self.duration_seconds:.2f}s)"
         )
         shown = self.findings if show_silenced else self.active
         ordered = sorted(shown, key=lambda f: (f.path, f.line, f.code))
         return "\n".join([head, *(f"  {f.render()}" for f in ordered)])
-
-    def with_flags(
-        self,
-        *,
-        suppressed: set[tuple[str, int, str]] | None = None,
-        baselined: set[str] | None = None,
-    ) -> "AnalysisReport":
-        """Return a copy with suppression/baseline flags applied.
-
-        ``suppressed`` holds ``(path, line, code)`` triples covered by
-        inline noqa comments; ``baselined`` holds fingerprints from the
-        baseline file.
-        """
-        updated = []
-        for f in self.findings:
-            if suppressed and (f.path, f.line, f.code) in suppressed:
-                f = replace(f, suppressed=True)
-            elif baselined and f.fingerprint() in baselined:
-                f = replace(f, baselined=True)
-            updated.append(f)
-        return replace(self, findings=tuple(updated))

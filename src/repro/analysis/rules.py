@@ -115,7 +115,7 @@ class SourceFile:
         """Build a finding anchored to an AST node (or raw line number).
 
         The anchored source line rides along as the finding's snippet,
-        which is what the content-addressed baseline fingerprint hashes
+        which is what the content-addressed fingerprint hashes
         (so findings survive edits that merely move them).
         """
         line = node if isinstance(node, int) else getattr(node, "lineno", 0)
@@ -158,7 +158,7 @@ class Project:
 
         When ``relpath`` names an analyzed source file, the anchored
         line's text rides along as the finding's snippet (the basis of
-        the content-addressed baseline fingerprint).
+        the content-addressed fingerprint).
         """
         snippet = ""
         for file in self.files:

@@ -419,13 +419,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .analysis import (
-        RULE_TITLES,
-        analyze_paths,
-        describe_rule,
-        load_baseline,
-        write_baseline,
-    )
+    from .analysis import RULE_TITLES, analyze_paths, describe_rule
     from .report.diagnostics import lint_payload
 
     if args.list_codes:
@@ -435,27 +429,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(table.render())
         return 0
 
-    paths = args.paths or ["src/repro"]
-    baseline = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: baseline file not found: {args.baseline}", file=sys.stderr)
-            return 2
-        baseline = load_baseline(baseline_path)
     try:
-        report = analyze_paths(
-            paths, baseline=baseline, use_baseline=not args.no_baseline
-        )
-    except (FileNotFoundError, ValueError) as exc:  # missing path, stale baseline
+        report = analyze_paths(args.paths or ["src/repro"])
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        out = Path(args.write_baseline)
-        write_baseline(out, report.active)
-        print(f"baseline with {len(report.active)} finding(s) written to {out}")
-        return 0
 
     if args.format == "json":
         print(json.dumps(lint_payload(report), indent=2, sort_keys=True))
@@ -894,21 +872,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="fail when analysis wall time exceeds N seconds (the CI budget)",
     )
-    p.add_argument("--baseline", metavar="FILE", help="baseline file to apply")
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the committed lint-baseline.json",
-    )
-    p.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record all active findings as the new baseline and exit",
-    )
     p.add_argument(
         "--show-silenced",
         action="store_true",
-        help="also list suppressed and baselined findings",
+        help="also list suppressed findings",
     )
     p.add_argument("--list-codes", action="store_true", help="print the rule catalog")
     p.set_defaults(func=cmd_lint)

@@ -38,18 +38,23 @@ Environment
     is a miss and nothing is written).  Both variables are inherited by
     the engine's worker processes.
 ``REPRO_CACHE_MAX_MB``
-    Size cap in MiB.  When set, every store checks the total on-disk
-    size and evicts least-recently-used entries past the cap through the
-    journal-backed index in :mod:`repro.serve.cache_index` (the entry
-    just written is never evicted by its own store).  Unset means
+    Size cap in MiB.  When set, every store evicts least-recently-used
+    entries past the cap (never the entry just written).  Unset means
     unbounded, the historical behavior.
 
 Eviction / recency
 ------------------
-Recency is tracked by an append-only journal (one ``O_APPEND`` line per
-store or hit) that survives concurrent writers; see
-:mod:`repro.serve.cache_index` for the index design and its crash /
-race semantics.  ``repro cache stats|clear|prune`` is the CLI surface.
+An entry file's mtime is its recency: a store stamps the file when it
+writes it, and a hit restamps it with one ``os.utime``.  Every process
+shares the stamps, so a hit in a pool worker protects the entry from
+an eviction in another process, and a hit creates, appends to and
+renames nothing.  :func:`prune` scans the directory once, sorts by
+``(mtime, key)`` — so entries stamped within one filesystem tick order
+deterministically by key — and unlinks oldest-first under an exclusive
+``flock`` on :data:`LOCK_NAME`, so concurrent prunes serialize.  A
+reader that loses its entry to an eviction sees an ordinary miss: the
+worst case is one recomputation.  ``repro cache stats|clear|prune`` is
+the CLI surface.
 """
 
 from __future__ import annotations
@@ -60,15 +65,20 @@ import os
 import pickle
 import tempfile
 import threading
-from dataclasses import fields
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
 from ..arch.spec import AcceleratorSpec
 from ..arch.units import mib
 from ..nn.model import Model
 from ..obs import Snapshot, metrics_registry
-from ..serve.cache_index import CacheIndex, PruneResult
+
+try:  # POSIX-only; without flock, concurrent prunes simply overlap.
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None  # type: ignore[assignment]
 
 T = TypeVar("T")
 
@@ -85,6 +95,10 @@ ENV_NO_CACHE = "REPRO_NO_CACHE"
 
 #: Environment variable capping the cache size in MiB (LRU eviction).
 ENV_CACHE_MAX_MB = "REPRO_CACHE_MAX_MB"
+
+#: Lock file (``flock`` target) inside the cache directory; held by
+#: :func:`prune` for its whole pass.
+LOCK_NAME = "index.lock"
 
 _SENTINEL = object()
 
@@ -146,11 +160,6 @@ def cache_max_bytes() -> int | None:
     except ValueError:
         return None
     return mib(max_mb) if max_mb > 0 else None
-
-
-def index() -> CacheIndex:
-    """The LRU journal index for the active cache directory."""
-    return CacheIndex(cache_dir())
 
 
 # ----------------------------------------------------------------------
@@ -304,10 +313,10 @@ def store(key: str, value: Any) -> None:
 
     ``bytes`` values are written verbatim behind :data:`_RAW_MAGIC`,
     everything else is pickled.  The write lands via ``mkstemp`` +
-    ``os.replace`` so readers only ever see complete entries; the LRU
-    journal records the store, and when ``REPRO_CACHE_MAX_MB`` caps the
-    cache, least-recently-used entries beyond the cap are evicted (never
-    the entry just written).
+    ``os.replace`` so readers only ever see complete entries, stamped
+    with the write time as their recency; when ``REPRO_CACHE_MAX_MB``
+    caps the cache, least-recently-used entries beyond the cap are
+    evicted (never the entry just written).
     """
     if not cache_enabled():
         return
@@ -328,30 +337,15 @@ def store(key: str, value: Any) -> None:
         except OSError:
             pass
         return
-    idx = index()
-    try:
-        size_bytes = path.stat().st_size
-    except OSError:
-        size_bytes = 0
-    idx.record(key, size_bytes)
     cap_bytes = cache_max_bytes()
-    if cap_bytes is not None and idx.total_bytes() > cap_bytes:
-        _count_eviction(idx.prune(cap_bytes, keep=frozenset((key,))))
-
-
-def _count_eviction(result: PruneResult) -> PruneResult:
-    """Fold one prune outcome into the process counters/metrics."""
-    if result.evicted_count:
-        metrics_registry().counter("plan_cache_evictions_count").add(
-            result.evicted_count
-        )
-    return result
+    if cap_bytes is not None:
+        prune(cap_bytes, keep=frozenset((key,)))
 
 
 def lookup(key: str) -> tuple[bool, Any]:
     """Cache probe with counters: ``(hit, value)`` (value=None on miss).
 
-    A hit touches the LRU journal so recency survives across processes.
+    A hit restamps the entry's mtime, its recency in every process.
     This is the primitive :func:`fetch`,
     :meth:`repro.manager.MemoryManager.plan_cached` and the serve
     handlers share, so all of them agree on what counts as a hit.
@@ -359,7 +353,10 @@ def lookup(key: str) -> tuple[bool, Any]:
     cached = load(key)
     if cached is not _SENTINEL:
         metrics_registry().counter("plan_cache_hits_count").add(1)
-        index().record(key, 0)  # size backfilled from disk at reconcile
+        try:
+            os.utime(_entry_path(key))
+        except OSError:
+            pass  # evicted since the load: the next prune just skips it
         return True, cached
     metrics_registry().counter("plan_cache_misses_count").add(1)
     return False, None
@@ -375,24 +372,106 @@ def fetch(key: str, compute: Callable[[], T]) -> T:
     return value
 
 
-def prune(max_bytes: int) -> PruneResult:
-    """Evict LRU entries until the cache fits ``max_bytes``."""
-    return _count_eviction(index().prune(max_bytes))
+@dataclass(frozen=True)
+class PruneResult:
+    """Outcome of one :func:`prune` pass."""
+
+    evicted_count: int
+    evicted_bytes: int
+    remaining_count: int
+    remaining_bytes: int
+
+    def to_payload(self) -> dict[str, int]:
+        """The result as a JSON-safe dict (CLI / bench output)."""
+        return {
+            "evicted_count": self.evicted_count,
+            "evicted_bytes": self.evicted_bytes,
+            "remaining_count": self.remaining_count,
+            "remaining_bytes": self.remaining_bytes,
+        }
+
+
+def entries() -> list[tuple[str, int]]:
+    """``(key, size_bytes)`` of every entry on disk, least recently used first.
+
+    One scan: ordered by ``(mtime, key)``, so entries stamped within one
+    filesystem tick still order deterministically.
+    """
+    root = cache_dir()
+    if not root.is_dir():
+        return []
+    scanned: list[tuple[int, str, int]] = []
+    for path in root.rglob("*.pkl"):
+        try:
+            stat = path.stat()
+        except OSError:
+            continue  # raced an eviction/clear
+        scanned.append((stat.st_mtime_ns, path.stem, stat.st_size))
+    scanned.sort()
+    return [(key, size) for _, key, size in scanned]
+
+
+@contextmanager
+def _flock() -> Iterator[None]:
+    """Hold the exclusive lock on :data:`LOCK_NAME` (released on close)."""
+    root = cache_dir()
+    root.mkdir(parents=True, exist_ok=True)
+    with (root / LOCK_NAME).open("a") as handle:
+        if fcntl is not None:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        yield
+
+
+def prune(max_bytes: int, *, keep: frozenset[str] = frozenset()) -> PruneResult:
+    """Evict least-recently-used entries until the cache fits ``max_bytes``.
+
+    Holds the exclusive lock for the whole pass, so concurrent prunes
+    serialize.  Keys in ``keep`` (the entry a store just wrote) are never
+    evicted.
+    """
+    with _flock():
+        scanned = entries()
+        remaining_bytes = sum(size for _, size in scanned)
+        victims: list[tuple[str, int]] = []
+        for key, size in scanned:  # oldest first
+            if remaining_bytes <= max_bytes:
+                break
+            if key not in keep:
+                victims.append((key, size))
+                remaining_bytes -= size
+        for key, _ in victims:
+            try:
+                _entry_path(key).unlink()
+            except OSError:
+                pass
+    if victims:
+        metrics_registry().counter("plan_cache_evictions_count").add(len(victims))
+    return PruneResult(
+        evicted_count=len(victims),
+        evicted_bytes=sum(size for _, size in victims),
+        remaining_count=len(scanned) - len(victims),
+        remaining_bytes=remaining_bytes,
+    )
 
 
 def clear() -> int:
-    """Delete every cache entry (and the LRU journal); returns the count."""
+    """Delete every cache entry and orphaned temp file; returns the entry count.
+
+    A temp file is what a writer killed between ``mkstemp`` and
+    ``os.replace`` leaves behind.  Deleting a live writer's temp file is
+    safe: its ``os.replace`` fails, :func:`store` swallows the error,
+    and the value is recomputed later.
+    """
     root = cache_dir()
     removed = 0
     if not root.is_dir():
         return removed
-    for path in root.rglob("*.pkl"):
+    for path in [*root.rglob("*.pkl"), *root.rglob("*.tmp")]:
         try:
             path.unlink()
-            removed += 1
         except OSError:
-            pass
-    index().clear()
+            continue
+        removed += path.suffix == ".pkl"
     return removed
 
 
@@ -404,4 +483,4 @@ def entry_count() -> int:
 
 def total_bytes() -> int:
     """Total size of all cache entries on disk."""
-    return index().total_bytes()
+    return sum(size for _, size in entries())

@@ -22,7 +22,7 @@ into the ``repro-diagnostics/1`` payload::
                         "subject": str|null, "layer": str|null,
                         "policy": str|null},
           "expected": any|null, "actual": any|null,
-          "suppressed": bool, "baselined": bool
+          "suppressed": bool
         }, ...
       ]
     }
@@ -81,7 +81,6 @@ _ENTRY_KEYS = (
     "expected",
     "actual",
     "suppressed",
-    "baselined",
 )
 
 
@@ -99,7 +98,6 @@ def diagnostic_entry(
     expected: Any = None,
     actual: Any = None,
     suppressed: bool = False,
-    baselined: bool = False,
 ) -> dict[str, Any]:
     """One schema-shaped diagnostic entry (all keys always present)."""
     return {
@@ -117,7 +115,6 @@ def diagnostic_entry(
         "expected": expected,
         "actual": actual,
         "suppressed": suppressed,
-        "baselined": baselined,
     }
 
 
@@ -148,7 +145,6 @@ def lint_payload(report: "AnalysisReport") -> dict[str, Any]:
             file=f.path,
             line=f.line or None,
             suppressed=f.suppressed,
-            baselined=f.baselined,
         )
         for f in sorted(report.findings, key=lambda f: (f.path, f.line, f.code))
     ]
@@ -233,9 +229,8 @@ def validate_payload(payload: Any) -> list[str]:
             line = location.get("line")
             if line is not None and not isinstance(line, int):
                 problems.append(f"{where}.location.line must be int or null")
-        for key in ("suppressed", "baselined"):
-            if not isinstance(entry[key], bool):
-                problems.append(f"{where}.{key} must be a boolean")
+        if not isinstance(entry["suppressed"], bool):
+            problems.append(f"{where}.suppressed must be a boolean")
     return problems
 
 

@@ -10,10 +10,9 @@ scanning, VS Code SARIF viewer, …).  :func:`sarif_payload` shapes an
   and default severity level;
 * every finding becomes a ``results`` entry with a physical location
   (project-relative URI + 1-based line region), the content-addressed
-  baseline fingerprint under ``partialFingerprints`` (so scanning UIs
-  track findings across line shifts exactly like the baseline file
-  does), and a ``suppressions`` entry for noqa'd (``inSource``) or
-  baselined (``external``) findings;
+  fingerprint under ``partialFingerprints`` (so scanning UIs track
+  findings across line shifts), and an ``inSource`` ``suppressions``
+  entry for noqa'd findings;
 * the run's ``invocation`` records wall time and the strict-gate
   outcome.
 
@@ -40,7 +39,7 @@ SARIF_VERSION = "2.1.0"
 #: Name the run's tool.driver reports to scanning UIs.
 DRIVER_NAME = "repro-lint"
 
-#: Key under ``partialFingerprints`` carrying the baseline fingerprint.
+#: Key under ``partialFingerprints`` carrying the finding fingerprint.
 FINGERPRINT_KEY = "reproLintFingerprint/v1"
 
 
@@ -72,17 +71,10 @@ def _result(finding: "Finding", rule_index: dict[str, int]) -> dict[str, Any]:
         ],
         "partialFingerprints": {FINGERPRINT_KEY: finding.fingerprint()},
     }
-    suppressions: list[dict[str, Any]] = []
     if finding.suppressed:
-        suppressions.append(
+        result["suppressions"] = [
             {"kind": "inSource", "justification": "repro: noqa marker"}
-        )
-    if finding.baselined:
-        suppressions.append(
-            {"kind": "external", "justification": "lint-baseline.json"}
-        )
-    if suppressions:
-        result["suppressions"] = suppressions
+        ]
     return result
 
 

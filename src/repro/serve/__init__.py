@@ -2,7 +2,7 @@
 
 The ROADMAP's "planning-as-a-service" item turns the deterministic,
 content-addressable Algorithm 1 pipeline into a long-running serving
-layer.  The package splits into five modules:
+layer.  The package splits into four modules:
 
 * :mod:`~repro.serve.protocol` — the ``repro-serve/1`` JSON request/
   response envelope (schema-validated in
@@ -12,25 +12,19 @@ layer.  The package splits into five modules:
   parameters to response payloads; they are thread roots for the R06x
   concurrency lint.  ``respond``, the unit of work fanned out to the
   process pool, answers repeated requests from stored reply bytes.
-* :mod:`~repro.serve.cache_index` — the shared plan cache's LRU index:
-  an append-only journal that survives concurrent writers, plus size-cap
-  eviction.
 * :mod:`~repro.serve.server` — the ``repro serve`` HTTP daemon
   (stdlib ``ThreadingHTTPServer``) with graceful SIGINT/SIGTERM
-  drain-and-flush shutdown.
+  drain-on-shutdown.
 * :mod:`~repro.serve.loadgen` — the deterministic load generator behind
   ``repro bench serve`` (seeded traffic mix, p50/p99 latency,
   throughput, cache hit-rate → ``BENCH_serve.json``).
 
-This ``__init__`` deliberately imports only the dependency-free modules
-(:mod:`~repro.serve.protocol`, :mod:`~repro.serve.cache_index`) so that
-:mod:`repro.experiments.cache` can import the index without creating an
-import cycle through the server/handler layers.
+The shared plan cache the handlers read and write, with its LRU
+eviction, is :mod:`repro.experiments.cache`.
 """
 
 from __future__ import annotations
 
-from .cache_index import CacheIndex, IndexEntry, PruneResult
 from .protocol import (
     ENDPOINTS,
     SERVE_SCHEMA_ID,
@@ -42,10 +36,7 @@ from .protocol import (
 
 __all__ = [
     "ENDPOINTS",
-    "CacheIndex",
-    "IndexEntry",
     "ProtocolError",
-    "PruneResult",
     "SERVE_SCHEMA_ID",
     "canonical_json",
     "error_response",

@@ -27,8 +27,8 @@ Graceful shutdown (:func:`run_server`): SIGINT/SIGTERM set an event; the
 serve loop stops accepting, kept-alive connections idling between
 requests are closed, in-flight request threads are joined
 (``daemon_threads = False`` + ``block_on_close = True``) and close their
-connections after their response, the worker pool drains, the cache
-journal is compacted to a single atomic file, and the process exits 0.
+connections after their response, the worker pool drains, and the
+process exits 0.
 """
 
 from __future__ import annotations
@@ -247,9 +247,8 @@ def run_server(
     """Run the daemon until SIGINT/SIGTERM; drain and exit 0.
 
     The shutdown sequence — stop accepting, close idle connections, join
-    in-flight request threads, drain the worker pool, compact the cache
-    journal to one atomic file — is the graceful-shutdown contract; CI's
-    serve smoke job asserts the exit status.
+    in-flight request threads, drain the worker pool — is the graceful-
+    shutdown contract; CI's serve smoke job asserts the exit status.
     """
     server = ReproServer(host, port, jobs=jobs)
     stop = threading.Event()
@@ -273,12 +272,8 @@ def run_server(
         server.shutdown()
         thread.join()
         server.close()
-        from ..experiments import cache
-
-        if cache.cache_enabled():
-            cache.index().compact()
         for sig, old in previous.items():
             signal.signal(sig, old)
     if announce:
-        print("repro serve: drained, cache index flushed, exiting 0", flush=True)
+        print("repro serve: drained, exiting 0", flush=True)
     return 0

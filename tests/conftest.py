@@ -33,7 +33,7 @@ def _session_cache_dir(tmp_path_factory: pytest.TempPathFactory):
 
 @pytest.fixture(scope="session")
 def repo_lint_report():
-    """One in-process ``repro lint`` run over ``src/repro``, baseline off.
+    """One in-process ``repro lint`` run over ``src/repro``.
 
     Linting the whole tree takes seconds, so every test that asserts on
     the repository's own findings shares this report.
@@ -41,9 +41,7 @@ def repo_lint_report():
     from repro.analysis import analyze_paths
 
     repo_root = Path(__file__).resolve().parent.parent
-    return analyze_paths(
-        [repo_root / "src" / "repro"], root=repo_root, use_baseline=False
-    )
+    return analyze_paths([repo_root / "src" / "repro"], root=repo_root)
 
 
 @pytest.fixture

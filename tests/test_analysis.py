@@ -3,7 +3,7 @@
 Covers: one firing and one clean fixture per file-scope and registry
 rule (the interprocedural packs are in ``test_interproc.py`` and
 ``test_concurrency_range.py``), inline suppressions,
-the baseline mechanism, the shared lint/verify JSON schema, the CLI exit
+the shared lint/verify JSON schema, the CLI exit
 codes (including a deliberately seeded bug from each rule pack), and the
 self-check that the repository's own sources lint clean.
 """
@@ -23,10 +23,8 @@ from repro.analysis import (
     Finding,
     analyze_paths,
     analyze_source,
-    load_baseline,
     parse_suppressions,
     severity_of,
-    write_baseline,
 )
 from repro.cli import main
 from repro.report.diagnostics import SCHEMA_ID, validate_payload
@@ -231,7 +229,7 @@ def test_r020_fires_on_undescribed_unraised_code(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     messages = [f.message for f in report.active if f.code == "R020"]
     assert any("no description" in m for m in messages)
     assert any("never raised" in m for m in messages)
@@ -240,7 +238,7 @@ def test_r020_fires_on_undescribed_unraised_code(tmp_path: Path) -> None:
 
 def test_r020_clean_on_consistent_catalog(tmp_path: Path) -> None:
     root = mini_project(tmp_path, CLEAN_CATALOG)
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R020" not in active_codes(report)
 
 
@@ -256,7 +254,7 @@ def test_r021_fires_on_unregistered_policy(tmp_path: Path) -> None:
             "policies/registry.py": "REGISTERED = ()\n",
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r021 = [f for f in report.active if f.code == "R021"]
     assert len(r021) == 1 and "ShinyPolicy" in r021[0].message
 
@@ -275,7 +273,7 @@ def test_r021_clean_when_registered(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R021" not in active_codes(report)
 
 
@@ -290,7 +288,7 @@ def test_r022_fires_on_undocumented_artifact(tmp_path: Path) -> None:
             "EXPERIMENTS.md": "only `fig1` is described here\n",
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r022 = [f for f in report.active if f.code == "R022"]
     assert len(r022) == 1 and "fig2" in r022[0].message
 
@@ -306,7 +304,7 @@ def test_r022_clean_when_indexed(tmp_path: Path) -> None:
             "EXPERIMENTS.md": "ids: `fig1`, `fig2`\n",
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R022" not in active_codes(report)
 
 
@@ -318,14 +316,14 @@ def test_r023_fires_on_stale_code_reference(tmp_path: Path) -> None:
             "verify/stale.py": 'def check() -> str:\n    return "V999"\n',
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r023 = [f for f in report.active if f.code == "R023"]
     assert len(r023) == 1 and "V999" in r023[0].message
 
 
 def test_r023_clean_on_known_references(tmp_path: Path) -> None:
     root = mini_project(tmp_path, CLEAN_CATALOG)
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R023" not in active_codes(report)
 
 
@@ -350,7 +348,7 @@ def test_r023_fires_on_stale_noqa_code(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r023 = sorted((f.line, f.message) for f in report.active if f.code == "R023")
     assert [line for line, _ in r023] == [2, 3]
     assert "R051" in r023[0][1] and "R111" in r023[1][1]
@@ -369,7 +367,7 @@ def test_r023_clean_on_known_noqa_codes(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R023" not in active_codes(report)
 
 
@@ -432,7 +430,7 @@ def test_r031_clean_on_suffixed_names_and_variables() -> None:
 
 
 # ----------------------------------------------------------------------
-# Suppressions and baseline
+# Suppressions
 # ----------------------------------------------------------------------
 
 
@@ -462,42 +460,6 @@ def test_parse_suppressions_captures_codes_and_reason() -> None:
     assert supp.reason == "both intentional"
 
 
-def test_baseline_round_trip(tmp_path: Path) -> None:
-    finding = Finding(code="R015", path="pkg/mod.py", line=3, message="state")
-    path = tmp_path / "baseline.json"
-    assert write_baseline(path, [finding]) == 1
-    baseline = load_baseline(path)
-    assert baseline.covers(finding)
-    moved = Finding(code="R015", path="pkg/mod.py", line=99, message="state")
-    assert baseline.covers(moved)  # line-independent
-    other = Finding(code="R015", path="pkg/other.py", line=3, message="state")
-    assert not baseline.covers(other)
-
-
-def test_missing_baseline_is_empty(tmp_path: Path) -> None:
-    baseline = load_baseline(tmp_path / "nope.json")
-    assert len(baseline) == 0
-
-
-def test_baselined_findings_do_not_gate(tmp_path: Path) -> None:
-    root = mini_project(tmp_path, {"pkg/state.py": "cache = {}\n"})
-    report = analyze_paths([root], root=root, use_baseline=False)
-    assert "R015" in active_codes(report)
-    baseline_path = root / "baseline.json"
-    write_baseline(baseline_path, report.active)
-    rebaselined = analyze_paths(
-        [root], root=root, baseline=load_baseline(baseline_path)
-    )
-    assert rebaselined.ok(strict=True)
-    assert [f.code for f in rebaselined.baselined] == ["R015"]
-
-
-def test_committed_baseline_is_empty() -> None:
-    """Repo policy: the tree ships lint-clean, the baseline stays empty."""
-    raw = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-    assert raw == {"schema": 2, "entries": []}
-
-
 # ----------------------------------------------------------------------
 # Self-check: the repository's own sources lint clean
 # ----------------------------------------------------------------------
@@ -508,6 +470,9 @@ def test_repo_sources_lint_clean(repo_lint_report) -> None:
     assert report.files > 100 and report.checks > report.files
     offenders = "\n".join(f.render() for f in report.active)
     assert report.ok(strict=True), f"unsuppressed findings:\n{offenders}"
+    # the CI gate's --max-seconds 60 budget, and its wall-time line
+    assert report.duration_seconds <= 60
+    assert "wall time" in report.render()
 
 
 def test_repo_suppressions_all_carry_reasons() -> None:
@@ -546,7 +511,7 @@ def test_cli_seeded_unit_bug_fails(
             )
         },
     )
-    assert main(["lint", str(root), "--no-baseline", "--strict"]) == 1
+    assert main(["lint", str(root), "--strict"]) == 1
     assert "R043" in capsys.readouterr().out
 
 
@@ -562,7 +527,7 @@ def test_cli_seeded_determinism_bug_fails(
             )
         },
     )
-    assert main(["lint", str(root), "--no-baseline", "--strict"]) == 1
+    assert main(["lint", str(root), "--strict"]) == 1
     assert "R010" in capsys.readouterr().out
 
 
@@ -580,7 +545,7 @@ def test_cli_seeded_registry_bug_fails(
             "policies/registry.py": "REGISTERED = ()\n",
         },
     )
-    assert main(["lint", str(root), "--no-baseline", "--strict"]) == 1
+    assert main(["lint", str(root), "--strict"]) == 1
     assert "R021" in capsys.readouterr().out
 
 
@@ -591,21 +556,8 @@ def test_cli_warnings_gate_only_under_strict(
         tmp_path,
         {"pkg/conv.py": "def f(glb_bytes: int) -> float:\n    return glb_bytes / 1024\n"},
     )
-    assert main(["lint", str(root), "--no-baseline"]) == 0
-    assert main(["lint", str(root), "--no-baseline", "--strict"]) == 1
-    capsys.readouterr()
-
-
-def test_cli_write_baseline_then_clean(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str]
-) -> None:
-    root = mini_project(tmp_path, {"pkg/state.py": "cache = {}\n"})
-    baseline = tmp_path / "baseline.json"
-    assert (
-        main(["lint", str(root), "--no-baseline", "--write-baseline", str(baseline)])
-        == 0
-    )
-    assert main(["lint", str(root), "--baseline", str(baseline), "--strict"]) == 0
+    assert main(["lint", str(root)]) == 0
+    assert main(["lint", str(root), "--strict"]) == 1
     capsys.readouterr()
 
 
@@ -626,7 +578,7 @@ def test_lint_json_matches_shared_schema(
             )
         },
     )
-    assert main(["lint", str(root), "--no-baseline", "--format", "json"]) == 1
+    assert main(["lint", str(root), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert validate_payload(payload) == []
     assert payload["schema"] == SCHEMA_ID

@@ -1,17 +1,40 @@
-"""LRU plan-cache retention: journal index, eviction, concurrency, CLI."""
+"""LRU plan-cache retention: mtime recency, eviction, concurrency, CLI."""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import pickle
+import os
+import sys
 
 import pytest
 
 from repro.cli import main
 from repro.experiments import cache
 from repro.obs import metrics_registry
-from repro.serve.cache_index import CacheIndex, IndexEntry
+
+AA, BB, CC = (stem + "0" * 62 for stem in ("aa", "bb", "cc"))
+
+#: Audit events that modify the filesystem (``os.replace`` raises
+#: ``os.rename``), and the ``open`` flags that make an open a write.
+_WRITE_EVENTS = frozenset(
+    ("os.rename", "os.mkdir", "os.remove", "os.rmdir", "os.truncate",
+     "os.link", "os.symlink", "os.chmod", "os.utime")
+)
+_WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_APPEND | os.O_TRUNC
+
+#: While non-empty, filesystem writes are appended to the last list.
+_RECORDING: list[list[tuple[str, str]]] = []
+
+
+def _audit(event: str, args: tuple) -> None:
+    if _RECORDING and (
+        event in _WRITE_EVENTS or (event == "open" and args[2] & _WRITE_FLAGS)
+    ):
+        _RECORDING[-1].append((event, str(args[0])))
+
+
+sys.addaudithook(_audit)
 
 
 @pytest.fixture
@@ -29,105 +52,82 @@ def _store_blob(key: str, size: int) -> None:
     cache.store(key, b"x" * size)
 
 
-class TestCacheIndex:
-    def test_journal_order_is_recency(self, cache_dir):
-        _store_blob("aa" + "0" * 62, 100)
-        _store_blob("bb" + "0" * 62, 100)
-        # touching the first key again makes it most recent
-        hit, _ = cache.lookup("aa" + "0" * 62)
+def _stamp(key: str, seconds: int) -> None:
+    """Set an entry's recency explicitly: back-to-back writes share a tick."""
+    ns = seconds * 1_000_000_000
+    os.utime(cache._entry_path(key), ns=(ns, ns))
+
+
+def _hit(key: str) -> None:
+    """Child-process body: one cache hit, or a non-zero exit."""
+    if not cache.lookup(key)[0]:
+        raise SystemExit(1)
+
+
+class TestRecency:
+    def test_mtime_order_is_recency(self, cache_dir):
+        _store_blob(AA, 100)
+        _store_blob(BB, 100)
+        _stamp(AA, 1)
+        _stamp(BB, 2)
+        # a hit restamps the first key, making it most recent
+        hit, _ = cache.lookup(AA)
         assert hit
-        entries = cache.index().entries()
-        assert [e.key[:2] for e in entries] == ["bb", "aa"]
+        assert [key[:2] for key, _ in cache.entries()] == ["bb", "aa"]
 
-    def test_corrupt_journal_lines_are_skipped(self, cache_dir):
-        _store_blob("aa" + "0" * 62, 100)
-        journal = cache.index().journal_path
-        with journal.open("a") as handle:
-            handle.write("{torn line\n")
-            handle.write('{"nokey": 1}\n')
-            handle.write('{"key": 42, "size_bytes": 1}\n')
-        entries = cache.index().entries()
-        assert [e.key[:2] for e in entries] == ["aa"]
+    def test_equal_stamps_order_by_key(self, cache_dir):
+        _store_blob(BB, 100)
+        _store_blob(AA, 100)
+        _stamp(AA, 1)
+        _stamp(BB, 1)
+        assert [key[:2] for key, _ in cache.entries()] == ["aa", "bb"]
 
-    def test_unjournaled_disk_files_sort_oldest(self, cache_dir):
-        _store_blob("bb" + "0" * 62, 100)
-        # a file that predates the journal (or whose record was lost)
-        orphan = cache_dir / "aa" / ("aa" + "0" * 62 + ".pkl")
-        orphan.parent.mkdir(parents=True, exist_ok=True)
-        orphan.write_bytes(pickle.dumps(b"orphan"))
-        entries = cache.index().entries()
-        assert entries[0].key.startswith("aa")
-        assert entries[0].seq == -1
-        assert entries[1].key.startswith("bb")
-
-    def test_journal_dropped_entries_require_disk_backing(self, cache_dir):
-        _store_blob("aa" + "0" * 62, 100)
-        _store_blob("bb" + "0" * 62, 100)
-        # delete one entry file behind the index's back
-        for path in cache_dir.rglob("aa*.pkl"):
-            path.unlink()
-        assert [e.key[:2] for e in cache.index().entries()] == ["bb"]
+    def test_entries_require_disk_backing(self, cache_dir):
+        _store_blob(AA, 100)
+        _store_blob(BB, 100)
+        cache._entry_path(AA).unlink()
+        assert [key[:2] for key, _ in cache.entries()] == ["bb"]
 
     def test_prune_evicts_lru_first(self, cache_dir):
-        for stem in ("aa", "bb", "cc"):
-            _store_blob(stem + "0" * 62, 1000)
-        hit, _ = cache.lookup("aa" + "0" * 62)  # aa becomes most recent
+        for second, key in enumerate((AA, BB, CC), start=1):
+            _store_blob(key, 1000)
+            _stamp(key, second)
+        hit, _ = cache.lookup(AA)  # aa becomes most recent
         assert hit
-        result = cache.index().prune(2 * 1024)
+        result = cache.prune(2 * 1024)
         assert result.evicted_count == 1
-        survivors = {e.key[:2] for e in cache.index().entries()}
+        survivors = {key[:2] for key, _ in cache.entries()}
         assert survivors == {"cc", "aa"}  # bb was least recently used
 
     def test_prune_respects_keep_set(self, cache_dir):
-        for stem in ("aa", "bb"):
-            _store_blob(stem + "0" * 62, 1000)
-        protected = "aa" + "0" * 62
-        result = cache.index().prune(0, keep=frozenset((protected,)))
+        for key in (AA, BB):
+            _store_blob(key, 1000)
+        result = cache.prune(0, keep=frozenset((AA,)))
         assert result.evicted_count == 1
-        assert [e.key for e in cache.index().entries()] == [protected]
+        assert [key for key, _ in cache.entries()] == [AA]
 
-    def test_prune_compacts_journal_before_unlink(self, cache_dir):
-        for stem in ("aa", "bb", "cc"):
-            _store_blob(stem + "0" * 62, 1000)
-        cache.index().prune(1024)
-        journal_keys = {
-            json.loads(line)["key"][:2]
-            for line in cache.index().journal_path.read_text().splitlines()
-        }
-        disk_keys = {p.stem[:2] for p in cache_dir.rglob("*.pkl")}
-        assert journal_keys == disk_keys  # journal never references ghosts
+    def test_hit_writes_only_the_entry_utime(self, cache_dir):
+        _store_blob(AA, 100)
+        _RECORDING.append([])
+        try:
+            assert cache.lookup(AA)[0]
+        finally:
+            writes = _RECORDING.pop()
+        # no mkdir, no append, no rename: one restamp of the entry
+        assert writes == [("os.utime", str(cache._entry_path(AA)))]
 
-    def test_compact_shrinks_journal(self, cache_dir):
-        key = "aa" + "0" * 62
-        _store_blob(key, 100)
-        for _ in range(20):
-            cache.lookup(key)
-        index = cache.index()
-        assert len(index.journal_path.read_text().splitlines()) > 10
-        assert index.compact() == 1
-        assert len(index.journal_path.read_text().splitlines()) == 1
-
-    def test_record_creates_missing_directory(self, tmp_path):
-        index = CacheIndex(tmp_path / "fresh" / "plans")
-        index.record("aa" + "0" * 62, 7)
-        assert [e.size_bytes for e in index._replay().values()] == [7]
-
-    def test_hit_record_makes_no_directory(self, cache_dir, monkeypatch):
-        key = "aa" + "0" * 62
-        _store_blob(key, 100)
-
-        def no_mkdir(*args, **kwargs):
-            raise AssertionError("mkdir on a cache hit")
-
-        monkeypatch.setattr(type(cache_dir), "mkdir", no_mkdir)
-        assert cache.lookup(key)[0]
-        assert len(cache.index().journal_path.read_text().splitlines()) == 2
-
-    def test_entry_file_layout_matches_cache(self, cache_dir):
-        key = "ab" + "0" * 62
-        _store_blob(key, 10)
-        index_path = CacheIndex(cache_dir)._entry_file(key)
-        assert index_path.is_file()
+    def test_hit_in_forked_child_refreshes_recency(self, cache_dir):
+        _store_blob(AA, 1000)
+        _store_blob(BB, 1000)
+        _stamp(AA, 1)
+        _stamp(BB, 2)
+        child = multiprocessing.get_context("fork").Process(target=_hit, args=(AA,))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        # the child's hit made aa the most recent entry in this process too
+        assert cache.prune(1024).evicted_count == 1
+        assert [key for key, _ in cache.entries()] == [AA]
 
 
 class TestCapEnforcement:
@@ -140,7 +140,7 @@ class TestCapEnforcement:
         assert cache.entry_count() == 2
         assert cache.total_bytes() <= 1024 * 1024
         assert cache.counters()["evictions"] >= 1
-        survivors = {e.key[:2] for e in cache.index().entries()}
+        survivors = {key[:2] for key, _ in cache.entries()}
         assert "cc" in survivors  # the entry just stored is never evicted
 
     def test_unset_cap_means_unbounded(self, cache_dir):
@@ -153,13 +153,6 @@ class TestCapEnforcement:
         for bogus in ("nope", "-3", "0", ""):
             monkeypatch.setenv(cache.ENV_CACHE_MAX_MB, bogus)
             assert cache.cache_max_bytes() is None
-
-    def test_clear_also_drops_journal(self, cache_dir):
-        _store_blob("aa" + "0" * 62, 100)
-        assert cache.index().journal_path.is_file()
-        cache.clear()
-        assert cache.entry_count() == 0
-        assert not cache.index().journal_path.is_file()
 
 
 def _hammer_worker(args: tuple[int, int]) -> dict[str, str]:
@@ -201,19 +194,12 @@ class TestConcurrentHammer:
                 merged.setdefault(key, set()).add(digest)
         assert set(merged) == set(expected)
         assert all(len(d) == 1 for d in merged.values())
-        # the index survived the stampede: replay works, every entry is
-        # backed by a real file, and the journal parses line by line
-        index = cache.index()
-        entries = index.entries()
-        assert all(index._entry_file(e.key).is_file() for e in entries)
-        for line in index.journal_path.read_text().splitlines():
-            record = json.loads(line)
-            assert isinstance(record["key"], str)
-        # values on disk still round-trip to the expected content
-        for entry in entries:
-            if entry.key in expected:
-                hit, value = cache.lookup(entry.key)
-                assert hit and value["slot"] == expected[entry.key]
+        # every listed entry survived the stampede and loads the
+        # expected content
+        for key, _ in cache.entries():
+            if key in expected:
+                hit, value = cache.lookup(key)
+                assert hit and value["slot"] == expected[key]
 
 
 class TestCacheCli:
@@ -254,20 +240,25 @@ class TestCacheCli:
         assert f"--cache-max-mb: must be >= 1, got {max_mb}" in capsys.readouterr().err
 
     def test_clear(self, cache_dir, capsys):
-        _store_blob("aa" + "0" * 62, 1000)
+        _store_blob(AA, 1000)
         assert main(["cache", "clear"]) == 0
         assert "1 entries removed" in capsys.readouterr().out
         assert cache.entry_count() == 0
 
+    def test_clear_removes_temp_files_of_killed_writers(self, cache_dir, capsys):
+        _store_blob(AA, 1000)
+        # what a writer killed between mkstemp and os.replace leaves
+        (cache_dir / "aa" / "tmpdeadbeef.tmp").write_bytes(b"x" * 5000)
+        assert main(["cache", "clear"]) == 0
+        assert "1 entries removed" in capsys.readouterr().out
+        left = {p.name for p in cache_dir.rglob("*") if p.suffix in (".pkl", ".tmp")}
+        assert not left
 
-class TestIndexEntryShape:
+
+class TestPruneResult:
     def test_prune_result_payload_roundtrip(self, cache_dir):
-        _store_blob("aa" + "0" * 62, 1000)
+        _store_blob(AA, 1000)
         result = cache.prune(0)
         payload = result.to_payload()
         assert payload["evicted_count"] == 1
         assert payload["remaining_count"] == 0
-
-    def test_index_entry_fields(self):
-        entry = IndexEntry(key="k", size_bytes=3, seq=7)
-        assert (entry.key, entry.size_bytes, entry.seq) == ("k", 3, 7)

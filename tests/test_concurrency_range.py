@@ -47,7 +47,7 @@ def test_r060_fires_on_unlocked_counter_from_handler(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r060 = [f for f in report if f.code == "R060" and f.active]
     assert r060, "unlocked shared counter under handler threads must fire"
     (finding,) = [f for f in r060 if "self.hits" in f.message]
@@ -72,7 +72,7 @@ def test_r060_fires_on_pool_client_lambda_thunks(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r060 = [f for f in report if f.code == "R060" and f.active]
     assert any("results[job]" in f.message for f in r060)
 
@@ -96,7 +96,7 @@ def test_r060_clean_when_write_is_locked(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R060" not in active_codes(report)
 
 
@@ -116,7 +116,7 @@ def test_r060_ignores_process_isolated_roots(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R060" not in active_codes(report)
 
 
@@ -138,7 +138,7 @@ def test_r061_fires_on_release_outside_finally(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r061 = [f for f in report if f.code == "R061" and f.active]
     assert r061 and "finally" in r061[0].message
 
@@ -156,7 +156,7 @@ def test_r061_fires_on_missing_release(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r061 = [f for f in report if f.code == "R061" and f.active]
     assert r061 and "no" in r061[0].message and "release" in r061[0].message
 
@@ -180,7 +180,7 @@ def test_r061_clean_with_try_finally_and_with(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R061" not in active_codes(report)
 
 
@@ -208,7 +208,7 @@ def test_r062_fires_on_opposite_nesting(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r062 = [f for f in report if f.code == "R062" and f.active]
     assert r062 and "opposite order" in r062[0].message
 
@@ -235,7 +235,7 @@ def test_r062_fires_through_callee_acquisition(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R062" in active_codes(report)
 
 
@@ -258,7 +258,7 @@ def test_r062_clean_with_consistent_order(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R062" not in active_codes(report)
 
 
@@ -284,7 +284,7 @@ def test_r063_fires_on_pool_after_thread_start(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r063 = [f for f in report if f.code == "R063" and f.active]
     assert r063 and "fork" in r063[0].message
 
@@ -306,7 +306,7 @@ def test_r063_clean_when_pool_created_first(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R063" not in active_codes(report)
 
 
@@ -329,7 +329,7 @@ def test_r064_fires_on_second_append_write(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r064 = [f for f in report if f.code == "R064" and f.active]
     assert r064 and "atomic" in r064[0].message
 
@@ -348,7 +348,7 @@ def test_r064_clean_with_single_write(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R064" not in active_codes(report)
 
 
@@ -371,7 +371,7 @@ def test_r065_fires_on_sleep_under_lock(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r065 = [f for f in report if f.code == "R065" and f.active]
     assert r065 and r065[0].severity.value == "warning"
 
@@ -391,7 +391,7 @@ def test_r065_clean_when_blocking_outside_lock(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R065" not in active_codes(report)
 
 
@@ -414,7 +414,7 @@ def test_r066_fires_on_unjoined_nondaemon_thread(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r066 = [f for f in report if f.code == "R066" and f.active]
     assert r066 and "join" in r066[0].message
 
@@ -441,7 +441,7 @@ def test_r066_clean_when_joined_daemon_or_returned(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R066" not in active_codes(report)
 
 
@@ -465,7 +465,7 @@ def test_r070_fires_on_seeded_overflow(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r070 = [f for f in report if f.code == "R070" and f.active]
     assert r070, "out-of-bounds int64 product must fail the proof"
     assert "2**63" in r070[0].message
@@ -485,7 +485,7 @@ def test_r070_proves_bounded_closed_form_clean(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R070" not in active_codes(report)
 
 
@@ -513,7 +513,7 @@ def test_r071_fires_on_promoted_batch_binding(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r071 = [f for f in report if f.code == "R071" and f.active]
     assert r071 and "half_elems" in r071[0].message
 
@@ -531,7 +531,7 @@ def test_r071_clean_for_float_named_binding(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R071" not in active_codes(report)
 
 
@@ -551,7 +551,7 @@ def test_r072_fires_on_integer_unit_binding_of_lossy_float(tmp_path: Path) -> No
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r072 = [f for f in report if f.code == "R072" and f.active]
     assert r072 and "2**53" in r072[0].message
     assert "total_bytes" in r072[0].message
@@ -567,7 +567,7 @@ def test_r072_fires_on_int_round_trip(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R072" in active_codes(report)
 
 
@@ -585,7 +585,7 @@ def test_r072_clean_for_ratio_reporting(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R072" not in active_codes(report)
 
 
@@ -607,7 +607,7 @@ def test_r073_fires_on_declared_int_float_mix(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r073 = [f for f in report if f.code == "R073" and f.active]
     assert r073 and "int" in r073[0].message and "float" in r073[0].message
 
@@ -626,7 +626,7 @@ def test_r073_clean_when_dtype_not_declared(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R073" not in active_codes(report)
 
 
@@ -645,7 +645,7 @@ def test_r074_fires_on_unguarded_zero_divisor(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r074 = [f for f in report if f.code == "R074" and f.active]
     assert r074 and "free_bytes" in r074[0].message
     assert "zero" in r074[0].message
@@ -665,7 +665,7 @@ def test_r074_clean_with_branch_or_max_guard(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R074" not in active_codes(report)
 
 
@@ -680,7 +680,7 @@ def test_r074_clean_for_positive_seeded_divisor(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R074" not in active_codes(report)
 
 
@@ -704,7 +704,7 @@ def test_noqa_suppresses_r060_and_r070(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert not active_codes(report) & {"R060", "R070"}
     assert {"R060", "R070"} <= {f.code for f in report.suppressed}
 
@@ -724,7 +724,7 @@ def test_sarif_round_trip_for_new_packs(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     payload = sarif_payload(report)
     assert validate_sarif_payload(payload) == []
     run = payload["runs"][0]

@@ -5,7 +5,7 @@ resolution, method dispatch, decorator transparency, reference edges),
 the unit lattice and its transfer functions, the unit-flow rules
 (R040–R044, R043 in every scope) and determinism-reachability rules
 (R052–R053) on seeded
-fixture packages, the SARIF 2.1.0 export, content-addressed baseline
+fixture packages, the SARIF 2.1.0 export, content-addressed
 fingerprints, and the lint wall-time budget.
 """
 
@@ -219,7 +219,7 @@ def test_r040_fires_on_cross_module_unit_mismatch(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R040" in active_codes(report)
     (finding,) = [f for f in report if f.code == "R040"]
     assert "tile_elems" in finding.message and "bytes" in finding.message
@@ -235,7 +235,7 @@ def test_r041_fires_on_return_boundary_mismatch(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R041" in active_codes(report)
 
 
@@ -250,7 +250,7 @@ def test_r042_fires_on_cross_unit_assignment(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R042" in active_codes(report)
 
 
@@ -269,7 +269,7 @@ def test_r043_fires_on_mix_seen_only_through_inference(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     (finding,) = [f for f in report.active if f.code == "R043"]
     assert "footprint_bytes()" in finding.message
 
@@ -277,7 +277,7 @@ def test_r043_fires_on_mix_seen_only_through_inference(tmp_path: Path) -> None:
 def r043_lines(tmp_path: Path, source: str) -> list[int]:
     """Lines of the active R043 findings in a one-file fixture project."""
     root = mini_project(tmp_path, {"pkg/x.py": source})
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     return sorted(f.line for f in report.active if f.code == "R043")
 
 
@@ -352,7 +352,7 @@ def test_r044_fires_on_cast_misuse(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     r044 = [f for f in report if f.code == "R044" and f.active]
     assert len(r044) == 2  # to_kib(elems) and kib(bytes) both flagged
     # the helpers themselves are sanctioned: no R041 on their bodies
@@ -374,7 +374,7 @@ def test_unitflow_clean_on_consistent_units(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert not active_codes(report) & {"R040", "R041", "R042", "R043", "R044"}
 
 
@@ -386,7 +386,7 @@ def test_unitflow_clean_on_consistent_units(tmp_path: Path) -> None:
 def reach_codes(tmp_path: Path, source: str) -> set[str]:
     """Active R052/R053 codes of a one-file fixture project."""
     root = mini_project(tmp_path, {"pkg/k.py": source})
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     return active_codes(report) & {"R052", "R053"}
 
 
@@ -448,7 +448,7 @@ def test_r052_r053_fire_in_nested_defs_lambdas_and_methods(tmp_path: Path) -> No
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     lines = {(f.code, f.line) for f in report.active}
     assert {("R052", 5), ("R053", 6)} <= lines
 
@@ -468,7 +468,7 @@ def test_r052_r053_fire_on_helpers_below_key_functions(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     findings = [f for f in report.active if f.code in ("R052", "R053")]
     assert {f.code for f in findings} == {"R052", "R053"}
     assert all(
@@ -488,7 +488,7 @@ def test_r053_noqa_at_source_line_suppresses(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert "R053" not in active_codes(report)
     assert "R053" in {f.code for f in report.suppressed}
 
@@ -518,7 +518,7 @@ def test_sarif_payload_validates_and_carries_fingerprints(tmp_path: Path) -> Non
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     payload = sarif_payload(report)
     assert validate_sarif_payload(payload) == []
     run = payload["runs"][0]
@@ -541,7 +541,7 @@ def test_sarif_marks_suppressed_findings(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     payload = sarif_payload(report)
     result = next(
         r for r in payload["runs"][0]["results"] if r["ruleId"] == "R043"
@@ -608,7 +608,7 @@ def test_findings_carry_source_snippets(tmp_path: Path) -> None:
             ),
         },
     )
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     (finding,) = [f for f in report if f.code == "R043"]
     assert finding.snippet.strip() == "return a_bytes + b_elems"
     assert finding.normalized_snippet() == "return a_bytes + b_elems"
@@ -621,7 +621,7 @@ def test_findings_carry_source_snippets(tmp_path: Path) -> None:
 
 def test_report_measures_wall_time(tmp_path: Path) -> None:
     root = mini_project(tmp_path, {"pkg/x.py": "def f():\n    return 1\n"})
-    report = analyze_paths([root], root=root, use_baseline=False)
+    report = analyze_paths([root], root=root)
     assert report.duration_seconds > 0.0
     assert "wall time" in report.render()
 

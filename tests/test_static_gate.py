@@ -40,34 +40,6 @@ def test_py_typed_marker_present() -> None:
     assert (REPO_ROOT / "src" / "repro" / "py.typed").exists()
 
 
-def test_repro_lint_strict_clean() -> None:
-    """The domain lint (R0xx rules) passes in strict mode, as CI runs it.
-
-    Mirrors the CI gate exactly, including the ``--max-seconds 60`` wall-
-    time budget on the interprocedural passes; the report's own wall-time
-    line must also appear in the output.
-    """
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "lint",
-            "src/repro",
-            "--strict",
-            "--max-seconds",
-            "60",
-        ],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        timeout=600,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-    )
-    assert proc.returncode == 0, f"repro lint findings:\n{proc.stdout}\n{proc.stderr}"
-    assert "wall time" in proc.stdout
-
-
 def test_trace_out_smoke_emits_schema_valid_trace(tmp_path: Path) -> None:
     """CI smoke: ``--trace-out`` writes a valid ``repro-telemetry/1`` file.
 
