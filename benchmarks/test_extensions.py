@@ -1,16 +1,12 @@
 """Benchmarks for the extension studies (energy, ablations, resolution,
-Pareto, multi-tenant scheduling)."""
+Pareto, bounds)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analyzer import pareto_frontier, plan_heterogeneous
+from repro.analyzer import pareto_frontier
 from repro.arch import AcceleratorSpec, kib
 from repro.experiments import ablations, energy, resolution
 from repro.nn.zoo import get_model
-from repro.runtime import Discipline, Request, schedule
-
 
 
 def test_energy_comparison(fresh, capsys):
@@ -67,32 +63,6 @@ def test_pareto_frontier(fresh, capsys):
                 f"lat={p.latency_cycles:10.0f}"
             )
     assert len(frontier) >= 3
-
-
-def test_multitenant_scheduling(fresh, capsys):
-    spec = AcceleratorSpec(glb_bytes=kib(256))
-    requests = [
-        Request(name, plan_heterogeneous(get_model(name), spec, interlayer=True))
-        for name in ("MnasNet", "MobileNet")
-    ]
-
-    def run_both():
-        return (
-            schedule(requests, Discipline.FCFS),
-            schedule(requests, Discipline.ROUND_ROBIN),
-        )
-
-    fcfs, rr = run_both()
-    with capsys.disabled():
-        print(
-            f"\nfcfs: makespan={fcfs.makespan_cycles:,.0f} "
-            f"traffic={fcfs.total_accesses_bytes / 2**20:.2f}MB | "
-            f"round-robin: makespan={rr.makespan_cycles:,.0f} "
-            f"traffic={rr.total_accesses_bytes / 2**20:.2f}MB "
-            f"(broken donations: {rr.total_broken_donations})"
-        )
-    assert rr.total_broken_donations > 0
-    assert rr.total_accesses_bytes >= fcfs.total_accesses_bytes
 
 
 def test_bounds_optimality_gap(fresh, capsys):

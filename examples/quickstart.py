@@ -14,6 +14,7 @@ from repro import AcceleratorSpec, Objective
 from repro.arch import kib, to_mib
 from repro.manager import MemoryManager
 from repro.nn.zoo import get_model
+from repro.verify import verify_plan
 
 
 def main() -> None:
@@ -40,7 +41,7 @@ def main() -> None:
     # Static plan verification (docs/verification.md): capacity, traffic
     # and MAC conservation, donation chains, GLB address-map realizability.
     # `manager.plan(..., verify=True)` would raise instead of reporting.
-    report = manager.verify(plan)
+    report = verify_plan(plan)
     print(f"\nstatic verification: {report.render()}")
     report.raise_if_failed()
 

@@ -1,7 +1,6 @@
 """Memory-management analyzer: Algorithm 1, plans and inter-layer reuse."""
 
 from .algorithm1 import select_policy
-from .batch import BatchedPlan, batch_sweep, plan_batched
 from .export import load_plan_dict, plan_to_dict, save_plan
 from .interlayer import apply_opportunistic_interlayer, plan_chain_with_interlayer
 from .objectives import Objective
@@ -40,7 +39,4 @@ __all__ = [
     "ParetoPoint",
     "pareto_frontier",
     "plan_weighted",
-    "BatchedPlan",
-    "plan_batched",
-    "batch_sweep",
 ]

@@ -44,14 +44,16 @@ Environment
 
 Eviction / recency
 ------------------
-An entry file's mtime is its recency: a store stamps the file when it
-writes it, and a hit restamps it with one ``os.utime``.  Every process
-shares the stamps, so a hit in a pool worker protects the entry from
-an eviction in another process, and a hit creates, appends to and
+An entry file's mtime is its recency: a store stamps the file before
+it lands, and a hit restamps it with one ``os.utime``.  Both stamps read
+``time.time_ns()``; the kernel's own write and ``utime`` stamps come
+from a coarse clock tick, within which many stamps would tie.  Every
+process shares the stamps, so a hit in a pool worker protects the entry
+from an eviction in another process, and a hit creates, appends to and
 renames nothing.  :func:`prune` scans the directory once, sorts by
-``(mtime, key)`` — so entries stamped within one filesystem tick order
-deterministically by key — and unlinks oldest-first under an exclusive
-``flock`` on :data:`LOCK_NAME`, so concurrent prunes serialize.  A
+``(mtime, key)`` — so exact ties order deterministically by key — and
+unlinks oldest-first under an exclusive ``flock`` on
+:data:`LOCK_NAME`, so concurrent prunes serialize.  A
 reader that loses its entry to an eviction sees an ordinary miss: the
 worst case is one recomputation.  ``repro cache stats|clear|prune`` is
 the CLI surface.
@@ -65,6 +67,7 @@ import os
 import pickle
 import tempfile
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -279,6 +282,12 @@ def _entry_path(key: str) -> Path:
     return cache_dir() / key[:2] / f"{key}.pkl"
 
 
+def _stamp(path: str | Path) -> None:
+    """Set ``path``'s mtime, its recency, to now at nanosecond resolution."""
+    now_ns = time.time_ns()  # repro: noqa[R010] -- eviction-order stamp only; never enters keys or results
+    os.utime(path, ns=(now_ns, now_ns))
+
+
 def load(key: str) -> Any:
     """Return the cached value for ``key`` or ``_SENTINEL`` on a miss.
 
@@ -329,6 +338,7 @@ def store(key: str, value: Any) -> None:
                 handle.write(b"%s%d\n%s" % (_RAW_MAGIC, len(value), value))
             else:
                 pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        _stamp(tmp)
         os.replace(tmp, path)
         metrics_registry().counter("plan_cache_stores_count").add(1)
     except OSError:
@@ -354,7 +364,7 @@ def lookup(key: str) -> tuple[bool, Any]:
     if cached is not _SENTINEL:
         metrics_registry().counter("plan_cache_hits_count").add(1)
         try:
-            os.utime(_entry_path(key))
+            _stamp(_entry_path(key))
         except OSError:
             pass  # evicted since the load: the next prune just skips it
         return True, cached
@@ -394,8 +404,8 @@ class PruneResult:
 def entries() -> list[tuple[str, int]]:
     """``(key, size_bytes)`` of every entry on disk, least recently used first.
 
-    One scan: ordered by ``(mtime, key)``, so entries stamped within one
-    filesystem tick still order deterministically.
+    One scan: ordered by ``(mtime, key)``, so exact ties still order
+    deterministically.
     """
     root = cache_dir()
     if not root.is_dir():
@@ -455,18 +465,21 @@ def prune(max_bytes: int, *, keep: frozenset[str] = frozenset()) -> PruneResult:
 
 
 def clear() -> int:
-    """Delete every cache entry and orphaned temp file; returns the entry count.
+    """Delete every file in the cache but the lock; returns the entry count.
 
-    A temp file is what a writer killed between ``mkstemp`` and
-    ``os.replace`` leaves behind.  Deleting a live writer's temp file is
-    safe: its ``os.replace`` fails, :func:`store` swallows the error,
-    and the value is recomputed later.
+    That covers orphaned temp files, which a writer killed between
+    ``mkstemp`` and ``os.replace`` leaves behind, and any file an older
+    cache layout left.  Deleting a live writer's temp file is safe: its
+    ``os.replace`` fails, :func:`store` swallows the error, and the value
+    is recomputed later.
     """
     root = cache_dir()
     removed = 0
     if not root.is_dir():
         return removed
-    for path in [*root.rglob("*.pkl"), *root.rglob("*.tmp")]:
+    for path in root.rglob("*"):
+        if path.name == LOCK_NAME or not path.is_file():
+            continue
         try:
             path.unlink()
         except OSError:

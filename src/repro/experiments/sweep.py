@@ -1,14 +1,13 @@
-"""Design-space sweep utilities.
+"""GLB design-space sweep (``repro sweep``).
 
-The paper evaluates five GLB sizes at fixed bandwidth and PE count; these
-helpers generalize that into arbitrary one-dimensional sweeps so users
-can answer sizing questions ("smallest GLB within x % of the 1 MB
-accesses", "when does bandwidth stop mattering for latency").
+The paper evaluates five GLB sizes at fixed bandwidth and PE count;
+:func:`glb_sweep` plans any list of sizes and :func:`sweep_table`
+renders the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..analyzer import ExecutionPlan, Objective, plan_heterogeneous
@@ -60,49 +59,6 @@ def glb_sweep(
         )
         for size in sizes_bytes
     ]
-
-
-def bandwidth_sweep(
-    model: Model,
-    bandwidths_elems_per_cycle: Sequence[float],
-    objective: Objective = Objective.LATENCY,
-    base_spec: AcceleratorSpec | None = None,
-    **plan_kwargs,
-) -> list[SweepPoint]:
-    """Sweep the off-chip bandwidth (latency objective by default)."""
-    spec = base_spec or AcceleratorSpec()
-    return [
-        _point(
-            bandwidth,
-            plan_heterogeneous(
-                model,
-                replace(spec, dram_bandwidth_elems_per_cycle=bandwidth),
-                objective,
-                **plan_kwargs,
-            ),
-        )
-        for bandwidth in bandwidths_elems_per_cycle
-    ]
-
-
-def smallest_glb_within(
-    model: Model,
-    target_pct: float,
-    sizes_bytes: Sequence[int],
-    objective: Objective = Objective.ACCESSES,
-    **kwargs,
-) -> tuple[int, list[SweepPoint]]:
-    """Smallest GLB whose accesses are within ``target_pct`` % of the
-    largest swept size's accesses.  Returns (size, full sweep)."""
-    if not sizes_bytes:
-        raise ValueError("need at least one GLB size")
-    points = glb_sweep(model, sorted(sizes_bytes), objective, **kwargs)
-    reference = points[-1].accesses_bytes
-    threshold = reference * (1.0 + target_pct / 100.0)
-    for point in points:
-        if point.accesses_bytes <= threshold:
-            return int(point.value), points
-    return int(points[-1].value), points
 
 
 def sweep_table(title: str, parameter: str, points: list[SweepPoint]) -> Table:

@@ -18,7 +18,6 @@ analyzer pipeline by hand::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from .analyzer import (
@@ -29,17 +28,10 @@ from .analyzer import (
     plan_homogeneous,
 )
 from .arch.spec import AcceleratorSpec
-from .dram.mapping import MappingPolicy
-from .dram.planstats import PlanDramResult, simulate_plan_dram
-from .dram.spec import DramSpec
-from .estimators.evaluate import PolicyEvaluation, evaluate_layer
-from .nn.io import load_model
-from .nn.layer import LayerSpec
 from .nn.model import Model
 from .obs import clock, get_tracer, metrics_registry
 from .scalesim.presets import baseline_configs
 from .scalesim.simulator import SimulationResult, simulate
-from .verify import VerificationReport, verify_plan
 
 
 @dataclass(frozen=True)
@@ -205,40 +197,6 @@ class MemoryManager:
             clock.elapsed_seconds(start_ns)
         )
         return plan, hit, key
-
-    def verify(self, plan: ExecutionPlan) -> VerificationReport:
-        """Statically verify a plan against the invariant catalog.
-
-        Returns the :class:`~repro.verify.VerificationReport`; inspect
-        ``report.ok`` / ``report.diagnostics`` or call
-        ``report.raise_if_failed()``.
-        """
-        return verify_plan(plan)
-
-    def simulate_dram(
-        self,
-        plan: ExecutionPlan,
-        dram: DramSpec | None = None,
-        mapping: MappingPolicy | str | None = None,
-    ) -> PlanDramResult:
-        """Price a plan's off-chip traffic through the banked-DRAM backend.
-
-        ``dram`` defaults to this manager's spec (which must then carry a
-        :class:`~repro.dram.DramSpec`); ``mapping`` overrides the device's
-        configured data-mapping policy, e.g. to sweep alternatives over
-        one plan.
-        """
-        return simulate_plan_dram(
-            plan, dram if dram is not None else self.spec.dram, mapping
-        )
-
-    def plan_from_file(self, path: str | Path, **kwargs: Any) -> ExecutionPlan:
-        """Plan a model loaded from a JSON description (Fig. 4 input)."""
-        return self.plan(load_model(path), **kwargs)
-
-    def evaluate(self, layer: LayerSpec) -> list[PolicyEvaluation]:
-        """Per-policy estimates for one layer (Algorithm 1 lines 7–9)."""
-        return evaluate_layer(layer, self.spec)
 
     # ------------------------------------------------------------------
     # Baseline comparison

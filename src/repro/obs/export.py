@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .metrics import Snapshot
 from .tracer import SpanRecord
@@ -86,13 +86,3 @@ def write_trace(path: str | Path, payload: dict[str, object]) -> Path:
         target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return target
-
-
-def merge_span_batches(
-    batches: Iterable[Sequence[SpanRecord]],
-) -> tuple[SpanRecord, ...]:
-    """Flatten per-worker span batches into one stream (stable order)."""
-    merged: list[SpanRecord] = []
-    for batch in batches:
-        merged.extend(batch)
-    return tuple(merged)

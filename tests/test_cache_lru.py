@@ -82,6 +82,17 @@ class TestRecency:
         _stamp(BB, 1)
         assert [key[:2] for key, _ in cache.entries()] == ["aa", "bb"]
 
+    def test_back_to_back_hits_order_by_use(self, cache_dir):
+        keys = [f"{index:02x}" + "0" * 62 for index in range(20)]
+        for key in keys:
+            _store_blob(key, 100)
+        # hits in one tight loop share one kernel clock tick: only a
+        # full-resolution stamp keeps them apart, or key order wins
+        used = keys[::-1]
+        for key in used:
+            assert cache.lookup(key)[0]
+        assert [key for key, _ in cache.entries()] == used
+
     def test_entries_require_disk_backing(self, cache_dir):
         _store_blob(AA, 100)
         _store_blob(BB, 100)
@@ -253,6 +264,17 @@ class TestCacheCli:
         assert "1 entries removed" in capsys.readouterr().out
         left = {p.name for p in cache_dir.rglob("*") if p.suffix in (".pkl", ".tmp")}
         assert not left
+
+    def test_clear_removes_every_file_but_the_lock(self, cache_dir, capsys):
+        _store_blob(AA, 1000)
+        # an older cache layout's recency journal and an unknown stray
+        (cache_dir / "index.journal").write_bytes(b"x" * 5000)
+        (cache_dir / "aa" / "stray").write_bytes(b"x")
+        (cache_dir / cache.LOCK_NAME).touch()
+        assert main(["cache", "clear"]) == 0
+        assert "1 entries removed" in capsys.readouterr().out
+        left = [p.name for p in cache_dir.rglob("*") if p.is_file()]
+        assert left == [cache.LOCK_NAME]
 
 
 class TestPruneResult:

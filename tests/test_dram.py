@@ -416,9 +416,8 @@ class TestWiring:
 
     def test_manager_simulate_dram_sweeps_mappings(self, plans):
         flat, _ = plans
-        manager = MemoryManager(SPEC.with_dram(DEFAULT_DDR4_SPEC))
         results = {
-            name: manager.simulate_dram(flat, mapping=name)
+            name: simulate_plan_dram(flat, DEFAULT_DDR4_SPEC, name)
             for name in MAPPING_NAMES
         }
         assert results["bank_interleaved"].transfer_cycles < (

@@ -1,4 +1,4 @@
-"""Extensions: extended zoo, resolution override, Pareto, charts, compat."""
+"""Extensions: extended zoo, resolution override, Pareto, charts."""
 
 import pytest
 
@@ -7,18 +7,7 @@ from repro.arch import AcceleratorSpec, kib
 from repro.nn import LayerKind
 from repro.nn.zoo import ALL_MODEL_NAMES, PAPER_MODEL_NAMES, get_model
 from repro.report import BarChart, bar_chart, sparkline
-from repro.scalesim import (
-    ScaleSimConfig,
-    baseline_config,
-    lower_model,
-    save_topology,
-    simulate,
-)
-from repro.scalesim.compat import (
-    load_scalesim_cfg,
-    load_topology_csv,
-    save_scalesim_cfg,
-)
+from repro.scalesim import baseline_config, simulate
 
 
 class TestExtendedZoo:
@@ -145,56 +134,6 @@ class TestCharts:
         assert line[0] == "▁" and line[-1] == "█"
         assert sparkline([]) == ""
         assert len(sparkline(list(range(100)), width=10)) == 10
-
-
-class TestScaleSimCompat:
-    def test_cfg_round_trip(self, tmp_path):
-        config = baseline_config(kib(128), 0.25)
-        path = tmp_path / "arch.cfg"
-        save_scalesim_cfg(config, path)
-        loaded = load_scalesim_cfg(path)
-        assert loaded.array_rows == config.array_rows
-        assert loaded.ifmap_buf_bytes == (config.ifmap_buf_bytes // 1024) * 1024
-        assert loaded.dataflow == config.dataflow
-
-    def test_cfg_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_scalesim_cfg(tmp_path / "nope.cfg")
-
-    def test_cfg_missing_section(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("[general]\nrun_name = x\n")
-        with pytest.raises(ValueError, match="architecture_presets"):
-            load_scalesim_cfg(path)
-
-    def test_topology_round_trip(self, tmp_path):
-        model = get_model("MobileNet")
-        path = tmp_path / "topo.csv"
-        save_topology(model, path)
-        loaded = load_topology_csv(path, "MobileNet")
-        assert len(loaded) == len(model)
-        # The GEMM lowering of the round-tripped model matches.
-        original = lower_model(model)
-        recovered = lower_model(loaded)
-        for a, b in zip(original, recovered):
-            assert (a.sr, a.sc, a.k) == (b.sr, b.sc, b.k), a.name
-
-    def test_topology_kind_inference(self, tmp_path):
-        model = get_model("MobileNet")
-        path = tmp_path / "topo.csv"
-        save_topology(model, path)
-        loaded = load_topology_csv(path)
-        kinds = [layer.kind for layer in loaded.layers]
-        assert kinds[0] is LayerKind.CONV
-        assert LayerKind.DEPTHWISE in kinds
-        assert LayerKind.POINTWISE in kinds
-        assert kinds[-1] is LayerKind.FC
-
-    def test_topology_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("header\nonly, three, fields\n")
-        with pytest.raises(ValueError, match="malformed"):
-            load_topology_csv(path)
 
 
 class TestDeepResNets:

@@ -29,9 +29,9 @@ class TestFullPipeline:
         model_path = tmp_path / "resnet18.json"
         save_model(get_model("ResNet18"), model_path)
 
-        # 2. Plan it through the manager facade.
+        # 2. Load it back and plan it through the manager facade.
         manager = MemoryManager(AcceleratorSpec(glb_bytes=kib(64)))
-        plan = manager.plan_from_file(model_path)
+        plan = manager.plan(load_model(model_path))
 
         # 3. Execute the plan in the step-level simulator.
         check, sim = crosscheck_plan(plan)

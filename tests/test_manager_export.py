@@ -6,8 +6,9 @@ import pytest
 
 from repro.analyzer import Objective, load_plan_dict, plan_to_dict, save_plan
 from repro.arch import AcceleratorSpec, kib
+from repro.estimators import evaluate_layer
 from repro.manager import BaselineComparison, MemoryManager
-from repro.nn import save_model
+from repro.nn import load_model, save_model
 from repro.nn.zoo import get_model
 
 
@@ -46,13 +47,13 @@ class TestMemoryManager:
     def test_plan_from_file(self, manager, tmp_path):
         path = tmp_path / "model.json"
         save_model(get_model("MobileNet"), path)
-        plan = manager.plan_from_file(path)
+        plan = manager.plan(load_model(path))
         assert plan.model.name == "MobileNet"
         direct = manager.plan(get_model("MobileNet"))
         assert plan.total_accesses_bytes == direct.total_accesses_bytes
 
     def test_evaluate_layer(self, manager):
-        evs = manager.evaluate(get_model("MobileNet")[0])
+        evs = evaluate_layer(get_model("MobileNet")[0], manager.spec)
         assert evs
         assert all(ev.memory_bytes <= kib(64) for ev in evs)
 

@@ -1,9 +1,7 @@
 """Design-space sweeps and ablation studies."""
 
-import pytest
-
-from repro.analyzer import Objective
-from repro.arch import kib
+from repro.analyzer import Objective, plan_heterogeneous
+from repro.arch import AcceleratorSpec, kib
 from repro.experiments.ablations import (
     baseline_dataflows,
     baseline_dataflows_table,
@@ -12,12 +10,7 @@ from repro.experiments.ablations import (
     interlayer_modes,
     interlayer_modes_table,
 )
-from repro.experiments.sweep import (
-    bandwidth_sweep,
-    glb_sweep,
-    smallest_glb_within,
-    sweep_table,
-)
+from repro.experiments.sweep import glb_sweep, sweep_table
 from repro.nn.zoo import get_model
 
 
@@ -46,33 +39,39 @@ class TestGlbSweep:
 
 
 class TestBandwidthSweep:
+    @staticmethod
+    def _latencies(model, bandwidths):
+        return [
+            plan_heterogeneous(
+                model,
+                AcceleratorSpec(dram_bandwidth_elems_per_cycle=bandwidth),
+                Objective.LATENCY,
+            ).total_latency_cycles
+            for bandwidth in bandwidths
+        ]
+
     def test_latency_monotone_in_bandwidth(self):
-        model = get_model("MobileNet")
-        points = bandwidth_sweep(model, [4, 16, 64], Objective.LATENCY)
-        latencies = [p.latency_cycles for p in points]
+        latencies = self._latencies(get_model("MobileNet"), [4, 16, 64])
         assert latencies == sorted(latencies, reverse=True)
 
     def test_latency_floor_is_compute(self):
         model = get_model("MobileNet")
-        huge_bw = bandwidth_sweep(model, [10_000], Objective.LATENCY)[0]
+        [huge_bw] = self._latencies(model, [10_000])
         compute_floor = model.total_macs / 256.0
-        assert huge_bw.latency_cycles >= compute_floor - 1
+        assert huge_bw >= compute_floor - 1
 
 
 class TestSmallestGlb:
     def test_finds_knee(self):
         model = get_model("MnasNet")
         sizes = [kib(s) for s in (64, 128, 256, 512, 1024)]
-        size, points = smallest_glb_within(model, target_pct=5.0, sizes_bytes=sizes)
-        assert size in sizes
+        points = glb_sweep(model, sizes)
+        threshold = points[-1].accesses_bytes * 1.05
+        knee = next(p for p in points if p.accesses_bytes <= threshold)
         # Het accesses are nearly flat for MnasNet: the knee is the
         # smallest size.
-        assert size == kib(64)
+        assert knee.value == kib(64)
         assert len(points) == 5
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            smallest_glb_within(get_model("MnasNet"), 5.0, [])
 
 
 class TestInterlayerAblation:

@@ -130,11 +130,11 @@ class TestCleanPlans:
     def test_manager_verify_and_verify_on_plan(self, spec):
         manager = MemoryManager(spec)
         plan = manager.plan(tiny_model(), interlayer=True, verify=True)
-        assert manager.verify(plan).ok
+        assert verify_plan(plan).ok
 
     def test_hom_scheme_verifies(self, spec):
         manager = MemoryManager(spec)
-        assert manager.verify(manager.plan(tiny_model(), scheme="hom")).ok
+        assert verify_plan(manager.plan(tiny_model(), scheme="hom")).ok
 
 
 # ----------------------------------------------------------------------
