@@ -3,15 +3,15 @@
 Where :mod:`repro.verify` proves emitted *plans* consistent at runtime
 (``V0xx`` diagnostics), this package proves *source files* obey the
 project's domain invariants at review time: unit discipline in the
-Eq. (1)/(2) GLB accounting, determinism and picklability on the process
--pool experiment path, and cross-file registry consistency.  Violations
-are :class:`Finding` records with stable ``R0xx`` codes (see
+Eq. (1)/(2) GLB accounting, determinism on the process-pool experiment
+path, and cross-file registry consistency.  Violations are
+:class:`Finding` records with stable ``R0xx`` codes (see
 :mod:`repro.analysis.codes` and ``docs/static-analysis.md``); intentional
 exceptions carry inline ``# repro: noqa[Rxxx] -- reason`` markers.
 
 Checking is interprocedural where it matters: a project-wide call graph
 (:mod:`repro.analysis.callgraph`) feeds unit-flow inference
-(``R040``–``R044``, :mod:`repro.analysis.unitflow`) and determinism-
+(``R040``–``R043``, :mod:`repro.analysis.unitflow`) and determinism-
 reachability analysis (``R052``–``R053``,
 :mod:`repro.analysis.reach_rules`), so a ``_bytes`` value crossing a
 module boundary into an ``_elems`` parameter, or an unsorted

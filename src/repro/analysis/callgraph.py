@@ -1,7 +1,7 @@
 """Project-wide call graph over the analyzed source set.
 
 The per-file rule packs (R002–R015) see one AST at a time; the
-interprocedural packs — unit-flow (R040–R044, :mod:`.unitflow`) and
+interprocedural packs — unit-flow (R040–R043, :mod:`.unitflow`) and
 determinism-reachability (R052–R053, :mod:`.reach_rules`) — need to know
 *who calls whom across the whole of* ``src/repro``.  This module builds
 that graph once per :class:`~repro.analysis.rules.Project` (cached on

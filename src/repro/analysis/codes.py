@@ -4,8 +4,10 @@ Mirrors the structure of :mod:`repro.verify.codes` (the runtime plan
 verifier's ``V`` catalog): codes are stable identifiers referenced by
 tests, suppression comments and documentation, so existing codes are
 never renumbered and a retired code is never reused — new rules append
-new codes.  ``docs/static-analysis.md`` mirrors this table and a test
-asserts the two stay in sync.
+new codes.  Retired so far: R001, R012, R013, R014, R031, R044, R050,
+R051, R064 and R071, each because another check catches its hazard.
+``docs/static-analysis.md`` mirrors this table and a test asserts the
+two stay in sync.
 
 Catalog overview
 ----------------
@@ -16,17 +18,16 @@ Catalog overview
   raw conversion factors are flagged (unit *mixes* are R043's job).
 * ``R010``–``R015`` — the **determinism & parallel-safety** pack: the
   experiment engine fans work across a process pool backed by a
-  content-addressed cache, so nondeterministic inputs, unpicklable
-  callables and module-level mutable state are silent output
-  corrupters.
+  content-addressed cache, so nondeterministic inputs and module-level
+  mutable state are silent output corrupters.
 * ``R020``–``R023`` — the **registry-consistency** pack: cross-file
   invariants (diagnostic catalogs, the policy registry, the experiment
   artifact registry) that no per-file linter can see.
-* ``R030``–``R031`` — the **observability** pack: the telemetry
-  subsystem (:mod:`repro.obs`) has its own usage contract — spans only
-  record on ``__exit__`` and metric names declare their unit by suffix —
-  that silent misuse would erode without a check.
-* ``R040``–``R044`` — the **unit-flow** pack (project scope): the
+* ``R030`` — the **observability** pack: a tracer span records itself
+  only on ``__exit__``, so a span opened outside ``with`` is silently
+  dropped.  (Unsuffixed metric names need no rule: the registry raises
+  on them at registration, traced or not.)
+* ``R040``–``R043`` — the **unit-flow** pack (project scope): the
   interprocedural unit checks.  A whole-program call graph
   (:mod:`repro.analysis.callgraph`) carries an inferred unit lattice
   (:mod:`repro.analysis.unitflow`) across call and return boundaries,
@@ -43,17 +44,16 @@ Catalog overview
   derived from the call graph (:mod:`repro.analysis.threadroots`), and
   shared mutable state written from two or more roots without a lock,
   broken lock discipline (non-``finally`` release, lock-order
-  inversion, blocking while holding), fork-after-threads hazards,
-  non-atomic ``O_APPEND`` journal writes and non-daemon thread leaks
-  are flagged with their witness chains.
+  inversion, blocking while holding), fork-after-threads hazards and
+  non-daemon thread leaks are flagged with their witness chains.
 * ``R070``–``R074`` — the **value-range** pack (project scope): an
   interval abstract interpreter (:mod:`repro.analysis.interval`) over
   the estimator and tile-search int64 closed forms, seeded from the declared
   spec bounds in :mod:`repro.arch.bounds`.  A NumPy int64 wraparound
   raises no error — it silently corrupts plans — so every int64
   intermediate must be *provably* below 2**63 over the supported spec
-  space, and int→float promotion, float64 precision loss past 2**53,
-  dtype mixing and possibly-zero divisors are flagged alongside.
+  space, and float64 precision loss past 2**53, dtype mixing and
+  possibly-zero divisors are flagged alongside.
 """
 
 from __future__ import annotations
@@ -66,30 +66,25 @@ RULE_TITLES: dict[str, str] = {
     "R004": "magic unit-conversion constant",
     "R010": "nondeterministic call in library code",
     "R011": "environment read in library code",
-    "R012": "unpicklable callable submitted to process pool",
     "R015": "mutable module-level state",
     "R020": "diagnostic catalog inconsistent",
     "R021": "policy class not registered",
     "R022": "experiment artifact registry inconsistent",
     "R023": "unknown diagnostic code referenced",
     "R030": "tracer span opened without context manager",
-    "R031": "metric name missing unit suffix",
     "R040": "call-site unit mismatch",
     "R041": "return-boundary unit mismatch",
     "R042": "cross-unit assignment through dataflow",
     "R043": "interprocedural unit mix in arithmetic",
-    "R044": "unit-cast helper misuse",
     "R052": "unordered set iteration reachable from cache-key path",
     "R053": "unsorted JSON serialization reachable from cache-key path",
     "R060": "unlocked shared-state write reachable from multiple thread roots",
     "R061": "lock acquired without finally-guarded release",
     "R062": "lock-order inversion across flock and in-process locks",
     "R063": "process pool created on a path after thread start",
-    "R064": "non-atomic append to O_APPEND journal",
     "R065": "blocking call while holding a lock",
     "R066": "non-daemon thread not joined before drain",
     "R070": "int64 overflow not provable within declared spec bounds",
-    "R071": "silent int-to-float promotion in batch arithmetic",
     "R072": "float64 precision loss for integer quantity beyond 2**53",
     "R073": "mixed dtypes across a NumPy operation",
     "R074": "unguarded division by a possibly-zero quantity",
@@ -135,12 +130,6 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "depend on the invoking shell; they belong in explicitly "
         "documented configuration boundaries only."
     ),
-    "R012": (
-        "Callables handed to a process pool's ``submit``/``map`` must be "
-        "module-level functions: lambdas and nested functions do not "
-        "pickle, so they fail only at runtime and only on the parallel "
-        "path."
-    ),
     "R015": (
         "Module-level mutable state (list/dict/set literals, mutable "
         "collection constructors, non-frozen dataclass instances bound "
@@ -175,13 +164,8 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "Tracer spans (``tracer.start(...)``) must be opened with a "
         "``with`` statement: a span only records itself on ``__exit__``, "
         "so a bare ``.start()`` call silently produces no "
-        "``SpanRecord`` and corrupts span nesting depth."
-    ),
-    "R031": (
-        "Metric names passed to ``counter``/``gauge``/``histogram`` "
-        "must carry a unit suffix (``_bytes``, ``_elems``, ``_cycles``, "
-        "``_count``, ``_ns``, ``_seconds``, …) so that merged metric "
-        "snapshots stay unit-unambiguous across subsystems."
+        "``SpanRecord``.  Nesting depth is unaffected (it is taken in "
+        "``__enter__``); only the span is lost."
     ),
     "R040": (
         "An argument whose inferred unit is known must not flow into a "
@@ -213,12 +197,6 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "only meaningful when both sides share a unit, and a silent "
         "byte/element mix scales results by the data width."
     ),
-    "R044": (
-        "The unit-cast helpers have fixed input units (``to_kib``/"
-        "``to_mib`` take bytes; ``kib``/``mib`` take a KiB/MiB count, "
-        "not bytes): applying a cast to an operand of a different "
-        "inferred unit double- or mis-converts silently."
-    ),
     "R052": (
         "No function transitively reachable from cache-key "
         "construction may iterate a set/frozenset without ``sorted()`` "
@@ -248,24 +226,17 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "thread that touches the lock."
     ),
     "R062": (
-        "Functions must take the journal file lock (``flock``) and "
-        "in-process ``threading.Lock`` instances in one global order — "
-        "one path acquiring the flock inside an in-process lock while "
-        "another nests them the other way around deadlocks under "
-        "contention."
+        "Functions must take the cache's file lock (``flock`` on "
+        "``index.lock``) and in-process ``threading.Lock`` instances "
+        "in one global order — one path acquiring the flock inside an "
+        "in-process lock while another nests them the other way around "
+        "deadlocks under contention."
     ),
     "R063": (
         "A ``ProcessPoolExecutor``/``multiprocessing.Pool`` must not "
         "be created on a call path that has already started a thread: "
         "``fork`` clones only the forking thread, so locks held by "
         "other threads at fork time stay locked forever in the child."
-    ),
-    "R064": (
-        "Appends to an ``O_APPEND`` journal must be a single "
-        "``os.write`` of one newline-terminated record no larger than "
-        "``PIPE_BUF``-scale writes: multiple ``write()`` calls or "
-        "oversized buffers interleave across processes and corrupt the "
-        "journal."
     ),
     "R065": (
         "Code holding a ``threading.Lock`` must not make blocking "
@@ -286,13 +257,6 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "arithmetic wraps silently, so an unprovable product of layer "
         "dims, data widths and traffic counts is a latent plan "
         "corrupter."
-    ),
-    "R071": (
-        "Integer-unit batch expressions must not silently promote to "
-        "float (true division or float operands on ``*_bytes``/"
-        "``*_elems`` int64 arrays) except at the documented latency/"
-        "energy boundaries: exact Eq. (1) capacity comparisons must "
-        "stay in integer arithmetic."
     ),
     "R072": (
         "An integer quantity whose worst-case bound exceeds 2**53 "
@@ -326,30 +290,25 @@ RULE_PACKS: dict[str, str] = {
     "R004": "units",
     "R010": "determinism",
     "R011": "determinism",
-    "R012": "determinism",
     "R015": "determinism",
     "R020": "registry",
     "R021": "registry",
     "R022": "registry",
     "R023": "registry",
     "R030": "observability",
-    "R031": "observability",
     "R040": "unitflow",
     "R041": "unitflow",
     "R042": "unitflow",
     "R043": "unitflow",
-    "R044": "unitflow",
     "R052": "reachability",
     "R053": "reachability",
     "R060": "concurrency",
     "R061": "concurrency",
     "R062": "concurrency",
     "R063": "concurrency",
-    "R064": "concurrency",
     "R065": "concurrency",
     "R066": "concurrency",
     "R070": "range",
-    "R071": "range",
     "R072": "range",
     "R073": "range",
     "R074": "range",
@@ -357,11 +316,8 @@ RULE_PACKS: dict[str, str] = {
 
 #: Codes reported as warnings (hazards) rather than errors (defects).
 #: R065/R066 are hazards (a blocked holder or leaked thread degrades
-#: rather than corrupts); R071 is a hazard (promotion is often the
-#: documented latency boundary, the corruption cases are R070/R072).
-WARNING_CODES: frozenset[str] = frozenset(
-    {"R004", "R011", "R065", "R066", "R071"}
-)
+#: rather than corrupts).
+WARNING_CODES: frozenset[str] = frozenset({"R004", "R011", "R065", "R066"})
 
 #: All catalog codes in numeric order.
 ALL_RULE_CODES: tuple[str, ...] = tuple(sorted(RULE_TITLES))

@@ -25,9 +25,6 @@ Rules
 * **R063** — a process pool created on a path *after* a thread was
   started in the same function: ``fork`` then snapshots lock/queue state
   mid-flight in threads that do not survive into the child.
-* **R064** — more than one ``os.write`` to an ``O_APPEND`` journal fd in
-  one function: each write is atomic, the *sequence* is not, so a
-  concurrent appender can interleave between them and tear the record.
 * **R065** — a blocking call (``sleep``, ``join``, ``result``,
   ``urlopen``, ``shutdown``, ``wait``) made while holding a lock;
   warning — it serializes every peer on I/O time.
@@ -42,14 +39,9 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
+from .reach_rules import _chain_str
 from .rules import Project, rule
 from .threadroots import ThreadAnalysis, threads_for
-
-
-def _chain_str(chain: tuple[str, ...]) -> str:
-    """Human-readable witness chain (``repro.`` prefixes dropped)."""
-    shown = [q[len("repro.") :] if q.startswith("repro.") else q for q in chain]
-    return " -> ".join(shown)
 
 
 def _short(qualname: str) -> str:
@@ -196,25 +188,6 @@ def check_fork_after_threads(project: Project) -> Iterator[Finding]:
                 )
 
 
-@rule("R064", scope="project")
-def check_journal_append_atomicity(project: Project) -> Iterator[Finding]:
-    """Flag multi-write appends to an ``O_APPEND`` journal fd."""
-    analysis = threads_for(project)
-    for qualname in sorted(analysis.facts):
-        facts = analysis.facts[qualname]
-        info = analysis.graph.functions[qualname]
-        for node, fd in facts.journal_multi_writes:
-            yield info.file.finding(
-                "R064",
-                node,
-                f"second os.write() to O_APPEND fd '{fd}' in "
-                f"{_short(qualname)}(); each write is atomic but the "
-                f"sequence is not — a concurrent appender interleaves "
-                f"between them and tears the record; build the full line "
-                f"first and write it once",
-            )
-
-
 @rule("R065", scope="project")
 def check_blocking_under_lock(project: Project) -> Iterator[Finding]:
     """Flag blocking calls made while a lock is held (warning)."""
@@ -258,7 +231,6 @@ __all__ = [
     "check_unpaired_acquire",
     "check_lock_order_inversion",
     "check_fork_after_threads",
-    "check_journal_append_atomicity",
     "check_blocking_under_lock",
     "check_leaked_threads",
 ]

@@ -5,18 +5,19 @@ work across a process pool on top of a content-addressed on-disk cache
 (:mod:`repro.experiments.cache`).  That architecture has a contract the
 runtime plan verifier cannot check, because it is a property of *code*
 rather than of plans: worker functions must be pure (same inputs, same
-bytes, in every process), picklable, and must derive cache keys from
+bytes, in every process) and must derive cache keys from
 deterministically ordered data.  These rules encode the contract:
 
 * ``R010``/``R011`` flag nondeterministic inputs (clocks, RNGs, pids,
   environment reads) anywhere in the library — the worker-reachable set
   is effectively the whole package, and intentional configuration
   boundaries carry inline ``noqa[R011]`` markers with reasons.
-* ``R012`` flags lambdas/nested functions submitted to a process pool
-  (they fail to pickle, but only at runtime and only on the parallel
-  path).
 * ``R015`` flags mutable module-level state: each pool worker gets a
   private copy, so mutations silently diverge between processes.
+
+Unpicklable pool callables (lambdas, nested functions) need no rule:
+both process-pool sites raise on them at submission, and the test suite
+runs both with more than one job.
 
 Order-unstable cache-key construction (set iteration, unsorted
 ``json.dumps``) is checked by the reachability pack
@@ -64,16 +65,6 @@ _ENV_READ_CALLS = frozenset(
         "os.environ.values",
         "os.path.expanduser",
         "pathlib.Path.home",
-    }
-)
-
-#: Constructors that produce process-pool executors (R012).
-_POOL_CONSTRUCTORS = frozenset(
-    {
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.process.ProcessPoolExecutor",
-        "multiprocessing.Pool",
-        "multiprocessing.pool.Pool",
     }
 )
 
@@ -172,105 +163,6 @@ def check_environment_reads(file: SourceFile) -> Iterator[Finding]:
     visitor = _NondeterminismVisitor(file)
     visitor.visit(file.tree)
     yield from (f for f in visitor.findings if f.code == "R011")
-
-
-class _PoolSubmitVisitor(ast.NodeVisitor):
-    """R012: lambdas/nested defs handed to process-pool submit/map."""
-
-    def __init__(self, file: SourceFile) -> None:
-        self.file = file
-        self.aliases = file.aliases
-        self.pool_names: set[str] = set()
-        self.nested_defs: set[str] = set()
-        self.findings: list[Finding] = []
-        self._depth = 0
-
-    def _is_pool_ctor(self, value: ast.expr) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        target = resolve_call_target(value.func, self.aliases)
-        return target in _POOL_CONSTRUCTORS if target else False
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        """Track ``pool = ProcessPoolExecutor(...)`` bindings."""
-        if self._is_pool_ctor(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self.pool_names.add(target.id)
-        self.generic_visit(node)
-
-    def visit_With(self, node: ast.With) -> None:
-        """Track ``with ProcessPoolExecutor(...) as pool`` bindings."""
-        for item in node.items:
-            if self._is_pool_ctor(item.context_expr) and isinstance(
-                item.optional_vars, ast.Name
-            ):
-                self.pool_names.add(item.optional_vars.id)
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Record nested function definitions (unpicklable by pools)."""
-        if self._depth > 0:
-            self.nested_defs.add(node.name)
-        self._depth += 1
-        self.generic_visit(node)
-        self._depth -= 1
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Treat async defs like regular ones."""
-        if self._depth > 0:
-            self.nested_defs.add(node.name)
-        self._depth += 1
-        self.generic_visit(node)
-        self._depth -= 1
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag unpicklable first arguments of pool submit/map calls."""
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("submit", "map")
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in self.pool_names
-            and node.args
-        ):
-            candidate = node.args[0]
-            if isinstance(candidate, ast.Lambda):
-                self.findings.append(
-                    self.file.finding(
-                        "R012",
-                        node,
-                        f"lambda submitted to process pool "
-                        f"'{node.func.value.id}.{node.func.attr}'; lambdas do "
-                        f"not pickle — use a module-level function",
-                    )
-                )
-            elif (
-                isinstance(candidate, ast.Name) and candidate.id in self.nested_defs
-            ):
-                self.findings.append(
-                    self.file.finding(
-                        "R012",
-                        node,
-                        f"nested function '{candidate.id}' submitted to "
-                        f"process pool '{node.func.value.id}.{node.func.attr}'; "
-                        f"nested functions do not pickle — hoist it to module "
-                        f"level",
-                    )
-                )
-        self.generic_visit(node)
-
-
-@rule("R012")
-def check_pool_submissions(file: SourceFile) -> Iterator[Finding]:
-    """Flag unpicklable callables handed to process pools."""
-    visitor = _PoolSubmitVisitor(file)
-    # Two passes: bindings/nested defs may appear after the call site.
-    visitor.visit(file.tree)
-    visitor.findings.clear()
-    visitor.visit(file.tree)
-    # The second pass records pool names / nested defs twice; findings were
-    # cleared in between, so each violation is reported exactly once.
-    yield from visitor.findings
 
 
 def _frozen_dataclasses(tree: ast.Module) -> tuple[set[str], set[str]]:

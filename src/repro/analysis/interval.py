@@ -299,7 +299,7 @@ LENGTH_BOUNDS: dict[str, int] = {
 }
 
 #: Name suffixes that declare an exact integer quantity — the values
-#: whose arithmetic must stay exact (R071's targets, R072's operands).
+#: whose arithmetic must stay exact (R072's operands and targets).
 INTEGER_UNIT_SUFFIXES: tuple[str, ...] = ("_elems", "_bytes", "_bits", "_count")
 
 

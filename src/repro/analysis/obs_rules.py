@@ -1,25 +1,18 @@
-"""Observability rule pack (``R030``–``R031``).
+"""Observability rule pack (``R030``).
 
-The telemetry subsystem (:mod:`repro.obs`) has a usage contract the
-runtime cannot enforce:
+A :class:`~repro.obs.tracer.Span` records itself only on ``__exit__``,
+so every ``tracer.start(...)`` call must be the context expression of a
+``with`` statement.  A bare call "works" (no exception) but silently
+drops the span; the tracer's nesting depth is taken in ``__enter__``, so
+later spans still record the right depth.  ``R030`` makes the
+convention checkable.
 
-* A :class:`~repro.obs.tracer.Span` records itself (and balances its
-  tracer's nesting depth) only on ``__exit__`` — so every
-  ``tracer.start(...)`` call must be the context expression of a
-  ``with`` statement.  A bare call "works" (no exception) but silently
-  drops the span and skews the depth of every later span on that
-  thread.  ``R030`` makes the convention checkable.
-* Merged metric snapshots cross process and subsystem boundaries, so a
-  metric's unit must travel in its *name* — the
-  :data:`repro.obs.metrics.UNIT_SUFFIXES` convention
-  (``plan_cache_hits_count``, ``dram_reads_bytes``,
-  ``plan_cached_seconds``).  The registry raises ``ValueError`` for
-  unsuffixed names at runtime, but only on the traced path; ``R031``
-  flags them at review time, on every path.
+Unsuffixed metric names need no rule: :class:`~repro.obs.MetricsRegistry`
+raises ``ValueError`` on them at registration, traced or not, so every
+literal name fails the first test that reaches it.
 
-Both rules are name-heuristic (receivers matching ``tracer`` /
-``metric``/``registry``), matching the repo's accessor convention
-(``get_tracer()``, ``metrics_registry()``).
+The rule is name-heuristic (receivers matching ``tracer``), matching
+the repo's accessor convention (``get_tracer()``).
 """
 
 from __future__ import annotations
@@ -28,32 +21,16 @@ import ast
 import re
 from typing import Iterator
 
-from ..obs.metrics import UNIT_SUFFIXES, has_unit_suffix
 from .findings import Finding
 from .rules import SourceFile, rule
+from .unit_rules import _terminal_name
+from .unitflow import _src
 
-#: Receiver names that identify a tracer object (R030).
+#: Receiver names that identify a tracer object.
 _TRACER_RECEIVER = re.compile(r"tracer", re.IGNORECASE)
 
-#: Methods on a tracer that open a span (R030).
+#: Methods on a tracer that open a span.
 _SPAN_METHODS = frozenset({"start", "span"})
-
-#: Receiver names that identify a metrics registry (R031).
-_METRICS_RECEIVER = re.compile(r"metric|registry", re.IGNORECASE)
-
-#: Registry methods that create/fetch a named instrument (R031).
-_METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
-
-
-def _terminal_name(node: ast.expr) -> str | None:
-    """The identifier an expression terminates in (``a.b.c()`` → ``c``)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Call):
-        return _terminal_name(node.func)
-    return None
 
 
 def _span_label(node: ast.Call) -> str:
@@ -62,8 +39,7 @@ def _span_label(node: ast.Call) -> str:
         value = node.args[0].value
         if isinstance(value, str):
             return f"span '{value}'"
-    text = ast.unparse(node)
-    return text if len(text) <= 40 else text[:37] + "..."
+    return _src(node)
 
 
 def _with_context_exprs(tree: ast.Module) -> set[int]:
@@ -95,34 +71,5 @@ def check_span_context_manager(file: SourceFile) -> Iterator[Finding]:
             "R030",
             node,
             f"{_span_label(node)} opened outside a 'with' statement; spans "
-            f"record only on __exit__, so this span is silently dropped "
-            f"and the tracer's nesting depth is corrupted",
-        )
-
-
-@rule("R031")
-def check_metric_unit_suffix(file: SourceFile) -> Iterator[Finding]:
-    """Literal metric names carry a ``UNIT_SUFFIXES`` unit suffix."""
-    for node in ast.walk(file.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr not in _METRIC_METHODS:
-            continue
-        receiver = _terminal_name(func.value)
-        if receiver is None or not _METRICS_RECEIVER.search(receiver):
-            continue
-        if not node.args:
-            continue
-        first = node.args[0]
-        if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
-            continue
-        if has_unit_suffix(first.value):
-            continue
-        yield file.finding(
-            "R031",
-            node,
-            f"metric name '{first.value}' lacks a unit suffix; merged "
-            f"snapshots need the unit in the name — end it with one of "
-            f"{', '.join(UNIT_SUFFIXES)}",
+            f"record only on __exit__, so this span is silently dropped",
         )

@@ -15,11 +15,6 @@ Rules
   reaches ``2**63`` (or cannot be bounded by a growing operation on
   bounded operands): the proof failed; the finding carries the offending
   expression and its worst-case bound.
-* **R071** — a batch expression silently promotes to float (true
-  division / float operands) and is then bound to an integer-unit name
-  (``*_bytes``, ``*_elems``, …): the float creeps into exact Eq. (1)
-  arithmetic wearing an integer label.  Warning — promotion *into a
-  float-named quantity* is the documented latency/energy boundary.
 * **R072** — an integer-unit quantity whose bound exceeds ``2**53``
   flows through float64 (true division, ``float()``) and is then
   *treated as exact again* — bound to an integer-unit name or rounded
@@ -113,7 +108,7 @@ def _call_dtype(call: ast.Call) -> str | None:
 class _Hit:
     """One rule hit found while interpreting a function."""
 
-    kind: str  # "overflow" | "promotion" | "precision" | "dtype" | "divzero"
+    kind: str  # "overflow" | "precision" | "dtype" | "divzero"
     file: SourceFile
     node: ast.AST
     qualname: str
@@ -630,8 +625,10 @@ class RangeFlow:
         info: FunctionInfo,
         qualname: str,
     ) -> None:
-        """Record promotion/precision/dtype/divzero hits in one statement."""
-        # R071: integer-unit target bound to a promoted float expression.
+        """Record precision/dtype/divzero hits in one statement."""
+        # R072: a lossy float bound back under an integer-unit name.
+        # (Float creep into such a name — true division, float literals —
+        # is R003's finding.)
         targets: list[ast.expr] = []
         value: ast.expr | None = None
         if isinstance(stmt, ast.Assign):
@@ -649,28 +646,9 @@ class RangeFlow:
                     ):
                         continue
                     if big is not None:
-                        # R072: the lossy float lands back under an
-                        # integer-unit label — exactness silently lost.
                         self._check_precision(
                             big[0], big[1], stmt, info, qualname,
                             context=f"the integer-unit binding '{target.id}'",
-                        )
-                    elif inferred.is_np:
-                        self.hits.append(
-                            _Hit(
-                                kind="promotion",
-                                file=info.file,
-                                node=stmt,
-                                qualname=qualname,
-                                message=(
-                                    f"'{target.id}' declares an exact integer "
-                                    f"unit but is bound to a float-promoted "
-                                    f"batch expression ({_src(value)}) in "
-                                    f"{qualname}(); keep Eq. (1) capacity "
-                                    f"arithmetic in int64 or rename the "
-                                    f"binding to a float quantity"
-                                ),
-                            )
                         )
         for node in _walk_no_defs(stmt):
             if isinstance(node, ast.BinOp) and isinstance(
@@ -863,12 +841,6 @@ def _emit(flow: RangeFlow, kind: str, code: str) -> Iterator[Finding]:
 def check_int64_overflow(project: Project) -> Iterator[Finding]:
     """Flag int64 intermediates not provably below 2**63."""
     yield from _emit(rangeflow_for(project), "overflow", "R070")
-
-
-@rule("R071", scope="project")
-def check_silent_promotion(project: Project) -> Iterator[Finding]:
-    """Flag float-promoted batch values bound to integer-unit names."""
-    yield from _emit(rangeflow_for(project), "promotion", "R071")
 
 
 @rule("R072", scope="project")

@@ -25,9 +25,9 @@ instantiated at module top level or from a shared class's methods, to a
 fixpoint) together with whether each write is lexically inside a
 ``with``-lock region; lock acquire/release pairing; lock-nesting pairs
 (plus locks acquired transitively by callees, for lock-order analysis);
-thread starts and process-pool creations in source order; ``O_APPEND``
-journal write counts; blocking calls made while a lock is held; and
-locally started non-daemon threads that are never joined.
+thread starts and process-pool creations in source order; blocking
+calls made while a lock is held; and locally started non-daemon threads
+that are never joined.
 
 Reachability runs over the call graph *augmented with receiver-blind
 method dispatch*: an unresolvable ``x.add(...)`` call may reach any
@@ -42,8 +42,18 @@ import ast
 from dataclasses import dataclass, field
 
 from .callgraph import CallGraph, _Resolver
-from .determinism_rules import _POOL_CONSTRUCTORS, resolve_call_target
+from .determinism_rules import resolve_call_target
 from .rules import Project, SourceFile
+
+#: Process-pool constructors (isolated memory; fork hazards, R063).
+_POOL_CONSTRUCTORS = frozenset(
+    {
+        "concurrent.futures.ProcessPoolExecutor",
+        "concurrent.futures.process.ProcessPoolExecutor",
+        "multiprocessing.Pool",
+        "multiprocessing.pool.Pool",
+    }
+)
 
 #: Thread-pool constructors (shared-memory concurrency).
 _THREAD_POOLS = frozenset(
@@ -119,8 +129,6 @@ class FunctionFacts:
     thread_start_lines: list[int] = field(default_factory=list)
     #: Process-pool constructor call nodes in this body.
     pool_ctor_nodes: list[ast.Call] = field(default_factory=list)
-    #: O_APPEND fd writes beyond the first, per fd variable.
-    journal_multi_writes: list[tuple[ast.Call, str]] = field(default_factory=list)
     #: Non-daemon threads started here and never joined nor escaping.
     leaked_threads: list[tuple[ast.AST, str]] = field(default_factory=list)
 
@@ -503,8 +511,6 @@ class _FactCollector:
         self.global_decls: set[str] = set()
         self.lock_locals: set[str] = set()
         self.thread_locals: dict[str, ast.Call] = {}
-        self.append_fds: set[str] = set()
-        self.append_writes: dict[str, int] = {}
         self._scan_prelude()
         self._thread_meta: dict[str, dict[str, bool]] = {}
 
@@ -637,23 +643,6 @@ class _FactCollector:
                 for t in node.targets:
                     if isinstance(t, ast.Name):
                         self.thread_locals[t.id] = node.value
-            elif (
-                target_path == "os.open"
-                and self._has_o_append(node.value)
-            ):
-                for t in node.targets:
-                    if isinstance(t, ast.Name):
-                        self.append_fds.add(t.id)
-
-    @staticmethod
-    def _has_o_append(call: ast.Call) -> bool:
-        for arg in call.args[1:2]:
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.Attribute) and sub.attr == "O_APPEND":
-                    return True
-                if isinstance(sub, ast.Name) and sub.id == "O_APPEND":
-                    return True
-        return False
 
     # -- calls -------------------------------------------------------------
 
@@ -687,13 +676,6 @@ class _FactCollector:
         target_path = resolve_call_target(func, self.aliases)
         if target_path in _POOL_CONSTRUCTORS:
             self.facts.pool_ctor_nodes.append(node)
-        if target_path == "os.write" and node.args:
-            fd = node.args[0]
-            if isinstance(fd, ast.Name) and fd.id in self.append_fds:
-                count = self.append_writes.get(fd.id, 0) + 1
-                self.append_writes[fd.id] = count
-                if count > 1:
-                    self.facts.journal_multi_writes.append((node, fd.id))
         if lock_stack:
             self.facts.calls_under_lock.append((lock_stack[-1], node))
             if name in _BLOCKING_CALLS:

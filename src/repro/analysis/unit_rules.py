@@ -26,21 +26,8 @@ from typing import Iterator
 
 from .findings import Finding
 from .rules import SourceFile, rule
+from .unitflow import CAST_SIGNATURES, _src, is_plain, name_unit
 
-#: name suffix → canonical unit.
-_SUFFIX_UNITS: dict[str, str] = {
-    "bytes": "bytes",
-    "byte": "bytes",
-    "bits": "bits",
-    "elems": "elems",
-    "elements": "elems",
-    "cycles": "cycles",
-}
-
-#: Calls whose result is known to be byte-valued (arch.units helpers).
-_BYTE_VALUED_CALLS = frozenset({"kib", "mib"})
-
-_RATE_MARKER = re.compile(r"_per_")
 _FOOTPRINT_NAME = re.compile(r"tile|footprint|resid|memory|buffer")
 _CONVERSION_CONSTANTS = frozenset({8, 1024, 1024 * 1024})
 _UNITISH_NAME = re.compile(r"byte|bit|elem|kib|mib|size|capacity|glb")
@@ -48,7 +35,7 @@ _INT_WRAPPERS = frozenset({"int", "round", "floor", "ceil", "ceil_div", "len"})
 
 
 def _terminal_name(node: ast.expr) -> str | None:
-    """The identifier a value expression reads from, if any."""
+    """The identifier a value expression reads from (``a.b.c()`` → ``c``)."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -59,32 +46,18 @@ def _terminal_name(node: ast.expr) -> str | None:
 
 
 def unit_of(node: ast.expr) -> str | None:
-    """Infer the unit a (sub)expression carries from the naming convention.
+    """Infer the plain unit a (sub)expression carries from its name.
 
-    Returns one of ``"bytes"``/``"bits"``/``"elems"``/``"cycles"`` or
-    ``None`` when no unit can be inferred.  Rates (``…_per_cycle``) are
-    deliberately unitless here: dividing bytes by bytes-per-cycle is
-    legitimate mixed arithmetic.
+    The suffix table is :func:`repro.analysis.unitflow.name_unit`'s; a
+    call to a unit-cast helper carries the cast's output unit.  Rates
+    (``…_per_cycle``) are deliberately unitless here: dividing bytes by
+    bytes-per-cycle is legitimate mixed arithmetic.
     """
     if isinstance(node, ast.Call):
-        name = _terminal_name(node.func)
-        if name in _BYTE_VALUED_CALLS:
-            return "bytes"
-        return None
-    name = _terminal_name(node)
-    if name is None or _RATE_MARKER.search(name):
-        return None
-    lowered = name.lower()
-    for suffix, unit in _SUFFIX_UNITS.items():
-        if lowered == suffix or lowered.endswith("_" + suffix):
-            return unit
-    return None
-
-
-def _src(node: ast.expr) -> str:
-    """Compact source rendering of a node for messages."""
-    text = ast.unparse(node)
-    return text if len(text) <= 40 else text[:37] + "..."
+        cast = CAST_SIGNATURES.get(_terminal_name(node.func) or "")
+        return cast[1] if cast else None
+    unit = name_unit(_terminal_name(node))
+    return unit if is_plain(unit) else None
 
 
 class _FunctionStackVisitor(ast.NodeVisitor):

@@ -1,4 +1,4 @@
-"""Interprocedural unit-flow rule pack (``R040``–``R044``, project scope).
+"""Interprocedural unit-flow rule pack (``R040``–``R043``, project scope).
 
 A per-file check sees only suffix-typed *names*; a ``_bytes`` value
 returned into an ``_elems`` parameter two modules away is invisible to
@@ -29,19 +29,19 @@ transfer functions:
 
 Function summaries (parameter units from names, return unit from the
 declared name suffix or the inferred return expressions) are propagated
-to a fixpoint over the call graph, then five checks run:
+to a fixpoint over the call graph, then four checks run:
 
 * **R040** — a call-site argument whose inferred unit contradicts the
-  parameter's declared unit;
+  parameter's declared unit, casts included: a sanctioned cast applied
+  to the wrong input unit (``to_kib(n_elems)``, ``kib(x_bytes)``) is a
+  call-site mismatch like any other;
 * **R041** — a function whose name declares a unit but whose return
   expression infers a different one;
 * **R042** — an assignment binding a unit-suffixed name to a value of a
   different inferred unit;
 * **R043** — additive/comparison unit mixes anywhere in a file
   (function, class and module bodies, lambdas included), whether the
-  units come from name suffixes or only from inference;
-* **R044** — a sanctioned cast applied to the wrong input unit
-  (``to_kib(n_elems)``, ``kib(x_bytes)``).
+  units come from name suffixes or only from inference.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def _own_statements(func: ast.AST) -> Iterator[ast.stmt]:
 
 
 class UnitFlow:
-    """Shared unit-inference state for the R040–R044 checkers.
+    """Shared unit-inference state for the R040–R043 checkers.
 
     Built once per project (cached on the call graph object) — the
     summaries are propagated to a fixpoint before any checker runs.
@@ -427,6 +427,7 @@ def _describe(unit: str | None) -> str:
 
 
 def _src(node: ast.expr) -> str:
+    """Compact source rendering of a node for messages."""
     text = ast.unparse(node)
     return text if len(text) <= 40 else text[:37] + "..."
 
@@ -462,7 +463,11 @@ def _call_bindings(
 
 @rule("R040", scope="project")
 def check_call_site_units(project: Project) -> Iterator[Finding]:
-    """Flag arguments whose inferred unit contradicts the parameter's."""
+    """Flag arguments whose inferred unit contradicts the parameter's.
+
+    A cast's input unit comes from :data:`CAST_SIGNATURES`; ``kib``/``mib``
+    take a bare count, so a bytes argument double-converts.
+    """
     flow = unitflow_for(project)
     for caller, sites in sorted(flow.graph.callsites.items()):
         caller_info = flow.graph.functions.get(caller)
@@ -472,14 +477,24 @@ def check_call_site_units(project: Project) -> Iterator[Finding]:
                 flow._bind_stmt(stmt, env)
         for callee_name, call, file in sites:
             callee = flow.graph.functions[callee_name]
-            if _is_cast(callee):
-                continue  # cast boundaries are R044's job
+            cast = _is_cast(callee)
             for param, arg in _call_bindings(call, callee):
-                declared = flow.summaries[callee_name].param_units.get(param)
-                if not is_plain(declared):
-                    continue
+                if cast:
+                    declared = CAST_SIGNATURES[callee.name][0]
+                else:
+                    declared = flow.summaries[callee_name].param_units.get(param)
+                    if not is_plain(declared):
+                        continue
                 inferred = flow.infer(arg, env)
-                if is_plain(inferred) and inferred != declared:
+                if cast and declared is None and inferred == "bytes":
+                    yield file.finding(
+                        "R040",
+                        call,
+                        f"{callee.name}() takes a KiB/MiB count, but "
+                        f"{_src(arg)} already carries bytes — this "
+                        f"double-converts",
+                    )
+                elif is_plain(declared) and is_plain(inferred) and inferred != declared:
                     yield file.finding(
                         "R040",
                         call,
@@ -618,44 +633,3 @@ def check_unit_mix(project: Project) -> Iterator[Finding]:
                         f"{_describe(ru)} ({_src(right)}); convert through "
                         f"repro.arch.units first",
                     )
-
-
-# ----------------------------------------------------------------------
-# R044 — unit-cast helper misuse
-# ----------------------------------------------------------------------
-
-
-@rule("R044", scope="project")
-def check_cast_misuse(project: Project) -> Iterator[Finding]:
-    """Flag sanctioned casts applied to the wrong input unit."""
-    flow = unitflow_for(project)
-    for caller, sites in sorted(flow.graph.callsites.items()):
-        caller_info = flow.graph.functions.get(caller)
-        env: dict[str, str | None] = {}
-        if caller_info is not None:
-            env = flow._initial_env(caller_info)
-            for stmt in _own_statements(caller_info.node):
-                flow._bind_stmt(stmt, env)
-        for callee_name, call, file in sites:
-            callee = flow.graph.functions[callee_name]
-            if not _is_cast(callee) or not call.args:
-                continue
-            required, _output = CAST_SIGNATURES[callee.name]
-            inferred = flow.infer(call.args[0], env)
-            if required is not None:
-                if is_plain(inferred) and inferred != required:
-                    yield file.finding(
-                        "R044",
-                        call,
-                        f"{callee.name}() expects {required} but its "
-                        f"argument {_src(call.args[0])} carries "
-                        f"{_describe(inferred)}",
-                    )
-            elif inferred == "bytes":
-                yield file.finding(
-                    "R044",
-                    call,
-                    f"{callee.name}() takes a KiB/MiB count, but "
-                    f"{_src(call.args[0])} already carries bytes — this "
-                    f"double-converts",
-                )

@@ -3,7 +3,7 @@
 Every metric name must end in a unit suffix (``_bytes``, ``_elems``,
 ``_cycles``, ``_count``, ``_ns``, ``_seconds``, ``_ratio``, ``_bits``) —
 the same convention the R043 unit lint applies to variables, enforced
-here at registration time and statically by lint rule R031.
+here at registration time, traced or not.
 
 The registry is per-process; worker processes reset theirs at pool entry
 (:func:`repro.obs.tracer.configure_worker`) and return
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 
-#: Accepted metric-name unit suffixes (shared with lint rule R031).
+#: Accepted metric-name unit suffixes.
 UNIT_SUFFIXES: tuple[str, ...] = (
     "_bytes",
     "_bits",

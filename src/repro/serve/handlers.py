@@ -65,25 +65,34 @@ def _resolve_model_name(name: str) -> str:
     return canonical
 
 
-def _canonical_request(params: Any) -> PlanRequest:
-    """Parse and normalize a request (model name in canonical zoo case).
+def _canonical_request(
+    endpoint: str, params: Any
+) -> tuple[PlanRequest, AcceleratorSpec]:
+    """Parse, normalize and validate a request; returns it with its spec.
 
-    Normalizing here means the echoed ``result["request"]`` — and hence
-    the full response payload — is identical however the client cased
-    the model name.
+    Normalizing the model name here means the echoed ``result["request"]``
+    — and hence the full response payload — is identical however the
+    client cased the model name.  A request the endpoint cannot serve
+    (a spec outside :mod:`repro.arch.bounds`; for ``simulate``, a GLB too
+    small for the baseline partitions) is a ``bad-request`` raised here,
+    before any cache lookup.
     """
     request = parse_plan_request(params)
-    return replace(request, model=_resolve_model_name(request.model))
+    request = replace(request, model=_resolve_model_name(request.model))
+    try:
+        spec = AcceleratorSpec(
+            glb_bytes=kib(request.glb_kb),
+            data_width_bits=request.data_width_bits,
+            ops_per_cycle=request.ops_per_cycle,
+            dram_bandwidth_elems_per_cycle=request.dram_bandwidth_elems_per_cycle,
+        )
+        if endpoint == "simulate":
+            from ..scalesim import baseline_configs
 
-
-def _spec_for(request: PlanRequest) -> AcceleratorSpec:
-    """The accelerator spec a request describes."""
-    return AcceleratorSpec(
-        glb_bytes=kib(request.glb_kb),
-        data_width_bits=request.data_width_bits,
-        ops_per_cycle=request.ops_per_cycle,
-        dram_bandwidth_elems_per_cycle=request.dram_bandwidth_elems_per_cycle,
-    )
+            baseline_configs(spec.glb_bytes, data_width_bits=spec.data_width_bits)
+    except ValueError as exc:
+        raise ProtocolError("bad-request", str(exc)) from exc
+    return request, spec
 
 
 def handle_health(params: Any = None) -> dict[str, Any]:
@@ -138,8 +147,8 @@ def handle_plan(params: Any) -> dict[str, Any]:
     ``plan_to_dict(MemoryManager(spec).plan_cached(...))`` for the same
     request — the acceptance property the load generator asserts.
     """
-    request = _canonical_request(params)
-    manager = MemoryManager(_spec_for(request))
+    request, spec = _canonical_request("plan", params)
+    manager = MemoryManager(spec)
     try:
         plan, hit, key = manager.plan_cached_detail(
             get_model(request.model),
@@ -160,8 +169,8 @@ def handle_plan(params: Any) -> dict[str, Any]:
 
 def handle_explain(params: Any) -> dict[str, Any]:
     """The planner's per-layer decision audit trail for one request."""
-    request = _canonical_request(params)
-    manager = MemoryManager(_spec_for(request))
+    request, spec = _canonical_request("explain", params)
+    manager = MemoryManager(spec)
     try:
         plan, hit, key = manager.plan_cached_detail(
             get_model(request.model),
@@ -190,9 +199,8 @@ def handle_simulate(params: Any) -> dict[str, Any]:
     from ..experiments import cache
     from ..scalesim import SimulationResult, baseline_configs, simulate
 
-    request = _canonical_request(params)
+    request, spec = _canonical_request("simulate", params)
     model = get_model(request.model)
-    spec = _spec_for(request)
     key = cache.make_key(
         "baseline",
         model=cache.model_digest(model),
@@ -279,8 +287,9 @@ def code_digest() -> str:
 def reply_key(endpoint: str, params: Any) -> str | None:
     """The reply-entry key of a request, or ``None`` when it has none.
 
-    Only valid ``plan``/``explain``/``simulate`` requests have one; the
-    request is keyed in its canonical form, so differently cased model
+    Only ``plan``/``explain``/``simulate`` requests the endpoint can
+    serve have one, so a bad request looks nothing up; the request is
+    keyed in its canonical form, so differently cased model
     names share an entry.
     """
     from ..experiments import cache
@@ -288,7 +297,7 @@ def reply_key(endpoint: str, params: Any) -> str | None:
     if endpoint not in POST_ENDPOINTS:
         return None
     try:
-        request = _canonical_request(params)
+        request, _spec = _canonical_request(endpoint, params)
     except ProtocolError:
         return None
     return cache.make_key(

@@ -311,48 +311,6 @@ def test_r063_clean_when_pool_created_first(tmp_path: Path) -> None:
 
 
 # ----------------------------------------------------------------------
-# R064 — non-atomic O_APPEND journal appends
-# ----------------------------------------------------------------------
-
-
-def test_r064_fires_on_second_append_write(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/journal.py": (
-                "import os\n"
-                "def record(path, key, size):\n"
-                "    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)\n"
-                "    os.write(fd, key.encode())\n"
-                "    os.write(fd, str(size).encode())\n"
-                "    os.close(fd)\n"
-            ),
-        },
-    )
-    report = analyze_paths([root], root=root)
-    r064 = [f for f in report if f.code == "R064" and f.active]
-    assert r064 and "atomic" in r064[0].message
-
-
-def test_r064_clean_with_single_write(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/journal.py": (
-                "import os\n"
-                "def record(path, key, size):\n"
-                "    line = f'{key} {size}\\n'.encode()\n"
-                "    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)\n"
-                "    os.write(fd, line)\n"
-                "    os.close(fd)\n"
-            ),
-        },
-    )
-    report = analyze_paths([root], root=root)
-    assert "R064" not in active_codes(report)
-
-
-# ----------------------------------------------------------------------
 # R065 — blocking call under lock (warning)
 # ----------------------------------------------------------------------
 
@@ -493,46 +451,6 @@ def test_r070_repo_closed_forms_prove_clean(repo_lint_report) -> None:
     """The acceptance proof: the real estimator and tile-search arithmetic
     carries no unprovable int64 intermediate over the declared bounds."""
     assert not [f for f in repo_lint_report if f.code == "R070" and f.active]
-
-
-# ----------------------------------------------------------------------
-# R071 — silent int→float promotion into an integer-unit name
-# ----------------------------------------------------------------------
-
-
-def test_r071_fires_on_promoted_batch_binding(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/promo.py": (
-                "import numpy as np\n"
-                "def halves(layers):\n"
-                "    elems = np.array([la.in_c for la in layers], dtype=np.float64)\n"
-                "    half_elems = elems / 2\n"
-                "    return half_elems\n"
-            ),
-        },
-    )
-    report = analyze_paths([root], root=root)
-    r071 = [f for f in report if f.code == "R071" and f.active]
-    assert r071 and "half_elems" in r071[0].message
-
-
-def test_r071_clean_for_float_named_binding(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/promo.py": (
-                "import numpy as np\n"
-                "def halves(layers):\n"
-                "    elems = np.array([la.in_c for la in layers], dtype=np.float64)\n"
-                "    half_ratio = elems / 2\n"
-                "    return half_ratio\n"
-            ),
-        },
-    )
-    report = analyze_paths([root], root=root)
-    assert "R071" not in active_codes(report)
 
 
 # ----------------------------------------------------------------------

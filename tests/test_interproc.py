@@ -3,7 +3,7 @@
 Covers: the project-wide call graph (qualnames, import/re-export
 resolution, method dispatch, decorator transparency, reference edges),
 the unit lattice and its transfer functions, the unit-flow rules
-(R040–R044, R043 in every scope) and determinism-reachability rules
+(R040–R043, R043 in every scope) and determinism-reachability rules
 (R052–R053) on seeded
 fixture packages, the SARIF 2.1.0 export, content-addressed
 fingerprints, and the lint wall-time budget.
@@ -196,7 +196,7 @@ def test_unit_transfer_functions() -> None:
 
 
 # ----------------------------------------------------------------------
-# Unit-flow rules (R040–R044)
+# Unit-flow rules (R040–R043)
 # ----------------------------------------------------------------------
 
 
@@ -333,7 +333,7 @@ def test_r043_clean_on_rate_arithmetic(tmp_path: Path) -> None:
     assert r043_lines(tmp_path, src) == []
 
 
-def test_r044_fires_on_cast_misuse(tmp_path: Path) -> None:
+def test_r040_fires_on_cast_misuse(tmp_path: Path) -> None:
     root = mini_project(
         tmp_path,
         {
@@ -353,8 +353,8 @@ def test_r044_fires_on_cast_misuse(tmp_path: Path) -> None:
         },
     )
     report = analyze_paths([root], root=root)
-    r044 = [f for f in report if f.code == "R044" and f.active]
-    assert len(r044) == 2  # to_kib(elems) and kib(bytes) both flagged
+    r040 = [f for f in report if f.code == "R040" and f.active]
+    assert len(r040) == 2  # to_kib(elems) and kib(bytes) both flagged
     # the helpers themselves are sanctioned: no R041 on their bodies
     assert not any(
         f.code == "R041" and "units.py" in f.path for f in report

@@ -94,6 +94,16 @@ def test_tracer_records_nested_spans_with_depth_and_attrs():
     assert tracer.drain() == ()  # drain moves, never duplicates
 
 
+def test_bare_start_drops_the_span_but_keeps_the_depth():
+    """A span never entered records nothing; depth is taken in __enter__."""
+    tracer = Tracer()
+    tracer.start("dropped")
+    with tracer.start("next"):
+        pass
+    (record,) = tracer.drain()
+    assert record.name == "next" and record.depth == 0
+
+
 def test_span_name_is_positional_only():
     tracer = Tracer()
     with tracer.start("artifact", name="table2"):
@@ -160,6 +170,15 @@ def test_metric_names_require_unit_suffix():
         registry.histogram("latency")
     assert has_unit_suffix("cache_hits_count")
     assert not has_unit_suffix("cache_hits")
+
+
+def test_unsuffixed_metric_name_raises_with_tracing_off():
+    previous = set_tracer(NullTracer())
+    try:
+        with pytest.raises(ValueError):
+            metrics_registry().counter("cache_hits").add(1)
+    finally:
+        set_tracer(previous)
 
 
 def test_counter_gauge_histogram_roundtrip():

@@ -20,10 +20,11 @@ from repro.analyzer.export import plan_to_dict
 from repro.arch.spec import AcceleratorSpec
 from repro.arch.units import kib
 from repro.cli import main
+from repro.experiments import cache
 from repro.manager import MemoryManager
 from repro.nn.zoo import get_model
 from repro.report import diagnostics
-from repro.serve import loadgen, protocol
+from repro.serve import handlers, loadgen, protocol
 from repro.serve.handlers import execute
 from repro.serve.protocol import ProtocolError, canonical_json, parse_plan_request
 from repro.serve.server import ReproServer
@@ -141,6 +142,32 @@ class TestHandlers:
         assert status == 400
         assert envelope["error"]["code"] == "bad-request"
         assert diagnostics.validate_serve_payload(envelope) == []
+
+    @pytest.mark.parametrize(
+        ("endpoint", "field", "value"),
+        [
+            (endpoint, field, value)
+            for endpoint in protocol.POST_ENDPOINTS
+            for field, value in (
+                ("glb_kb", 10**9),
+                ("data_width_bits", 7),
+                ("data_width_bits", 64),
+                ("ops_per_cycle", 10**12),
+                ("dram_bandwidth_elems_per_cycle", 1e300),
+            )
+        ]
+        + [("simulate", "glb_kb", 1)],
+    )
+    def test_unservable_spec_is_bad_request(self, endpoint, field, value):
+        params = {"model": "MobileNet", field: value}
+        assert handlers.reply_key(endpoint, params) is None
+        counters = cache.counters()
+        status, body = handlers.respond(endpoint, params)
+        envelope = json.loads(body)
+        assert status == 400
+        assert envelope["error"]["code"] == "bad-request"
+        assert diagnostics.validate_serve_payload(envelope) == []
+        assert cache.counters() == counters  # no cache lookup, no miss
 
     def test_models_lists_zoo(self):
         status, envelope = execute("models")
