@@ -39,13 +39,9 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .reach_rules import _chain_str
+from .reach_rules import _chain_str, _short
 from .rules import Project, rule
 from .threadroots import ThreadAnalysis, threads_for
-
-
-def _short(qualname: str) -> str:
-    return qualname[len("repro.") :] if qualname.startswith("repro.") else qualname
 
 
 @rule("R060", scope="project")

@@ -125,10 +125,14 @@ def reach_for(project: Project) -> ReachAnalysis:
     return cached
 
 
+def _short(qualname: str) -> str:
+    """``qualname`` without its ``repro.`` prefix."""
+    return qualname.removeprefix("repro.")
+
+
 def _chain_str(chain: tuple[str, ...]) -> str:
     """Human-readable witness chain (``repro.`` prefixes dropped)."""
-    shown = [q[len("repro.") :] if q.startswith("repro.") else q for q in chain]
-    return " -> ".join(shown)
+    return " -> ".join(_short(q) for q in chain)
 
 
 def _emit(reach: ReachAnalysis, kind: str, code: str, describe: str) -> Iterator[Finding]:

@@ -52,6 +52,7 @@ from typing import Iterator
 
 from .callgraph import CallGraph, FunctionInfo, own_nodes
 from .findings import Finding
+from .interval import terminal_name
 from .rules import Project, SourceFile, rule
 
 #: Plain units of the lattice (rates are ``"rate:<num>/<den>"`` strings).
@@ -340,17 +341,10 @@ class UnitFlow:
             return self.infer(node.value, env)
         return None
 
-    def _terminal_name(self, func: ast.expr) -> str | None:
-        if isinstance(func, ast.Name):
-            return func.id
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        return None
-
     def _infer_call(
         self, node: ast.Call, env: dict[str, str | None]
     ) -> str | None:
-        name = self._terminal_name(node.func)
+        name = terminal_name(node.func)
         callee = self.call_targets.get(id(node))
         if callee is not None:
             return self.summaries[callee].effective_return

@@ -23,7 +23,7 @@ from .backend import (
     DramStats,
     combine_stats,
     simulate_accesses,
-    simulate_requests,
+    simulate_streams,
 )
 from .mapping import (
     MAPPING_NAMES,
@@ -40,7 +40,6 @@ from .mapping import (
 from .planstats import (
     LayerDramResult,
     PlanDramResult,
-    assignment_dram_stats,
     simulate_plan_dram,
 )
 from .spec import DEFAULT_DDR4_SPEC, KNOWN_MAPPINGS, DramSpec
@@ -50,6 +49,7 @@ from .trace import (
     layer_regions,
     schedule_requests,
     simulate_schedule,
+    simulate_schedules,
 )
 
 __all__ = [
@@ -61,7 +61,7 @@ __all__ = [
     "DramStats",
     "combine_stats",
     "simulate_accesses",
-    "simulate_requests",
+    "simulate_streams",
     "MappingPolicy",
     "AddressLayout",
     "Region",
@@ -75,10 +75,10 @@ __all__ = [
     "layer_regions",
     "schedule_requests",
     "simulate_schedule",
+    "simulate_schedules",
     "dram_effective_bandwidth",
     "clear_dram_memo",
     "LayerDramResult",
     "PlanDramResult",
-    "assignment_dram_stats",
     "simulate_plan_dram",
 ]

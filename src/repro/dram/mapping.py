@@ -28,9 +28,9 @@ across mappings.  Three policies are provided:
     different operands can never evict each other's open rows, so the
     per-step ifmap/filter/ofmap interleaving causes no conflicts at all.
 
-Policies resolve a layer's :class:`Region` list into an
+Policies resolve the :class:`Region` lists of one or more layers into an
 :class:`AddressLayout` once, then the backend locates every row segment
-of the access stream in one array-valued ``locate`` call.
+of a whole batch of access streams in one array-valued ``locate`` call.
 """
 
 from __future__ import annotations
@@ -79,7 +79,12 @@ class Region:
 
 
 class AddressLayout(abc.ABC):
-    """A resolved placement: (region, byte offset) → (channel, bank, row)."""
+    """A resolved placement: (region, byte offset) → (channel, bank, row).
+
+    Regions are numbered across the layers the layout was resolved for:
+    region ``i`` of the ``k``-th layer is index ``i`` plus the region
+    counts of the layers before it.  Each layer keeps its own placement.
+    """
 
     @abc.abstractmethod
     def locate(
@@ -99,20 +104,22 @@ class MappingPolicy(abc.ABC):
     name: str = ""
 
     @abc.abstractmethod
-    def layout(self, spec: DramSpec, regions: tuple[Region, ...]) -> AddressLayout:
-        """Resolve the regions of one layer into an address layout."""
+    def layout(self, spec: DramSpec, *layers: tuple[Region, ...]) -> AddressLayout:
+        """Resolve the regions of each layer into one address layout."""
 
 
-def _region_bases(regions: tuple[Region, ...]) -> NDArray[np.int64]:
-    return np.array([region.base for region in regions], dtype=np.int64)
+def _region_bases(layers: tuple[tuple[Region, ...], ...]) -> NDArray[np.int64]:
+    return np.array(
+        [region.base for regions in layers for region in regions], dtype=np.int64
+    )
 
 
 class _RowMajorLayout(AddressLayout):
     """Contiguous layout: row fastest, then bank, then channel."""
 
-    def __init__(self, spec: DramSpec, regions: tuple[Region, ...]) -> None:
+    def __init__(self, spec: DramSpec, layers: tuple[tuple[Region, ...], ...]) -> None:
         self._spec = spec
-        self._bases = _region_bases(regions)
+        self._bases = _region_bases(layers)
 
     def locate(
         self, region: NDArray[np.int64], offset: NDArray[np.int64]
@@ -131,17 +138,17 @@ class RowMajorMapping(MappingPolicy):
 
     name = "row_major"
 
-    def layout(self, spec: DramSpec, regions: tuple[Region, ...]) -> AddressLayout:
-        """Resolve the regions of one layer into an address layout."""
-        return _RowMajorLayout(spec, regions)
+    def layout(self, spec: DramSpec, *layers: tuple[Region, ...]) -> AddressLayout:
+        """Resolve the regions of each layer into one address layout."""
+        return _RowMajorLayout(spec, layers)
 
 
 class _BankInterleavedLayout(AddressLayout):
     """Row-block round-robin across channels, then banks."""
 
-    def __init__(self, spec: DramSpec, regions: tuple[Region, ...]) -> None:
+    def __init__(self, spec: DramSpec, layers: tuple[tuple[Region, ...], ...]) -> None:
         self._spec = spec
-        self._bases = _region_bases(regions)
+        self._bases = _region_bases(layers)
 
     def locate(
         self, region: NDArray[np.int64], offset: NDArray[np.int64]
@@ -160,9 +167,9 @@ class BankInterleavedMapping(MappingPolicy):
 
     name = "bank_interleaved"
 
-    def layout(self, spec: DramSpec, regions: tuple[Region, ...]) -> AddressLayout:
-        """Resolve the regions of one layer into an address layout."""
-        return _BankInterleavedLayout(spec, regions)
+    def layout(self, spec: DramSpec, *layers: tuple[Region, ...]) -> AddressLayout:
+        """Resolve the regions of each layer into one address layout."""
+        return _BankInterleavedLayout(spec, layers)
 
 
 def partition_banks(
@@ -206,10 +213,16 @@ def partition_banks(
 class _ReuseAwareLayout(AddressLayout):
     """Per-operand bank partitions, row-interleaved within each partition."""
 
-    def __init__(self, spec: DramSpec, regions: tuple[Region, ...]) -> None:
+    def __init__(self, spec: DramSpec, layers: tuple[tuple[Region, ...], ...]) -> None:
         self._spec = spec
-        weights = tuple(r.traffic if r.traffic > 0 else r.size for r in regions)
-        shares = partition_banks(spec.banks_per_channel, weights)
+        shares = [
+            share
+            for regions in layers
+            for share in partition_banks(
+                spec.banks_per_channel,
+                tuple(r.traffic if r.traffic > 0 else r.size for r in regions),
+            )
+        ]
         self._starts = np.array([start for start, _ in shares], dtype=np.int64)
         self._counts = np.array([count for _, count in shares], dtype=np.int64)
 
@@ -231,9 +244,9 @@ class ReuseAwareMapping(MappingPolicy):
 
     name = "reuse_aware"
 
-    def layout(self, spec: DramSpec, regions: tuple[Region, ...]) -> AddressLayout:
-        """Resolve the regions of one layer into an address layout."""
-        return _ReuseAwareLayout(spec, regions)
+    def layout(self, spec: DramSpec, *layers: tuple[Region, ...]) -> AddressLayout:
+        """Resolve the regions of each layer into one address layout."""
+        return _ReuseAwareLayout(spec, layers)
 
 
 #: name → policy instance, in presentation order (baseline first).

@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..nn.layer import LayerSpec
+from ..policies.base import LayerSchedule
 from .backend import DramStats, combine_stats
 from .mapping import MappingPolicy
 from .spec import DramSpec
-from .trace import simulate_schedule
+from .trace import simulate_schedules
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from ..analyzer.plan import ExecutionPlan, LayerAssignment
+    from ..analyzer.plan import ExecutionPlan
 
 
 @dataclass(frozen=True)
@@ -55,21 +57,19 @@ class PlanDramResult:
         return self.total.row_hit_rate
 
 
-def assignment_dram_stats(
-    assignment: "LayerAssignment",
-    bytes_per_elem: int,
-    dram: DramSpec,
-    mapping: MappingPolicy | str | None = None,
-) -> DramStats:
-    """Trace-simulate one assignment's donation-transformed schedule."""
+def plan_schedules(plan: "ExecutionPlan") -> list[tuple[LayerSchedule, LayerSpec]]:
+    """Each layer's donation-transformed schedule with its layer, in plan order."""
     from ..analyzer.plan import transformed_schedule
 
-    schedule = transformed_schedule(
-        assignment.evaluation.plan.schedule, assignment.receives, assignment.donates
-    )
-    return simulate_schedule(
-        schedule, assignment.layer, bytes_per_elem, dram, mapping
-    )
+    return [
+        (
+            transformed_schedule(
+                assignment.evaluation.plan.schedule, assignment.receives, assignment.donates
+            ),
+            assignment.layer,
+        )
+        for assignment in plan.assignments
+    ]
 
 
 def simulate_plan_dram(
@@ -82,7 +82,8 @@ def simulate_plan_dram(
     ``dram`` defaults to the plan's accelerator DRAM spec and must be
     given when the plan was produced with the flat model.  ``mapping``
     overrides the device's configured mapping policy (the sweep calls
-    this once per policy on the same plan).
+    this once per policy on the same plan).  All layers replay in one
+    batch.
     """
     device = dram if dram is not None else plan.spec.dram
     if device is None:
@@ -95,16 +96,15 @@ def simulate_plan_dram(
         if mapping is None
         else (mapping if isinstance(mapping, str) else mapping.name)
     )
-    layers = []
-    for assignment in plan.assignments:
-        stats = assignment_dram_stats(
-            assignment, plan.spec.bytes_per_elem, device, mapping
+    layers = [
+        LayerDramResult(name=assignment.layer.name, policy=assignment.label, stats=stats)
+        for assignment, stats in zip(
+            plan.assignments,
+            simulate_schedules(
+                plan_schedules(plan), plan.spec.bytes_per_elem, device, mapping
+            ),
         )
-        layers.append(
-            LayerDramResult(
-                name=assignment.layer.name, policy=assignment.label, stats=stats
-            )
-        )
+    ]
     return PlanDramResult(
         mapping=mapping_name,
         layers=tuple(layers),

@@ -22,7 +22,7 @@ from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
 from ..policies.tiled import clear_grid_memo
 from .latency import (
     LatencyBreakdown,
-    effective_dram_bandwidth,
+    effective_dram_bandwidths,
     schedule_latency,
     schedule_latency_batch,
 )
@@ -110,14 +110,14 @@ def estimate_latency_batch(
     """Latency of every plan of a grid in one vectorized recurrence pass.
 
     Each plan runs at its own effective bandwidth (trace-simulated when
-    ``spec.dram`` is banked); bit-identical to :func:`estimate_latency`
-    per plan.
+    ``spec.dram`` is banked, every memo-missed schedule of the grid in one
+    replay batch); bit-identical to :func:`estimate_latency` per plan.
     """
     return schedule_latency_batch(
         [p.schedule for p in plans],
         spec,
         [p.prefetch for p in plans],
-        [effective_dram_bandwidth(p.schedule, spec, p.layer) for p in plans],
+        effective_dram_bandwidths([(p.schedule, p.layer) for p in plans], spec),
     )
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..arch.spec import AcceleratorSpec
-from ..dram.trace import dram_effective_bandwidth
+from ..dram.trace import dram_effective_bandwidths
 from ..nn.layer import LayerSpec
 from ..policies.base import LayerSchedule, StepGroup
 
@@ -114,12 +114,20 @@ def effective_dram_bandwidth(
     and the delivered rate (which row-buffer conflicts can push well below
     the flat peak) is used instead.
     """
+    if layer is None:
+        return spec.dram_bandwidth_elems_per_cycle
+    return effective_dram_bandwidths([(schedule, layer)], spec)[0]
+
+
+def effective_dram_bandwidths(
+    items: Sequence[tuple[LayerSchedule, LayerSpec]], spec: AcceleratorSpec
+) -> list[float]:
+    """:func:`effective_dram_bandwidth` of each (schedule, layer), with every
+    trace simulation the DRAM memo misses replayed in one batch."""
     flat = spec.dram_bandwidth_elems_per_cycle
-    if spec.dram is None or layer is None:
-        return flat
-    return dram_effective_bandwidth(
-        schedule, layer, spec.dram, spec.bytes_per_elem, flat
-    )
+    if spec.dram is None:
+        return [flat] * len(items)
+    return dram_effective_bandwidths(items, spec.dram, spec.bytes_per_elem, flat)
 
 
 def schedule_latency(

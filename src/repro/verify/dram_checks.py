@@ -2,8 +2,8 @@
 
 When a plan's accelerator carries a banked :class:`~repro.dram.DramSpec`,
 its latency and energy flow through the trace-driven backend, so the
-verifier re-simulates every assignment's (donation-transformed) schedule
-and cross-checks the backend's output:
+verifier re-simulates every assignment's (donation-transformed) schedule,
+all of them in one replay batch, and cross-checks the backend's output:
 
 * **V018** — physics: simulated cycles may never beat the idealized
   flat-bandwidth bound ``total_bytes / peak_bytes_per_cycle`` (row-buffer
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 
-from ..analyzer.plan import ExecutionPlan, transformed_schedule
-from ..dram.trace import simulate_schedule
+from ..analyzer.plan import ExecutionPlan
+from ..dram.planstats import plan_schedules
+from ..dram.trace import simulate_schedules
 from .diagnostics import DiagnosticCollector
 
 #: Relative tolerance for the V018 cycle bound (pure float arithmetic on
@@ -32,12 +33,9 @@ def check_dram(out: DiagnosticCollector, plan: ExecutionPlan) -> None:
     if dram is None:
         return
     b = plan.spec.bytes_per_elem
-    for assignment in plan.assignments:
-        candidate = assignment.evaluation.plan
-        schedule = transformed_schedule(
-            candidate.schedule, assignment.receives, assignment.donates
-        )
-        stats = simulate_schedule(schedule, assignment.layer, b, dram)
+    items = plan_schedules(plan)
+    replayed = simulate_schedules(items, b, dram)
+    for assignment, (schedule, _), stats in zip(plan.assignments, items, replayed):
         where = {
             "layer_index": assignment.index,
             "layer_name": assignment.layer.name,

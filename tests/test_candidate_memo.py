@@ -40,7 +40,7 @@ COUNTS = ("plan", "candidates", "build_grid", "select", "dram")
 def calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
     """Count ``policy.plan`` calls, the candidates ``evaluate_plans``
     evaluates, tile-grid builds, ``select_policy`` calls in the planners
-    and DRAM trace simulations."""
+    and the streams DRAM replay batches simulate."""
     counts = dict.fromkeys(COUNTS, 0)
 
     def counting(name, original, weight=lambda *args: 1):
@@ -59,7 +59,11 @@ def calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
     )
     monkeypatch.setattr(tiled, "_build_grid", counting("build_grid", tiled._build_grid))
     monkeypatch.setattr(planner, "select_policy", counting("select", planner.select_policy))
-    monkeypatch.setattr(trace, "simulate_schedule", counting("dram", trace.simulate_schedule))
+    monkeypatch.setattr(
+        trace,
+        "simulate_schedules",
+        counting("dram", trace.simulate_schedules, lambda items, *rest: len(items)),
+    )
     return counts
 
 
@@ -80,7 +84,15 @@ def test_cold_flat_zoo_pass_plans_each_distinct_decision_once(calls):
     assert calls["dram"] == 0
 
 
-def test_cold_ddr4_pass_simulates_each_shape_schedule_once(calls):
+def test_cold_ddr4_pass_simulates_each_shape_schedule_once(calls, monkeypatch):
+    replayed: list[object] = []
+    counted = trace.simulate_schedules
+
+    def recording(items, *args, **kwargs):
+        replayed.extend(items)
+        return counted(items, *args, **kwargs)
+
+    monkeypatch.setattr(trace, "simulate_schedules", recording)
     clear_evaluation_memo()
     for name in ("MnasNet", "MobileNet", "ResNet18"):
         model = get_model(name)
@@ -88,6 +100,26 @@ def test_cold_ddr4_pass_simulates_each_shape_schedule_once(calls):
             spec = AcceleratorSpec(glb_bytes=glb, dram=DEFAULT_DDR4_SPEC)
             plan_heterogeneous(model, spec, Objective.ACCESSES)
     assert 0 < calls["dram"] <= 505
+    # Each distinct (schedule, shape) is replayed once, even when one grid
+    # holds it twice.
+    assert len(replayed) == len(set(replayed)) == calls["dram"]
+
+
+def test_dram_memo_resets_wholesale_above_its_cap(monkeypatch):
+    model = get_model("MobileNet")
+    spec = AcceleratorSpec(glb_bytes=kib(256), dram=DEFAULT_DDR4_SPEC)
+    clear_evaluation_memo()
+    expected = plan_heterogeneous(model, spec, Objective.LATENCY)
+    assert len(trace._BANDWIDTH_MEMO) > 8
+
+    memo = _CountingDict()
+    monkeypatch.setattr(trace, "_BANDWIDTH_MEMO", memo)
+    monkeypatch.setattr(trace, "_BANDWIDTH_MEMO_MAX", 8)
+    evaluate._evaluate_layer_memo.cache_clear()
+    evaluate._CANDIDATE_MEMO.clear()
+    assert plan_heterogeneous(model, spec, Objective.LATENCY) == expected
+    assert memo.clears > 0
+    assert memo
 
 
 def test_clear_evaluation_memo_makes_the_next_plan_cold(calls):
@@ -154,6 +186,31 @@ def test_concurrent_planning_matches_sequential_through_memo_resets(monkeypatch)
     finally:
         sys.setswitchinterval(interval)
     assert all(memo.clears > 0 for memo in (candidates, decisions, grids, shapes))
+    assert got == expected
+
+
+def test_concurrent_ddr4_planning_matches_sequential_through_dram_memo_resets(monkeypatch):
+    specs = [
+        AcceleratorSpec(glb_bytes=glb, dram=DEFAULT_DDR4_SPEC)
+        for glb in (kib(256), kib(1024))
+        for _ in range(3)
+    ]
+    clear_evaluation_memo()
+    expected = _exports(specs, jobs=1)
+
+    memo = _CountingDict()
+    monkeypatch.setattr(trace, "_BANDWIDTH_MEMO", memo)
+    monkeypatch.setattr(trace, "_BANDWIDTH_MEMO_MAX", 8)
+    monkeypatch.setattr(evaluate, "_CANDIDATE_MEMO_MAX", 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clear_evaluation_memo()
+        memo.clears = 0
+        got = _exports(specs, jobs=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert memo.clears > 0
     assert got == expected
 
 

@@ -31,6 +31,7 @@ from repro.nn.zoo import get_model
 from repro.policies import NAMED_POLICIES
 
 from .dram_reference import schedule_accesses
+from .test_dram_differential import merged_chunks
 
 SPEC = AcceleratorSpec(glb_bytes=kib(256))
 
@@ -271,10 +272,11 @@ class TestBackend:
         tracer = enable_tracing()
         try:
             simulate_accesses(ping_pong, regions, spec, get_mapping("row_major"))
-            (span,) = [s for s in tracer.drain() if s.name == "dram_stream"]
+            (span,) = [s for s in tracer.drain() if s.name == "dram_batch"]
         finally:
             disable_tracing()
         attrs = span.attr_dict()
+        assert attrs["streams_count"] == 1
         assert attrs["requests_count"] == 4
         # The first request spills 64 bytes into row 1, which the second
         # request then hits.
@@ -316,7 +318,7 @@ class TestTrace:
             region = regions[access.region]
             assert 0 <= access.offset < region.size
             assert access.offset + access.nbytes <= region.size
-        requests = schedule_requests(schedule, regions, 1)
+        requests = schedule_requests([(schedule, regions)], 1, DEFAULT_DDR4_SPEC)
         assert list(
             zip(
                 requests.region.tolist(),
@@ -324,7 +326,7 @@ class TestTrace:
                 requests.nbytes.tolist(),
                 requests.write.tolist(),
             )
-        ) == [(a.region, a.offset, a.nbytes, a.write) for a in accesses]
+        ) == merged_chunks(accesses)
 
     @pytest.mark.parametrize("mapping", MAPPING_NAMES)
     def test_simulation_matches_schedule_bytes(self, schedule, layer, mapping):
@@ -343,13 +345,13 @@ class TestTrace:
         from repro.estimators.evaluate import clear_evaluation_memo
 
         calls = []
-        original = trace.simulate_schedule
+        original = trace.simulate_schedules
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counting(items, *args, **kwargs):
+            calls.extend(items)
+            return original(items, *args, **kwargs)
 
-        monkeypatch.setattr(trace, "simulate_schedule", counting)
+        monkeypatch.setattr(trace, "simulate_schedules", counting)
         model = get_model("MobileNet")
         spec = AcceleratorSpec(glb_bytes=kib(512), dram=DEFAULT_DDR4_SPEC)
         clear_evaluation_memo()
@@ -358,9 +360,49 @@ class TestTrace:
         assert cold > 0
         assert plan_heterogeneous(model, spec, Objective.LATENCY) == first
         assert len(calls) == cold  # every bandwidth memoized
+        assert trace._BANDWIDTH_MEMO
         clear_evaluation_memo()
+        assert not trace._BANDWIDTH_MEMO
         assert plan_heterogeneous(model, spec, Objective.LATENCY) == first
         assert len(calls) == 2 * cold  # cold again: every schedule re-simulated
+
+
+    def test_batched_replay_keeps_the_counter_totals(self):
+        # The dram_* counters of a cold DDR4 plan, then of re-pricing and
+        # verifying it, as the one-replay-per-stream backend counted them.
+        from repro import Objective, plan_heterogeneous
+        from repro.estimators.evaluate import clear_evaluation_memo
+        from repro.obs import metrics_registry
+        from repro.verify import verify_plan
+
+        def dram_counters() -> dict[str, float]:
+            counters = metrics_registry().snapshot()["counters"]
+            return {k: v for k, v in counters.items() if k.startswith("dram_")}
+
+        def delta(before: dict[str, float]) -> dict[str, float]:
+            return {k: v - before.get(k, 0.0) for k, v in dram_counters().items()}
+
+        spec = AcceleratorSpec(glb_bytes=kib(256), dram=DEFAULT_DDR4_SPEC)
+        clear_evaluation_memo()
+        start = dram_counters()
+        plan = plan_heterogeneous(get_model("MobileNet"), spec, Objective.LATENCY)
+        assert delta(start) == {
+            "dram_activations_count": 43902.0,
+            "dram_reads_bytes": 54195184.0,
+            "dram_row_hits_count": 1361483.0,
+            "dram_row_misses_count": 43902.0,
+            "dram_writes_bytes": 25945992.0,
+        }
+        planned = dram_counters()
+        simulate_plan_dram(plan)
+        assert verify_plan(plan).ok
+        assert delta(planned) == {
+            "dram_activations_count": 16730.0,
+            "dram_reads_bytes": 21165702.0,
+            "dram_row_hits_count": 497102.0,
+            "dram_row_misses_count": 16730.0,
+            "dram_writes_bytes": 10087376.0,
+        }
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from repro.analysis import Finding, analyze_paths
 from repro.analysis.callgraph import build_callgraph
+from repro.analysis.codes import RULE_PACKS
 from repro.analysis.rules import Project, SourceFile, module_name
 from repro.analysis.unitflow import (
     divide_units,
@@ -375,7 +376,9 @@ def test_unitflow_clean_on_consistent_units(tmp_path: Path) -> None:
         },
     )
     report = analyze_paths([root], root=root)
-    assert not active_codes(report) & {"R040", "R041", "R042", "R043", "R044"}
+    unitflow = {code for code, pack in RULE_PACKS.items() if pack == "unitflow"}
+    assert unitflow
+    assert not active_codes(report) & unitflow
 
 
 # ----------------------------------------------------------------------

@@ -482,26 +482,30 @@ class TestDramChecks:
     def test_v018_fires_on_too_fast_timing(self, dram_plan, monkeypatch):
         import repro.verify.dram_checks as dram_checks
 
-        real = dram_checks.simulate_schedule
+        real = dram_checks.simulate_schedules
 
-        def too_fast(schedule, layer, b, dram, mapping=None):
-            stats = real(schedule, layer, b, dram, mapping)
-            return replace(stats, cycles=stats.ideal_cycles * 0.5)
+        def too_fast(items, b, dram, mapping=None):
+            return [
+                replace(stats, cycles=stats.ideal_cycles * 0.5)
+                for stats in real(items, b, dram, mapping)
+            ]
 
-        monkeypatch.setattr(dram_checks, "simulate_schedule", too_fast)
+        monkeypatch.setattr(dram_checks, "simulate_schedules", too_fast)
         report = verify_plan(dram_plan)
         assert "V018" in report.codes
 
     def test_v019_fires_on_inconsistent_stats(self, dram_plan, monkeypatch):
         import repro.verify.dram_checks as dram_checks
 
-        real = dram_checks.simulate_schedule
+        real = dram_checks.simulate_schedules
 
-        def extra_activation(schedule, layer, b, dram, mapping=None):
-            stats = real(schedule, layer, b, dram, mapping)
-            return replace(stats, activations=stats.activations + 1)
+        def extra_activation(items, b, dram, mapping=None):
+            return [
+                replace(stats, activations=stats.activations + 1)
+                for stats in real(items, b, dram, mapping)
+            ]
 
-        monkeypatch.setattr(dram_checks, "simulate_schedule", extra_activation)
+        monkeypatch.setattr(dram_checks, "simulate_schedules", extra_activation)
         report = verify_plan(dram_plan)
         assert "V019" in report.codes
         assert "V018" not in report.codes
