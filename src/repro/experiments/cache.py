@@ -255,11 +255,11 @@ def plan_cache_key(
     interlayer: bool = False,
     interlayer_mode: str = "opportunistic",
 ) -> str:
-    """Shared key layout for execution plans.
+    """Key layout for execution plans.
 
-    Used both by :mod:`repro.experiments.common` and by
-    :meth:`repro.manager.MemoryManager.plan_cached`, so the two entry
-    points hit the same entries for identical requests.
+    The experiment suite, the ``repro serve`` daemon and library users
+    all plan through :meth:`repro.manager.MemoryManager.plan_cached`,
+    which keys on it, so identical requests hit the same entries.
     """
     objective_value = getattr(objective, "value", objective)
     return make_key(

@@ -5,11 +5,12 @@ All experiments use the paper's reference accelerator (§4): 16×16 PEs,
 {64, 128, 256, 512, 1024} kB, batch 1, layer-by-layer execution.
 
 Plans are memoized per (model, GLB, data width, objective, prefetch,
-inter-layer) at two levels: an in-process ``lru_cache`` and the
-persistent, content-addressed on-disk cache in
-:mod:`repro.experiments.cache`, shared across processes — so the full
-experiment suite, the engine's worker pool and the benchmarks never
-recompute identical analyses.
+inter-layer) at two levels: an in-process ``lru_cache`` and
+:meth:`repro.manager.MemoryManager.plan_cached`, the persistent,
+content-addressed on-disk cache in :mod:`repro.experiments.cache` that
+the ``repro serve`` daemon also plans through — so the full experiment
+suite, the engine's worker pool and the benchmarks never recompute
+identical analyses.
 
 Every cached value is immutable from the caller's perspective:
 :class:`~repro.analyzer.ExecutionPlan` is a frozen dataclass, and
@@ -24,10 +25,11 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from ..analyzer import ExecutionPlan, Objective, best_homogeneous, plan_heterogeneous
+from ..analyzer import ExecutionPlan, Objective
 from ..arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
 from ..arch.units import kib
 from ..estimators.evaluate import clear_evaluation_memo
+from ..manager import MemoryManager
 from ..nn.model import Model
 from ..nn.zoo import PAPER_MODEL_NAMES, get_model
 from ..scalesim import SimulationResult, baseline_configs, simulate
@@ -56,25 +58,12 @@ def cached_het_plan(
     The key covers the model's full layer-dimension digest and every spec
     field, so resolution sweeps and custom specs cache correctly.
     """
-    key = cache.plan_cache_key(
-        "het",
+    return MemoryManager(spec).plan_cached(
         model,
-        spec,
         objective,
-        allow_prefetch=allow_prefetch,
+        prefetch=allow_prefetch,
         interlayer=interlayer,
         interlayer_mode=interlayer_mode,
-    )
-    return cache.fetch(
-        key,
-        lambda: plan_heterogeneous(
-            model,
-            spec,
-            objective,
-            allow_prefetch=allow_prefetch,
-            interlayer=interlayer,
-            interlayer_mode=interlayer_mode,
-        ),
     )
 
 
@@ -86,14 +75,8 @@ def cached_hom_plan(
     allow_prefetch: bool = True,
 ) -> ExecutionPlan:
     """Best homogeneous plan for an arbitrary model/spec, persistently cached."""
-    key = cache.plan_cache_key(
-        "hom", model, spec, objective, allow_prefetch=allow_prefetch
-    )
-    return cache.fetch(
-        key,
-        lambda: best_homogeneous(
-            model, spec, objective, allow_prefetch=allow_prefetch
-        ),
+    return MemoryManager(spec).plan_cached(
+        model, objective, scheme="hom", prefetch=allow_prefetch
     )
 
 

@@ -1,18 +1,11 @@
 """Parallel + persistently cached experiment execution engine.
 
-The paper-artifact suite is embarrassingly parallel at two levels:
-
-* **across artifacts** — each entry of the ``ARTIFACTS`` registry is an
-  independent table generator;
-* **within the heavy artifacts** — Figs. 5/7/8 etc. iterate a
-  (model × GLB-size) grid whose cells are independent planning problems.
-
-The engine exploits both.  With ``jobs > 1`` it first *prewarms* the
-persistent on-disk cache (:mod:`repro.experiments.cache`): the union of
-the selected artifacts' plan grids is fanned across a process pool, each
-worker writing its plans/baselines into the shared content-addressed
-store.  The artifacts themselves then run (also across the pool) against
-a warm cache, so even a single heavy artifact like ``fig8`` parallelizes.
+Each entry of the ``ARTIFACTS`` registry is an independent table
+generator, so the suite fans out by artifact: with ``jobs > 1`` the
+selected artifacts are mapped across a process pool whose workers share
+the persistent on-disk cache (:mod:`repro.experiments.cache`).  What an
+artifact plans lives only in that artifact's module; inside one process
+its cells share the in-process memos.
 
 Results are **bit-identical** to the serial path: workers return the
 same frozen dataclasses (pickle round-trips floats exactly), tables are
@@ -29,10 +22,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Iterable, Sequence
 
-from ..analyzer import Objective
-from ..arch.spec import PAPER_DATA_WIDTHS
 from ..obs import (
     SpanRecord,
     Snapshot,
@@ -45,116 +36,6 @@ from ..obs import (
 )
 from ..report.table import Table
 from . import cache
-
-#: One planning task of the (model × GLB × flags) grid:
-#: (kind, model, glb_kb, objective, data_width_bits, prefetch, interlayer, mode).
-PlanTask = tuple[str, str, int, str, int, bool, bool, str]
-
-
-def _het(
-    model: str,
-    glb_kb: int,
-    objective: str = "accesses",
-    width: int = 8,
-    prefetch: bool = True,
-    interlayer: bool = False,
-    mode: str = "opportunistic",
-) -> PlanTask:
-    return ("het", model, glb_kb, objective, width, prefetch, interlayer, mode)
-
-
-def _hom(model: str, glb_kb: int, objective: str = "accesses", width: int = 8) -> PlanTask:
-    return ("hom", model, glb_kb, objective, width, True, False, "-")
-
-
-def _baseline(model: str, glb_kb: int, width: int = 8) -> PlanTask:
-    return ("baseline", model, glb_kb, "-", width, True, False, "-")
-
-
-def _grid_models() -> tuple[str, ...]:
-    from .common import all_model_names
-
-    return all_model_names()
-
-
-def _grid_sizes() -> tuple[int, ...]:
-    from .common import GLB_SIZES_KB
-
-    return GLB_SIZES_KB
-
-
-def plan_tasks(names: Sequence[str]) -> list[PlanTask]:
-    """The union of the selected artifacts' planning grids, deduplicated.
-
-    Only the heavy artifacts are enumerated; cheap ones (``table2``,
-    ``fig1``, ``fig3``, …) plan so little that prewarming them would cost
-    more in process traffic than it saves.
-    """
-    models, sizes = _grid_models(), _grid_sizes()
-    grids: dict[str, Callable[[], list[PlanTask]]] = {
-        "fig5": lambda: [
-            task
-            for m in models
-            for s in sizes
-            for task in (_baseline(m, s), _hom(m, s), _het(m, s))
-        ],
-        "fig7": lambda: [
-            task
-            for w in PAPER_DATA_WIDTHS
-            for s in sizes
-            for task in (_hom("MobileNetV2", s, width=w), _het("MobileNetV2", s, width=w))
-        ],
-        "fig8": lambda: [_baseline(m, sizes[0]) for m in models]
-        + [
-            task
-            for m in models
-            for s in sizes
-            for o in ("accesses", "latency")
-            for task in (_hom(m, s, o), _het(m, s, o))
-        ],
-        "fig9": lambda: [
-            _het(m, 64, o) for m in models for o in ("accesses", "latency")
-        ],
-        "fig10": lambda: [
-            _het("MobileNet", s, "latency", prefetch=p) for s in sizes for p in (True, False)
-        ],
-        "fig11": lambda: [
-            task for s in sizes for task in (_het("MnasNet", s), _het("MnasNet", s, interlayer=True))
-        ],
-        "fig6": lambda: [_het("ResNet18", 64)],
-        "table4": lambda: [_het(m, 64) for m in models],
-        "energy": lambda: [
-            task for m in models for s in sizes for task in (_baseline(m, s), _het(m, s))
-        ],
-        "dram-sweep": lambda: [_het(m, 256) for m in models],
-        "bounds": lambda: [
-            task
-            for m in models
-            for s in (64, 256, 1024)
-            for task in (_het(m, s), _het(m, s, interlayer=True))
-        ],
-        "ablation-interlayer": lambda: [
-            task
-            for s in sizes
-            for task in (
-                _het("MnasNet", s),
-                _het("MnasNet", s, interlayer=True),
-                _het("MnasNet", s, interlayer=True, mode="joint"),
-            )
-        ],
-        "ablation-fallback": lambda: [
-            _het(m, s) for m in ("ResNet18", "EfficientNetB0") for s in (64, 128, 256)
-        ],
-    }
-    seen: dict[PlanTask, None] = {}
-    for name in names:
-        enumerate_grid = grids.get(name)
-        if enumerate_grid is None:
-            continue
-        for task in enumerate_grid():
-            seen.setdefault(task, None)
-    return list(seen)
-
 
 # ----------------------------------------------------------------------
 # Worker functions (top-level so the process pool can pickle them)
@@ -171,25 +52,6 @@ def _telemetry_delta(metrics_before: Snapshot) -> dict[str, Any]:
         "spans": get_tracer().drain(),
         "metrics": diff_snapshots(metrics_before, metrics_registry().snapshot()),
     }
-
-
-def _warm_worker(task: PlanTask) -> dict[str, Any]:
-    """Compute one grid cell into the shared on-disk cache."""
-    from . import common
-
-    metrics_before = metrics_registry().snapshot()
-    kind, model, glb_kb, objective, width, prefetch, interlayer, mode = task
-    metrics_registry().counter("cache_prewarm_tasks_count").add(1)
-    with get_tracer().start("prewarm_task", kind=kind, model=model, glb_kb=glb_kb):
-        if kind == "baseline":
-            common.baseline_results(model, glb_kb, width)
-        elif kind == "hom":
-            common.hom_plan(model, glb_kb, Objective(objective), width, prefetch)
-        else:
-            common.het_plan(
-                model, glb_kb, Objective(objective), width, prefetch, interlayer, mode
-            )
-    return _telemetry_delta(metrics_before)
 
 
 def _artifact_worker(name: str) -> tuple[Table, float, dict[str, Any]]:
@@ -228,11 +90,6 @@ class EngineReport:
     results: list[ArtifactResult]
     jobs: int
     total_seconds: float
-    prewarm_tasks: int = 0
-    prewarm_seconds: float = 0.0
-    prewarm_stats: dict[str, int] = field(
-        default_factory=lambda: {"hits": 0, "misses": 0, "stores": 0}
-    )
     #: Spans collected across the run (workers' merged with the parent's).
     spans: tuple[SpanRecord, ...] = ()
     #: Merged metrics delta of the run (counters add across workers).
@@ -244,11 +101,11 @@ class EngineReport:
 
     @property
     def cache_hits(self) -> int:
-        return self.prewarm_stats["hits"] + sum(r.cache_hits for r in self.results)
+        return sum(r.cache_hits for r in self.results)
 
     @property
     def cache_misses(self) -> int:
-        return self.prewarm_stats["misses"] + sum(r.cache_misses for r in self.results)
+        return sum(r.cache_misses for r in self.results)
 
     def summary_table(self) -> Table:
         """Per-artifact wall time and cache traffic (the runner summary)."""
@@ -258,13 +115,6 @@ class EngineReport:
         )
         for r in self.results:
             table.add_row(r.name, round(r.seconds, 2), r.cache_hits, r.cache_misses)
-        if self.prewarm_tasks:
-            table.add_row(
-                "(prewarm grid)",
-                round(self.prewarm_seconds, 2),
-                self.prewarm_stats["hits"],
-                self.prewarm_stats["misses"],
-            )
         table.add_row("TOTAL (wall)", round(self.total_seconds, 2),
                       self.cache_hits, self.cache_misses)
         return table
@@ -336,61 +186,36 @@ class _TelemetrySink:
         return snapshot
 
 
-def _artifact_result(
-    name: str, outcome: tuple[Table, float, dict[str, Any]], sink: _TelemetrySink
-) -> ArtifactResult:
-    """Absorb one artifact worker's telemetry; its cache counts come from it."""
-    table, seconds, telemetry = outcome
-    sink.absorb(telemetry)
-    counts = cache.counters(telemetry["metrics"])
-    return ArtifactResult(
-        name=name,
-        table=table,
-        seconds=seconds,
-        cache_hits=counts["hits"],
-        cache_misses=counts["misses"],
-        cache_stores=counts["stores"],
-    )
-
-
-def _run_serial(
-    names: Sequence[str], sink: _TelemetrySink
+def _absorb(
+    names: Sequence[str],
+    outcomes: Iterable[tuple[Table, float, dict[str, Any]]],
+    sink: _TelemetrySink,
 ) -> list[ArtifactResult]:
-    return [_artifact_result(name, _artifact_worker(name), sink) for name in names]
+    """Absorb each artifact worker's telemetry; its cache counts come from it."""
+    results: list[ArtifactResult] = []
+    for name, (table, seconds, telemetry) in zip(names, outcomes):
+        sink.absorb(telemetry)
+        counts = cache.counters(telemetry["metrics"])
+        results.append(
+            ArtifactResult(
+                name=name,
+                table=table,
+                seconds=seconds,
+                cache_hits=counts["hits"],
+                cache_misses=counts["misses"],
+                cache_stores=counts["stores"],
+            )
+        )
+    return results
 
 
-def _run_parallel(
-    names: Sequence[str], jobs: int, prewarm: bool, sink: _TelemetrySink
-) -> tuple[list[ArtifactResult], int, float, dict[str, int]]:
-    warm_stats = {"hits": 0, "misses": 0, "stores": 0}
-    tasks = plan_tasks(names) if prewarm and cache.cache_enabled() else []
-    warm_seconds = 0.0
-    # configure_worker gives every pool worker a fresh tracer/metrics state
-    # (forked workers would otherwise inherit — and re-report — the
-    # parent's spans and counter values).
-    with ProcessPoolExecutor(max_workers=jobs, initializer=configure_worker) as pool:
-        if tasks:
-            start_ns = clock.monotonic_ns()
-            with get_tracer().start("prewarm_grid", tasks_count=len(tasks)):
-                for delta in pool.map(_warm_worker, tasks):
-                    sink.absorb(delta)
-            warm_seconds = clock.elapsed_seconds(start_ns)
-            # The sink holds the prewarm deltas only, so far.
-            warm_stats = cache.counters(sink.snapshot())
-        futures = [(name, pool.submit(_artifact_worker, name)) for name in names]
-        results = [_artifact_result(name, future.result(), sink) for name, future in futures]
-    return results, len(tasks), warm_seconds, warm_stats
-
-
-def run_experiments(
-    names: Sequence[str], jobs: int = 1, prewarm: bool = True
-) -> EngineReport:
+def run_experiments(names: Sequence[str], jobs: int = 1) -> EngineReport:
     """Generate the named artifacts, serially or across a process pool.
 
-    ``jobs <= 1`` runs in-process (the exact historical serial path);
-    ``jobs > 1`` fans the plan grid and the artifact list across
-    ``jobs`` workers sharing the persistent cache.  Output tables are
-    identical either way and are returned in the requested order.
+    ``jobs <= 1`` runs in-process; ``jobs > 1`` maps the artifact list
+    across at most ``jobs`` workers sharing the persistent cache.  Output
+    tables are identical either way and are returned in the requested
+    order.
 
     The returned report carries the run's telemetry — merged worker
     spans and metric deltas — whether or not tracing is enabled (spans
@@ -405,25 +230,24 @@ def run_experiments(
         raise UnknownArtifactError(unknown, list(ARTIFACTS))
     sink = _TelemetrySink()
     start_ns = clock.monotonic_ns()
-    if jobs <= 1:
-        results = _run_serial(names, sink)
-        report = EngineReport(
-            results=results, jobs=1, total_seconds=clock.elapsed_seconds(start_ns)
-        )
+    jobs = max(jobs, 1)
+    if jobs == 1:
+        results = _absorb(names, map(_artifact_worker, names), sink)
     else:
-        results, n_tasks, warm_seconds, warm_stats = _run_parallel(
-            names, jobs, prewarm, sink
-        )
-        report = EngineReport(
-            results=results,
-            jobs=jobs,
-            total_seconds=clock.elapsed_seconds(start_ns),
-            prewarm_tasks=n_tasks,
-            prewarm_seconds=warm_seconds,
-            prewarm_stats=warm_stats,
-        )
-    # Parent-side spans (e.g. the prewarm_grid phase) join the worker spans.
+        # A forked pool starts all its workers at the first submit, so it
+        # gets no more of them than there are artifacts.  configure_worker
+        # gives each a fresh tracer/metrics state (forked workers would
+        # otherwise inherit — and re-report — the parent's spans and
+        # counter values).
+        workers = max(1, min(jobs, len(names)))
+        with ProcessPoolExecutor(max_workers=workers, initializer=configure_worker) as pool:
+            results = _absorb(names, pool.map(_artifact_worker, names), sink)
+    total_seconds = clock.elapsed_seconds(start_ns)
     sink.spans.extend(get_tracer().drain())
-    report.spans = tuple(sink.spans)
-    report.metrics = sink.snapshot()
-    return report
+    return EngineReport(
+        results=results,
+        jobs=jobs,
+        total_seconds=total_seconds,
+        spans=tuple(sink.spans),
+        metrics=sink.snapshot(),
+    )

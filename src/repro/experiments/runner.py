@@ -7,9 +7,8 @@ Usage::
     python -m repro.experiments --jobs 4        # fan across a process pool
     python -m repro.experiments --no-cache      # bypass the persistent cache
 
-Execution is delegated to :mod:`repro.experiments.engine`: artifacts (and,
-within the heavy ones, their model × GLB planning grids) fan across
-``--jobs`` workers, backed by the persistent plan cache in
+Execution is delegated to :mod:`repro.experiments.engine`: artifacts fan
+across ``--jobs`` workers, backed by the persistent plan cache in
 :mod:`repro.experiments.cache`.  Output is bit-identical at any job count
 and cache temperature; a summary reports per-artifact wall time and cache
 hits/misses.

@@ -132,10 +132,10 @@ class MemoryManager:
         The key covers the model's full layer-dimension digest, every
         spec field (``data_width_bits`` and DRAM configuration included)
         and all planning flags, so any change to the inputs is a cache
-        miss.  Keys are shared with :mod:`repro.experiments.common` and
-        with the ``repro serve`` daemon — serving a plan anywhere warms
-        every other entry point.  Set ``REPRO_NO_CACHE=1`` to force
-        recomputation.
+        miss.  This is the one cached-plan path: the experiment suite
+        (:mod:`repro.experiments.common`) and the ``repro serve`` daemon
+        both plan through it, so a plan computed by either warms the
+        other.  Set ``REPRO_NO_CACHE=1`` to force recomputation.
         """
         plan, _hit, _key = self.plan_cached_detail(
             model,

@@ -84,9 +84,6 @@ def test_engine_columns_equal_the_registry_deltas(jobs):
             "misses": sum(r.cache_misses for r in report.results),
             "stores": sum(r.cache_stores for r in report.results),
         }
-        if jobs > 1:
-            for event in columns:
-                columns[event] += report.prewarm_stats[event]
         # The report's metrics merge the counts of every process that ran.
         merged = _delta({"counters": {}}, report.metrics)
         assert columns == {event: merged[event] for event in columns}

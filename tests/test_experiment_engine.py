@@ -17,9 +17,9 @@ import pytest
 
 from repro.analyzer import Objective
 from repro.arch.spec import AcceleratorSpec
-from repro.experiments import cache, common
-from repro.experiments.engine import plan_tasks, run_experiments
-from repro.experiments.runner import ARTIFACTS, UnknownArtifactError, main, run_all, run_report
+from repro.experiments import cache, common, engine
+from repro.experiments.engine import run_experiments
+from repro.experiments.runner import UnknownArtifactError, main, run_all, run_report
 from repro.manager import MemoryManager
 from repro.nn.zoo import get_model
 from repro.obs import ENV_TRACE, metrics_registry
@@ -262,6 +262,32 @@ class TestParity:
         assert _renders(warm.tables) == serial_out
         assert warm.cache_hits > 0
 
+    def test_pool_gets_no_more_workers_than_artifacts(self, monkeypatch):
+        class InlinePool:
+            """Runs each call in the calling thread: no process starts."""
+
+            sizes: list[int] = []
+
+            def __init__(self, max_workers, initializer=None):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return [fn(item) for item in iterable]
+
+        serial = _renders(run_experiments(["table2", "fig1"], jobs=1).tables)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        one = run_experiments(["table2"], jobs=64)
+        two = run_experiments(["table2", "fig1"], jobs=64)
+        assert InlinePool.sizes == [1, 2]
+        assert (one.jobs, two.jobs) == (64, 64)
+        assert _renders(two.tables) == serial
+
     def test_csv_export_identical(self, tmp_path):
         run_all(csv_dir=str(tmp_path / "a"), only=["table2", "dram-sweep"])
         common.clear_in_process_caches()
@@ -287,19 +313,6 @@ class TestInstrumentation:
         common.clear_in_process_caches()
         warm = run_report(only=["dram-sweep"])
         assert warm.results[0].cache_hits >= 6  # one het plan per zoo model
-
-    def test_plan_tasks_cover_heavy_artifacts(self):
-        tasks = plan_tasks(list(ARTIFACTS))
-        kinds = {t[0] for t in tasks}
-        assert kinds == {"het", "hom", "baseline"}
-        # fig7 sweeps widths: 16- and 32-bit tasks must be present.
-        widths = {t[4] for t in tasks}
-        assert {8, 16, 32} <= widths
-        # No duplicates.
-        assert len(tasks) == len(set(tasks))
-
-    def test_plan_tasks_empty_for_cheap_artifacts(self):
-        assert plan_tasks(["table2", "fig1", "fig3"]) == []
 
 
 class TestRunnerCli:
