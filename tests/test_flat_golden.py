@@ -2,11 +2,13 @@
 
 Each case plans one paper zoo model on the flat DRAM model at 64 or
 256 KiB under one objective and one management scheme (``het``,
-``het+il``, ``het+il(joint)`` or the best ``hom``), and compares the
-SHA-256 of the canonical ``plan_to_dict`` export and of the explain
-payload with ``golden/flat_plans.json``.  Extra ``het`` cases cover
-ResNet18 at 128 KiB under latency, and the zoo at 32 KiB and at 1 KiB,
-where the tile search tiles width-wise; MnasNet at 128, 512 and
+``het+il``, ``het+il(joint)``, the best ``hom`` or ``hom(<family>)`` for
+each named policy family), and compares the SHA-256 of the canonical
+``plan_to_dict`` export and of the explain payload with
+``golden/flat_plans.json``.  Extra ``het`` cases cover ResNet18 at
+128 KiB under latency, and the zoo at 32 KiB and at 1 KiB, where the
+tile search tiles width-wise (at 1 KiB also every ``hom`` scheme, whose
+families fall back to the tile search there); MnasNet at 128, 512 and
 1024 KiB; AlexNet under latency at off-chip bandwidths of 4, 16 and 64
 elements/cycle; and the ``het(named-only)`` ablation (the tile search
 only rescues layers no named policy fits) for ResNet18 and
@@ -26,18 +28,26 @@ from pathlib import Path
 
 import pytest
 
-from repro import AcceleratorSpec, Objective, best_homogeneous, plan_heterogeneous
+from repro import (
+    AcceleratorSpec,
+    Objective,
+    best_homogeneous,
+    plan_heterogeneous,
+    plan_homogeneous,
+)
 from repro.analyzer.export import plan_to_dict
 from repro.arch.units import kib
 from repro.experiments.ablations import _het_named_only
 from repro.nn.zoo import PAPER_MODEL_NAMES, get_model
+from repro.policies.registry import NAMED_POLICIES
 from repro.serve.protocol import canonical_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "flat_plans.json"
 
 GLB_KB = (64, 256)
 OBJECTIVES = (Objective.ACCESSES, Objective.LATENCY)
-SCHEMES = ("het", "het+il", "het+il(joint)", "hom")
+HOM_SCHEMES = ("hom", *(f"hom({policy.name})" for policy in NAMED_POLICIES))
+SCHEMES = ("het", "het+il", "het+il(joint)", *HOM_SCHEMES)
 #: The reference off-chip bandwidth (elements/cycle); case ids name any other.
 BANDWIDTH = AcceleratorSpec().dram_bandwidth_elems_per_cycle
 
@@ -56,6 +66,12 @@ CASES = [
         for glb_kb in (1, 32)
         for model in PAPER_MODEL_NAMES
         for objective in OBJECTIVES
+    ),
+    *(
+        (model, 1, objective, scheme, BANDWIDTH)
+        for model in PAPER_MODEL_NAMES
+        for objective in OBJECTIVES
+        for scheme in HOM_SCHEMES
     ),
     # A GLB ladder's upper rungs, a bandwidth ladder, and the rescue-only
     # ablation's ladder.
@@ -93,6 +109,8 @@ def digests(
     )
     if scheme == "hom":
         plan = best_homogeneous(net, spec, objective)
+    elif scheme.startswith("hom("):
+        plan = plan_homogeneous(net, spec, scheme[4:-1], objective)
     elif scheme == "het(named-only)":
         plan = _het_named_only(net, spec, objective)
     else:
