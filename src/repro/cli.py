@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Callable
 
 from .analyzer import Objective, save_plan
+from .analyzer.planner import SCHEMES
 from .arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
 from .arch.units import kib, to_kib, to_mib
 from .energy import plan_energy
@@ -53,6 +54,13 @@ def _resolve_model(name_or_path: str) -> Model:
         f"error: {name_or_path!r} is neither a zoo model "
         f"({', '.join(PAPER_MODEL_NAMES)}) nor an existing file"
     )
+
+
+def _parse_scheme(text: str) -> str:
+    """Check a ``--scheme`` value before any planning."""
+    if text not in SCHEMES:
+        raise SystemExit(f"error: unknown scheme {text!r}; choose one of {', '.join(SCHEMES)}")
+    return text
 
 
 def _parse_glb_list(text: str) -> list[int]:
@@ -754,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     _add_spec_args(p)
     p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
-    p.add_argument("--scheme", default="het", help='het, hom or "hom(<family>)"')
+    p.add_argument("--scheme", default="het", type=_parse_scheme, help="het, hom or hom(<family>)")
     p.add_argument("--interlayer", action="store_true", help="enable inter-layer reuse")
     p.add_argument("--export", metavar="FILE", help="write the plan JSON here")
     p.set_defaults(func=cmd_plan)
@@ -765,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="zoo model (case-insensitive) or JSON path")
     _add_spec_args(p)
     p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
-    p.add_argument("--scheme", default="het", help='het, hom or "hom(<family>)"')
+    p.add_argument("--scheme", default="het", type=_parse_scheme, help="het, hom or hom(<family>)")
     p.add_argument("--interlayer", action="store_true", help="enable inter-layer reuse")
     p.add_argument("--layer", metavar="NAME", help="show only this layer")
     p.add_argument(
@@ -835,6 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scheme",
         default="het",
+        type=_parse_scheme,
         help='het (also verifies het+il), hom, or "hom(<family>)"',
     )
     p.add_argument("--list-codes", action="store_true", help="print the catalog")

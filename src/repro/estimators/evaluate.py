@@ -77,11 +77,12 @@ class PolicyEvaluation:
 
 
 #: Algorithm 1's decision over one candidate set under one objective: the
-#: winner's index into the feasible evaluations and the audit-trail rows
-#: of every try, in try order.
+#: winner's index into the entry's feasible evaluations and the
+#: audit-trail rows of every try compared, in try order.
 Decision = tuple[int, tuple[CandidateRow, ...]]
 
-#: Objective -> :data:`Decision`, filled by the planner.
+#: :data:`Decision` by objective (``Het``) or by ``(objective, family)``
+#: (``Hom(family)``, over that family's tries), filled by the planner.
 DecisionSlot = dict[object, Decision]
 
 
@@ -150,8 +151,6 @@ def evaluate_plans(
 def evaluate_layer(
     layer: LayerSpec,
     spec: AcceleratorSpec,
-    policies: tuple[Policy, ...] = NAMED_POLICIES,
-    use_fallback: bool = True,
     allow_prefetch: bool = True,
     always_fallback: bool = False,
     attempts: list[PolicyAttempt] | None = None,
@@ -160,9 +159,9 @@ def evaluate_layer(
     """All feasible policy instantiations of one layer within the GLB.
 
     With ``always_fallback`` the tile search competes against the named
-    policies instead of only rescuing infeasible layers; the heterogeneous
-    planner uses this so that ``Het`` dominates every ``Hom`` scheme (whose
-    infeasible layers fall back to the same search).
+    policies instead of only rescuing infeasible layers.  Both planners
+    read this entry: ``Hom(family)`` takes the family's tries from it, and
+    the tile search's where none of them fits.
 
     When ``attempts`` is given, every instantiation try is appended to it
     as a :class:`PolicyAttempt` (feasible or not) for the decision audit
@@ -189,14 +188,14 @@ def evaluate_layer(
     (:func:`~repro.policies.tiled.tile_grid`).  Per-layer entries whose
     tuples of candidate keys are equal see equal evaluations, so they
     share one decision slot, in which the planner memoizes Algorithm 1's
-    pick per objective.
+    pick per objective (and per family for ``Hom``).
 
     Returns an empty list only when even the tile-search fallback cannot
     fit, which for sane GLB sizes does not happen (the fallback's smallest
     footprint is a couple of rows).
     """
     evaluations, tries, slot = _evaluate_layer_memo(
-        layer.shape, spec, policies, use_fallback, allow_prefetch, always_fallback
+        layer.shape, spec, allow_prefetch, always_fallback
     )
     if attempts is not None:
         attempts.extend(tries)
@@ -251,8 +250,6 @@ _DECISION_MEMO_MAX = 16384
 def _evaluate_layer_memo(
     shape: LayerSpec,
     spec: AcceleratorSpec,
-    policies: tuple[Policy, ...],
-    use_fallback: bool,
     allow_prefetch: bool,
     always_fallback: bool,
 ) -> tuple[tuple[PolicyEvaluation, ...], tuple[PolicyAttempt, ...], DecisionSlot]:
@@ -289,9 +286,9 @@ def _evaluate_layer_memo(
             keys.append(key)
             found.append(value if isinstance(value, PolicyEvaluation) else None)
 
-    for policy in policies:
+    for policy in NAMED_POLICIES:
         visit(policy, False)
-    if use_fallback and (always_fallback or not any(t.feasible for t in tries)):
+    if always_fallback or not any(t.feasible for t in tries):
         visit(FALLBACK_POLICY, True)
     if misses:
         for i, evaluation in zip(misses, evaluate_plans(list(misses.values()), spec)):

@@ -27,6 +27,7 @@ from .analyzer import (
     plan_heterogeneous,
     plan_homogeneous,
 )
+from .analyzer.planner import SCHEMES
 from .arch.spec import AcceleratorSpec
 from .nn.model import Model
 from .obs import clock, get_tracer, metrics_registry
@@ -87,6 +88,8 @@ class MemoryManager:
         :mod:`repro.verify` invariant catalog and raises
         :class:`~repro.verify.PlanVerificationError` on any violation.
         """
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; choose one of {', '.join(SCHEMES)}")
         if scheme == "het":
             return plan_heterogeneous(
                 model,
@@ -103,19 +106,12 @@ class MemoryManager:
             return best_homogeneous(
                 model, self.spec, objective, allow_prefetch=prefetch, verify=verify
             )
-        if scheme.startswith("hom(") and scheme.endswith(")"):
-            plan = plan_homogeneous(
-                model,
-                self.spec,
-                scheme[4:-1],
-                objective,
-                allow_prefetch=prefetch,
-                verify=verify,
-            )
-            if plan is None:
-                raise ValueError(f"{scheme} cannot fit {model.name} in this GLB")
-            return plan
-        raise ValueError(f"unknown scheme {scheme!r}")
+        plan = plan_homogeneous(
+            model, self.spec, scheme[4:-1], objective, allow_prefetch=prefetch, verify=verify
+        )
+        if plan is None:
+            raise ValueError(f"{scheme} cannot fit {model.name} in this GLB")
+        return plan
 
     def plan_cached(
         self,

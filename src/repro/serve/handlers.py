@@ -158,7 +158,7 @@ def handle_plan(params: Any) -> dict[str, Any]:
             interlayer=request.interlayer,
             interlayer_mode=request.interlayer_mode,
         )
-    except (ValueError, KeyError) as exc:  # infeasible or unknown scheme
+    except ValueError as exc:  # infeasible
         raise ProtocolError("bad-request", str(exc)) from exc
     return {
         "request": request.to_params(),
@@ -180,7 +180,7 @@ def handle_explain(params: Any) -> dict[str, Any]:
             interlayer=request.interlayer,
             interlayer_mode=request.interlayer_mode,
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:  # infeasible
         raise ProtocolError("bad-request", str(exc)) from exc
     return {
         "request": request.to_params(),

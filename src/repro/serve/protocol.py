@@ -34,6 +34,8 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from ..analyzer.planner import SCHEMES
+
 #: Identifier of the serving schema (bump on incompatible changes).
 SERVE_SCHEMA_ID = "repro-serve/1"
 
@@ -195,14 +197,7 @@ def parse_plan_request(params: Any) -> PlanRequest:
         merged["objective"] = objective
     if "scheme" in params:
         scheme = params["scheme"]
-        _require(
-            isinstance(scheme, str)
-            and (
-                scheme in ("het", "hom")
-                or (scheme.startswith("hom(") and scheme.endswith(")"))
-            ),
-            "'scheme' must be 'het', 'hom' or 'hom(<family>)'",
-        )
+        _require(scheme in SCHEMES, f"'scheme' must be one of {', '.join(SCHEMES)}")
         merged["scheme"] = scheme
     for flag in ("prefetch", "interlayer"):
         if flag in params:

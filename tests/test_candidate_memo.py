@@ -3,7 +3,8 @@
 ``evaluate_layer`` plans each layer as its name-blind shape and evaluates
 each (shape, policy, prefetch) candidate once per capacity signature; the
 tile search builds each shape's grid once; and the planners run Algorithm
-1 once per distinct candidate set and objective.  These tests pin how much
+1 once per distinct candidate set and objective (and family, for ``Hom``
+plans, which walk the ``Het`` entries once).  These tests pin how much
 work a cold zoo pass does, and what the memos must not change: a cleared
 memo is truly cold, concurrent planning matches sequential planning even
 while the memos reset, layers that share a shape share a decision but keep
@@ -103,6 +104,36 @@ def test_cold_ddr4_pass_simulates_each_shape_schedule_once(calls, monkeypatch):
     # Each distinct (schedule, shape) is replayed once, even when one grid
     # holds it twice.
     assert len(replayed) == len(set(replayed)) == calls["dram"]
+
+
+def test_hom_plans_are_one_walk_over_het_entries(monkeypatch):
+    # Every Hom plan reads the per-layer entries a Het plan already made:
+    # no new entry, no new candidate, and one evaluate_layer per layer.
+    cells = [
+        (get_model(name), AcceleratorSpec(glb_bytes=kib(glb_kb)), objective)
+        for name, glb_kb in (("MobileNet", 1), ("ResNet18", 64), ("MnasNet", 256))
+        for objective in Objective
+    ]
+    clear_evaluation_memo()
+    for model, spec, objective in cells:
+        plan_heterogeneous(model, spec, objective)
+    entries = evaluate._evaluate_layer_memo.cache_info().currsize
+    candidates = len(evaluate._CANDIDATE_MEMO)
+    walked: list[str] = []
+
+    def counting(layer, *args, **kwargs):
+        walked.append(layer.name)
+        return evaluate.evaluate_layer(layer, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "evaluate_layer", counting)
+    for model, spec, objective in cells:
+        walked.clear()
+        planner.best_homogeneous(model, spec, objective)
+        assert walked == [layer.name for layer in model.layers]
+        for family in planner.FAMILIES:
+            planner.plan_homogeneous(model, spec, family, objective)
+    assert evaluate._evaluate_layer_memo.cache_info().currsize == entries
+    assert len(evaluate._CANDIDATE_MEMO) == candidates
 
 
 def test_dram_memo_resets_wholesale_above_its_cap(monkeypatch):

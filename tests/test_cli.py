@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.manager import MemoryManager
 from repro.nn import save_model
 from repro.nn.zoo import get_model
 
@@ -57,6 +58,20 @@ class TestPlan:
         assert main(["plan", "MobileNet", "--scheme", "hom(p1)"]) == 0
         out = capsys.readouterr().out
         assert "hom(p1)" in out
+
+    @pytest.mark.parametrize("command", ["plan", "explain", "verify"])
+    @pytest.mark.parametrize("scheme", ["hom(p99)", "hom(tiled)"])
+    def test_unknown_scheme_is_one_error_line(self, command, scheme, monkeypatch):
+        def plan(*args, **kwargs):
+            raise AssertionError("planned an unknown scheme")
+
+        monkeypatch.setattr(MemoryManager, "plan", plan)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "MobileNet", "--scheme", scheme])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"error: unknown scheme {scheme!r}")
+        assert "hom(p1)" in message
 
 
 class TestBaselineCompareSweep:

@@ -143,6 +143,19 @@ class TestHandlers:
         assert envelope["error"]["code"] == "bad-request"
         assert diagnostics.validate_serve_payload(envelope) == []
 
+    @pytest.mark.parametrize("scheme", ["hom(p99)", "hom(tiled)"])
+    def test_unknown_scheme_is_bad_request_before_any_lookup(self, scheme, monkeypatch):
+        def lookup(key):
+            raise AssertionError("cache lookup for an unservable scheme")
+
+        monkeypatch.setattr(cache, "lookup", lookup)
+        for endpoint in protocol.POST_ENDPOINTS:
+            status, body = handlers.respond(endpoint, {"model": "MobileNet", "scheme": scheme})
+            envelope = json.loads(body)
+            assert status == 400
+            assert envelope["error"]["code"] == "bad-request"
+            assert "hom(p1)" in envelope["error"]["message"]
+
     @pytest.mark.parametrize(
         ("endpoint", "field", "value"),
         [

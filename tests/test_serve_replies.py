@@ -92,7 +92,7 @@ def test_misses_and_errors_store_no_reply(cache_dir):
     for _ in range(2):
         status, _ = handlers.respond("plan", unknown_family)
         assert status == 400
-    assert not _reply_path("plan", unknown_family).exists()
+    assert handlers.reply_key("plan", unknown_family) is None
     for _ in range(2):
         status, _ = handlers.respond("plan", {"model": "SkyNet"})
         assert status == 404
