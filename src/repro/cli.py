@@ -463,7 +463,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_dram(args: argparse.Namespace) -> int:
     """Sweep DRAM data-mapping policies over each network's plan."""
-    from .dram import DEFAULT_DDR4_SPEC, MAPPING_NAMES, simulate_plan_dram
+    from .dram import DEFAULT_DDR4_SPEC, MAPPING_NAMES
+    from .experiments import dram_sweep
 
     if args.all:
         names = list(PAPER_MODEL_NAMES)
@@ -478,40 +479,16 @@ def cmd_dram(args: argparse.Namespace) -> int:
             f"error: unknown mapping(s) {unknown}; available: {', '.join(MAPPING_NAMES)}"
         )
 
-    spec = _spec_from_args(args)
-    manager = MemoryManager(spec)
-    table = Table(
-        title=(
-            f"DRAM mapping sweep @ {args.glb} kB GLB, DDR4-like "
-            f"({DEFAULT_DDR4_SPEC.channels}ch x {DEFAULT_DDR4_SPEC.banks_per_channel}ba), "
-            f"objective={args.objective}"
-        ),
-        headers=[
-            "Model", "Mapping", "cycles", "ideal", "overhead",
-            "hit rate", "activations", "energy uJ",
-        ],
+    manager = MemoryManager(_spec_from_args(args))
+    models = [_resolve_model(name) for name in names]
+    plans = ((model.name, manager.plan(model, Objective(args.objective))) for model in models)
+    title = (
+        f"DRAM mapping sweep @ {args.glb} kB GLB, DDR4-like "
+        f"({DEFAULT_DDR4_SPEC.channels}ch x {DEFAULT_DDR4_SPEC.banks_per_channel}ba), "
+        f"objective={args.objective}"
     )
-    for name in names:
-        model = _resolve_model(name)
-        plan = manager.plan(model, Objective(args.objective))
-        for mapping in mappings:
-            total = simulate_plan_dram(plan, DEFAULT_DDR4_SPEC, mapping).total
-            overhead = (
-                100.0 * (total.cycles / total.ideal_cycles - 1.0)
-                if total.ideal_cycles
-                else 0.0
-            )
-            table.add_row(
-                model.name,
-                mapping,
-                int(total.cycles),
-                int(total.ideal_cycles),
-                f"{overhead:.1f}%",
-                f"{total.row_hit_rate:.4f}",
-                total.activations,
-                f"{total.energy_pj / 1e6:.1f}",
-            )
-    print(table.render())
+    cells = dram_sweep.sweep(plans, DEFAULT_DDR4_SPEC, mappings)
+    print(dram_sweep.to_table(cells, title=title).render())
     return 0
 
 

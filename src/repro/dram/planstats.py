@@ -4,9 +4,12 @@ Runs the trace-driven backend over every layer of an
 :class:`~repro.analyzer.plan.ExecutionPlan` (donation-transformed, so
 inter-layer reuse removes exactly the traffic the analyzer removed) and
 aggregates row-buffer statistics, transfer cycles and energy per layer
-and for the plan.  This is the engine behind the ``repro dram`` CLI
-sweep, the :mod:`repro.experiments.dram_sweep` artifact and the
-verifier's DRAM codes.
+and for the plan.  A plan is lowered to request streams once and
+replayed once per mapping policy it is priced under.  This is the engine
+behind the ``repro dram`` CLI sweep, the
+:mod:`repro.experiments.dram_sweep` artifact and the energy model's
+banked-DRAM split; the verifier's DRAM codes replay
+:func:`plan_schedules` themselves.
 
 Analyzer types are imported lazily: the estimator chain imports
 :mod:`repro.dram` while the analyzer package is still initializing, so
@@ -16,14 +19,14 @@ this module must not import it at module load time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..nn.layer import LayerSpec
 from ..policies.base import LayerSchedule
-from .backend import DramStats, combine_stats
+from .backend import DramStats, combine_stats, simulate_streams
 from .mapping import MappingPolicy
 from .spec import DramSpec
-from .trace import simulate_schedules
+from .trace import lower_schedules, resolve_mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..analyzer.plan import ExecutionPlan
@@ -46,16 +49,6 @@ class PlanDramResult:
     layers: tuple[LayerDramResult, ...]
     total: DramStats
 
-    @property
-    def transfer_cycles(self) -> float:
-        """Off-chip transfer cycles of the whole plan (layers sequential)."""
-        return self.total.cycles
-
-    @property
-    def row_hit_rate(self) -> float:
-        """Plan-wide fraction of bursts served from an open row."""
-        return self.total.row_hit_rate
-
 
 def plan_schedules(plan: "ExecutionPlan") -> list[tuple[LayerSchedule, LayerSpec]]:
     """Each layer's donation-transformed schedule with its layer, in plan order."""
@@ -75,15 +68,15 @@ def plan_schedules(plan: "ExecutionPlan") -> list[tuple[LayerSchedule, LayerSpec
 def simulate_plan_dram(
     plan: "ExecutionPlan",
     dram: DramSpec | None = None,
-    mapping: MappingPolicy | str | None = None,
-) -> PlanDramResult:
+    mappings: Sequence[MappingPolicy | str] | None = None,
+) -> list[PlanDramResult]:
     """Price every layer of a plan through the banked-DRAM backend.
 
     ``dram`` defaults to the plan's accelerator DRAM spec and must be
-    given when the plan was produced with the flat model.  ``mapping``
-    overrides the device's configured mapping policy (the sweep calls
-    this once per policy on the same plan).  All layers replay in one
-    batch.
+    given when the plan was produced with the flat model.  Returns one
+    result per entry of ``mappings`` (default: the device's configured
+    mapping alone).  The plan is lowered to request streams once; each
+    mapping replays all its layers in one batch.
     """
     device = dram if dram is not None else plan.spec.dram
     if device is None:
@@ -91,22 +84,14 @@ def simulate_plan_dram(
             "plan has no DramSpec; pass one explicitly or plan with "
             "AcceleratorSpec(dram=...)"
         )
-    mapping_name = (
-        device.mapping
-        if mapping is None
-        else (mapping if isinstance(mapping, str) else mapping.name)
-    )
-    layers = [
-        LayerDramResult(name=assignment.layer.name, policy=assignment.label, stats=stats)
-        for assignment, stats in zip(
-            plan.assignments,
-            simulate_schedules(
-                plan_schedules(plan), plan.spec.bytes_per_elem, device, mapping
-            ),
+    requests, regions = lower_schedules(plan_schedules(plan), plan.spec.bytes_per_elem, device)
+    results = []
+    for mapping in (device.mapping,) if mappings is None else mappings:
+        policy = resolve_mapping(device, mapping)
+        stats = simulate_streams(requests, regions, device, policy)
+        layers = tuple(
+            LayerDramResult(name=assignment.layer.name, policy=assignment.label, stats=entry)
+            for assignment, entry in zip(plan.assignments, stats)
         )
-    ]
-    return PlanDramResult(
-        mapping=mapping_name,
-        layers=tuple(layers),
-        total=combine_stats([entry.stats for entry in layers]),
-    )
+        results.append(PlanDramResult(policy.name, layers, combine_stats(stats)))
+    return results

@@ -28,6 +28,8 @@ one number the latency estimator and the step-level engine consume:
 delivered elements per cycle, memoized per (schedule, layer, device)
 because the planner evaluates the same candidate schedule several times.
 The memo's misses replay in one batch (:func:`simulate_schedules`).
+:func:`lower_schedules` is the mapping-independent half of that replay,
+so pricing one plan under several mappings lowers it once.
 """
 
 from __future__ import annotations
@@ -233,6 +235,21 @@ def _chunk_bursts(
     ).astype(np.int64)
 
 
+def lower_schedules(
+    items: Sequence[tuple[LayerSchedule, LayerSpec]],
+    bytes_per_elem: int,
+    dram: DramSpec,
+) -> tuple[DramRequests, list[tuple[Region, ...]]]:
+    """Each layer's regions and the batch of request streams its schedule implies.
+
+    The lowering does not depend on the mapping policy, so one lowering
+    replays under any number of them (:func:`simulate_streams`).
+    """
+    regions = [layer_regions(schedule, layer, bytes_per_elem, dram) for schedule, layer in items]
+    streams = [(schedule, layout) for (schedule, _), layout in zip(items, regions)]
+    return schedule_requests(streams, bytes_per_elem, dram), regions
+
+
 def simulate_schedules(
     items: Sequence[tuple[LayerSchedule, LayerSpec]],
     bytes_per_elem: int,
@@ -240,16 +257,8 @@ def simulate_schedules(
     mapping: MappingPolicy | str | None = None,
 ) -> list[DramStats]:
     """Trace-simulate many layers' schedules on the banked DRAM in one batch."""
-    layers = [
-        (schedule, layer_regions(schedule, layer, bytes_per_elem, dram))
-        for schedule, layer in items
-    ]
-    return simulate_streams(
-        schedule_requests(layers, bytes_per_elem, dram),
-        [regions for _, regions in layers],
-        dram,
-        _resolve_mapping(dram, mapping),
-    )
+    requests, regions = lower_schedules(items, bytes_per_elem, dram)
+    return simulate_streams(requests, regions, dram, resolve_mapping(dram, mapping))
 
 
 def simulate_schedule(
@@ -263,7 +272,8 @@ def simulate_schedule(
     return simulate_schedules([(schedule, layer)], bytes_per_elem, dram, mapping)[0]
 
 
-def _resolve_mapping(dram: DramSpec, mapping: MappingPolicy | str | None) -> MappingPolicy:
+def resolve_mapping(dram: DramSpec, mapping: MappingPolicy | str | None) -> MappingPolicy:
+    """``mapping`` as a policy; ``None`` is the device's configured mapping."""
     if mapping is None:
         return get_mapping(dram.mapping)
     if isinstance(mapping, str):

@@ -110,7 +110,7 @@ def plan_energy(
     if plan.spec.dram is not None:
         from ..dram.planstats import simulate_plan_dram
 
-        stats = simulate_plan_dram(plan).total
+        stats = simulate_plan_dram(plan)[0].total
         return EnergyBreakdown(
             dram_pj=stats.energy_pj,
             sram_pj=sram_bytes * model.sram_pj_per_byte,

@@ -3,8 +3,10 @@
 ``evaluate_layer`` instantiates every policy (with and without prefetching)
 on one layer and returns the feasible candidates with their estimated
 memory, off-chip accesses and latency — exactly the quantities Algorithm 1
-compares.  The tile-search fallback is consulted only when no named policy
-fits, mirroring paper §3.3.
+compares.  The planners evaluate every layer with ``always_fallback=True``,
+so the tile search competes with the named policies in every entry they
+read.  The default, where the tile search only rescues a layer no named
+policy fits (paper §3.3), is left to ``fig1`` and the named-only ablation.
 """
 
 from __future__ import annotations

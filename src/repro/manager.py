@@ -35,6 +35,11 @@ from .scalesim.presets import baseline_configs
 from .scalesim.simulator import SimulationResult, simulate
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose one of {', '.join(SCHEMES)}")
+
+
 @dataclass(frozen=True)
 class BaselineComparison:
     """Proposed plan vs the three fixed-partition baselines."""
@@ -88,8 +93,7 @@ class MemoryManager:
         :mod:`repro.verify` invariant catalog and raises
         :class:`~repro.verify.PlanVerificationError` on any violation.
         """
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; choose one of {', '.join(SCHEMES)}")
+        _check_scheme(scheme)
         if scheme == "het":
             return plan_heterogeneous(
                 model,
@@ -162,6 +166,7 @@ class MemoryManager:
         """
         from .experiments import cache
 
+        _check_scheme(scheme)  # before hashing the model or probing the disk
         key = cache.plan_cache_key(
             scheme,
             model,

@@ -459,15 +459,26 @@ class TestWiring:
     def test_manager_simulate_dram_sweeps_mappings(self, plans):
         flat, _ = plans
         results = {
-            name: simulate_plan_dram(flat, DEFAULT_DDR4_SPEC, name)
-            for name in MAPPING_NAMES
+            result.mapping: result
+            for result in simulate_plan_dram(flat, DEFAULT_DDR4_SPEC, MAPPING_NAMES)
         }
-        assert results["bank_interleaved"].transfer_cycles < (
-            results["row_major"].transfer_cycles
+        assert tuple(results) == MAPPING_NAMES
+        assert results["bank_interleaved"].total.cycles < (
+            results["row_major"].total.cycles
         )
         for result in results.values():
-            assert 0.0 < result.row_hit_rate <= 1.0
+            assert 0.0 < result.total.row_hit_rate <= 1.0
             assert result.total.cycles >= result.total.ideal_cycles
+
+    def test_one_lowering_prices_like_one_mapping_at_a_time(self, plans):
+        flat, banked = plans
+        together = simulate_plan_dram(flat, DEFAULT_DDR4_SPEC, MAPPING_NAMES)
+        assert together == [
+            simulate_plan_dram(flat, DEFAULT_DDR4_SPEC, [get_mapping(name)])[0]
+            for name in MAPPING_NAMES
+        ]
+        (default,) = simulate_plan_dram(banked)
+        assert default.mapping == DEFAULT_DDR4_SPEC.mapping
 
     def test_plan_without_dram_needs_explicit_spec(self, plans):
         flat, _ = plans
@@ -498,8 +509,33 @@ class TestSweepExperiment:
         assert wins >= 4  # the ISSUE acceptance bar; in practice 6/6
         table = dram_sweep.to_table(cells).render()
         assert "row_major" in table and "bank_interleaved" in table
-        best = dram_sweep.best_mapping_per_model(cells)
-        assert set(best) == set(cycles)
+
+    def test_sweep_lowers_each_plan_once(self, monkeypatch):
+        from repro.dram import trace
+        from repro.experiments import dram_sweep
+
+        lowered = []
+        real = trace.schedule_requests
+
+        def counting(items, *args, **kwargs):
+            lowered.append(len(items))
+            return real(items, *args, **kwargs)
+
+        monkeypatch.setattr(trace, "schedule_requests", counting)
+        cells = dram_sweep.run()
+        assert len(cells) == 6 * len(MAPPING_NAMES)
+        assert len(lowered) == 6  # one per plan, however many mappings
+
+    def test_cli_prints_the_artifact_rows(self, capsys):
+        from repro.cli import main
+        from repro.experiments import dram_sweep
+
+        assert main(["dram", "--all", "--glb", "256"]) == 0
+        cli = capsys.readouterr().out.splitlines()
+        artifact = dram_sweep.to_table(dram_sweep.run()).render().splitlines()
+        # Only the title (and its underline) differ.
+        assert len(cli) == 4 + 6 * len(MAPPING_NAMES)
+        assert cli[2:] == artifact[2:]
 
     def test_reuses_plans_built_earlier_in_the_process(self, monkeypatch):
         """With the disk cache off, the sweep takes a plan another artifact
@@ -513,7 +549,7 @@ class TestSweepExperiment:
         common.het_plan("MnasNet", 256)
         before = planned.value
         assert before > 0
-        dram_sweep.run(models=("MnasNet",), glb_kb=(256,))
+        dram_sweep.run(models=("MnasNet",), glb_kb=256)
         assert planned.value == before
 
     def test_cli_dram_subcommand(self, capsys):

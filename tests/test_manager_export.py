@@ -35,6 +35,18 @@ class TestMemoryManager:
         with pytest.raises(ValueError, match="unknown scheme"):
             manager.plan(get_model("MobileNet"), scheme="magic")
 
+    @pytest.mark.parametrize("scheme", ["hom(p99)", "magic"])
+    def test_unknown_scheme_rejected_before_cache_work(self, manager, scheme, monkeypatch):
+        from repro.experiments import cache
+
+        def no_cache_work(*args, **kwargs):
+            raise AssertionError("cache touched before the scheme was checked")
+
+        monkeypatch.setattr(cache, "plan_cache_key", no_cache_work)
+        monkeypatch.setattr(cache, "lookup", no_cache_work)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            manager.plan_cached(get_model("MobileNet"), scheme=scheme)
+
     def test_interlayer_requires_het(self, manager):
         with pytest.raises(ValueError, match="het"):
             manager.plan(get_model("MobileNet"), scheme="hom", interlayer=True)
