@@ -125,12 +125,6 @@ class CallGraph:
             frontier = next_frontier
         return chains
 
-    def by_suffix(self, suffix: str) -> Iterator[FunctionInfo]:
-        """Functions whose qualname ends with ``suffix`` (dotted-aware)."""
-        for qualname, info in self.functions.items():
-            if qualname == suffix or qualname.endswith("." + suffix):
-                yield info
-
 
 def own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
     """All nodes of a scope's body, excluding nested def/class bodies.

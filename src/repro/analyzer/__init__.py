@@ -14,9 +14,9 @@ from .plan import (
 )
 from .planner import (
     best_homogeneous,
-    candidate_evaluations,
     plan_heterogeneous,
     plan_homogeneous,
+    plan_named_only,
 )
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "plan_heterogeneous",
     "plan_homogeneous",
     "best_homogeneous",
-    "candidate_evaluations",
+    "plan_named_only",
     "plan_chain_with_interlayer",
     "apply_opportunistic_interlayer",
     "plan_to_dict",

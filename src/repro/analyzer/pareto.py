@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..arch.spec import AcceleratorSpec
-from ..estimators.evaluate import PolicyEvaluation
+from ..estimators.evaluate import PolicyEvaluation, evaluate_layer
 from ..nn.model import Model
 from .objectives import Objective
 from .plan import ExecutionPlan, make_assignment
-from .planner import candidate_evaluations
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,9 @@ def plan_weighted(
     """Heterogeneous plan under a weighted accesses/latency objective."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    candidates = candidate_evaluations(model, spec, allow_prefetch=allow_prefetch)
+    candidates = [
+        evaluate_layer(layer, spec, allow_prefetch=allow_prefetch) for layer in model.layers
+    ]
     if any(not evs for evs in candidates):
         raise ValueError(f"{model.name}: some layer has no feasible policy")
     assignments = [

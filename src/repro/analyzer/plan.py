@@ -172,9 +172,9 @@ class ExecutionPlan:
 
         Planner-built plans carry the full trail (every candidate per
         layer with its accept/reject reason).  For plans without one —
-        hand-assembled, or from a planner variant that records none (the
-        ``het(named-only)`` ablation) — a minimal trail is synthesized from
-        the assignments: one chosen row per layer, no rejected candidates.
+        hand-assembled, or built outside the planners (the Pareto sweep's
+        weighted plans) — a minimal trail is synthesized from the
+        assignments: one chosen row per layer, no rejected candidates.
         """
         if self.audit is not None:
             return self.audit

@@ -10,7 +10,10 @@ The paper compares (§5.1):
 
 Both read ``Het``'s per-layer entry, which holds every candidate a ``Hom``
 layer can pick: ``Hom`` decides every family in one layer walk and builds
-only the winner's plan, and ``Het ≤ Hom`` holds by construction.
+only the winner's plan, and ``Het ≤ Hom`` holds by construction.  The
+rescue-only ``het(named-only)`` plan (Algorithm 1 as written, where the
+tile search only rescues layers no named policy fits) is the same
+selection over all named families.
 
 Prefetch variants: within a scheme each layer may use the policy with or
 without prefetching (Table 4 writes "policy 1 (+p)" when both occur);
@@ -53,21 +56,6 @@ from .plan import ExecutionPlan, LayerAssignment, make_assignment
 FAMILIES = tuple(policy.name for policy in NAMED_POLICIES)
 #: Every scheme :meth:`~repro.manager.MemoryManager.plan` accepts.
 SCHEMES = ("het", "hom", *(f"hom({family})" for family in FAMILIES))
-
-
-def candidate_evaluations(
-    model: Model,
-    spec: AcceleratorSpec,
-    allow_prefetch: bool = True,
-    always_fallback: bool = True,
-) -> list[list[PolicyEvaluation]]:
-    """Feasible policy evaluations for every layer of the model."""
-    return [
-        evaluate_layer(
-            layer, spec, allow_prefetch=allow_prefetch, always_fallback=always_fallback
-        )
-        for layer in model.layers
-    ]
 
 
 def _emit(
@@ -130,30 +118,31 @@ def _het_entry(layer: LayerSpec, spec: AcceleratorSpec, allow_prefetch: bool) ->
     attempts: list[PolicyAttempt] = []
     slots: list[DecisionSlot] = []
     evaluations = evaluate_layer(
-        layer, spec, allow_prefetch=allow_prefetch, always_fallback=True,
-        attempts=attempts, decisions=slots,
+        layer, spec, allow_prefetch=allow_prefetch, attempts=attempts, decisions=slots
     )
     return evaluations, attempts, slots[0]
 
 
 def _decide(
-    entry: HetEntry, objective: Objective, family: str | None = None
+    entry: HetEntry, objective: Objective, families: tuple[str, ...] | None = None
 ) -> Decision | None:
     """Algorithm 1 over a layer's ``Het`` entry; None when nothing fits.
 
-    ``family=None`` decides over every try (``Het``); a family, over its
-    own tries plus, when none of them fits, the tile search's
-    (``Hom(family)``).  The decision is memoized in the entry's slot under
-    the objective, or under ``(objective, family)``.
+    ``families=None`` decides over every try (``Het``); a tuple of
+    families, over their tries plus, when none of them fits, the tile
+    search's (``Hom(family)`` for one family, the rescue-only
+    ``het(named-only)`` for all of them).  The decision is memoized in
+    the entry's slot under the objective, or under ``(objective,
+    families)``.
     """
     evaluations, attempts, slot = entry
-    key = objective if family is None else (objective, family)
+    key = objective if families is None else (objective, families)
     decision = slot.get(key)
     if decision is not None:
         return decision
     tries, candidates = attempts, evaluations
-    if family is not None:
-        tries = [a for a in attempts if a.policy_name == family]
+    if families is not None:
+        tries = [a for a in attempts if a.policy_name in families]
         if not any(a.feasible for a in tries):
             tries += [a for a in attempts if a.fallback]
         labels = {a.label for a in tries}
@@ -243,43 +232,43 @@ def plan_heterogeneous(
 
 def _plan_homogeneous(
     model: Model, spec: AcceleratorSpec, objective: Objective,
-    families: tuple[str, ...], allow_prefetch: bool, verify: bool,
+    groups: dict[str, tuple[str, ...]], allow_prefetch: bool, verify: bool,
 ) -> ExecutionPlan | None:
-    """The best single-family plan over ``families`` in one layer walk.
+    """The best plan over ``groups`` (scheme label -> families) in one layer walk.
 
-    Each layer's ``Het`` entry holds every candidate a ``Hom(family)``
-    layer can pick, so one walk decides every family (:func:`_decide`)
-    and sums its totals; the ``ExecutionPlan`` and trail are built for
-    the winning family only (the first listed on a tie).  Returns None
-    when no family fits every layer, even with the tile search.
+    Each layer's ``Het`` entry holds every candidate a layer restricted
+    to some families can pick, so one walk decides every group
+    (:func:`_decide`) and sums its totals; the ``ExecutionPlan`` and trail
+    are built for the winning group only (the first listed on a tie).
+    Returns None when no group fits every layer, even with the tile search.
     """
     picks: dict[str, list[tuple[PolicyEvaluation, tuple[CandidateRow, ...]]]] = {
-        family: [] for family in families
+        scheme: [] for scheme in groups
     }
     with get_tracer().start("plan_homogeneous", model=model.name) as span:
         for layer in model.layers:
             entry = _het_entry(layer, spec, allow_prefetch)
-            for family in list(picks):
-                decision = _decide(entry, objective, family)
+            for scheme in list(picks):
+                decision = _decide(entry, objective, groups[scheme])
                 if decision is None:
-                    del picks[family]
+                    del picks[scheme]
                 else:
-                    picks[family].append((entry[0][decision[0]], decision[1]))
+                    picks[scheme].append((entry[0][decision[0]], decision[1]))
         if not picks:
             return None
-        family = min(
+        scheme = min(
             picks,
-            key=lambda f: objective.key(
-                sum(ev.accesses_bytes for ev, _ in picks[f]),
-                sum(ev.latency_cycles for ev, _ in picks[f]),
+            key=lambda s: objective.key(
+                sum(ev.accesses_bytes for ev, _ in picks[s]),
+                sum(ev.latency_cycles for ev, _ in picks[s]),
             ),
         )
         trail = TrailBuilder(
-            scheme=f"hom({family})", objective=objective.value, glb_bytes=spec.glb_bytes
+            scheme=scheme, objective=objective.value, glb_bytes=spec.glb_bytes
         )
-        span.set_attr("scheme", trail.scheme)
+        span.set_attr("scheme", scheme)
         assignments = []
-        for i, (layer, (evaluation, rows)) in enumerate(zip(model.layers, picks[family])):
+        for i, (layer, (evaluation, rows)) in enumerate(zip(model.layers, picks[scheme])):
             trail.add_layer(i, layer.name, rows)
             assignments.append(make_assignment(i, layer, evaluation, spec))
     return _emit(model, spec, objective, assignments, trail, verify)
@@ -303,7 +292,9 @@ def plan_homogeneous(
     """
     if family not in FAMILIES:
         raise KeyError(f"unknown policy family {family!r}")
-    return _plan_homogeneous(model, spec, objective, (family,), allow_prefetch, verify)
+    return _plan_homogeneous(
+        model, spec, objective, {f"hom({family})": (family,)}, allow_prefetch, verify
+    )
 
 
 def best_homogeneous(
@@ -315,7 +306,25 @@ def best_homogeneous(
     verify: bool = False,
 ) -> ExecutionPlan:
     """The ``Hom`` scheme: the best single-policy plan for the objective."""
-    plan = _plan_homogeneous(model, spec, objective, FAMILIES, allow_prefetch, verify)
+    groups = {f"hom({family})": (family,) for family in FAMILIES}
+    plan = _plan_homogeneous(model, spec, objective, groups, allow_prefetch, verify)
     if plan is None:
         raise ValueError(f"{model.name}: no homogeneous scheme is feasible")
+    return plan
+
+
+def plan_named_only(
+    model: Model,
+    spec: AcceleratorSpec,
+    objective: Objective = Objective.ACCESSES,
+    *,
+    allow_prefetch: bool = True,
+    verify: bool = False,
+) -> ExecutionPlan:
+    """``Het`` as Algorithm 1 is written (§3.3): the best named policy per
+    layer, with the tile search only rescuing layers none of them fits."""
+    groups = {"het(named-only)": FAMILIES}
+    plan = _plan_homogeneous(model, spec, objective, groups, allow_prefetch, verify)
+    if plan is None:
+        raise ValueError(f"{model.name}: no feasible policy at GLB={spec.glb_bytes} bytes")
     return plan

@@ -39,21 +39,28 @@ from .manager import MemoryManager
 from .nn.io import load_model
 from .nn.model import Model
 from .nn.stats import layer_breakdown
-from .nn.zoo import PAPER_MODEL_NAMES, get_model
+from .nn.zoo import ALL_MODEL_NAMES, PAPER_MODEL_NAMES, find_model_name, get_model
 from .report.table import Table
 
 
 def _resolve_model(name_or_path: str) -> Model:
-    """Load a model by zoo name or JSON file path."""
-    if name_or_path in PAPER_MODEL_NAMES:
-        return get_model(name_or_path)
+    """Load a model by zoo name (in any case) or JSON file path.
+
+    An unknown model exits with code 2 and lists the zoo, mirroring the
+    ``UnknownArtifactError`` convention of the experiments CLI.
+    """
+    name = find_model_name(name_or_path)
+    if name is not None:
+        return get_model(name)
     path = Path(name_or_path)
     if path.exists():
         return load_model(path)
-    raise SystemExit(
-        f"error: {name_or_path!r} is neither a zoo model "
-        f"({', '.join(PAPER_MODEL_NAMES)}) nor an existing file"
+    print(
+        f"error: unknown model {name_or_path!r}\n"
+        f"available models: {', '.join(ALL_MODEL_NAMES)}",
+        file=sys.stderr,
     )
+    raise SystemExit(2)
 
 
 def _parse_scheme(text: str) -> str:
@@ -178,7 +185,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     from .estimators import evaluate_layer
 
-    evaluations = evaluate_layer(layer, spec, always_fallback=True)
+    evaluations = evaluate_layer(layer, spec)
     table = Table(
         title=f"{model.name}/{layer.name} @ {args.glb} kB: policy candidates",
         headers=["Policy", "n", "Mem kB", "Accesses kB", "Latency (cyc)", "DMA", "Compute"],
@@ -493,31 +500,10 @@ def cmd_dram(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    """Render the planner's decision audit trail as a per-layer table.
-
-    Model lookup is case-insensitive over the full zoo (so
-    ``repro explain resnet18`` works); a JSON model path is accepted too.
-    Unknown models exit with code 2 and list the available ids, mirroring
-    the ``UnknownArtifactError`` convention of the experiments CLI.
-    """
+    """Render the planner's decision audit trail as a per-layer table."""
     import json
 
-    from .nn.zoo import ALL_MODEL_NAMES
-
-    canonical = {name.lower(): name for name in ALL_MODEL_NAMES}.get(
-        args.model.lower()
-    )
-    if canonical is not None:
-        model = get_model(canonical)
-    elif Path(args.model).exists():
-        model = load_model(Path(args.model))
-    else:
-        print(
-            f"error: unknown model {args.model!r}\n"
-            f"available models: {', '.join(ALL_MODEL_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
+    model = _resolve_model(args.model)
     spec = _spec_from_args(args)
     plan = MemoryManager(spec).plan(
         model,

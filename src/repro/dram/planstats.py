@@ -78,6 +78,8 @@ def simulate_plan_dram(
     mapping alone).  The plan is lowered to request streams once; each
     mapping replays all its layers in one batch.
     """
+    if isinstance(mappings, str):
+        raise TypeError(f"mappings must be a sequence of mappings, not a str; pass [{mappings!r}]")
     device = dram if dram is not None else plan.spec.dram
     if device is None:
         raise ValueError(

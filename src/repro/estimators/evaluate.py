@@ -3,10 +3,11 @@
 ``evaluate_layer`` instantiates every policy (with and without prefetching)
 on one layer and returns the feasible candidates with their estimated
 memory, off-chip accesses and latency — exactly the quantities Algorithm 1
-compares.  The planners evaluate every layer with ``always_fallback=True``,
-so the tile search competes with the named policies in every entry they
-read.  The default, where the tile search only rescues a layer no named
-policy fits (paper §3.3), is left to ``fig1`` and the named-only ablation.
+compares.  The tile search is always evaluated alongside the named
+policies, so one entry per layer serves every scheme: ``Het`` lets it
+compete, while ``Hom(family)`` and the rescue-only ``het(named-only)``
+plan (paper §3.3) read its tries only for a layer their named policies
+cannot fit.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ class PolicyEvaluation:
 #: audit-trail rows of every try compared, in try order.
 Decision = tuple[int, tuple[CandidateRow, ...]]
 
-#: :data:`Decision` by objective (``Het``) or by ``(objective, family)``
-#: (``Hom(family)``, over that family's tries), filled by the planner.
+#: :data:`Decision` by objective (``Het``) or by ``(objective, families)``
+#: (``Hom(family)`` or ``het(named-only)``, over those families' tries),
+#: filled by the planner.
 DecisionSlot = dict[object, Decision]
 
 
@@ -154,16 +156,15 @@ def evaluate_layer(
     layer: LayerSpec,
     spec: AcceleratorSpec,
     allow_prefetch: bool = True,
-    always_fallback: bool = False,
     attempts: list[PolicyAttempt] | None = None,
     decisions: list[DecisionSlot] | None = None,
 ) -> list[PolicyEvaluation]:
     """All feasible policy instantiations of one layer within the GLB.
 
-    With ``always_fallback`` the tile search competes against the named
-    policies instead of only rescuing infeasible layers.  Both planners
-    read this entry: ``Hom(family)`` takes the family's tries from it, and
-    the tile search's where none of them fits.
+    The tile search is always among the candidates.  Every planner reads
+    this entry: ``Het`` decides over all of it, while ``Hom(family)`` and
+    ``het(named-only)`` take their families' tries, and the tile search's
+    where none of them fits.
 
     When ``attempts`` is given, every instantiation try is appended to it
     as a :class:`PolicyAttempt` (feasible or not) for the decision audit
@@ -190,15 +191,13 @@ def evaluate_layer(
     (:func:`~repro.policies.tiled.tile_grid`).  Per-layer entries whose
     tuples of candidate keys are equal see equal evaluations, so they
     share one decision slot, in which the planner memoizes Algorithm 1's
-    pick per objective (and per family for ``Hom``).
+    pick per objective (and per family set for ``Hom`` and named-only).
 
     Returns an empty list only when even the tile-search fallback cannot
     fit, which for sane GLB sizes does not happen (the fallback's smallest
     footprint is a couple of rows).
     """
-    evaluations, tries, slot = _evaluate_layer_memo(
-        layer.shape, spec, allow_prefetch, always_fallback
-    )
+    evaluations, tries, slot = _evaluate_layer_memo(layer.shape, spec, allow_prefetch)
     if attempts is not None:
         attempts.extend(tries)
     if decisions is not None:
@@ -253,7 +252,6 @@ def _evaluate_layer_memo(
     shape: LayerSpec,
     spec: AcceleratorSpec,
     allow_prefetch: bool,
-    always_fallback: bool,
 ) -> tuple[tuple[PolicyEvaluation, ...], tuple[PolicyAttempt, ...], DecisionSlot]:
     """Memoized evaluation grid of one shape (immutable results, safe to
     share) with its decision slot."""
@@ -290,8 +288,7 @@ def _evaluate_layer_memo(
 
     for policy in NAMED_POLICIES:
         visit(policy, False)
-    if always_fallback or not any(t.feasible for t in tries):
-        visit(FALLBACK_POLICY, True)
+    visit(FALLBACK_POLICY, True)
     if misses:
         for i, evaluation in zip(misses, evaluate_plans(list(misses.values()), spec)):
             _CANDIDATE_MEMO[keys[i]] = evaluation

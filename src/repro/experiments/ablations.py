@@ -18,20 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..analyzer import Objective
-from ..analyzer.algorithm1 import select_policy
-from ..analyzer.plan import ExecutionPlan, make_assignment
-from ..analyzer.planner import candidate_evaluations
-from ..arch.spec import AcceleratorSpec
 from ..arch.units import kib, reduction_pct
-from ..nn.model import Model
 from ..nn.zoo import get_model
 from ..report.table import Table
 from ..scalesim.config import Dataflow
 from ..scalesim.presets import baseline_config
 from ..scalesim.simulator import simulate
 from . import cache
-from .common import GLB_SIZES_KB, het_plan, spec_for
+from .common import GLB_SIZES_KB, het_plan, named_only_plan
 
 # ----------------------------------------------------------------------
 # Ablation 1: opportunistic vs joint inter-layer planning
@@ -113,30 +107,6 @@ class FallbackAblationRow:
         return 100.0 * (1.0 - self.with_search_mib / self.named_only_mib)
 
 
-def _het_named_only(
-    model: Model, spec: AcceleratorSpec, objective: Objective = Objective.ACCESSES
-) -> ExecutionPlan:
-    """Heterogeneous plan where the tile search only rescues layers no
-    named policy can fit (Algorithm 1 as literally written)."""
-
-    def compute() -> ExecutionPlan:
-        candidates = candidate_evaluations(model, spec, always_fallback=False)
-        assignments = [
-            make_assignment(i, layer, select_policy(evs, objective), spec)
-            for i, (layer, evs) in enumerate(zip(model.layers, candidates))
-        ]
-        return ExecutionPlan(
-            model=model,
-            spec=spec,
-            objective=objective,
-            scheme="het(named-only)",
-            assignments=tuple(assignments),
-        )
-
-    key = cache.plan_cache_key("het(named-only)", model, spec, objective)
-    return cache.fetch(key, compute)
-
-
 def fallback_participation(
     model_names: tuple[str, ...] = ("ResNet18", "EfficientNetB0"),
     glb_sizes_kb: tuple[int, ...] = (64, 128, 256),
@@ -144,9 +114,8 @@ def fallback_participation(
     """Quantify what letting the tile search compete buys Het."""
     rows = []
     for name in model_names:
-        model = get_model(name)
         for glb_kb in glb_sizes_kb:
-            named = _het_named_only(model, spec_for(glb_kb))
+            named = named_only_plan(name, glb_kb)
             full = het_plan(name, glb_kb)
             rows.append(
                 FallbackAblationRow(

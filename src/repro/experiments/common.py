@@ -25,7 +25,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from ..analyzer import ExecutionPlan, Objective
+from ..analyzer import ExecutionPlan, Objective, plan_named_only
 from ..arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
 from ..arch.units import kib
 from ..estimators.evaluate import clear_evaluation_memo
@@ -44,42 +44,6 @@ def spec_for(glb_kb: int, data_width_bits: int = 8) -> AcceleratorSpec:
     return AcceleratorSpec(glb_bytes=kib(glb_kb), data_width_bits=data_width_bits)
 
 
-def cached_het_plan(
-    model: Model,
-    spec: AcceleratorSpec,
-    objective: Objective = Objective.ACCESSES,
-    *,
-    allow_prefetch: bool = True,
-    interlayer: bool = False,
-    interlayer_mode: str = "opportunistic",
-) -> ExecutionPlan:
-    """Heterogeneous plan for an arbitrary model/spec, persistently cached.
-
-    The key covers the model's full layer-dimension digest and every spec
-    field, so resolution sweeps and custom specs cache correctly.
-    """
-    return MemoryManager(spec).plan_cached(
-        model,
-        objective,
-        prefetch=allow_prefetch,
-        interlayer=interlayer,
-        interlayer_mode=interlayer_mode,
-    )
-
-
-def cached_hom_plan(
-    model: Model,
-    spec: AcceleratorSpec,
-    objective: Objective = Objective.ACCESSES,
-    *,
-    allow_prefetch: bool = True,
-) -> ExecutionPlan:
-    """Best homogeneous plan for an arbitrary model/spec, persistently cached."""
-    return MemoryManager(spec).plan_cached(
-        model, objective, scheme="hom", prefetch=allow_prefetch
-    )
-
-
 @lru_cache(maxsize=None)
 def het_plan(
     model_name: str,
@@ -91,11 +55,10 @@ def het_plan(
     interlayer_mode: str = "opportunistic",
 ) -> ExecutionPlan:
     """Cached heterogeneous plan (in-process + persistent on-disk)."""
-    return cached_het_plan(
+    return MemoryManager(spec_for(glb_kb, data_width_bits)).plan_cached(
         get_model(model_name),
-        spec_for(glb_kb, data_width_bits),
         objective,
-        allow_prefetch=allow_prefetch,
+        prefetch=allow_prefetch,
         interlayer=interlayer,
         interlayer_mode=interlayer_mode,
     )
@@ -110,12 +73,21 @@ def hom_plan(
     allow_prefetch: bool = True,
 ) -> ExecutionPlan:
     """Cached best homogeneous plan (in-process + persistent on-disk)."""
-    return cached_hom_plan(
-        get_model(model_name),
-        spec_for(glb_kb, data_width_bits),
-        objective,
-        allow_prefetch=allow_prefetch,
+    return MemoryManager(spec_for(glb_kb, data_width_bits)).plan_cached(
+        get_model(model_name), objective, scheme="hom", prefetch=allow_prefetch
     )
+
+
+@lru_cache(maxsize=None)
+def named_only_plan(
+    model_name: str, glb_kb: int, objective: Objective = Objective.ACCESSES
+) -> ExecutionPlan:
+    """Cached rescue-only ``Het`` plan (:func:`~repro.analyzer.plan_named_only`,
+    in-process + persistent on-disk)."""
+    model = get_model(model_name)
+    spec = spec_for(glb_kb)
+    key = cache.plan_cache_key("het(named-only)", model, spec, objective)
+    return cache.fetch(key, lambda: plan_named_only(model, spec, objective))
 
 
 @lru_cache(maxsize=None)
@@ -147,6 +119,7 @@ def clear_in_process_caches() -> None:
     """Drop the in-process memoization (the on-disk cache is untouched)."""
     het_plan.cache_clear()
     hom_plan.cache_clear()
+    named_only_plan.cache_clear()
     baseline_results.cache_clear()
     clear_evaluation_memo()
 

@@ -73,11 +73,11 @@ def run(
     return sweep(((name, het_plan(name, glb_kb)) for name in names), dram, mappings)
 
 
-def to_table(
-    cells: list[DramSweepCell],
-    title: str = f"DRAM mapping sweep (Het_a @ {SWEEP_GLB_KB} kB, DDR4-like)",
-) -> Table:
-    """Render the sweep's rows as a report table."""
+def to_table(cells: list[DramSweepCell], title: str) -> Table:
+    """Render the sweep's rows as a report table.
+
+    The cells do not carry their GLB size, so the caller titles the table.
+    """
     table = Table(
         title=title,
         headers=[

@@ -19,11 +19,8 @@ from dataclasses import dataclass
 
 from ..analyzer import Objective
 from ..arch.units import kib, to_kib
-from ..estimators import evaluate_layer
-from ..analyzer.algorithm1 import select_policy
-from ..nn.zoo import get_model
 from ..report.table import Table
-from .common import spec_for
+from .common import named_only_plan, spec_for
 
 #: The two illustrative layers: filter-heavy (A) and feature-map-heavy (B).
 CASE_LAYERS = {"A": "conv5_1b", "B": "conv2_1a"}
@@ -37,12 +34,10 @@ class Fig1Case:
     separate_fit: dict[str, float]  #: fraction fitting the separate buffers
     glb_policy: str  #: policy the global-buffer manager picks
     glb_feasible: bool  #: the policy fits the same total capacity
-    glb_prefetch: bool  #: and still has room for prefetching
 
 
 def run(glb_kb: int = 64) -> list[Fig1Case]:
     """Quantify the motivation figure on real ResNet18 layers."""
-    model = get_model("ResNet18")
     spec = spec_for(glb_kb)
     b = spec.bytes_per_elem
     # Separate-buffer capacities: 4 kB ofmap + 50/50 split, halved for
@@ -51,16 +46,17 @@ def run(glb_kb: int = 64) -> list[Fig1Case]:
     rest = (kib(glb_kb) - kib(4)) / 2
     caps = {"ifmap": rest / 2, "filter": rest / 2, "ofmap": ofmap_cap}
 
+    plan = named_only_plan("ResNet18", glb_kb, Objective.ACCESSES)
+    assigned = {a.layer.name: a for a in plan}
     cases = []
     for case, layer_name in CASE_LAYERS.items():
-        layer = model.find(layer_name)
+        best = assigned[layer_name]
+        layer = best.layer
         need = {
             "ifmap": layer.ifmap_elems * b,
             "filter": layer.filter_elems * b,
             "ofmap": layer.ofmap_elems * b,
         }
-        evs = evaluate_layer(layer, spec)
-        best = select_policy(evs, Objective.ACCESSES)
         cases.append(
             Fig1Case(
                 case=case,
@@ -69,7 +65,6 @@ def run(glb_kb: int = 64) -> list[Fig1Case]:
                 separate_fit={k: min(1.0, caps[k] / need[k]) for k in need},
                 glb_policy=best.label,
                 glb_feasible=best.memory_bytes <= spec.glb_bytes,
-                glb_prefetch=any(ev.prefetch for ev in evs),
             )
         )
     return cases

@@ -37,14 +37,6 @@ class Fig8Cell:
         """Percent latency reduction of ``cycles`` vs the baseline."""
         return 100.0 * (1.0 - cycles / self.baseline_cycles)
 
-    @property
-    def het_l_benefit_over_het_a(self) -> float:
-        return 100.0 * (1.0 - self.het_l_cycles / self.het_a_cycles)
-
-    @property
-    def hom_l_benefit_over_hom_a(self) -> float:
-        return 100.0 * (1.0 - self.hom_l_cycles / self.hom_a_cycles)
-
 
 def run(
     models: tuple[str, ...] | None = None,

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analyzer import Objective
+from ..manager import MemoryManager
 from ..nn.zoo import get_model
 from ..report.table import Table
-from .common import cached_het_plan, spec_for
+from .common import spec_for
 
 #: Typical edge deployment resolutions.
 DEFAULT_RESOLUTIONS = (128, 160, 192, 224, 256)
@@ -42,7 +43,7 @@ def run(
     rows = []
     for size in resolutions:
         model = get_model(model_name, input_size=size)
-        plan = cached_het_plan(model, spec_for(glb_kb), objective)
+        plan = MemoryManager(spec_for(glb_kb)).plan_cached(model, objective)
         rows.append(
             ResolutionRow(
                 model=model_name,

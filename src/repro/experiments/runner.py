@@ -56,7 +56,10 @@ ARTIFACTS: dict[str, Callable[[], Table]] = {
     ),
     "resolution": lambda: resolution.to_table(resolution.run()),
     "bounds": lambda: bounds.to_table(bounds.run()),
-    "dram-sweep": lambda: dram_sweep.to_table(dram_sweep.run()),
+    "dram-sweep": lambda: dram_sweep.to_table(
+        dram_sweep.run(),
+        title=f"DRAM mapping sweep (Het_a @ {dram_sweep.SWEEP_GLB_KB} kB, DDR4-like)",
+    ),
 }
 
 

@@ -2,8 +2,8 @@
 
 Pure-text companion to :mod:`repro.nn.stats`: one line per layer with
 shapes, parameters, MACs and the memory breakdown at a given data width,
-plus model totals.  Used by the CLI's ``inspect`` command and handy in
-notebooks/examples.
+plus model totals, for notebooks and interactive use (the CLI's
+``inspect`` command prints its own per-layer table).
 """
 
 from __future__ import annotations

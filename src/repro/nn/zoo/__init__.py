@@ -16,6 +16,7 @@ from .registry import (
     ALL_MODEL_NAMES,
     PAPER_LAYER_COUNTS,
     PAPER_MODEL_NAMES,
+    find_model_name,
     get_model,
     paper_models,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "build_mobilenetv2",
     "build_resnet18",
     "get_model",
+    "find_model_name",
     "paper_models",
     "PAPER_MODEL_NAMES",
     "PAPER_LAYER_COUNTS",

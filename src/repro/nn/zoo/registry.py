@@ -47,6 +47,8 @@ _BUILDERS.update(
 #: All registered model names (paper set first).
 ALL_MODEL_NAMES = tuple(_BUILDERS)
 
+_BY_LOWER_NAME = {name.lower(): name for name in ALL_MODEL_NAMES}
+
 #: Expected layer counts from Table 2 (validated by the test suite).
 PAPER_LAYER_COUNTS = {
     "EfficientNetB0": 82,
@@ -72,6 +74,12 @@ def get_model(name: str, input_size: int | None = None) -> Model:
             f"unknown model {name!r}; available: {', '.join(_BUILDERS)}"
         ) from None
     return builder() if input_size is None else builder(input_size=input_size)
+
+
+def find_model_name(name: str) -> str | None:
+    """The registered spelling of ``name``, matched case-insensitively
+    (``"resnet18"`` -> ``"ResNet18"``); None when it is not in the zoo."""
+    return _BY_LOWER_NAME.get(name.lower())
 
 
 def paper_models() -> tuple[Model, ...]:

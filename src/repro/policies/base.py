@@ -19,7 +19,6 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from ..arch.units import ceil_div
 from ..nn.layer import LayerSpec
 
 
@@ -270,8 +269,3 @@ class Policy(abc.ABC):
     def ifmap_pass_elems_per_channel(layer: LayerSpec) -> int:
         """Elements of one height-wise pass over a single padded channel."""
         return Policy.covered_rows(layer) * Policy.covered_cols(layer)
-
-
-def blocks_of(total: int, block: int) -> int:
-    """Number of blocks of size ``block`` covering ``total`` items."""
-    return ceil_div(total, block)

@@ -68,7 +68,3 @@ class ScaleSimConfig:
     @property
     def filter_working_elems(self) -> int:
         return self._working(self.filter_buf_bytes)
-
-    @property
-    def ofmap_working_elems(self) -> int:
-        return self._working(self.ofmap_buf_bytes)

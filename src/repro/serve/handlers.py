@@ -32,12 +32,12 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable
 
-from ..analyzer import Objective
+from ..analyzer import ExecutionPlan, Objective
 from ..analyzer.export import plan_to_dict
 from ..arch.spec import AcceleratorSpec
 from ..arch.units import kib
 from ..manager import MemoryManager
-from ..nn.zoo import ALL_MODEL_NAMES, get_model
+from ..nn.zoo import ALL_MODEL_NAMES, find_model_name, get_model
 from ..obs import metrics_registry
 from .protocol import (
     ENDPOINTS,
@@ -53,9 +53,7 @@ from .protocol import (
 
 def _resolve_model_name(name: str) -> str:
     """Map a request's model name onto the zoo (case-insensitive)."""
-    canonical = {known.lower(): known for known in ALL_MODEL_NAMES}.get(
-        name.lower()
-    )
+    canonical = find_model_name(name)
     if canonical is None:
         raise ProtocolError(
             "unknown-model",
@@ -139,6 +137,26 @@ def handle_stats(params: Any = None) -> dict[str, Any]:
     }
 
 
+def _planned(
+    endpoint: str, params: Any
+) -> tuple[PlanRequest, ExecutionPlan, dict[str, Any]]:
+    """Parse a ``plan`` or ``explain`` request and plan it through the
+    shared cache: the request, its plan and the ``cache`` sub-object."""
+    request, spec = _canonical_request(endpoint, params)
+    try:
+        plan, hit, key = MemoryManager(spec).plan_cached_detail(
+            get_model(request.model),
+            Objective(request.objective),
+            scheme=request.scheme,
+            prefetch=request.prefetch,
+            interlayer=request.interlayer,
+            interlayer_mode=request.interlayer_mode,
+        )
+    except ValueError as exc:  # infeasible
+        raise ProtocolError("bad-request", str(exc)) from exc
+    return request, plan, {"hit": hit, "key": key}
+
+
 def handle_plan(params: Any) -> dict[str, Any]:
     """Plan a model through the shared cache; the daemon's core endpoint.
 
@@ -147,45 +165,17 @@ def handle_plan(params: Any) -> dict[str, Any]:
     ``plan_to_dict(MemoryManager(spec).plan_cached(...))`` for the same
     request — the acceptance property the load generator asserts.
     """
-    request, spec = _canonical_request("plan", params)
-    manager = MemoryManager(spec)
-    try:
-        plan, hit, key = manager.plan_cached_detail(
-            get_model(request.model),
-            Objective(request.objective),
-            scheme=request.scheme,
-            prefetch=request.prefetch,
-            interlayer=request.interlayer,
-            interlayer_mode=request.interlayer_mode,
-        )
-    except ValueError as exc:  # infeasible
-        raise ProtocolError("bad-request", str(exc)) from exc
-    return {
-        "request": request.to_params(),
-        "plan": plan_to_dict(plan),
-        "cache": {"hit": hit, "key": key},
-    }
+    request, plan, cached = _planned("plan", params)
+    return {"request": request.to_params(), "plan": plan_to_dict(plan), "cache": cached}
 
 
 def handle_explain(params: Any) -> dict[str, Any]:
     """The planner's per-layer decision audit trail for one request."""
-    request, spec = _canonical_request("explain", params)
-    manager = MemoryManager(spec)
-    try:
-        plan, hit, key = manager.plan_cached_detail(
-            get_model(request.model),
-            Objective(request.objective),
-            scheme=request.scheme,
-            prefetch=request.prefetch,
-            interlayer=request.interlayer,
-            interlayer_mode=request.interlayer_mode,
-        )
-    except ValueError as exc:  # infeasible
-        raise ProtocolError("bad-request", str(exc)) from exc
+    request, plan, cached = _planned("explain", params)
     return {
         "request": request.to_params(),
         "explain": plan.explain().to_payload(),
-        "cache": {"hit": hit, "key": key},
+        "cache": cached,
     }
 
 

@@ -3,12 +3,13 @@
 ``evaluate_layer`` plans each layer as its name-blind shape and evaluates
 each (shape, policy, prefetch) candidate once per capacity signature; the
 tile search builds each shape's grid once; and the planners run Algorithm
-1 once per distinct candidate set and objective (and family, for ``Hom``
-plans, which walk the ``Het`` entries once).  These tests pin how much
-work a cold zoo pass does, and what the memos must not change: a cleared
-memo is truly cold, concurrent planning matches sequential planning even
-while the memos reset, layers that share a shape share a decision but keep
-their names, and cached grid arrays cannot be mutated by a caller.
+1 once per distinct candidate set and objective (and family set, for
+``Hom`` and rescue-only plans, which walk the ``Het`` entries once).
+These tests pin how much work a cold zoo pass does, and what the memos
+must not change: a cleared memo is truly cold, concurrent planning
+matches sequential planning even while the memos reset, layers that
+share a shape share a decision but keep their names, and cached grid
+arrays cannot be mutated by a caller.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from repro.arch import AcceleratorSpec, kib
 from repro.dram import DEFAULT_DDR4_SPEC, trace
 from repro.estimators import evaluate
 from repro.estimators.evaluate import clear_evaluation_memo
+from repro.experiments import cache, fig1
+from repro.experiments.common import clear_in_process_caches
 from repro.nn import LayerKind, LayerSpec
 from repro.nn import layer as layer_module
 from repro.nn.model import make_model
@@ -132,6 +135,25 @@ def test_hom_plans_are_one_walk_over_het_entries(monkeypatch):
         assert walked == [layer.name for layer in model.layers]
         for family in planner.FAMILIES:
             planner.plan_homogeneous(model, spec, family, objective)
+    assert evaluate._evaluate_layer_memo.cache_info().currsize == entries
+    assert len(evaluate._CANDIDATE_MEMO) == candidates
+
+
+def test_named_only_plans_read_het_entries(monkeypatch, tmp_path):
+    # The rescue-only plan, and fig1, which takes its two layers' picks
+    # from that plan, decide over the entries a Het plan already made.
+    monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
+    clear_in_process_caches()
+    model, spec = get_model("ResNet18"), AcceleratorSpec(glb_bytes=kib(64))
+    plan_heterogeneous(model, spec)
+    entries = evaluate._evaluate_layer_memo.cache_info().currsize
+    candidates = len(evaluate._CANDIDATE_MEMO)
+    plan = planner.plan_named_only(model, spec, verify=True)
+    assert plan.scheme == "het(named-only)" and plan.audit is not None
+    assert [case.glb_policy for case in fig1.run()] == [
+        plan.assignments[model.layers.index(model.find(case_layer))].label
+        for case_layer in fig1.CASE_LAYERS.values()
+    ]
     assert evaluate._evaluate_layer_memo.cache_info().currsize == entries
     assert len(evaluate._CANDIDATE_MEMO) == candidates
 

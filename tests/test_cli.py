@@ -54,6 +54,19 @@ class TestPlan:
         data = json.loads(out_file.read_text())
         assert data["model"] == "MobileNet"
 
+    @pytest.mark.parametrize("name", ["AlexNet", "alexnet"])
+    def test_plan_any_zoo_model_in_any_case(self, name, capsys):
+        assert main(["plan", name, "--glb", "64"]) == 0
+        assert "AlexNet" in capsys.readouterr().out
+
+    def test_plan_unknown_model_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "NotAModel"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown model 'NotAModel'\n")
+        assert "AlexNet" in err and "ResNet18" in err  # lists the whole zoo
+
     def test_plan_hom_scheme(self, capsys):
         assert main(["plan", "MobileNet", "--scheme", "hom(p1)"]) == 0
         out = capsys.readouterr().out
@@ -159,7 +172,9 @@ class TestExplain:
         assert "conv1" in out and "conv2_1a" not in out
 
     def test_explain_unknown_model_exits_2(self, capsys):
-        assert main(["explain", "NotAModel"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "NotAModel"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "NotAModel" in err and "ResNet18" in err  # lists available ids
 

@@ -456,6 +456,11 @@ class TestWiring:
         )
         assert banked_energy.dram_act_pj > 0
 
+    def test_bare_mapping_name_is_a_type_error(self, plans):
+        flat, _ = plans
+        with pytest.raises(TypeError, match="mappings"):
+            simulate_plan_dram(flat, DEFAULT_DDR4_SPEC, "row_major")
+
     def test_manager_simulate_dram_sweeps_mappings(self, plans):
         flat, _ = plans
         results = {
@@ -507,8 +512,14 @@ class TestSweepExperiment:
             if per_mapping["bank_interleaved"] < per_mapping["row_major"]
         )
         assert wins >= 4  # the ISSUE acceptance bar; in practice 6/6
-        table = dram_sweep.to_table(cells).render()
+        table = dram_sweep.to_table(cells, title="Het_a @ 64 kB").render()
         assert "row_major" in table and "bank_interleaved" in table
+
+    def test_table_title_is_required(self):
+        from repro.experiments import dram_sweep
+
+        with pytest.raises(TypeError):
+            dram_sweep.to_table([])
 
     def test_sweep_lowers_each_plan_once(self, monkeypatch):
         from repro.dram import trace
@@ -528,11 +539,11 @@ class TestSweepExperiment:
 
     def test_cli_prints_the_artifact_rows(self, capsys):
         from repro.cli import main
-        from repro.experiments import dram_sweep
+        from repro.experiments.runner import ARTIFACTS
 
         assert main(["dram", "--all", "--glb", "256"]) == 0
         cli = capsys.readouterr().out.splitlines()
-        artifact = dram_sweep.to_table(dram_sweep.run()).render().splitlines()
+        artifact = ARTIFACTS["dram-sweep"]().render().splitlines()
         # Only the title (and its underline) differ.
         assert len(cli) == 4 + 6 * len(MAPPING_NAMES)
         assert cli[2:] == artifact[2:]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analyzer import plan_named_only
 from repro.arch import AcceleratorSpec, kib
 from repro.estimators import (
     estimate_accesses,
@@ -9,6 +10,7 @@ from repro.estimators import (
     estimate_memory,
     evaluate_layer,
 )
+from repro.nn.model import make_model
 from repro.policies import NAMED_POLICIES, policy_by_name
 
 
@@ -32,21 +34,23 @@ class TestEvaluateLayer:
         assert all(not ev.prefetch for ev in evs)
 
     def test_fallback_only_when_empty_by_default(self, conv_layer, spec64):
-        labels = {ev.policy_name for ev in evaluate_layer(conv_layer, spec64)}
-        assert "tiled" not in labels  # named policies fit at 64 kB
+        # The rescue-only plan's trail lists the tile search only for a
+        # layer no named policy fits.
+        plan = plan_named_only(make_model("one", [conv_layer]), spec64)
+        policies = {c.policy for c in plan.explain().layers[0].candidates}
+        assert "tiled" not in policies  # named policies fit at 64 kB
 
-    def test_always_fallback_adds_tiled(self, conv_layer, spec64):
-        labels = {
-            ev.policy_name
-            for ev in evaluate_layer(conv_layer, spec64, always_fallback=True)
-        }
+    def test_tile_search_always_evaluated(self, conv_layer, spec64):
+        labels = {ev.policy_name for ev in evaluate_layer(conv_layer, spec64)}
         assert "tiled" in labels
 
     def test_fallback_rescues_tiny_glb(self, conv_layer):
         spec = AcceleratorSpec(glb_bytes=3000)
-        evs = evaluate_layer(conv_layer, spec)
-        assert evs, "tile search should rescue a tiny GLB"
-        assert all(ev.policy_name == "tiled" for ev in evs)
+        plan = plan_named_only(make_model("one", [conv_layer]), spec)
+        feasible = [c for c in plan.explain().layers[0].candidates if c.feasible]
+        assert feasible, "tile search should rescue a tiny GLB"
+        assert all(c.policy == "tiled" for c in feasible)
+        assert plan.assignments[0].policy_name == "tiled"
 
     def test_bytes_scale_with_data_width(self, conv_layer):
         # Only the fixed policies: P4/P5 legitimately pick different block

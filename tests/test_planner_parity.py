@@ -206,7 +206,7 @@ def test_policy_evaluation_field_types_are_native(conv_layer, spec64):
     evaluations = [
         ev
         for spec in (spec64, replace(spec64, dram=DEFAULT_DDR4_SPEC))
-        for ev in evaluate_layer(conv_layer, spec, always_fallback=True)
+        for ev in evaluate_layer(conv_layer, spec)
     ]
     assert evaluations
     for ev in evaluations:

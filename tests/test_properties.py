@@ -197,9 +197,8 @@ memo_points = st.tuples(
     layer=layers(),
     point=memo_points,
     warm=st.lists(memo_points, min_size=1, max_size=3),
-    always_fallback=st.booleans(),
 )
-def test_warm_candidate_memo_matches_cold_evaluation(layer, point, warm, always_fallback):
+def test_warm_candidate_memo_matches_cold_evaluation(layer, point, warm):
     """``evaluate_layer`` at one spec, after the candidate memo was warmed
     at other budgets (same other fields) and at other widths, bandwidths
     and DRAM models (same budget), returns what a cold call returns: the
@@ -212,9 +211,7 @@ def test_warm_candidate_memo_matches_cold_evaluation(layer, point, warm, always_
             dram=DEFAULT_DDR4_SPEC if ddr4 else None,
         )
         attempts = []
-        evaluations = evaluate_layer(
-            layer, spec, always_fallback=always_fallback, attempts=attempts
-        )
+        evaluations = evaluate_layer(layer, spec, attempts=attempts)
         return evaluations, attempts
 
     clear_evaluation_memo()
