@@ -4,13 +4,15 @@ All experiments use the paper's reference accelerator (§4): 16×16 PEs,
 512 OPs/cycle, 8-bit data, 16 elements/cycle off-chip bandwidth, GLB ∈
 {64, 128, 256, 512, 1024} kB, batch 1, layer-by-layer execution.
 
-Plans are memoized per (model, GLB, data width, objective, prefetch,
-inter-layer) at two levels: an in-process ``lru_cache`` and
-:meth:`repro.manager.MemoryManager.plan_cached`, the persistent,
-content-addressed on-disk cache in :mod:`repro.experiments.cache` that
-the ``repro serve`` daemon also plans through — so the full experiment
-suite, the engine's worker pool and the benchmarks never recompute
-identical analyses.
+Plans and baseline runs are memoized at two levels: an in-process
+``lru_cache`` and the persistent, content-addressed on-disk cache in
+:mod:`repro.experiments.cache`, which the ``repro serve`` daemon shares,
+so the experiment suite and the engine's worker pool never recompute
+identical analyses.  ``Het`` and ``Hom`` plans reach the disk through
+:meth:`repro.manager.MemoryManager.plan_cached` and baseline runs
+through :meth:`~repro.manager.MemoryManager.baselines_cached_detail`;
+the rescue-only plan (:func:`named_only_plan`), which is not a serve
+scheme, calls :func:`repro.experiments.cache.fetch` directly.
 
 Every cached value is immutable from the caller's perspective:
 :class:`~repro.analyzer.ExecutionPlan` is a frozen dataclass, and
@@ -30,9 +32,8 @@ from ..arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
 from ..arch.units import kib
 from ..estimators.evaluate import clear_evaluation_memo
 from ..manager import MemoryManager
-from ..nn.model import Model
 from ..nn.zoo import PAPER_MODEL_NAMES, get_model
-from ..scalesim import SimulationResult, baseline_configs, simulate
+from ..scalesim import SimulationResult
 from . import cache
 
 #: GLB sizes in kB, as labeled on the paper's x-axes.
@@ -100,19 +101,9 @@ def baseline_results(
     every later caller in the process (and with the on-disk cache), so
     mutation would corrupt subsequent artifacts.
     """
-    model: Model = get_model(model_name)
-    spec = spec_for(glb_kb, data_width_bits)
-    key = cache.make_key(
-        "baseline",
-        model=cache.model_digest(model),
-        spec=cache.spec_payload(spec),
-    )
-
-    def compute() -> dict[str, SimulationResult]:
-        configs = baseline_configs(kib(glb_kb), data_width_bits=data_width_bits)
-        return {label: simulate(model, config) for label, config in configs.items()}
-
-    return MappingProxyType(cache.fetch(key, compute))
+    manager = MemoryManager(spec_for(glb_kb, data_width_bits))
+    results, _hit, _key = manager.baselines_cached_detail(get_model(model_name))
+    return MappingProxyType(results)
 
 
 def clear_in_process_caches() -> None:

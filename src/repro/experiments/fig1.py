@@ -30,6 +30,7 @@ CASE_LAYERS = {"A": "conv5_1b", "B": "conv2_1a"}
 class Fig1Case:
     case: str
     layer: str
+    glb_kb: int  #: the global buffer's size
     need_kib: dict[str, float]  #: whole-layer footprint per data type
     separate_fit: dict[str, float]  #: fraction fitting the separate buffers
     glb_policy: str  #: policy the global-buffer manager picks
@@ -61,6 +62,7 @@ def run(glb_kb: int = 64) -> list[Fig1Case]:
             Fig1Case(
                 case=case,
                 layer=layer_name,
+                glb_kb=glb_kb,
                 need_kib={k: to_kib(v) for k, v in need.items()},
                 separate_fit={k: min(1.0, caps[k] / need[k]) for k in need},
                 glb_policy=best.label,
@@ -73,7 +75,7 @@ def run(glb_kb: int = 64) -> list[Fig1Case]:
 def to_table(cases: list[Fig1Case]) -> Table:
     """Render the experiment's rows as a report table."""
     table = Table(
-        title="Figure 1: separate buffers vs managed global buffer (64 kB)",
+        title=f"Figure 1: separate buffers vs managed global buffer ({cases[0].glb_kb} kB)",
         headers=[
             "Case",
             "Layer",

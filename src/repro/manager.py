@@ -132,10 +132,12 @@ class MemoryManager:
         The key covers the model's full layer-dimension digest, every
         spec field (``data_width_bits`` and DRAM configuration included)
         and all planning flags, so any change to the inputs is a cache
-        miss.  This is the one cached-plan path: the experiment suite
+        miss.  The experiment suite's ``Het`` and ``Hom`` plans
         (:mod:`repro.experiments.common`) and the ``repro serve`` daemon
         both plan through it, so a plan computed by either warms the
-        other.  Set ``REPRO_NO_CACHE=1`` to force recomputation.
+        other; the rescue-only ``het(named-only)`` plan, which is no
+        serve scheme, goes to :func:`repro.experiments.cache.fetch`
+        directly.  Set ``REPRO_NO_CACHE=1`` to force recomputation.
         """
         plan, _hit, _key = self.plan_cached_detail(
             model,
@@ -211,8 +213,29 @@ class MemoryManager:
     ) -> BaselineComparison:
         """Plan the model and simulate the three §4 baseline partitions."""
         plan = self.plan(model, objective, **plan_kwargs)
+        return BaselineComparison(plan=plan, baselines=self.simulate_baselines(model))
+
+    def simulate_baselines(self, model: Model) -> dict[str, SimulationResult]:
+        """Simulate the three §4 fixed-partition baselines (SCALE-Sim)."""
         configs = baseline_configs(
             self.spec.glb_bytes, data_width_bits=self.spec.data_width_bits
         )
-        baselines = {label: simulate(model, cfg) for label, cfg in configs.items()}
-        return BaselineComparison(plan=plan, baselines=baselines)
+        return {label: simulate(model, cfg) for label, cfg in configs.items()}
+
+    def baselines_cached_detail(
+        self, model: Model
+    ) -> tuple[dict[str, SimulationResult], bool, str]:
+        """``(results, cache_hit, cache_key)`` of :meth:`simulate_baselines`
+        through the persistent cache, which the experiment suite and the
+        ``repro serve`` ``simulate`` endpoint share."""
+        from .experiments import cache
+
+        key = cache.make_key(
+            "baseline", model=cache.model_digest(model), spec=cache.spec_payload(self.spec)
+        )
+        hit, cached = cache.lookup(key)
+        if hit:
+            return cached, True, key
+        results = self.simulate_baselines(model)
+        cache.store(key, results)
+        return results, False, key

@@ -186,27 +186,8 @@ def handle_simulate(params: Any) -> dict[str, Any]:
     experiment suite's ``baseline`` entries (identical keys), so a
     daemon serving simulate traffic warms the Fig. 5/8 artifacts too.
     """
-    from ..experiments import cache
-    from ..scalesim import SimulationResult, baseline_configs, simulate
-
     request, spec = _canonical_request("simulate", params)
-    model = get_model(request.model)
-    key = cache.make_key(
-        "baseline",
-        model=cache.model_digest(model),
-        spec=cache.spec_payload(spec),
-    )
-    hit, cached = cache.lookup(key)
-    if hit:
-        results: dict[str, SimulationResult] = dict(cached)
-    else:
-        configs = baseline_configs(
-            spec.glb_bytes, data_width_bits=spec.data_width_bits
-        )
-        results = {
-            label: simulate(model, config) for label, config in configs.items()
-        }
-        cache.store(key, results)
+    results, hit, key = MemoryManager(spec).baselines_cached_detail(get_model(request.model))
     return {
         "request": request.to_params(),
         "baselines": {
