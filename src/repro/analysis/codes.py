@@ -5,7 +5,9 @@ verifier's ``V`` catalog): codes are stable identifiers referenced by
 tests, suppression comments and documentation, so existing codes are
 never renumbered and a retired code is never reused — new rules append
 new codes.  Retired so far: R001, R012, R013, R014, R031, R044, R050,
-R051, R064 and R071, each because another check catches its hazard.
+R051, R064, R070, R071, R072, R073 and R074, each because another check
+catches its hazard (the R07x value-range codes: the runtime harness at
+the corners of :mod:`repro.arch.bounds`, ``tests/test_spec_corners.py``).
 ``docs/static-analysis.md`` mirrors this table and a test asserts the
 two stay in sync.
 
@@ -46,14 +48,6 @@ Catalog overview
   broken lock discipline (non-``finally`` release, lock-order
   inversion, blocking while holding), fork-after-threads hazards and
   non-daemon thread leaks are flagged with their witness chains.
-* ``R070``–``R074`` — the **value-range** pack (project scope): an
-  interval abstract interpreter (:mod:`repro.analysis.interval`) over
-  the estimator and tile-search int64 closed forms, seeded from the declared
-  spec bounds in :mod:`repro.arch.bounds`.  A NumPy int64 wraparound
-  raises no error — it silently corrupts plans — so every int64
-  intermediate must be *provably* below 2**63 over the supported spec
-  space, and float64 precision loss past 2**53, dtype mixing and
-  possibly-zero divisors are flagged alongside.
 """
 
 from __future__ import annotations
@@ -84,10 +78,6 @@ RULE_TITLES: dict[str, str] = {
     "R063": "process pool created on a path after thread start",
     "R065": "blocking call while holding a lock",
     "R066": "non-daemon thread not joined before drain",
-    "R070": "int64 overflow not provable within declared spec bounds",
-    "R072": "float64 precision loss for integer quantity beyond 2**53",
-    "R073": "mixed dtypes across a NumPy operation",
-    "R074": "unguarded division by a possibly-zero quantity",
 }
 
 #: code → full description (the invariant that must hold).
@@ -250,39 +240,10 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "joins it): a leaked non-daemon thread keeps the process alive "
         "past shutdown and past the serve drain sequence."
     ),
-    "R070": (
-        "Every int64 intermediate in the estimator and tile-search closed "
-        "forms must be provably below 2**63 when evaluated over the "
-        "declared spec bounds (``repro.arch.bounds``): NumPy int64 "
-        "arithmetic wraps silently, so an unprovable product of layer "
-        "dims, data widths and traffic counts is a latent plan "
-        "corrupter."
-    ),
-    "R072": (
-        "An integer quantity whose worst-case bound exceeds 2**53 "
-        "must not flow through float64 (division, ``float()`` casts, "
-        "float dtype arrays): above 2**53 float64 cannot represent "
-        "every integer and equality/ordering comparisons silently "
-        "lose exactness."
-    ),
-    "R073": (
-        "Operands of one NumPy binary operation must share a dtype "
-        "family (both int64 or both float64): mixed int/float "
-        "operands promote per NumPy casting rules, which differ "
-        "between platforms and silently change the result dtype "
-        "downstream."
-    ),
-    "R074": (
-        "A division whose divisor's interval includes zero must be "
-        "guarded (validated positive, or branched on) before the "
-        "divide: bandwidths, rates and GLB sizes are validated at "
-        "spec construction, but derived divisors need their own "
-        "guard."
-    ),
 }
 
 #: code → rule pack ("engine", "units", "determinism", "registry",
-#: "observability", "unitflow", "reachability", "concurrency", "range").
+#: "observability", "unitflow", "reachability", "concurrency").
 RULE_PACKS: dict[str, str] = {
     "R000": "engine",
     "R002": "units",
@@ -308,10 +269,6 @@ RULE_PACKS: dict[str, str] = {
     "R063": "concurrency",
     "R065": "concurrency",
     "R066": "concurrency",
-    "R070": "range",
-    "R072": "range",
-    "R073": "range",
-    "R074": "range",
 }
 
 #: Codes reported as warnings (hazards) rather than errors (defects).

@@ -259,7 +259,6 @@ def all_rules() -> RuleRegistry:
         concurrency_rules,
         determinism_rules,
         obs_rules,
-        range_rules,
         reach_rules,
         registry_rules,
         unit_rules,
@@ -270,7 +269,6 @@ def all_rules() -> RuleRegistry:
         concurrency_rules
         and determinism_rules
         and obs_rules
-        and range_rules
         and reach_rules
         and registry_rules
         and unit_rules

@@ -52,8 +52,17 @@ from typing import Iterator
 
 from .callgraph import CallGraph, FunctionInfo, own_nodes
 from .findings import Finding
-from .interval import terminal_name
 from .rules import Project, SourceFile, rule
+
+
+def terminal_name(expr: ast.expr) -> str | None:
+    """Rightmost identifier of a name/attribute chain, if any."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
+
 
 #: Plain units of the lattice (rates are ``"rate:<num>/<den>"`` strings).
 PLAIN_UNITS = ("bytes", "bits", "elems", "kib", "cycles", "pj", "seconds")
@@ -400,20 +409,6 @@ def unitflow_for(project: Project) -> UnitFlow:
         cached = UnitFlow(project, graph)
         setattr(graph, "_unitflow_cache", cached)
     return cached
-
-
-def _walk_no_defs(node: ast.AST) -> Iterator[ast.AST]:
-    """Like :func:`ast.walk` but without descending into nested defs."""
-    stack: list[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        if isinstance(
-            current,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
 
 
 def _describe(unit: str | None) -> str:

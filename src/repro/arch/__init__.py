@@ -1,7 +1,6 @@
 """Accelerator architecture description and unit helpers."""
 
 from .bounds import (
-    MAX_BYTES_PER_ELEM,
     MAX_CHANNELS,
     MAX_DATA_WIDTH_BITS,
     MAX_DRAM_CAPACITY_BYTES,
@@ -9,7 +8,6 @@ from .bounds import (
     MAX_GLB_BYTES,
     MAX_KERNEL_DIM,
     MAX_LAYER_MACS,
-    MAX_LAYER_TRAFFIC_ELEMS,
     MAX_MODEL_LAYERS,
 )
 from .spec import (
@@ -25,7 +23,6 @@ __all__ = [
     "DEFAULT_SPEC",
     "PAPER_GLB_SIZES",
     "PAPER_DATA_WIDTHS",
-    "MAX_BYTES_PER_ELEM",
     "MAX_CHANNELS",
     "MAX_DATA_WIDTH_BITS",
     "MAX_DRAM_CAPACITY_BYTES",
@@ -33,7 +30,6 @@ __all__ = [
     "MAX_GLB_BYTES",
     "MAX_KERNEL_DIM",
     "MAX_LAYER_MACS",
-    "MAX_LAYER_TRAFFIC_ELEMS",
     "MAX_MODEL_LAYERS",
     "KIB",
     "MIB",

@@ -96,9 +96,9 @@ class AcceleratorSpec:
                 f"{self.dram_bandwidth_elems_per_cycle}"
             )
         # Upper bounds of the supported spec space (repro.arch.bounds):
-        # the R070 overflow prover guarantees the int64 closed forms only
-        # inside them, so accepting a larger spec would trade a loud
-        # ValueError here for a silent wraparound later.
+        # the int64 closed forms are tested only inside them, so
+        # accepting a larger spec would trade a loud ValueError here for
+        # a silent wraparound later.
         if self.pe_rows > MAX_PE_DIM or self.pe_cols > MAX_PE_DIM:
             problems.append(
                 f"PE array dimensions must be at most {MAX_PE_DIM}, got "

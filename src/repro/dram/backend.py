@@ -155,6 +155,13 @@ class DramRequests(NamedTuple):
     bursts: NDArray[np.int64]
 
 
+#: Most pieces one :func:`split_at` call may expand to.  Planning the six
+#: paper networks at 64 and 1024 KiB needs at most 23,068 per call; an
+#: in-bounds corner layer on a large GLB can ask for billions, which
+#: would allocate far past the host's memory instead of failing cleanly.
+MAX_SPLIT_PIECES = 1 << 22
+
+
 def split_at(
     start: NDArray[np.int64], nbytes: NDArray[np.int64], quantum: NDArray[np.int64] | int
 ) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.int64], NDArray[np.int64]]:
@@ -169,6 +176,9 @@ def split_at(
     if pieces.size == 0 or int(pieces.max()) == 1:
         owner = np.arange(start.size, dtype=np.int64)
         return owner, start, nbytes, first
+    count = int(pieces.sum())
+    if count > MAX_SPLIT_PIECES:
+        raise ValueError(f"DRAM lowering needs {count} pieces, over {MAX_SPLIT_PIECES}")
     owner = np.repeat(np.arange(start.size, dtype=np.int64), pieces)
     step = np.arange(owner.size, dtype=np.int64)
     step -= np.repeat(np.cumsum(pieces) - pieces, pieces)

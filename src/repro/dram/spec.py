@@ -20,8 +20,7 @@ lower-bounded by the paper's numbers (verifier code ``V018``).
 This module is deliberately near-leaf-level: it imports only the
 :mod:`repro.arch.bounds` constants (themselves leaf-level) so that
 :mod:`repro.arch.spec` can reference it without an import cycle, and so
-that the capacity ceiling it validates is the same one the R070 overflow
-prover assumes.
+that the capacity ceiling it validates is the declared one.
 """
 
 from __future__ import annotations
@@ -110,9 +109,8 @@ class DramSpec:
             problems.append(
                 f"mapping must be one of {', '.join(KNOWN_MAPPINGS)}, got {self.mapping!r}"
             )
-        # The supported-spec-space ceiling (repro.arch.bounds): the R070
-        # overflow prover assumes capacities below it, and address
-        # arithmetic in the trace backend is only proven inside it.
+        # The supported-spec-space ceiling (repro.arch.bounds): address
+        # arithmetic in the trace backend is only tested inside it.
         capacity = (
             self.channels
             * self.banks_per_channel

@@ -112,10 +112,10 @@ class LayerSpec:
         # Trigger output-shape validation eagerly so bad specs fail fast.
         conv_out_extent(self.in_h, self.f_h, self.stride, self.padding)
         conv_out_extent(self.in_w, self.f_w, self.stride, self.padding)
-        # Supported-spec-space ceilings (repro.arch.bounds): the R070
-        # overflow prover guarantees the planner's int64 closed forms
-        # only for layers inside them, so an oversized layer must fail
-        # loudly here rather than wrap silently there.
+        # Supported-spec-space ceilings (repro.arch.bounds): the
+        # planner's int64 closed forms are tested only up to them, so an
+        # oversized layer must fail loudly here rather than wrap silently
+        # there.
         for field_name, cap in (
             ("in_h", MAX_FEATURE_DIM),
             ("in_w", MAX_FEATURE_DIM),

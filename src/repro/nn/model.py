@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from ..arch.bounds import MAX_MODEL_LAYERS
 from .layer import LayerKind, LayerSpec
 
 
@@ -49,6 +50,11 @@ class Model:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError(f"{self.name}: model has no layers")
+        if len(self.layers) > MAX_MODEL_LAYERS:
+            raise ValueError(
+                f"{self.name}: {len(self.layers)} layers exceed the supported "
+                f"bound MAX_MODEL_LAYERS={MAX_MODEL_LAYERS}"
+            )
         names = [layer.name for layer in self.layers]
         dupes = [n for n, c in Counter(names).items() if c > 1]
         if dupes:

@@ -340,18 +340,19 @@ def test_r023_fires_on_stale_noqa_code(tmp_path: Path) -> None:
     root = mini_project(
         tmp_path,
         {
-            **R_CATALOG,
+            "analysis/codes.py": (REPO_ROOT / "src/repro/analysis/codes.py").read_text(),
             "pkg/cfg.py": (
                 "import os\n"
                 "KNOB = os.environ.get('K')  # repro: noqa[R011,R051] -- knob\n"
                 "x = 1  # repro: noqa[R111] -- misspelled\n"
+                "y = x * x  # repro: noqa[R070] -- retired with the range prover\n"
             ),
         },
     )
     report = analyze_paths([root], root=root)
     r023 = sorted((f.line, f.message) for f in report.active if f.code == "R023")
-    assert [line for line, _ in r023] == [2, 3]
-    assert "R051" in r023[0][1] and "R111" in r023[1][1]
+    assert [line for line, _ in r023] == [2, 3, 4]
+    assert "R051" in r023[0][1] and "R111" in r023[1][1] and "R070" in r023[2][1]
     # the valid half of the marker still silences its finding
     assert "R011" not in active_codes(report)
 

@@ -414,6 +414,7 @@ def test_warm_parallel_trace_counter_matches_cache_hits(tmp_path, monkeypatch):
     from repro.experiments.engine import run_experiments
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    common.clear_in_process_caches()  # warm memos would leave the disk cache empty
     run_experiments(["dram-sweep"], jobs=1)  # prime the persistent cache
     common.clear_in_process_caches()  # forked workers would inherit the memos
     metrics_registry().reset()

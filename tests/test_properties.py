@@ -21,7 +21,7 @@ from repro.arch import PAPER_DATA_WIDTHS, AcceleratorSpec
 from repro.dram import DEFAULT_DDR4_SPEC
 from repro.estimators import evaluate_layer, schedule_latency
 from repro.estimators.evaluate import clear_evaluation_memo
-from repro.nn import LayerKind, LayerSpec
+from repro.nn import LayerSpec
 from repro.policies import (
     FALLBACK_POLICY,
     NAMED_POLICIES,
@@ -31,51 +31,12 @@ from repro.policies import (
 from repro.scalesim import GemmWorkload, ScaleSimConfig, layer_traffic, lower_layer
 from repro.sim.engine import Step, expand_schedule
 
+from .strategies import layers
+
 
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
-
-@st.composite
-def layers(draw) -> LayerSpec:
-    """Random but valid conv/dw/pw/fc layers of modest size."""
-    kind = draw(st.sampled_from(
-        [LayerKind.CONV, LayerKind.DEPTHWISE, LayerKind.POINTWISE, LayerKind.FC]
-    ))
-    if kind is LayerKind.FC:
-        return LayerSpec(
-            name="l",
-            kind=kind,
-            in_h=1,
-            in_w=1,
-            in_c=draw(st.integers(1, 512)),
-            f_h=1,
-            f_w=1,
-            num_filters=draw(st.integers(1, 512)),
-        )
-    in_hw = draw(st.integers(8, 64))
-    in_c = draw(st.integers(1, 64))
-    if kind is LayerKind.POINTWISE:
-        f = 1
-        pad = 0
-    else:
-        f = draw(st.sampled_from([1, 3, 5]))
-        pad = draw(st.integers(0, (f - 1) // 2))
-    stride = draw(st.sampled_from([1, 2]))
-    num_filters = 1 if kind is LayerKind.DEPTHWISE else draw(st.integers(1, 64))
-    return LayerSpec(
-        name="l",
-        kind=kind,
-        in_h=in_hw,
-        in_w=in_hw,
-        in_c=in_c,
-        f_h=f,
-        f_w=f,
-        num_filters=num_filters,
-        stride=stride,
-        padding=pad,
-    )
-
 
 def _compulsory_min(layer: LayerSpec) -> int:
     from repro.policies.base import Policy

@@ -15,53 +15,11 @@ from hypothesis import strategies as st
 from repro.analyzer import Objective, plan_heterogeneous
 from repro.arch import AcceleratorSpec, kib
 from repro.estimators.evaluate import evaluate_layer
-from repro.nn import LayerKind, LayerSpec
 from repro.nn.builder import ModelBuilder
 from repro.policies import FALLBACK_POLICY, NAMED_POLICIES
 from repro.verify import verify_candidate, verify_plan
 
-
-@st.composite
-def layers(draw) -> LayerSpec:
-    """Random but valid conv/dw/pw/fc layers of modest size."""
-    kind = draw(
-        st.sampled_from(
-            [LayerKind.CONV, LayerKind.DEPTHWISE, LayerKind.POINTWISE, LayerKind.FC]
-        )
-    )
-    if kind is LayerKind.FC:
-        return LayerSpec(
-            name="l",
-            kind=kind,
-            in_h=1,
-            in_w=1,
-            in_c=draw(st.integers(1, 512)),
-            f_h=1,
-            f_w=1,
-            num_filters=draw(st.integers(1, 512)),
-        )
-    in_hw = draw(st.integers(8, 64))
-    in_c = draw(st.integers(1, 64))
-    if kind is LayerKind.POINTWISE:
-        f = 1
-        pad = 0
-    else:
-        f = draw(st.sampled_from([1, 3, 5]))
-        pad = draw(st.integers(0, (f - 1) // 2))
-    stride = draw(st.sampled_from([1, 2]))
-    num_filters = 1 if kind is LayerKind.DEPTHWISE else draw(st.integers(1, 64))
-    return LayerSpec(
-        name="l",
-        kind=kind,
-        in_h=in_hw,
-        in_w=in_hw,
-        in_c=in_c,
-        f_h=f,
-        f_w=f,
-        num_filters=num_filters,
-        stride=stride,
-        padding=pad,
-    )
+from .strategies import layers
 
 
 @st.composite
