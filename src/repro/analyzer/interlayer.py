@@ -21,6 +21,8 @@ Donation across a pair requires:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..arch.spec import AcceleratorSpec
 from ..estimators.evaluate import PolicyEvaluation
 from ..nn.model import Model
@@ -89,12 +91,12 @@ def plan_chain_with_interlayer(
     model: Model,
     spec: AcceleratorSpec,
     objective: Objective,
-    candidates: list[list[PolicyEvaluation]],
+    candidates: Sequence[Sequence[PolicyEvaluation]],
 ) -> list[LayerAssignment]:
     """Jointly choose per-layer policies and donation edges.
 
     ``candidates[i]`` are the feasible evaluations of layer ``i`` (from
-    :func:`repro.estimators.evaluate_layer`).  Returns one assignment per
+    :func:`repro.estimators.evaluate_layers`).  Returns one assignment per
     layer with ``receives``/``donates`` set along the chosen edges.
     """
     n = len(model.layers)

@@ -15,9 +15,10 @@ reproduce the lexicographic Algorithm-1 selections up to ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..arch.spec import AcceleratorSpec
-from ..estimators.evaluate import PolicyEvaluation, evaluate_layer
+from ..estimators.evaluate import PolicyEvaluation, evaluate_layers
 from ..nn.model import Model
 from .objectives import Objective
 from .plan import ExecutionPlan, make_assignment
@@ -45,7 +46,7 @@ class ParetoPoint:
 
 
 def _select_weighted(
-    evaluations: list[PolicyEvaluation], alpha: float
+    evaluations: Sequence[PolicyEvaluation], alpha: float
 ) -> PolicyEvaluation:
     """Pick the evaluation minimizing the normalized weighted objective."""
     min_acc = min(ev.accesses_bytes for ev in evaluations)
@@ -69,9 +70,7 @@ def plan_weighted(
     """Heterogeneous plan under a weighted accesses/latency objective."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    candidates = [
-        evaluate_layer(layer, spec, allow_prefetch=allow_prefetch) for layer in model.layers
-    ]
+    candidates = [entry[0] for entry in evaluate_layers(model.layers, spec, allow_prefetch)]
     if any(not evs for evs in candidates):
         raise ValueError(f"{model.name}: some layer has no feasible policy")
     assignments = [

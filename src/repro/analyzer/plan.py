@@ -107,7 +107,7 @@ def make_assignment(
     metrics recomputed under inter-layer reuse.
 
     ``evaluation`` is planned on the layer's shape and shared by every
-    layer of that shape (:func:`~repro.estimators.evaluate_layer`), so
+    layer of that shape (:func:`~repro.estimators.evaluate_layers`), so
     ``evaluation.plan.layer`` carries no name; the assignment is where
     the model's named layer comes back.
     """

@@ -37,12 +37,11 @@ from __future__ import annotations
 from ..arch.spec import AcceleratorSpec
 from ..estimators.evaluate import (
     Decision,
-    DecisionSlot,
+    LayerEntry,
     PolicyAttempt,
     PolicyEvaluation,
-    evaluate_layer,
+    evaluate_layers,
 )
-from ..nn.layer import LayerSpec
 from ..nn.model import Model
 from ..obs import get_tracer, metrics_registry
 from ..obs.audit import CandidateRow, TrailBuilder
@@ -109,22 +108,8 @@ def _reconcile_chosen(
             )
 
 
-#: A layer's ``Het`` entry: its feasible evaluations, every try of the named
-#: policies and the tile search in Algorithm 1 order, and its decision slot.
-HetEntry = tuple[list[PolicyEvaluation], list[PolicyAttempt], DecisionSlot]
-
-
-def _het_entry(layer: LayerSpec, spec: AcceleratorSpec, allow_prefetch: bool) -> HetEntry:
-    attempts: list[PolicyAttempt] = []
-    slots: list[DecisionSlot] = []
-    evaluations = evaluate_layer(
-        layer, spec, allow_prefetch=allow_prefetch, attempts=attempts, decisions=slots
-    )
-    return evaluations, attempts, slots[0]
-
-
 def _decide(
-    entry: HetEntry, objective: Objective, families: tuple[str, ...] | None = None
+    entry: LayerEntry, objective: Objective, families: tuple[str, ...] | None = None
 ) -> Decision | None:
     """Algorithm 1 over a layer's ``Het`` entry; None when nothing fits.
 
@@ -140,7 +125,7 @@ def _decide(
     decision = slot.get(key)
     if decision is not None:
         return decision
-    tries, candidates = attempts, evaluations
+    tries, candidates = list(attempts), list(evaluations)
     if families is not None:
         tries = [a for a in attempts if a.policy_name in families]
         if not any(a.feasible for a in tries):
@@ -184,14 +169,12 @@ def plan_heterogeneous(
         glb_bytes=spec.glb_bytes,
         objective=objective.value,
     ) as plan_span:
-        candidates: list[list[PolicyEvaluation]] = []
+        entries = evaluate_layers(model.layers, spec, allow_prefetch)
         assignments: list[LayerAssignment] = []
         empty: list[str] = []
-        for i, layer in enumerate(model.layers):
+        for i, (layer, entry) in enumerate(zip(model.layers, entries)):
             with tracer.start("plan_layer", layer=layer.name) as layer_span:
-                entry = _het_entry(layer, spec, allow_prefetch)
                 decision = _decide(entry, objective)
-                candidates.append(entry[0])
                 layer_span.set_attr("candidates_count", len(entry[0]))
             if decision is None:
                 empty.append(layer.name)
@@ -210,7 +193,7 @@ def plan_heterogeneous(
                 trail.scheme = "het+il"
             elif interlayer_mode == "joint":
                 assignments = plan_chain_with_interlayer(
-                    model, spec, objective, candidates
+                    model, spec, objective, [entry[0] for entry in entries]
                 )
                 trail.scheme = "het+il(joint)"
             else:
@@ -225,7 +208,7 @@ def plan_heterogeneous(
         registry = metrics_registry()
         registry.counter("planner_layers_count").add(len(model.layers))
         registry.counter("planner_candidates_count").add(
-            sum(len(c) for c in candidates)
+            sum(len(entry[0]) for entry in entries)
         )
     return _emit(model, spec, objective, assignments, trail, verify)
 
@@ -246,8 +229,7 @@ def _plan_homogeneous(
         scheme: [] for scheme in groups
     }
     with get_tracer().start("plan_homogeneous", model=model.name) as span:
-        for layer in model.layers:
-            entry = _het_entry(layer, spec, allow_prefetch)
+        for entry in evaluate_layers(model.layers, spec, allow_prefetch):
             for scheme in list(picks):
                 decision = _decide(entry, objective, groups[scheme])
                 if decision is None:

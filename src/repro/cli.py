@@ -47,14 +47,20 @@ def _resolve_model(name_or_path: str) -> Model:
     """Load a model by zoo name (in any case) or JSON file path.
 
     An unknown model exits with code 2 and lists the zoo, mirroring the
-    ``UnknownArtifactError`` convention of the experiments CLI.
+    ``UnknownArtifactError`` convention of the experiments CLI; a model
+    path that cannot be read, is not JSON or fails validation exits 2
+    with one line.
     """
     name = find_model_name(name_or_path)
     if name is not None:
         return get_model(name)
     path = Path(name_or_path)
     if path.exists():
-        return load_model(path)
+        try:
+            return load_model(path)
+        except (OSError, ValueError) as exc:
+            print(f"error: bad model file {name_or_path!r}: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     print(
         f"error: unknown model {name_or_path!r}\n"
         f"available models: {', '.join(ALL_MODEL_NAMES)}",

@@ -7,6 +7,7 @@ from .evaluate import (
     estimate_latency_batch,
     estimate_memory,
     evaluate_layer,
+    evaluate_layers,
     evaluate_plans,
 )
 from .bounds import (
@@ -22,6 +23,7 @@ from .latency import LatencyBreakdown, schedule_latency, schedule_latency_batch
 __all__ = [
     "PolicyEvaluation",
     "evaluate_layer",
+    "evaluate_layers",
     "evaluate_plans",
     "estimate_memory",
     "estimate_accesses",

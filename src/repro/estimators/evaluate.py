@@ -1,24 +1,26 @@
 """Per-layer, per-policy evaluation: Algorithm 1 lines 7–9.
 
-``evaluate_layer`` instantiates every policy (with and without prefetching)
-on one layer and returns the feasible candidates with their estimated
-memory, off-chip accesses and latency — exactly the quantities Algorithm 1
-compares.  The tile search is always evaluated alongside the named
-policies, so one entry per layer serves every scheme: ``Het`` lets it
-compete, while ``Hom(family)`` and the rescue-only ``het(named-only)``
-plan (paper §3.3) read its tries only for a layer their named policies
-cannot fit.
+``evaluate_layers`` instantiates every policy (with and without
+prefetching) on each layer of a model and returns each layer's feasible
+candidates with their estimated memory, off-chip accesses and latency —
+exactly the quantities Algorithm 1 compares — evaluating all of them in
+one batch (``evaluate_layer`` returns one layer's evaluations).  The tile
+search is always evaluated alongside the named policies, so one entry
+per layer serves every scheme: ``Het`` lets it compete, while
+``Hom(family)`` and the rescue-only ``het(named-only)`` plan (paper
+§3.3) read its tries only for a layer their named policies cannot fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from itertools import groupby
 from typing import Sequence
 
 from ..arch.spec import AcceleratorSpec
 from ..dram.trace import clear_dram_memo
 from ..nn.layer import LayerSpec
+from ..obs import get_tracer
 from ..obs.audit import CandidateRow
 from ..policies.base import CandidatePlan, Policy
 from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
@@ -35,7 +37,7 @@ from .latency import (
 class PolicyAttempt:
     """One (policy, prefetch) instantiation *try*, feasible or not.
 
-    ``evaluate_layer`` optionally records every attempt — including those
+    Each :data:`LayerEntry` records every attempt — including those
     where no tiling fit the GLB budget — so the planner's decision audit
     trail (:mod:`repro.obs.audit`) can explain infeasible candidates, not
     just the feasible ones it compared.
@@ -115,21 +117,26 @@ def estimate_latency_batch(
     """Latency of every plan of a grid in one vectorized recurrence pass.
 
     Each plan runs at its own effective bandwidth (trace-simulated when
-    ``spec.dram`` is banked, every memo-missed schedule of the grid in one
-    replay batch); bit-identical to :func:`estimate_latency` per plan.
+    ``spec.dram`` is banked); bit-identical to :func:`estimate_latency` per
+    plan.  The recurrence spans every plan, while the trace replay runs
+    one batch per run of consecutive plans of one layer (object), each of
+    its memo-missed schedules once: the replay's working set grows with
+    its batch, and replaying a whole model's misses at once raised the
+    cold DDR4 benchmark's peak RSS by about a fifth.
     """
+    bandwidths: list[float] = []
+    for _, run in groupby(plans, key=lambda plan: id(plan.layer)):
+        items = [(plan.schedule, plan.layer) for plan in run]
+        bandwidths += effective_dram_bandwidths(items, spec)
     return schedule_latency_batch(
-        [p.schedule for p in plans],
-        spec,
-        [p.prefetch for p in plans],
-        effective_dram_bandwidths([(p.schedule, p.layer) for p in plans], spec),
+        [p.schedule for p in plans], spec, [p.prefetch for p in plans], bandwidths
     )
 
 
 def evaluate_plans(
     plans: Sequence[CandidatePlan], spec: AcceleratorSpec
 ) -> list[PolicyEvaluation]:
-    """Evaluate a layer's whole candidate grid in one shot.
+    """Evaluate a batch of candidates (any number of layers) in one shot.
 
     Byte counts are native ``int`` products; all latencies come from one
     batched recurrence (:func:`estimate_latency_batch`), which returns
@@ -152,64 +159,133 @@ def evaluate_plans(
     ]
 
 
+#: One layer's entry: its feasible evaluations, every (policy, prefetch)
+#: try of the named policies and the tile search in Algorithm 1 order,
+#: and its decision slot.
+LayerEntry = tuple[tuple[PolicyEvaluation, ...], tuple[PolicyAttempt, ...], DecisionSlot]
+
+
 def evaluate_layer(
-    layer: LayerSpec,
-    spec: AcceleratorSpec,
-    allow_prefetch: bool = True,
-    attempts: list[PolicyAttempt] | None = None,
-    decisions: list[DecisionSlot] | None = None,
+    layer: LayerSpec, spec: AcceleratorSpec, allow_prefetch: bool = True
 ) -> list[PolicyEvaluation]:
-    """All feasible policy instantiations of one layer within the GLB.
+    """All feasible policy instantiations of one layer within the GLB:
+    the evaluations of :func:`evaluate_layers` on this one layer."""
+    return list(evaluate_layers([layer], spec, allow_prefetch)[0][0])
+
+
+def evaluate_layers(
+    layers: Sequence[LayerSpec], spec: AcceleratorSpec, allow_prefetch: bool = True
+) -> list[LayerEntry]:
+    """Every layer's :data:`LayerEntry`, with all candidates evaluated in one batch.
 
     The tile search is always among the candidates.  Every planner reads
-    this entry: ``Het`` decides over all of it, while ``Hom(family)`` and
-    ``het(named-only)`` take their families' tries, and the tile search's
-    where none of them fits.
+    these entries: ``Het`` decides over all of one, while ``Hom(family)``
+    and ``het(named-only)`` take their families' tries, and the tile
+    search's where none of them fits.
 
-    When ``attempts`` is given, every instantiation try is appended to it
-    as a :class:`PolicyAttempt` (feasible or not) for the decision audit
-    trail; when ``decisions`` is given, the candidate set's
-    :data:`DecisionSlot` is appended to it.  Neither changes the result.
-
-    The layer is planned as its :attr:`~repro.nn.layer.LayerSpec.shape`:
+    A layer is planned as its :attr:`~repro.nn.layer.LayerSpec.shape`:
     nothing here depends on the name, so every returned
     :class:`PolicyEvaluation` (and its ``plan.layer``) is shared by all
     layers of that shape.  The caller attaches the name where it emits a
     plan (:func:`~repro.analyzer.plan.make_assignment`).
 
-    The result is a pure function of the shape and the other arguments
+    An entry is a pure function of the shape and the other arguments
     (everything involved is a frozen dataclass), so it is memoized at two
-    levels.  The per-layer memo returns a repeated call at the same spec.
-    Behind it, the candidate memo keys each (policy, prefetch) try on the
-    shape, every spec field but ``glb_bytes``, the policy name, the
+    levels.  The per-layer memo returns an entry already made at the same
+    spec.  Behind it, the candidate memo keys each (policy, prefetch) try
+    on the shape, every spec field but ``glb_bytes``, the policy name, the
     prefetch flag and the policy's capacity signature at this budget, and
     stores the evaluation (None when infeasible).  Equal signatures imply
     identical plans, so across a GLB sweep a candidate is planned and
-    evaluated once per signature, not once per size; only memo misses go
-    through ``policy.plan()`` and one batched :func:`evaluate_plans`.  The
-    tile search memoizes its budget-independent grid arrays the same way
-    (:func:`~repro.policies.tiled.tile_grid`).  Per-layer entries whose
-    tuples of candidate keys are equal see equal evaluations, so they
-    share one decision slot, in which the planner memoizes Algorithm 1's
-    pick per objective (and per family set for ``Hom`` and named-only).
+    evaluated once per signature, not once per size.  Evaluation runs in
+    two phases: each distinct shape the per-layer memo misses walks the
+    policies in Algorithm 1 order and plans its candidate-memo misses,
+    then every miss of every layer goes through one batched
+    :func:`evaluate_plans` (one max-plus recurrence for the whole call;
+    DRAM trace replays stay batched per layer).  The tile search memoizes
+    its budget-independent grid arrays the same way
+    (:func:`~repro.policies.tiled.tile_grid`).  Entries whose tuples of
+    candidate keys are equal see equal evaluations, so they share one
+    decision slot, in which the planner memoizes Algorithm 1's pick per
+    objective (and per family set for ``Hom`` and named-only).
 
-    Returns an empty list only when even the tile-search fallback cannot
-    fit, which for sane GLB sizes does not happen (the fallback's smallest
-    footprint is a couple of rows).
+    An entry's evaluations are empty only when even the tile-search
+    fallback cannot fit, which for sane GLB sizes does not happen (the
+    fallback's smallest footprint is a couple of rows).
     """
-    evaluations, tries, slot = _evaluate_layer_memo(layer.shape, spec, allow_prefetch)
-    if attempts is not None:
-        attempts.extend(tries)
-    if decisions is not None:
-        decisions.append(slot)
-    return list(evaluations)
+    budget = spec.glb_elems
+    prefetch_options = (False, True) if allow_prefetch else (False,)
+    spec_key = tuple(getattr(spec, name) for name in _SPEC_KEY_FIELDS)
+    if len(_CANDIDATE_MEMO) > _CANDIDATE_MEMO_MAX:
+        _CANDIDATE_MEMO.clear()
+    shapes = [layer.shape for layer in layers]
+    # Keyed by ``id``: shapes are interned, and ``shapes`` keeps them alive
+    # for the call (should the intern table reset mid-call, an equal shape
+    # is merely walked again).
+    entries: dict[int, LayerEntry] = {}
+    # Phase 1: each distinct shape the per-layer memo misses walks its
+    # (policy, prefetch) tries in Algorithm 1 order, one ``found`` slot per
+    # try.  Candidate-memo hits fill their slot now; misses are planned
+    # now, queued with their slot, and evaluated together in phase 2.
+    walks: list[tuple[LayerSpec, list[PolicyAttempt], list[_Key], list[_Found]]] = []
+    misses: list[CandidatePlan] = []
+    pending: list[tuple[list[_Found], int, _Key]] = []
+    for shape in {id(shape): shape for shape in shapes}.values():
+        entry = _LAYER_MEMO.get((shape, spec, allow_prefetch))
+        if entry is not None:
+            entries[id(shape)] = entry
+            continue
+        tries: list[PolicyAttempt] = []
+        keys: list[_Key] = []
+        found: list[_Found] = []
+        for policy, fallback in _POLICIES:
+            for prefetch in prefetch_options:
+                signature = policy.capacity_signature(shape, budget, prefetch)
+                key = (shape, spec_key, policy.name, prefetch, signature)
+                value = _CANDIDATE_MEMO.get(key, _MISSING)
+                if value is _MISSING:
+                    plan = policy.plan(shape, budget, prefetch)
+                    feasible = plan is not None
+                    if plan is None:
+                        _CANDIDATE_MEMO[key] = None
+                    else:
+                        pending.append((found, len(found), key))
+                        misses.append(plan)
+                else:
+                    feasible = value is not None
+                tries.append(PolicyAttempt(policy.name, prefetch, feasible, fallback))
+                keys.append(key)
+                found.append(value if isinstance(value, PolicyEvaluation) else None)
+        walks.append((shape, tries, keys, found))
+
+    # Phase 2: every miss of the call in one batch.
+    if misses:
+        with get_tracer().start("evaluate_candidates", candidates_count=len(misses)):
+            evaluated = evaluate_plans(misses, spec)
+        for (found, i, key), evaluation in zip(pending, evaluated):
+            _CANDIDATE_MEMO[key] = evaluation
+            found[i] = evaluation
+    if walks and len(_LAYER_MEMO) > _LAYER_MEMO_MAX:
+        _LAYER_MEMO.clear()
+    for shape, tries, keys, found in walks:
+        decision_key = tuple(keys)
+        slot = _DECISION_MEMO.get(decision_key)
+        if slot is None:
+            if len(_DECISION_MEMO) > _DECISION_MEMO_MAX:
+                _DECISION_MEMO.clear()
+            slot = _DECISION_MEMO[decision_key] = {}
+        evaluations = tuple(evaluation for evaluation in found if evaluation is not None)
+        entries[id(shape)] = _LAYER_MEMO[(shape, spec, allow_prefetch)] = (
+            evaluations, tuple(tries), slot,
+        )
+    return [entries[id(shape)] for shape in shapes]
 
 
 def clear_evaluation_memo() -> None:
     """Drop the in-process evaluation memos (cold-start benches): the
     per-layer and per-candidate memos, the decision slots, the tile grids
     and the DRAM effective bandwidths."""
-    _evaluate_layer_memo.cache_clear()
+    _LAYER_MEMO.clear()
     _CANDIDATE_MEMO.clear()
     _DECISION_MEMO.clear()
     clear_grid_memo()
@@ -233,7 +309,9 @@ _SPEC_KEY_FIELDS = tuple(
 #: value), idempotent puts of deterministic values, and a wholesale reset
 #: above the cap, which one cold flat zoo pass (about 3.1k candidates)
 #: stays well below.
-_CANDIDATE_MEMO: dict[tuple[object, ...], PolicyEvaluation | None] = {}
+_Key = tuple[object, ...]
+_Found = PolicyEvaluation | None
+_CANDIDATE_MEMO: dict[_Key, _Found] = {}
 _CANDIDATE_MEMO_MAX = 32768
 _MISSING = object()
 
@@ -243,61 +321,19 @@ _MISSING = object()
 #: shape, Algorithm 1 runs once per objective.  Same discipline as the
 #: candidate memo: a single ``.get``, idempotent puts, a wholesale reset
 #: above the cap (a racing or reset miss only costs a re-selection).
-_DECISION_MEMO: dict[tuple[tuple[object, ...], ...], DecisionSlot] = {}
+_DECISION_MEMO: dict[tuple[_Key, ...], DecisionSlot] = {}
 _DECISION_MEMO_MAX = 16384
 
+#: Per-layer memo: ``(shape, spec, allow_prefetch)`` -> the shape's
+#: :data:`LayerEntry`.  Same discipline: one ``.get``, idempotent puts, a
+#: wholesale reset above the cap (a racing or reset miss only costs a
+#: re-walk over the candidate memo).
+_LAYER_MEMO: dict[tuple[LayerSpec, AcceleratorSpec, bool], LayerEntry] = {}
+_LAYER_MEMO_MAX = 4096
 
-@lru_cache(maxsize=4096)
-def _evaluate_layer_memo(
-    shape: LayerSpec,
-    spec: AcceleratorSpec,
-    allow_prefetch: bool,
-) -> tuple[tuple[PolicyEvaluation, ...], tuple[PolicyAttempt, ...], DecisionSlot]:
-    """Memoized evaluation grid of one shape (immutable results, safe to
-    share) with its decision slot."""
-    budget = spec.glb_elems
-    prefetch_options = (False, True) if allow_prefetch else (False,)
-    spec_key = tuple(getattr(spec, name) for name in _SPEC_KEY_FIELDS)
-    if len(_CANDIDATE_MEMO) > _CANDIDATE_MEMO_MAX:
-        _CANDIDATE_MEMO.clear()
-    # One slot per (policy, prefetch) try in Algorithm 1 order.  Memo hits
-    # fill ``found`` directly; misses are planned now and evaluated below
-    # in one batch.
-    tries: list[PolicyAttempt] = []
-    keys: list[tuple[object, ...]] = []
-    found: list[PolicyEvaluation | None] = []
-    misses: dict[int, CandidatePlan] = {}
-
-    def visit(policy: Policy, fallback: bool) -> None:
-        for prefetch in prefetch_options:
-            signature = policy.capacity_signature(shape, budget, prefetch)
-            key = (shape, spec_key, policy.name, prefetch, signature)
-            value = _CANDIDATE_MEMO.get(key, _MISSING)
-            if value is _MISSING:
-                plan = policy.plan(shape, budget, prefetch)
-                feasible = plan is not None
-                if plan is None:
-                    _CANDIDATE_MEMO[key] = None
-                else:
-                    misses[len(found)] = plan
-            else:
-                feasible = value is not None
-            tries.append(PolicyAttempt(policy.name, prefetch, feasible, fallback))
-            keys.append(key)
-            found.append(value if isinstance(value, PolicyEvaluation) else None)
-
-    for policy in NAMED_POLICIES:
-        visit(policy, False)
-    visit(FALLBACK_POLICY, True)
-    if misses:
-        for i, evaluation in zip(misses, evaluate_plans(list(misses.values()), spec)):
-            _CANDIDATE_MEMO[keys[i]] = evaluation
-            found[i] = evaluation
-    decision_key = tuple(keys)
-    slot = _DECISION_MEMO.get(decision_key)
-    if slot is None:
-        if len(_DECISION_MEMO) > _DECISION_MEMO_MAX:
-            _DECISION_MEMO.clear()
-        slot = _DECISION_MEMO[decision_key] = {}
-    evaluations = tuple(evaluation for evaluation in found if evaluation is not None)
-    return evaluations, tuple(tries), slot
+#: Algorithm 1's try order: each named policy, then the tile search
+#: (flagged as the fallback).
+_POLICIES: tuple[tuple[Policy, bool], ...] = (
+    *((policy, False) for policy in NAMED_POLICIES),
+    (FALLBACK_POLICY, True),
+)

@@ -208,7 +208,7 @@ class Policy(abc.ABC):
         **Contract:** equal signatures at two budgets imply :meth:`plan`
         returns identical results at both — the soundness condition for
         the candidate memo of
-        :func:`~repro.estimators.evaluate.evaluate_layer`, which reuses an
+        :func:`~repro.estimators.evaluate.evaluate_layers`, which reuses an
         evaluation across GLB sizes by this signature.  For the fixed
         policies that is the Eq. (1)/(2) feasibility bit; budget-dependent
         policies encode their chosen parameters (block size ``n``, winning

@@ -67,6 +67,9 @@ class ReproServer(ThreadingHTTPServer):
     # drain half of graceful shutdown.
     daemon_threads = False
     block_on_close = True
+    # socketserver's listen backlog of 5 overflows under a burst of
+    # connects, and each dropped SYN costs its client a ~1 s retransmit.
+    request_queue_size = 128
 
     def __init__(
         self, host: str = "127.0.0.1", port: int = 0, *, jobs: int = 0
@@ -267,7 +270,11 @@ def run_server(
     if announce:
         print(f"repro serve listening on http://{host}:{server.port} (jobs={jobs})", flush=True)
     try:
-        stop.wait()
+        # Timed waits: the kernel may hand SIGTERM to any thread, and
+        # Python runs its handler only when the main thread next wakes,
+        # which an untimed wait would never do.
+        while not stop.wait(0.5):
+            pass
     finally:
         server.shutdown()
         thread.join()

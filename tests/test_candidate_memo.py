@@ -1,6 +1,6 @@
 """The candidate, tile-grid and decision memos behind the planners.
 
-``evaluate_layer`` plans each layer as its name-blind shape and evaluates
+``evaluate_layers`` plans each layer as its name-blind shape and evaluates
 each (shape, policy, prefetch) candidate once per capacity signature; the
 tile search builds each shape's grid once; and the planners run Algorithm
 1 once per distinct candidate set and objective (and family set, for
@@ -111,7 +111,8 @@ def test_cold_ddr4_pass_simulates_each_shape_schedule_once(calls, monkeypatch):
 
 def test_hom_plans_are_one_walk_over_het_entries(monkeypatch):
     # Every Hom plan reads the per-layer entries a Het plan already made:
-    # no new entry, no new candidate, and one evaluate_layer per layer.
+    # no new entry, no new candidate, and one evaluate_layers call over
+    # all the model's layers.
     cells = [
         (get_model(name), AcceleratorSpec(glb_bytes=kib(glb_kb)), objective)
         for name, glb_kb in (("MobileNet", 1), ("ResNet18", 64), ("MnasNet", 256))
@@ -120,22 +121,22 @@ def test_hom_plans_are_one_walk_over_het_entries(monkeypatch):
     clear_evaluation_memo()
     for model, spec, objective in cells:
         plan_heterogeneous(model, spec, objective)
-    entries = evaluate._evaluate_layer_memo.cache_info().currsize
+    entries = len(evaluate._LAYER_MEMO)
     candidates = len(evaluate._CANDIDATE_MEMO)
-    walked: list[str] = []
+    walked: list[list[str]] = []
 
-    def counting(layer, *args, **kwargs):
-        walked.append(layer.name)
-        return evaluate.evaluate_layer(layer, *args, **kwargs)
+    def counting(layers, *args, **kwargs):
+        walked.append([layer.name for layer in layers])
+        return evaluate.evaluate_layers(layers, *args, **kwargs)
 
-    monkeypatch.setattr(planner, "evaluate_layer", counting)
+    monkeypatch.setattr(planner, "evaluate_layers", counting)
     for model, spec, objective in cells:
         walked.clear()
         planner.best_homogeneous(model, spec, objective)
-        assert walked == [layer.name for layer in model.layers]
+        assert walked == [[layer.name for layer in model.layers]]
         for family in planner.FAMILIES:
             planner.plan_homogeneous(model, spec, family, objective)
-    assert evaluate._evaluate_layer_memo.cache_info().currsize == entries
+    assert len(evaluate._LAYER_MEMO) == entries
     assert len(evaluate._CANDIDATE_MEMO) == candidates
 
 
@@ -146,7 +147,7 @@ def test_named_only_plans_read_het_entries(monkeypatch, tmp_path):
     clear_in_process_caches()
     model, spec = get_model("ResNet18"), AcceleratorSpec(glb_bytes=kib(64))
     plan_heterogeneous(model, spec)
-    entries = evaluate._evaluate_layer_memo.cache_info().currsize
+    entries = len(evaluate._LAYER_MEMO)
     candidates = len(evaluate._CANDIDATE_MEMO)
     plan = planner.plan_named_only(model, spec, verify=True)
     assert plan.scheme == "het(named-only)" and plan.audit is not None
@@ -154,7 +155,7 @@ def test_named_only_plans_read_het_entries(monkeypatch, tmp_path):
         plan.assignments[model.layers.index(model.find(case_layer))].label
         for case_layer in fig1.CASE_LAYERS.values()
     ]
-    assert evaluate._evaluate_layer_memo.cache_info().currsize == entries
+    assert len(evaluate._LAYER_MEMO) == entries
     assert len(evaluate._CANDIDATE_MEMO) == candidates
 
 
@@ -168,7 +169,7 @@ def test_dram_memo_resets_wholesale_above_its_cap(monkeypatch):
     memo = _CountingDict()
     monkeypatch.setattr(trace, "_BANDWIDTH_MEMO", memo)
     monkeypatch.setattr(trace, "_BANDWIDTH_MEMO_MAX", 8)
-    evaluate._evaluate_layer_memo.cache_clear()
+    evaluate._LAYER_MEMO.clear()
     evaluate._CANDIDATE_MEMO.clear()
     assert plan_heterogeneous(model, spec, Objective.LATENCY) == expected
     assert memo.clears > 0
@@ -222,7 +223,9 @@ def test_concurrent_planning_matches_sequential_through_memo_resets(monkeypatch)
     clear_evaluation_memo()
     expected = _exports(specs, jobs=1)
 
-    candidates, decisions, grids, shapes = (_CountingDict() for _ in range(4))
+    entries, candidates, decisions, grids, shapes = (_CountingDict() for _ in range(5))
+    monkeypatch.setattr(evaluate, "_LAYER_MEMO", entries)
+    monkeypatch.setattr(evaluate, "_LAYER_MEMO_MAX", 8)
     monkeypatch.setattr(evaluate, "_CANDIDATE_MEMO", candidates)
     monkeypatch.setattr(evaluate, "_CANDIDATE_MEMO_MAX", 16)
     monkeypatch.setattr(evaluate, "_DECISION_MEMO", decisions)
@@ -234,11 +237,10 @@ def test_concurrent_planning_matches_sequential_through_memo_resets(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        evaluate._evaluate_layer_memo.cache_clear()
         got = _exports(specs, jobs=4)
     finally:
         sys.setswitchinterval(interval)
-    assert all(memo.clears > 0 for memo in (candidates, decisions, grids, shapes))
+    assert all(memo.clears > 0 for memo in (entries, candidates, decisions, grids, shapes))
     assert got == expected
 
 

@@ -4,10 +4,15 @@ import json
 
 import pytest
 
+from repro.arch import MAX_MODEL_LAYERS
 from repro.cli import main
 from repro.manager import MemoryManager
 from repro.nn import save_model
+from repro.nn.io import layer_to_dict
 from repro.nn.zoo import get_model
+
+#: AlexNet's last layer as a JSON model-file record.
+_FC = layer_to_dict(get_model("AlexNet").layers[-1])
 
 
 class TestModelsAndInspect:
@@ -66,6 +71,43 @@ class TestPlan:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown model 'NotAModel'\n")
         assert "AlexNet" in err and "ResNet18" in err  # lists the whole zoo
+
+    @pytest.mark.parametrize(
+        ("content", "reason"),
+        [
+            ('{"name": "x", "layers": []}', "x: model has no layers"),
+            ("not json", "Expecting value"),
+            (None, f"MAX_MODEL_LAYERS={MAX_MODEL_LAYERS}"),
+            ("[1]", "model record must be a JSON object"),
+            ('{"name": "x", "layers": [1]}', "bad layer record 1: not a JSON object"),
+            (
+                json.dumps({"name": "x", "layers": [dict(_FC, in_c="9216")]}),
+                "fields ['in_c'] have the wrong type",
+            ),
+        ],
+        ids=["empty", "not-json", "too-deep", "not-an-object", "layer-not-an-object",
+             "mistyped-field"],
+    )
+    def test_plan_bad_model_file_exits_2(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "model.json"
+        if content is None:
+            layers = [dict(_FC, name=f"fc{i}") for i in range(MAX_MODEL_LAYERS + 1)]
+            content = json.dumps({"name": "deep", "layers": layers})
+        path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad model file {str(path)!r}: ")
+        assert reason in err and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_plan_directory_as_model_exits_2(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad model file {str(tmp_path)!r}: ")
+        assert err.count("\n") == 1
 
     def test_plan_hom_scheme(self, capsys):
         assert main(["plan", "MobileNet", "--scheme", "hom(p1)"]) == 0

@@ -2,7 +2,8 @@
 
 The golden suites (``test_flat_golden.py``, ``test_dram_golden.py``) pin
 whole plans and trails.  These tests pin the pieces underneath: the
-batched latency recurrence equals the per-plan recurrence exactly, ties
+batched latency recurrence equals the per-plan recurrence exactly, a
+whole model evaluated in one batch equals one layer at a time, ties
 keep the earliest candidate, reject reasons are truthful, and every
 :class:`~repro.estimators.PolicyEvaluation` field is a native Python type
 so NumPy scalars can never leak into plans (and from there into cache
@@ -25,13 +26,15 @@ from repro.dram import DEFAULT_DDR4_SPEC
 from repro.estimators import (
     estimate_latency,
     evaluate_layer,
+    evaluate_layers,
     evaluate_plans,
     schedule_latency,
     schedule_latency_batch,
 )
 from repro.estimators import latency as latency_module
+from repro.estimators.evaluate import clear_evaluation_memo
 from repro.nn import make_model
-from repro.nn.zoo import PAPER_MODEL_NAMES, get_model
+from repro.nn.zoo import ALL_MODEL_NAMES, PAPER_MODEL_NAMES, get_model
 from repro.obs.audit import CandidateRecord
 from repro.policies import FALLBACK_POLICY, NAMED_POLICIES, LayerSchedule, StepGroup
 
@@ -76,6 +79,31 @@ def test_batched_latency_equals_per_plan_latency(model_names, spec):
         batched = evaluate_plans(plans, spec)
         for evaluation, plan in zip(batched, plans, strict=True):
             assert evaluation.latency == estimate_latency(plan, spec), plan.label
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AcceleratorSpec(glb_bytes=kib(64)),
+        AcceleratorSpec(glb_bytes=kib(256)),
+        AcceleratorSpec(glb_bytes=kib(256), dram=DEFAULT_DDR4_SPEC),
+    ],
+    ids=["flat-64", "flat-256", "ddr4-256"],
+)
+@pytest.mark.parametrize("name", ALL_MODEL_NAMES)
+def test_model_batch_equals_layer_at_a_time(name, spec):
+    """One batch over a whole model's candidates gives every layer exactly
+    the evaluations and tries that cold one-layer calls give, and every
+    latency equals the per-plan recurrence."""
+    layers = get_model(name).layers
+    clear_evaluation_memo()
+    batched = [entry[:2] for entry in evaluate_layers(layers, spec)]
+    clear_evaluation_memo()
+    one_by_one = [evaluate_layers([layer], spec)[0][:2] for layer in layers]
+    assert batched == one_by_one
+    for evaluations, _ in batched:
+        for evaluation in evaluations:
+            assert evaluation.latency == estimate_latency(evaluation.plan, spec)
 
 
 _GROUP = st.builds(

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.arch import PAPER_DATA_WIDTHS, AcceleratorSpec
 from repro.dram import DEFAULT_DDR4_SPEC
-from repro.estimators import evaluate_layer, schedule_latency
+from repro.estimators import evaluate_layers, schedule_latency
 from repro.estimators.evaluate import clear_evaluation_memo
 from repro.nn import LayerSpec
 from repro.policies import (
@@ -160,7 +160,7 @@ memo_points = st.tuples(
     warm=st.lists(memo_points, min_size=1, max_size=3),
 )
 def test_warm_candidate_memo_matches_cold_evaluation(layer, point, warm):
-    """``evaluate_layer`` at one spec, after the candidate memo was warmed
+    """``evaluate_layers`` at one spec, after the candidate memo was warmed
     at other budgets (same other fields) and at other widths, bandwidths
     and DRAM models (same budget), returns what a cold call returns: the
     same evaluations and the same attempt trail."""
@@ -171,8 +171,7 @@ def test_warm_candidate_memo_matches_cold_evaluation(layer, point, warm):
             dram_bandwidth_elems_per_cycle=bandwidth,
             dram=DEFAULT_DDR4_SPEC if ddr4 else None,
         )
-        attempts = []
-        evaluations = evaluate_layer(layer, spec, attempts=attempts)
+        evaluations, attempts, _ = evaluate_layers([layer], spec)[0]
         return evaluations, attempts
 
     clear_evaluation_memo()

@@ -6,6 +6,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -350,6 +351,48 @@ class TestGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
             proc.wait()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_sigterm_after_a_connect_burst_exits_zero(self, tmp_path):
+        # With the client and the daemon on one CPU, a burst of bare
+        # connects leaves the daemon with handler threads the kernel may
+        # hand the signal to; the main thread must still act on it.
+        affinity = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(affinity)})
+        proc, url = _spawn_daemon(tmp_path)
+        try:
+            os.sched_setaffinity(proc.pid, {min(affinity)})
+            port = int(url.rsplit(":", 1)[1])
+            deadline = time.monotonic() + 60
+            for _ in range(200):
+                if time.monotonic() > deadline:
+                    break
+                try:
+                    socket.create_connection(("127.0.0.1", port), timeout=2).close()
+                except OSError:
+                    pass
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            os.sched_setaffinity(0, affinity)
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+
+    def test_listen_backlog_absorbs_a_connect_burst(self):
+        # Nothing accepts here, so every connect waits in the backlog; a
+        # full backlog drops the SYN and the connect times out.
+        server = ReproServer(port=0)
+        connections = []
+        try:
+            for _ in range(64):
+                connections.append(
+                    socket.create_connection(("127.0.0.1", server.port), timeout=0.5)
+                )
+        finally:
+            for connection in connections:
+                connection.close()
+            server.server_close()
 
 
 class TestLoadGenerator:
