@@ -41,7 +41,7 @@ Catalog overview
   order-unstable serialization is flagged with its call chain.
 * ``R060``–``R066`` — the **concurrency-safety** pack (project scope):
   the serve daemon is the first genuinely concurrent subsystem
-  (``ThreadingHTTPServer`` handler threads, loadgen client thunks,
+  (pooled HTTP handler threads, loadgen client thunks,
   drain/signal paths, process-pool initializers).  Thread roots are
   derived from the call graph (:mod:`repro.analysis.threadroots`), and
   shared mutable state written from two or more roots without a lock,

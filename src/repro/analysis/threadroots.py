@@ -1,15 +1,15 @@
 """Thread-root derivation and per-function concurrency facts (``R06x``).
 
 The serving stack runs the same library code from several *thread
-contexts* at once: ``ThreadingHTTPServer`` spawns one handler thread per
-request, the load generator fans ``ThreadPoolExecutor`` client thunks
+contexts* at once: the daemon serves connections on a pool of handler
+threads, the load generator fans ``ThreadPoolExecutor`` client thunks
 out, ``run_server`` parks the accept loop on its own thread, and signal
 handlers interrupt whatever is running.  This module derives those
 **thread roots** from the AST:
 
 * ``handle_*`` functions and ``do_GET``/``do_POST`` methods — the
   request-handler naming contract (each is *concurrent with itself*:
-  ``ThreadingHTTPServer`` runs many instances simultaneously);
+  the daemon's handler pool runs many instances simultaneously);
 * ``threading.Thread(target=...)`` targets;
 * callables submitted to a ``ThreadPoolExecutor`` (``submit``/``map``),
   including functions called from ``lambda`` thunks;

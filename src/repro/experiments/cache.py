@@ -141,11 +141,16 @@ def cache_enabled() -> bool:
 
 def cache_dir() -> Path:
     """The active cache directory (not necessarily existing yet)."""
+    return Path(_cache_root())
+
+
+def _cache_root() -> str:
+    """:func:`cache_dir` as a string, read from the environment on every call."""
     override = os.environ.get(ENV_CACHE_DIR)  # repro: noqa[R011] -- documented cache location knob, affects placement only; reachable from plan_cached but never enters keys or results
     if override:
-        return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")  # repro: noqa[R011] -- XDG convention for cache placement, never results; reachable from plan_cached but never enters keys or results
-    return Path(base) / "repro" / f"plans-v{CACHE_SCHEMA_VERSION}"
+        return override
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")  # repro: noqa[R011] -- XDG convention for cache placement, never results; reachable from plan_cached but never enters keys or results
+    return os.path.join(base, "repro", f"plans-v{CACHE_SCHEMA_VERSION}")
 
 
 def cache_max_bytes() -> int | None:
@@ -278,40 +283,37 @@ def plan_cache_key(
 # ----------------------------------------------------------------------
 
 
-def _entry_path(key: str) -> Path:
-    return cache_dir() / key[:2] / f"{key}.pkl"
+def _entry_path(key: str) -> str:
+    return os.path.join(_cache_root(), key[:2], f"{key}.pkl")
 
 
-def _stamp(path: str | Path) -> None:
+def _stamp(path: str) -> None:
     """Set ``path``'s mtime, its recency, to now at nanosecond resolution."""
     now_ns = time.time_ns()  # repro: noqa[R010] -- eviction-order stamp only; never enters keys or results
     os.utime(path, ns=(now_ns, now_ns))
 
 
-def load(key: str) -> Any:
-    """Return the cached value for ``key`` or ``_SENTINEL`` on a miss.
+def _load(path: str) -> Any:
+    """The value stored at entry ``path``, or ``_SENTINEL`` on a miss.
 
     Corrupt, truncated or unreadable entries are deleted and counted as
     misses, so a crashed writer can never poison later runs.
     """
-    if not cache_enabled():
-        return _SENTINEL
-    path = _entry_path(key)
     try:
-        with path.open("rb") as handle:
-            if handle.read(len(_RAW_MAGIC)) != _RAW_MAGIC:
-                handle.seek(0)
-                return pickle.load(handle)
-            size = int(handle.readline())
-            value = handle.read()
-            if len(value) != size:
-                raise ValueError(f"raw entry holds {len(value)} of {size} bytes")
-            return value
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if not data.startswith(_RAW_MAGIC):
+            return pickle.loads(data)
+        header, _, value = data.partition(b"\n")
+        size = int(header[len(_RAW_MAGIC):])
+        if len(value) != size:
+            raise ValueError(f"raw entry holds {len(value)} of {size} bytes")
+        return value
     except FileNotFoundError:
         return _SENTINEL
     except Exception:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
         return _SENTINEL
@@ -330,8 +332,9 @@ def store(key: str, value: Any) -> None:
     if not cache_enabled():
         return
     path = _entry_path(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    parent = os.path.dirname(path)
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             if isinstance(value, bytes):
@@ -360,14 +363,16 @@ def lookup(key: str) -> tuple[bool, Any]:
     :meth:`repro.manager.MemoryManager.plan_cached` and the serve
     handlers share, so all of them agree on what counts as a hit.
     """
-    cached = load(key)
-    if cached is not _SENTINEL:
-        metrics_registry().counter("plan_cache_hits_count").add(1)
-        try:
-            _stamp(_entry_path(key))
-        except OSError:
-            pass  # evicted since the load: the next prune just skips it
-        return True, cached
+    if cache_enabled():
+        path = _entry_path(key)
+        cached = _load(path)
+        if cached is not _SENTINEL:
+            metrics_registry().counter("plan_cache_hits_count").add(1)
+            try:
+                _stamp(path)
+            except OSError:
+                pass  # evicted since the load: the next prune just skips it
+            return True, cached
     metrics_registry().counter("plan_cache_misses_count").add(1)
     return False, None
 
@@ -451,7 +456,7 @@ def prune(max_bytes: int, *, keep: frozenset[str] = frozenset()) -> PruneResult:
                 remaining_bytes -= size
         for key, _ in victims:
             try:
-                _entry_path(key).unlink()
+                os.unlink(_entry_path(key))
             except OSError:
                 pass
     if victims:

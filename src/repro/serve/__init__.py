@@ -13,8 +13,8 @@ layer.  The package splits into four modules:
   concurrency lint.  ``respond``, the unit of work fanned out to the
   process pool, answers repeated requests from stored reply bytes.
 * :mod:`~repro.serve.server` — the ``repro serve`` HTTP daemon
-  (stdlib ``ThreadingHTTPServer``) with graceful SIGINT/SIGTERM
-  drain-on-shutdown.
+  (stdlib ``HTTPServer`` over a pool of reused handler threads) with
+  graceful SIGINT/SIGTERM drain-on-shutdown.
 * :mod:`~repro.serve.loadgen` — the deterministic load generator behind
   ``repro bench serve`` (seeded traffic mix, p50/p99 latency,
   throughput, cache hit-rate → ``BENCH_serve.json``).

@@ -1,8 +1,12 @@
-"""The ``repro serve`` daemon: a threaded HTTP front over the planner.
+"""The ``repro serve`` daemon: an HTTP front over the planner.
 
 Architecture::
 
-    client ──HTTP──▶ ServeRequestHandler (thread per request)
+    client ──HTTP──▶ ReproServer accept loop (one selector)
+                        │  accept; watch idle connections; a connection
+                        │  whose request has begun to arrive goes to
+                        ▼
+                     ServeRequestHandler.serve (pooled handler thread)
                         │  parse path/body → (endpoint, params)
                         ▼
                      ReproServer.dispatch
@@ -14,32 +18,44 @@ Architecture::
                      handlers.execute  →  (status, repro-serve/1 envelope)
 
 The daemon is deliberately stdlib-only (:mod:`http.server`); plans are
-milliseconds-to-seconds of CPU work, so a thread-per-request front with
-an optional :class:`~concurrent.futures.ProcessPoolExecutor` behind it
-(same worker initializer as the experiment engine) is the right shape —
-no event loop, no framework dependency.
+milliseconds-to-seconds of CPU work, so a fixed pool of handler threads
+with an optional :class:`~concurrent.futures.ProcessPoolExecutor` behind
+it (same worker initializer as the experiment engine) is the right
+shape — no event loop, no framework dependency.  The handler threads
+live in a :class:`~concurrent.futures.ThreadPoolExecutor`, which reuses
+an idle thread before it starts another: starting a thread for every
+connection cost about 0.1 ms, a quarter of a warm request.
+
+A connection holds a handler thread only while one of its requests is
+being read and answered.  Between requests — before the first, and
+between the requests of a kept-alive connection — it waits in the
+accept loop's selector, however long it idles.  So the pool size bounds
+how many requests are served at once, never how many clients may stay
+connected.  A socket timeout bounds how long a request that has begun
+to arrive may stall, the one way a client can still hold a thread.
 
 Each response goes out in one write: with the status line and headers
 in a separate write, the body of every response on a kept-alive
 connection waited for the client's delayed ACK (about 40 ms).
 
 Graceful shutdown (:func:`run_server`): SIGINT/SIGTERM set an event; the
-serve loop stops accepting, kept-alive connections idling between
-requests are closed, in-flight request threads are joined
-(``daemon_threads = False`` + ``block_on_close = True``) and close their
-connections after their response, the worker pool drains, and the
-process exits 0.
+accept loop stops, idle connections are closed (a request that had
+already arrived on one is still answered), the handler pool serves the
+connections queued for it and joins the in-flight ones, each of which
+closes its connection after its response, the worker pool drains, and
+the process exits 0.
 """
 
 from __future__ import annotations
 
 import json
+import selectors
 import signal
 import socket
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any
 
 from ..obs import clock, configure_worker, get_tracer, metrics_registry
@@ -53,20 +69,25 @@ GET_ENDPOINTS: tuple[str, ...] = ("health", "models", "stats")
 MAX_BODY_BYTES = 1 << 20
 
 
-class ReproServer(ThreadingHTTPServer):
+class ReproServer(HTTPServer):
     """Planning-as-a-service HTTP server with an optional worker pool.
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`port`).
-    ``jobs=0`` executes requests in the handler thread; ``jobs>0``
-    submits them to a :class:`ProcessPoolExecutor` whose workers share
-    the on-disk plan cache with the parent and with every other entry
-    point (CLI, experiment engine).
+    A connection whose request has begun to arrive is served on one of
+    :attr:`handler_threads` pooled handler threads; an idle connection
+    waits in the accept loop's selector and holds no thread.  ``jobs=0``
+    executes requests in the handler thread; ``jobs>0`` submits them to
+    a :class:`ProcessPoolExecutor` whose workers share the on-disk plan
+    cache with the parent and with every other entry point (CLI,
+    experiment engine).
     """
 
-    # Join in-flight request threads on server_close(): this is the
-    # drain half of graceful shutdown.
-    daemon_threads = False
-    block_on_close = True
+    #: Requests read and answered at once; ``--jobs N`` above this
+    #: raises the pool to ``N`` threads, so ``N`` requests run at once.
+    #: With ``--jobs 0`` every request runs under one interpreter lock:
+    #: against 16 cold clients, 16 threads served no more requests per
+    #: second than 4 and took twice as long at p99 (docs/serving.md).
+    handler_threads = 4
     # socketserver's listen backlog of 5 overflows under a burst of
     # connects, and each dropped SYN costs its client a ~1 s retransmit.
     request_queue_size = 128
@@ -75,6 +96,10 @@ class ReproServer(ThreadingHTTPServer):
         self, host: str = "127.0.0.1", port: int = 0, *, jobs: int = 0
     ) -> None:
         super().__init__((host, port), ServeRequestHandler)
+        self._handlers = ThreadPoolExecutor(
+            max_workers=max(self.handler_threads, jobs),
+            thread_name_prefix="repro-serve-handler",
+        )
         self._pool: ProcessPoolExecutor | None = (
             ProcessPoolExecutor(max_workers=jobs, initializer=configure_worker)
             if jobs > 0
@@ -83,13 +108,109 @@ class ReproServer(ThreadingHTTPServer):
         #: Set once the drain begins: idle connections close, and every
         #: later response closes its connection.
         self.draining = False
-        self._idle: set[socket.socket] = set()
-        self._idle_lock = threading.Lock()
+        self._stopping = False
+        self._stopped = threading.Event()
+        # Handler threads hand idle connections back through ``_parked``
+        # and wake the accept loop, which alone touches the selector.
+        self._parked: list[ServeRequestHandler] = []
+        self._lock = threading.Lock()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
 
     @property
     def port(self) -> int:
         """The actually-bound TCP port (useful with ``port=0``)."""
         return int(self.server_address[1])
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Accept connections and watch idle ones until :meth:`shutdown`."""
+        self._stopped.clear()
+        try:
+            while not self._stopping:
+                for key, _ in self._selector.select(poll_interval):
+                    if key.fileobj is self.socket:
+                        self._accept()
+                    elif key.fileobj is self._wake_r:
+                        self._take_parked()
+                    else:
+                        self._selector.unregister(key.fileobj)
+                        self._watch(key.data)
+        finally:
+            self._stopping = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop the accept loop and wait until it has stopped."""
+        self._stopping = True
+        self._wake()
+        self._stopped.wait()
+
+    def _accept(self) -> None:
+        try:
+            request, client_address = self.get_request()
+        except OSError:
+            return
+        self._watch(ServeRequestHandler(request, client_address, self))
+
+    def _watch(self, handler: ServeRequestHandler) -> None:
+        """Serve, close or keep watching a connection, as its bytes say."""
+        if not self._route(handler):
+            self._selector.register(handler.connection, selectors.EVENT_READ, handler)
+
+    def _route(self, handler: ServeRequestHandler) -> bool:
+        """Queue ``handler`` for a handler thread if a request has begun
+        to arrive, or close it at end of stream; False while it idles."""
+        try:
+            waiting = handler.connection.recv(1, socket.MSG_PEEK)
+        except BlockingIOError:
+            return False
+        except OSError:  # reset by the peer
+            waiting = b""
+        if waiting:
+            self._handlers.submit(handler.serve)
+        else:
+            handler.close()
+        return True
+
+    def park(self, handler: ServeRequestHandler) -> None:
+        """Hand an idle connection back to the accept loop (on a handler thread)."""
+        with self._lock:
+            if self.draining:
+                handler.close()
+                return
+            self._parked.append(handler)
+            wake = len(self._parked) == 1
+        if wake:
+            self._wake()
+
+    def _take_parked(self) -> None:
+        try:
+            self._wake_r.recv(4096)  # bytes left over wake the loop again
+        except BlockingIOError:
+            pass
+        with self._lock:
+            parked, self._parked = self._parked, []
+        for handler in parked:
+            # Level-triggered: a request that has arrived meanwhile is
+            # reported by the next select.
+            self._selector.register(handler.connection, selectors.EVENT_READ, handler)
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # a byte already waiting wakes the loop, or closed
+            pass
+
+    def server_close(self) -> None:
+        """Close the listening socket and the accept loop's selector."""
+        super().server_close()
+        self._selector.close()
+        self._wake_r.close()
+        self._wake_w.close()
 
     def dispatch(self, endpoint: str, params: Any = None) -> tuple[int, bytes]:
         """Run one request through the pool (or inline) to a response body."""
@@ -102,39 +223,32 @@ class ReproServer(ThreadingHTTPServer):
                 error_response(endpoint, "internal", f"worker pool failure: {exc}")
             )
 
-    def mark_idle(self, connection: socket.socket, idle: bool) -> None:
-        """Record whether ``connection`` is waiting for its next request.
-
-        An idle connection of a draining server is shut for reading at
-        once, so its handler thread reads end of stream and exits.
-        """
-        with self._idle_lock:
-            if not idle:
-                self._idle.discard(connection)
-            elif self.draining:
-                _shut_read(connection)
-            else:
-                self._idle.add(connection)
-
     def close(self) -> None:
-        """Close idle connections, drain request threads, shut the pool down."""
-        with self._idle_lock:
+        """Close idle connections, drain the handler pool, shut the worker pool down.
+
+        Call it after :meth:`shutdown`.  An idle connection on which a
+        request has already arrived is queued and answered, not closed.
+        The handler pool serves the connections queued for it and joins
+        the in-flight ones before the worker pool goes.
+        """
+        with self._lock:
+            if self.draining:  # closed already
+                return
             self.draining = True
-            for connection in self._idle:
-                _shut_read(connection)
-            self._idle.clear()
+            idle, self._parked = self._parked, []
+        idle += [
+            key.data
+            for key in self._selector.get_map().values()
+            if isinstance(key.data, ServeRequestHandler)
+        ]
+        for handler in idle:
+            if not self._route(handler):
+                handler.close()
         self.server_close()
+        self._handlers.shutdown(wait=True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-def _shut_read(connection: socket.socket) -> None:
-    """Wake a reader blocked on ``connection`` with end of stream."""
-    try:
-        connection.shutdown(socket.SHUT_RD)
-    except OSError:  # already closed by the peer
-        pass
 
 
 class ServeRequestHandler(BaseHTTPRequestHandler):
@@ -145,10 +259,53 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     body.  Every outcome — including malformed JSON, unknown paths and
     wrong methods — is a structured envelope with a meaningful status
     code; a traceback never reaches the wire.
+
+    One instance lives as long as its connection.  The accept loop
+    builds it and runs :meth:`serve` on a handler thread each time a
+    request begins to arrive; the socket is non-blocking in between.
     """
 
     server: ReproServer
     protocol_version = "HTTP/1.1"
+    #: Seconds a handler thread waits on a socket read or write once a
+    #: request has begun to arrive: a client that stalls mid-request
+    #: this long is cut off, so no client holds a thread for good.
+    #: Idle connections are not subject to it.
+    timeout = 5.0
+
+    def __init__(self, request: Any, client_address: Any, server: ReproServer) -> None:
+        self.request = request
+        self.client_address = client_address
+        self.server = server
+        self.setup()
+        self.connection.settimeout(0.0)
+
+    def serve(self) -> None:
+        """Answer the requests that have arrived; then park or close the connection."""
+        try:
+            while True:
+                self.connection.settimeout(self.timeout)
+                self.handle_one_request()
+                if self.close_connection:
+                    break
+                self.connection.settimeout(0.0)
+                try:
+                    waiting = self.rfile.peek(1)  # buffered or arrived
+                except OSError:  # reset by the peer
+                    break
+                if not waiting:
+                    self.server.park(self)
+                    return
+        except Exception:
+            self.server.handle_error(self.request, self.client_address)
+        self.close()
+
+    def close(self) -> None:
+        """Flush and close the connection."""
+        try:
+            self.finish()
+        finally:
+            self.server.shutdown_request(self.request)
 
     def log_message(self, format: str, *args: Any) -> None:
         """Silence per-request stderr lines; metrics carry the signal."""
@@ -156,21 +313,6 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     def _endpoint(self) -> str:
         """The endpoint named by the request path (no nesting, no query)."""
         return self.path.split("?", 1)[0].strip("/")
-
-    def handle_one_request(self) -> None:
-        """Serve one request; the connection is idle until it arrives."""
-        self.server.mark_idle(self.connection, True)
-        super().handle_one_request()
-
-    def parse_request(self) -> bool:
-        """Parse the request's headers; from here on the connection is busy."""
-        self.server.mark_idle(self.connection, False)
-        return super().parse_request()
-
-    def finish(self) -> None:
-        """Forget the connection, then flush and close it."""
-        self.server.mark_idle(self.connection, False)
-        super().finish()
 
     def _send(self, status: int, body: bytes) -> None:
         """Write one complete HTTP response in a single write."""
@@ -223,10 +365,16 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                 405, endpoint, "bad-request", f"endpoint {endpoint!r} requires GET"
             )
             return
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > MAX_BODY_BYTES:
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        length = int(declared) if declared.isascii() and declared.isdigit() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Where the body ends is unknown, so no request can follow it.
+            self.close_connection = True
             self._send_error(
-                400, endpoint, "bad-request", f"request body exceeds {MAX_BODY_BYTES} bytes"
+                400,
+                endpoint,
+                "bad-request",
+                f"Content-Length {declared!r} is not a byte count from 0 to {MAX_BODY_BYTES}",
             )
             return
         raw = self.rfile.read(length) if length else b""
@@ -249,9 +397,10 @@ def run_server(
 ) -> int:
     """Run the daemon until SIGINT/SIGTERM; drain and exit 0.
 
-    The shutdown sequence — stop accepting, close idle connections, join
-    in-flight request threads, drain the worker pool — is the graceful-
-    shutdown contract; CI's serve smoke job asserts the exit status.
+    The shutdown sequence — stop accepting, close idle connections, serve
+    the queued connections and join the in-flight ones, drain the worker
+    pool — is the graceful-shutdown contract; CI's serve smoke job
+    asserts the exit status.
     """
     server = ReproServer(host, port, jobs=jobs)
     stop = threading.Event()

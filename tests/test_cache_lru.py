@@ -96,7 +96,7 @@ class TestRecency:
     def test_entries_require_disk_backing(self, cache_dir):
         _store_blob(AA, 100)
         _store_blob(BB, 100)
-        cache._entry_path(AA).unlink()
+        os.unlink(cache._entry_path(AA))
         assert [key[:2] for key, _ in cache.entries()] == ["bb"]
 
     def test_prune_evicts_lru_first(self, cache_dir):

@@ -28,7 +28,7 @@ from repro.report import diagnostics
 from repro.serve import handlers, loadgen, protocol
 from repro.serve.handlers import execute
 from repro.serve.protocol import ProtocolError, canonical_json, parse_plan_request
-from repro.serve.server import ReproServer
+from repro.serve.server import ReproServer, ServeRequestHandler
 
 
 class TestProtocol:
@@ -238,6 +238,26 @@ def _post(url: str, body: bytes) -> tuple[int, dict]:
         return int(exc.code), json.loads(exc.read())
 
 
+def _exchange(port: int, *parts: bytes, pause: float = 0.0) -> tuple[bytes, bytes]:
+    """Send ``parts`` on a fresh socket, ``pause`` seconds apart, and read
+    until the daemon closes it; returns the response head and body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        for index, part in enumerate(parts):
+            if index:
+                time.sleep(pause)
+            sock.sendall(part)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head, "the daemon closed the connection without a response"
+    return head, body
+
+
+def _status(head: bytes) -> int:
+    return int(head.split()[1])
+
+
 class TestHttpDaemon:
     def test_health(self, daemon):
         status, envelope = _get(f"{daemon}/health")
@@ -256,6 +276,23 @@ class TestHttpDaemon:
         status, envelope = _post(f"{daemon}/plan", b"{not json")
         assert status == 400
         assert envelope["error"]["code"] == "invalid-json"
+        assert diagnostics.validate_serve_payload(envelope) == []
+
+    @pytest.mark.parametrize(
+        "declared", [b"abc", b"-1", b"\xb2"], ids=["word", "negative", "superscript-two"]
+    )
+    def test_bad_content_length_is_400_envelope(self, daemon, declared):
+        # "-1" once read the body to end of stream, so the reply waited
+        # for the client to hang up; the socket timeout bounds that here.
+        port = int(daemon.rsplit(":", 1)[1])
+        head, body = _exchange(
+            port,
+            b"POST /plan HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n{}" % declared,
+        )
+        assert _status(head) == 400
+        assert b"Connection: close" in head
+        envelope = json.loads(body)
+        assert envelope["error"]["code"] == "bad-request"
         assert diagnostics.validate_serve_payload(envelope) == []
 
     def test_unknown_endpoint_is_404_envelope(self, daemon):
@@ -352,6 +389,28 @@ class TestGracefulShutdown:
                 proc.kill()
             proc.wait()
 
+    def test_sigterm_answers_the_request_in_flight(self, tmp_path):
+        proc, url = _spawn_daemon(tmp_path)
+        port = int(url.rsplit(":", 1)[1])
+        body = json.dumps({"model": "MobileNet", "glb_kb": 32}).encode()
+        head = b"POST /plan HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+        try:
+            # Headers now, the body after the SIGTERM: the request is in
+            # flight for the whole start of the drain.
+            sender = threading.Timer(0.3, proc.send_signal, (signal.SIGTERM,))
+            sender.start()
+            reply_head, reply_body = _exchange(port, head, body, pause=1.5)
+            sender.join()
+            assert _status(reply_head) == 200
+            assert b"Connection: close" in reply_head
+            assert json.loads(reply_body)["ok"] is True
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_one_sigterm_after_a_connect_burst_exits_zero(self, tmp_path):
         # With the client and the daemon on one CPU, a burst of bare
@@ -393,6 +452,177 @@ class TestGracefulShutdown:
             for connection in connections:
                 connection.close()
             server.server_close()
+
+
+@pytest.fixture
+def small_pool(monkeypatch):
+    """A daemon factory with two handler threads and a 30 s socket timeout,
+    longer than any of these tests waits for a reply."""
+    monkeypatch.setattr(ReproServer, "handler_threads", 2)
+    monkeypatch.setattr(ServeRequestHandler, "timeout", 30.0)
+    servers = []
+
+    def start() -> ReproServer:
+        server = ReproServer("127.0.0.1", 0, jobs=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.close()
+
+
+def _health(connection: http.client.HTTPConnection) -> float:
+    """GET /health on ``connection``; the seconds until its reply was read."""
+    start = time.perf_counter()
+    connection.request("GET", "/health")
+    response = connection.getresponse()
+    assert response.status == 200 and json.loads(response.read())["ok"] is True
+    return time.perf_counter() - start
+
+
+class TestHandlerPool:
+    def test_sequential_requests_reuse_pool_threads(self, small_pool, monkeypatch):
+        served: set[threading.Thread] = set()
+        handle_one_request = ServeRequestHandler.handle_one_request
+
+        def recording(self):
+            served.add(threading.current_thread())
+            handle_one_request(self)
+
+        monkeypatch.setattr(ServeRequestHandler, "handle_one_request", recording)
+        server = small_pool()
+        for _ in range(50):
+            connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                _health(connection)
+            finally:
+                connection.close()
+        assert 1 <= len(served) <= ReproServer.handler_threads
+
+    def test_idle_connections_hold_no_handler_thread(self, small_pool):
+        server = small_pool()
+        kept = [
+            http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            for _ in range(ReproServer.handler_threads)
+        ]
+        bare = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=10)
+            for _ in range(ReproServer.handler_threads)
+        ]
+        try:
+            for connection in kept:  # answered once, then idle
+                _health(connection)
+            fresh = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                assert _health(fresh) < 2.0
+            finally:
+                fresh.close()
+        finally:
+            for connection in kept:
+                connection.close()
+            for sock in bare:
+                sock.close()
+
+    def test_more_busy_keep_alive_clients_than_threads_are_all_answered(self, small_pool):
+        # Every client sends again at once, so none of the connections
+        # ever idles long enough to be timed out.
+        server = small_pool()
+        clients = [
+            http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            for _ in range(ReproServer.handler_threads + 1)
+        ]
+        try:
+            waits = [_health(client) for _ in range(10) for client in clients]
+        finally:
+            for client in clients:
+                client.close()
+        assert max(waits) < 2.0, max(waits)
+
+    def test_keep_alive_connection_is_reused_after_idling_past_the_timeout(
+        self, small_pool, monkeypatch
+    ):
+        monkeypatch.setattr(ServeRequestHandler, "timeout", 0.2)
+        server = small_pool()
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            _health(connection)
+            sock = connection.sock
+            time.sleep(1.0)
+            _health(connection)
+            assert connection.sock is sock  # the same connection, not a reconnect
+        finally:
+            connection.close()
+
+    def test_a_stalled_request_is_cut_off_after_the_timeout(self, small_pool, monkeypatch):
+        monkeypatch.setattr(ServeRequestHandler, "timeout", 0.5)
+        server = small_pool()
+        # Headers that promise a body which never comes hold a thread each.
+        stalled = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=10)
+            for _ in range(ReproServer.handler_threads)
+        ]
+        try:
+            for sock in stalled:
+                sock.sendall(b"POST /plan HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n")
+            time.sleep(0.1)
+            fresh = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                assert _health(fresh) < ServeRequestHandler.timeout + 2.0
+            finally:
+                fresh.close()
+            for sock in stalled:  # cut off without a reply
+                assert sock.recv(1) == b""
+        finally:
+            for sock in stalled:
+                sock.close()
+
+    def test_pipelined_requests_are_all_answered(self, small_pool):
+        # The second request is read into the first one's buffer, where
+        # the accept loop's selector cannot see it.
+        server = small_pool()
+        request = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(request * 2 + request.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"))
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        assert b"".join(chunks).count(b"HTTP/1.1 200 OK") == 3
+
+    def test_drain_answers_connections_queued_for_the_pool(self, small_pool):
+        server = small_pool()
+        body = json.dumps({"model": "MobileNet", "glb_kb": 64}).encode()
+        head = b"POST /plan HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+        # Both handler threads wait for the rest of a body, so the third
+        # connection queues; the drain begins while it waits.
+        replies: list[tuple[bytes, bytes]] = []
+        clients = [
+            threading.Thread(
+                target=lambda: replies.append(_exchange(server.port, head, body, pause=0.8))
+            )
+            for _ in range(ReproServer.handler_threads)
+        ]
+        for client in clients:
+            client.start()
+        time.sleep(0.2)
+        queued = threading.Thread(
+            target=lambda: replies.append(_exchange(server.port, head + body))
+        )
+        queued.start()
+        time.sleep(0.2)
+        server.shutdown()
+        drain = threading.Thread(target=server.close)
+        drain.start()
+        for thread in (*clients, queued, drain):
+            thread.join(timeout=30)
+        assert not drain.is_alive()
+        assert len(replies) == ReproServer.handler_threads + 1
+        for reply_head, reply_body in replies:
+            assert _status(reply_head) == 200, reply_body
+            assert b"Connection: close" in reply_head
+            assert json.loads(reply_body)["ok"] is True
 
 
 class TestLoadGenerator:
