@@ -90,7 +90,7 @@ class AcceleratorSpec:
             )
         if self.glb_bytes <= 0:
             problems.append(f"glb_bytes must be positive, got {self.glb_bytes}")
-        if self.dram_bandwidth_elems_per_cycle <= 0:
+        if not self.dram_bandwidth_elems_per_cycle > 0:  # NaN too
             problems.append(
                 f"dram_bandwidth_elems_per_cycle must be positive, got "
                 f"{self.dram_bandwidth_elems_per_cycle}"

@@ -18,93 +18,125 @@ Usage::
     python -m repro bench serve --clients 4        # daemon load generator
 
 Model arguments accept either a zoo name or a path to a JSON model
-description (the Fig. 4 input format, see ``repro.nn.io``).
+description (the Fig. 4 input format, see ``repro.nn.io``).  A command's
+model, accelerator and scheme flags are checked by the daemon's request
+validator (:mod:`repro.serve.protocol`, :mod:`repro.serve.handlers`),
+with its defaults.
+
+Exit codes: 0 ok; 1 a check found problems (``verify``, ``lint``,
+``bench serve``); 2 bad input, reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import os
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Iterator
 
-from .analyzer import Objective, save_plan
-from .analyzer.planner import SCHEMES
+from .analyzer import ExecutionPlan, Objective, save_plan
 from .arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
 from .arch.units import kib, to_kib, to_mib
 from .energy import plan_energy
 from .manager import MemoryManager
 from .nn.io import load_model
+from .nn.layer import LayerSpec
 from .nn.model import Model
 from .nn.stats import layer_breakdown
-from .nn.zoo import ALL_MODEL_NAMES, PAPER_MODEL_NAMES, find_model_name, get_model
+from .nn.zoo import PAPER_MODEL_NAMES, find_model_name, get_model
 from .report.table import Table
+from .serve.handlers import _canonical_request, _resolve_model_name, request_spec
+from .serve.protocol import PlanRequest, ProtocolError, parse_plan_request
+
+#: The paper's GLB sizes in kB (``verify --all`` and ``sweep`` default).
+_PAPER_GLB_KB = [size // kib(1) for size in PAPER_GLB_SIZES]
+
+
+def _request(args: argparse.Namespace, **fields: Any) -> PlanRequest:
+    """The command's :class:`PlanRequest` flags, updated with ``fields``,
+    validated as a request body; ``model`` stays as typed (a zoo name or
+    a model file path)."""
+    params = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(PlanRequest)}
+    params.update(fields)
+    return parse_plan_request({k: v for k, v in params.items() if v is not None})
 
 
 def _resolve_model(name_or_path: str) -> Model:
-    """Load a model by zoo name (in any case) or JSON file path.
+    """A zoo model by name (in any case), else a JSON model file.
 
-    An unknown model exits with code 2 and lists the zoo, mirroring the
-    ``UnknownArtifactError`` convention of the experiments CLI; a model
-    path that cannot be read, is not JSON or fails validation exits 2
-    with one line.
+    A name that is neither is the daemon's ``unknown-model`` error; a
+    model file that cannot be read, is not JSON or fails validation is a
+    ``bad-request``.
     """
-    name = find_model_name(name_or_path)
-    if name is not None:
-        return get_model(name)
     path = Path(name_or_path)
-    if path.exists():
+    if find_model_name(name_or_path) is None and path.exists():
         try:
             return load_model(path)
         except (OSError, ValueError) as exc:
-            print(f"error: bad model file {name_or_path!r}: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
-    print(
-        f"error: unknown model {name_or_path!r}\n"
-        f"available models: {', '.join(ALL_MODEL_NAMES)}",
-        file=sys.stderr,
-    )
-    raise SystemExit(2)
+            raise ProtocolError("bad-request", f"bad model file {name_or_path!r}: {exc}") from None
+    return get_model(_resolve_model_name(name_or_path))
 
 
-def _parse_scheme(text: str) -> str:
-    """Check a ``--scheme`` value before any planning."""
-    if text not in SCHEMES:
-        raise SystemExit(f"error: unknown scheme {text!r}; choose one of {', '.join(SCHEMES)}")
-    return text
+def _inputs(args: argparse.Namespace, *, baselines: bool = False) -> tuple[Model, AcceleratorSpec]:
+    """The model and accelerator a one-model command's flags name."""
+    request = _request(args)
+    return _resolve_model(request.model), request_spec(request, baselines=baselines)
+
+
+@contextlib.contextmanager
+def _feasible() -> Iterator[None]:
+    """Planning that finds no policy fitting the GLB is a ``bad-request``,
+    as the daemon answers it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ProtocolError("bad-request", str(exc)) from None
+
+
+def _plan(model: Model, spec: AcceleratorSpec, args: argparse.Namespace) -> ExecutionPlan:
+    """``model`` planned as the command's flags ask, uncached: the CLI
+    writes no cache entries."""
+    with _feasible():
+        return MemoryManager(spec).plan(
+            model,
+            Objective(args.objective),
+            scheme=getattr(args, "scheme", PlanRequest.scheme),
+            interlayer=getattr(args, "interlayer", PlanRequest.interlayer),
+        )
+
+
+def _models(args: argparse.Namespace) -> list[str]:
+    """The model arguments of a command that also takes ``--all``."""
+    if args.all:
+        return list(PAPER_MODEL_NAMES)
+    if args.model:
+        return [args.model]
+    raise ProtocolError("bad-request", "give a model name/path or --all")
+
+
+def _find_layer(model: Model, name: str) -> LayerSpec:
+    """A layer of ``model`` by name."""
+    try:
+        return model.find(name)
+    except KeyError:
+        raise ProtocolError(
+            "bad-request",
+            f"{model.name} has no layer {name!r} (see `repro inspect {model.name}`)",
+        ) from None
 
 
 def _parse_glb_list(text: str) -> list[int]:
-    """Parse a ``64,128,256`` kB list into byte sizes."""
+    """Parse a ``64,128,256`` list of kB sizes (the spec checks their range)."""
     try:
-        sizes = [kib(int(s)) for s in text.split(",")]
+        return [int(s) for s in text.split(",")]
     except ValueError:
-        raise SystemExit(
-            f"error: --glb-list must be comma-separated kB integers, got {text!r}"
+        raise ProtocolError(
+            "bad-request", f"GLB sizes must be comma-separated kB integers, got {text!r}"
         ) from None
-    if not sizes or any(size <= 0 for size in sizes):
-        raise SystemExit(f"error: --glb-list sizes must be positive, got {text!r}")
-    return sizes
-
-
-def _spec_from_args(args: argparse.Namespace) -> AcceleratorSpec:
-    return AcceleratorSpec(
-        glb_bytes=kib(args.glb),
-        data_width_bits=args.width,
-        ops_per_cycle=args.ops,
-        dram_bandwidth_elems_per_cycle=args.bandwidth,
-    )
-
-
-def _add_spec_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--glb", type=int, default=64, help="GLB size in kB (default 64)")
-    parser.add_argument("--width", type=int, default=8, help="data width in bits")
-    parser.add_argument("--ops", type=int, default=512, help="operations per cycle")
-    parser.add_argument(
-        "--bandwidth", type=float, default=16.0, help="DRAM elements per cycle"
-    )
 
 
 def cmd_models(args: argparse.Namespace) -> int:
@@ -124,8 +156,7 @@ def cmd_models(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     """Per-layer shapes and memory footprints of a model."""
-    model = _resolve_model(args.model)
-    spec = _spec_from_args(args)
+    model, spec = _inputs(args)
     table = Table(
         title=f"{model.name}: {model.num_layers} layers",
         headers=["Layer", "Kind", "Input", "Output", "ifmap kB", "filter kB", "ofmap kB"],
@@ -147,17 +178,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     """Produce, summarize and optionally export an execution plan."""
-    model = _resolve_model(args.model)
-    spec = _spec_from_args(args)
-    manager = MemoryManager(spec)
-    plan = manager.plan(
-        model,
-        Objective(args.objective),
-        scheme=args.scheme,
-        interlayer=args.interlayer,
-    )
+    model, spec = _inputs(args)
+    plan = _plan(model, spec, args)
     table = Table(
-        title=f"{model.name} @ {args.glb} kB — {plan.scheme}, objective={args.objective}",
+        title=f"{model.name} @ {args.glb_kb} kB — {plan.scheme}, objective={args.objective}",
         headers=["Layer", "Policy", "Mem kB", "Accesses kB", "Latency (cyc)", "IL"],
     )
     for a in plan:
@@ -186,14 +210,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Show every feasible policy for one layer (Algorithm 1's raw input)."""
-    model = _resolve_model(args.model)
-    layer = model.find(args.layer)
-    spec = _spec_from_args(args)
     from .estimators import evaluate_layer
 
+    model, spec = _inputs(args)
+    layer = _find_layer(model, args.layer)
     evaluations = evaluate_layer(layer, spec)
     table = Table(
-        title=f"{model.name}/{layer.name} @ {args.glb} kB: policy candidates",
+        title=f"{model.name}/{layer.name} @ {args.glb_kb} kB: policy candidates",
         headers=["Policy", "n", "Mem kB", "Accesses kB", "Latency (cyc)", "DMA", "Compute"],
     )
     for ev in sorted(evaluations, key=lambda e: e.accesses_bytes):
@@ -216,12 +239,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     """Simulate the three fixed-partition baselines."""
     from .scalesim import baseline_configs, simulate
 
-    model = _resolve_model(args.model)
+    model, spec = _inputs(args, baselines=True)
     table = Table(
-        title=f"{model.name}: SCALE-Sim-style baselines @ {args.glb} kB",
+        title=f"{model.name}: SCALE-Sim-style baselines @ {args.glb_kb} kB",
         headers=["Partition", "DRAM MB", "Cycles", "Mean PE util"],
     )
-    for label, config in baseline_configs(kib(args.glb), data_width_bits=args.width).items():
+    configs = baseline_configs(spec.glb_bytes, data_width_bits=spec.data_width_bits)
+    for label, config in configs.items():
         result = simulate(model, config)
         table.add_row(
             label,
@@ -235,11 +259,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Plan the model and compare against the baselines."""
-    model = _resolve_model(args.model)
-    manager = MemoryManager(_spec_from_args(args))
-    comparison = manager.compare_with_baseline(model, Objective(args.objective))
+    model, spec = _inputs(args, baselines=True)
+    with _feasible():
+        comparison = MemoryManager(spec).compare_with_baseline(model, Objective(args.objective))
     table = Table(
-        title=f"{model.name} @ {args.glb} kB: proposed vs baselines",
+        title=f"{model.name} @ {args.glb_kb} kB: proposed vs baselines",
         headers=["Scheme", "DRAM MB"],
     )
     for label, result in comparison.baselines.items():
@@ -261,18 +285,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep the GLB capacity and report the trend."""
     from .experiments.sweep import glb_sweep, sweep_table
 
+    sizes = _parse_glb_list(args.glb_list) if args.glb_list else _PAPER_GLB_KB
+    specs = [request_spec(_request(args, glb_kb=glb_kb)) for glb_kb in sizes]
     model = _resolve_model(args.model)
-    sizes = (
-        _parse_glb_list(args.glb_list) if args.glb_list else list(PAPER_GLB_SIZES)
-    )
-    points = glb_sweep(model, sizes, Objective(args.objective))
-    print(
-        sweep_table(
-            f"{model.name}: GLB sweep (objective={args.objective})",
-            "GLB bytes",
-            points,
-        ).render()
-    )
+    with _feasible():
+        points = glb_sweep(model, [spec.glb_bytes for spec in specs], Objective(args.objective))
+    title = f"{model.name}: GLB sweep (objective={args.objective})"
+    print(sweep_table(title, "GLB bytes", points).render())
     return 0
 
 
@@ -280,11 +299,10 @@ def cmd_layout(args: argparse.Namespace) -> int:
     """Print the GLB address map of a plan."""
     from .sim.glb import layout_plan
 
-    model = _resolve_model(args.model)
-    manager = MemoryManager(_spec_from_args(args))
-    plan = manager.plan(model, Objective(args.objective), interlayer=args.interlayer)
+    model, spec = _inputs(args)
+    plan = _plan(model, spec, args)
     table = Table(
-        title=f"{model.name} @ {args.glb} kB: GLB address map",
+        title=f"{model.name} @ {args.glb_kb} kB: GLB address map",
         headers=["Layer", "Policy", "Region", "Offset", "End", "kB"],
     )
     for layout in layout_plan(plan):
@@ -304,14 +322,17 @@ def cmd_layout(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Emit the baseline's DRAM address trace for one layer."""
     from .scalesim import baseline_config, lower_layer
-    from .scalesim.trace import generate_dram_trace, trace_to_csv
+    from .scalesim.trace import TraceLimitExceeded, generate_dram_trace, trace_to_csv
 
-    model = _resolve_model(args.model)
-    layer = model.find(args.layer)
+    model, spec = _inputs(args, baselines=True)
+    layer = _find_layer(model, args.layer)
     workload = lower_layer(layer)
-    config = baseline_config(kib(args.glb), 0.5, data_width_bits=args.width)
+    config = baseline_config(spec.glb_bytes, 0.5, data_width_bits=spec.data_width_bits)
     records = generate_dram_trace(workload, config, max_records=args.max_records)
-    count = trace_to_csv(records, args.out)
+    try:
+        count = trace_to_csv(records, args.out)
+    except TraceLimitExceeded as exc:
+        raise ProtocolError("bad-request", str(exc)) from None
     print(f"{count:,} DRAM transactions for {model.name}/{layer.name} "
           f"written to {args.out}")
     return 0
@@ -321,13 +342,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     """Compare a plan against the communication lower bound."""
     from .estimators import model_bound, optimality_gap
 
-    model = _resolve_model(args.model)
-    spec = _spec_from_args(args)
-    manager = MemoryManager(spec)
-    plan = manager.plan(model, Objective(args.objective))
+    model, spec = _inputs(args)
+    plan = _plan(model, spec, args)
     gap = optimality_gap(plan)
     print(
-        f"{model.name} @ {args.glb} kB: Het moves "
+        f"{model.name} @ {args.glb_kb} kB: Het moves "
         f"{to_mib(plan.total_accesses_bytes):.2f} MB; lower bound "
         f"{to_mib(model_bound(model, spec)):.2f} MB "
         f"(gap {gap.gap_pct:+.1f}%)"
@@ -339,10 +358,11 @@ def cmd_pareto(args: argparse.Namespace) -> int:
     """Print the accesses-vs-latency Pareto frontier."""
     from .analyzer import pareto_frontier
 
-    model = _resolve_model(args.model)
-    frontier = pareto_frontier(model, _spec_from_args(args), args.points)
+    model, spec = _inputs(args)
+    with _feasible():
+        frontier = pareto_frontier(model, spec, args.points)
     table = Table(
-        title=f"{model.name} @ {args.glb} kB: Pareto frontier",
+        title=f"{model.name} @ {args.glb_kb} kB: Pareto frontier",
         headers=["alpha", "Accesses MB", "Latency (cyc)"],
     )
     for p in frontier:
@@ -369,18 +389,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(table.render())
         return 0
 
-    if args.all:
-        names = list(PAPER_MODEL_NAMES)
-    elif args.model:
-        names = [args.model]
-    else:
-        raise SystemExit("error: give a model name/path or --all")
-    models = [_resolve_model(name) for name in names]
-    sizes = (
-        _parse_glb_list(args.glb_list)
-        if args.glb_list
-        else (list(PAPER_GLB_SIZES) if args.all else [kib(args.glb)])
-    )
+    names = _models(args)
+    default = _PAPER_GLB_KB if args.all else [args.glb_kb]
+    sizes = _parse_glb_list(args.glb_list) if args.glb_list else default
+    requests = [_request(args, model=name, glb_kb=glb_kb) for name in names for glb_kb in sizes]
+    models = {name: _resolve_model(name) for name in names}
+    cells = [(models[r.model], r.glb_kb, request_spec(r)) for r in requests]
     schemes: list[tuple[str, bool]] = [("het", False), ("het", True)]
     if args.scheme != "het":
         schemes = [(args.scheme, False)]
@@ -391,34 +405,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     reports = []
     failures = []
-    for model in models:
-        for glb in sizes:
-            spec = AcceleratorSpec(
-                glb_bytes=glb,
-                data_width_bits=args.width,
-                ops_per_cycle=args.ops,
-                dram_bandwidth_elems_per_cycle=args.bandwidth,
-            )
-            for scheme, interlayer in schemes:
+    for model, glb_kb, spec in cells:
+        for scheme, interlayer in schemes:
+            with _feasible():
                 result = verify_network(
-                    model,
-                    spec,
-                    scheme=scheme,
-                    objective=Objective(args.objective),
+                    model, spec, scheme=scheme, objective=Objective(args.objective),
                     interlayer=interlayer,
                 )
-                report = result.report
-                reports.append(report)
-                table.add_row(
-                    model.name,
-                    glb // kib(1),
-                    result.scheme,
-                    report.checks,
-                    len(report.diagnostics),
-                    "ok" if report.ok else "FAILED",
-                )
-                if not report.ok:
-                    failures.append(report)
+            report = result.report
+            reports.append(report)
+            table.add_row(
+                model.name,
+                glb_kb,
+                result.scheme,
+                report.checks,
+                len(report.diagnostics),
+                "ok" if report.ok else "FAILED",
+            )
+            if not report.ok:
+                failures.append(report)
     if args.format == "json":
         print(json.dumps(verify_payload(reports), indent=2, sort_keys=True))
         return 1 if failures else 0
@@ -453,8 +458,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     try:
         report = analyze_paths(args.paths or ["src/repro"])
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ProtocolError("bad-request", str(exc)) from None
 
     if args.format == "json":
         print(json.dumps(lint_payload(report), indent=2, sort_keys=True))
@@ -479,24 +483,19 @@ def cmd_dram(args: argparse.Namespace) -> int:
     from .dram import DEFAULT_DDR4_SPEC, MAPPING_NAMES
     from .experiments import dram_sweep
 
-    if args.all:
-        names = list(PAPER_MODEL_NAMES)
-    elif args.model:
-        names = [args.model]
-    else:
-        raise SystemExit("error: give a model name/path or --all")
+    requests = [_request(args, model=name) for name in _models(args)]
     mappings = args.mappings.split(",") if args.mappings else list(MAPPING_NAMES)
     unknown = [m for m in mappings if m not in MAPPING_NAMES]
     if unknown:
-        raise SystemExit(
-            f"error: unknown mapping(s) {unknown}; available: {', '.join(MAPPING_NAMES)}"
+        raise ProtocolError(
+            "bad-request",
+            f"unknown mapping(s) {unknown}; available: {', '.join(MAPPING_NAMES)}",
         )
-
-    manager = MemoryManager(_spec_from_args(args))
-    models = [_resolve_model(name) for name in names]
-    plans = ((model.name, manager.plan(model, Objective(args.objective))) for model in models)
+    spec = request_spec(requests[0])
+    models = [_resolve_model(r.model) for r in requests]
+    plans = ((model.name, _plan(model, spec, args)) for model in models)
     title = (
-        f"DRAM mapping sweep @ {args.glb} kB GLB, DDR4-like "
+        f"DRAM mapping sweep @ {args.glb_kb} kB GLB, DDR4-like "
         f"({DEFAULT_DDR4_SPEC.channels}ch x {DEFAULT_DDR4_SPEC.banks_per_channel}ba), "
         f"objective={args.objective}"
     )
@@ -509,30 +508,23 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """Render the planner's decision audit trail as a per-layer table."""
     import json
 
-    model = _resolve_model(args.model)
-    spec = _spec_from_args(args)
-    plan = MemoryManager(spec).plan(
-        model,
-        Objective(args.objective),
-        scheme=args.scheme,
-        interlayer=args.interlayer,
-    )
-    trail = plan.explain()
+    model, spec = _inputs(args)
+    if args.layer:
+        _find_layer(model, args.layer)
+    trail = _plan(model, spec, args).explain()
     if args.format == "json":
         print(json.dumps(trail.to_payload(), indent=2))
         return 0
     table = Table(
         title=(
-            f"{model.name} @ {args.glb} kB — {trail.scheme} decision audit "
+            f"{model.name} @ {args.glb_kb} kB — {trail.scheme} decision audit "
             f"(objective={trail.objective})"
         ),
         headers=["Layer", "Candidate", "Status", "Mem kB", "Acc kB", "Reason"],
     )
-    shown = 0
     for decision in trail.layers:
         if args.layer and decision.layer != args.layer:
             continue
-        shown += 1
         for candidate in decision.candidates:
             table.add_row(
                 decision.layer,
@@ -546,13 +538,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 else round(to_kib(candidate.accesses_bytes), 1),
                 candidate.reason,
             )
-    if args.layer and not shown:
-        print(
-            f"error: {model.name} has no layer {args.layer!r} "
-            f"(see `repro inspect {model.name}`)",
-            file=sys.stderr,
-        )
-        return 2
     print(table.render())
     for note in trail.notes:
         print(f"note: {note}")
@@ -628,8 +613,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.action == "prune":
         if args.max_mb is None:
-            print("repro cache prune: --max-mb is required", file=sys.stderr)
-            return 2
+            raise ProtocolError("bad-request", "repro cache prune: --max-mb is required")
         result = cache.prune(mib(args.max_mb))
         print(
             f"pruned {result.evicted_count} entries "
@@ -664,14 +648,11 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     """
     from .serve import loadgen
 
-    models = (
-        tuple(args.models.split(",")) if args.models else loadgen.DEFAULT_MODELS
-    )
-    glb_kb = (
-        tuple(int(to_kib(size)) for size in _parse_glb_list(args.glb))
-        if args.glb
-        else loadgen.DEFAULT_GLB_KB
-    )
+    models = tuple(args.models.split(",")) if args.models else loadgen.DEFAULT_MODELS
+    glb_kb = tuple(_parse_glb_list(args.glb)) if args.glb else loadgen.DEFAULT_GLB_KB
+    for model in models:  # a request the daemon would reject is bad input here
+        for size in glb_kb:
+            _canonical_request("simulate", {"model": model, "glb_kb": size})
     report = loadgen.bench_serve(
         clients=args.clients,
         requests=args.requests,
@@ -715,6 +696,46 @@ def _int_at_least(floor: int) -> Callable[[str], int]:
     return integer
 
 
+def _add_objective_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--objective", choices=[o.value for o in Objective], default=PlanRequest.objective
+    )
+
+
+def _model_command(
+    sub: Any,
+    name: str,
+    func: Callable[[argparse.Namespace], int],
+    help: str,
+    *,
+    objective: bool = False,
+    all_models: bool = False,
+) -> argparse.ArgumentParser:
+    """A subcommand taking a model and the accelerator flags, defaults from
+    :class:`PlanRequest`; ``all_models`` adds ``--all`` and makes the model
+    optional."""
+    p: argparse.ArgumentParser = sub.add_parser(name, help=help)
+    if all_models:
+        p.add_argument("model", nargs="?", help="zoo model or JSON path")
+        p.add_argument("--all", action="store_true", help="all six paper networks")
+    else:
+        p.add_argument("model", help="zoo model (case-insensitive) or JSON path")
+    for flag, field, kind, text in (
+        ("--glb", "glb_kb", int, "GLB size in kB (default %(default)s)"),
+        ("--width", "data_width_bits", int, "data width in bits"),
+        ("--ops", "ops_per_cycle", int, "operations per cycle"),
+        ("--bandwidth", "dram_bandwidth_elems_per_cycle", float, "DRAM elements per cycle"),
+    ):
+        p.add_argument(
+            flag, dest=field, metavar=flag[2:].upper(), type=kind,
+            default=getattr(PlanRequest, field), help=text,
+        )
+    if objective:
+        _add_objective_arg(p)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
@@ -722,27 +743,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("models", help="list the model zoo").set_defaults(func=cmd_models)
 
-    p = sub.add_parser("inspect", help="per-layer shapes and footprints")
-    p.add_argument("model")
-    _add_spec_args(p)
-    p.set_defaults(func=cmd_inspect)
+    _model_command(sub, "inspect", cmd_inspect, "per-layer shapes and footprints")
 
-    p = sub.add_parser("plan", help="produce an execution plan")
-    p.add_argument("model")
-    _add_spec_args(p)
-    p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
-    p.add_argument("--scheme", default="het", type=_parse_scheme, help="het, hom or hom(<family>)")
+    p = _model_command(sub, "plan", cmd_plan, "produce an execution plan", objective=True)
+    p.add_argument("--scheme", default=PlanRequest.scheme, help="het, hom or hom(<family>)")
     p.add_argument("--interlayer", action="store_true", help="enable inter-layer reuse")
     p.add_argument("--export", metavar="FILE", help="write the plan JSON here")
-    p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser(
-        "explain", help="why each layer got its policy (decision audit trail)"
+    p = _model_command(
+        sub, "explain", cmd_explain, "why each layer got its policy (decision audit trail)",
+        objective=True,
     )
-    p.add_argument("model", help="zoo model (case-insensitive) or JSON path")
-    _add_spec_args(p)
-    p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
-    p.add_argument("--scheme", default="het", type=_parse_scheme, help="het, hom or hom(<family>)")
+    p.add_argument("--scheme", default=PlanRequest.scheme, help="het, hom or hom(<family>)")
     p.add_argument("--interlayer", action="store_true", help="enable inter-layer reuse")
     p.add_argument("--layer", metavar="NAME", help="show only this layer")
     p.add_argument(
@@ -751,68 +763,39 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (json emits the full audit payload)",
     )
-    p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("evaluate", help="all policy candidates for one layer")
-    p.add_argument("model")
+    p = _model_command(sub, "evaluate", cmd_evaluate, "all policy candidates for one layer")
     p.add_argument("layer", help="layer name (see `inspect`)")
-    _add_spec_args(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("baseline", help="simulate the separate-buffer baselines")
-    p.add_argument("model")
-    _add_spec_args(p)
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("compare", help="plan vs the three baselines")
-    p.add_argument("model")
-    _add_spec_args(p)
-    p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
-    p.set_defaults(func=cmd_compare)
+    _model_command(sub, "baseline", cmd_baseline, "simulate the separate-buffer baselines")
+    _model_command(sub, "compare", cmd_compare, "plan vs the three baselines", objective=True)
 
     p = sub.add_parser("sweep", help="GLB design-space sweep")
     p.add_argument("model")
     p.add_argument("--glb-list", metavar="KB,KB,...", help="sizes in kB")
-    p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
+    _add_objective_arg(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("layout", help="GLB address map of a plan")
-    p.add_argument("model")
-    _add_spec_args(p)
-    p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
+    p = _model_command(sub, "layout", cmd_layout, "GLB address map of a plan", objective=True)
     p.add_argument("--interlayer", action="store_true")
-    p.set_defaults(func=cmd_layout)
 
-    p = sub.add_parser("trace", help="baseline DRAM address trace for a layer")
-    p.add_argument("model")
+    p = _model_command(sub, "trace", cmd_trace, "baseline DRAM address trace for a layer")
     p.add_argument("layer")
     p.add_argument("out", help="output CSV path")
-    _add_spec_args(p)
     p.add_argument("--max-records", type=int, default=2_000_000)
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("bounds", help="plan vs communication lower bound")
-    p.add_argument("model")
-    _add_spec_args(p)
-    p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
-    p.set_defaults(func=cmd_bounds)
+    _model_command(sub, "bounds", cmd_bounds, "plan vs communication lower bound", objective=True)
+    p = _model_command(sub, "pareto", cmd_pareto, "accesses-vs-latency frontier")
+    p.add_argument("--points", type=_int_at_least(2), default=11)
 
-    p = sub.add_parser("pareto", help="accesses-vs-latency frontier")
-    p.add_argument("model")
-    _add_spec_args(p)
-    p.add_argument("--points", type=int, default=11)
-    p.set_defaults(func=cmd_pareto)
-
-    p = sub.add_parser("verify", help="statically verify plans (V0xx diagnostics)")
-    p.add_argument("model", nargs="?", help="zoo model or JSON path")
-    p.add_argument("--all", action="store_true", help="all six paper networks")
+    p = _model_command(
+        sub, "verify", cmd_verify, "statically verify plans (V0xx diagnostics)",
+        objective=True, all_models=True,
+    )
     p.add_argument("--glb-list", metavar="KB,KB,...", help="sizes in kB")
-    _add_spec_args(p)
-    p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
     p.add_argument(
         "--scheme",
-        default="het",
-        type=_parse_scheme,
+        default=PlanRequest.scheme,
         help='het (also verifies het+il), hom, or "hom(<family>)"',
     )
     p.add_argument("--list-codes", action="store_true", help="print the catalog")
@@ -822,7 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (json uses the shared repro-diagnostics/1 schema)",
     )
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lint", help="domain static analysis (R0xx diagnostics)")
     p.add_argument(
@@ -858,17 +840,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-codes", action="store_true", help="print the rule catalog")
     p.set_defaults(func=cmd_lint)
 
-    p = sub.add_parser("dram", help="banked-DRAM mapping-policy sweep")
-    p.add_argument("model", nargs="?", help="zoo model or JSON path")
-    p.add_argument("--all", action="store_true", help="all six paper networks")
-    _add_spec_args(p)
-    p.add_argument("--objective", choices=["accesses", "latency"], default="accesses")
+    p = _model_command(
+        sub, "dram", cmd_dram, "banked-DRAM mapping-policy sweep", objective=True, all_models=True
+    )
     p.add_argument(
         "--mappings",
         metavar="NAME,NAME,...",
         help="mapping policies to sweep (default: all)",
     )
-    p.set_defaults(func=cmd_dram)
 
     add_experiment_arguments(sub.add_parser("experiments", help="regenerate paper artifacts"))
 
@@ -922,9 +901,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point, and the one boundary where bad input becomes exit 2."""
     args = build_parser().parse_args(argv)
-    status: int = args.func(args)
+    try:
+        status: int = args.func(args)
+    except ProtocolError as exc:
+        print(f"error: {exc.message}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -63,20 +63,10 @@ def _resolve_model_name(name: str) -> str:
     return canonical
 
 
-def _canonical_request(
-    endpoint: str, params: Any
-) -> tuple[PlanRequest, AcceleratorSpec]:
-    """Parse, normalize and validate a request; returns it with its spec.
-
-    Normalizing the model name here means the echoed ``result["request"]``
-    — and hence the full response payload — is identical however the
-    client cased the model name.  A request the endpoint cannot serve
-    (a spec outside :mod:`repro.arch.bounds`; for ``simulate``, a GLB too
-    small for the baseline partitions) is a ``bad-request`` raised here,
-    before any cache lookup.
-    """
-    request = parse_plan_request(params)
-    request = replace(request, model=_resolve_model_name(request.model))
+def request_spec(request: PlanRequest, *, baselines: bool = False) -> AcceleratorSpec:
+    """The accelerator a request names: a ``bad-request`` outside
+    :mod:`repro.arch.bounds` or, with ``baselines``, when the GLB is too
+    small for the baseline partitions."""
     try:
         spec = AcceleratorSpec(
             glb_bytes=kib(request.glb_kb),
@@ -84,13 +74,27 @@ def _canonical_request(
             ops_per_cycle=request.ops_per_cycle,
             dram_bandwidth_elems_per_cycle=request.dram_bandwidth_elems_per_cycle,
         )
-        if endpoint == "simulate":
+        if baselines:
             from ..scalesim import baseline_configs
 
             baseline_configs(spec.glb_bytes, data_width_bits=spec.data_width_bits)
     except ValueError as exc:
         raise ProtocolError("bad-request", str(exc)) from exc
-    return request, spec
+    return spec
+
+
+def _canonical_request(endpoint: str, params: Any) -> tuple[PlanRequest, AcceleratorSpec]:
+    """Parse, normalize and validate a request; returns it with its spec.
+
+    Normalizing the model name here means the echoed ``result["request"]``
+    — and hence the full response payload — is identical however the
+    client cased the model name.  A request the endpoint cannot serve
+    (see :func:`request_spec`) is a ``bad-request`` raised here, before
+    any cache lookup.
+    """
+    request = parse_plan_request(params)
+    request = replace(request, model=_resolve_model_name(request.model))
+    return request, request_spec(request, baselines=endpoint == "simulate")
 
 
 def handle_health(params: Any = None) -> dict[str, Any]:

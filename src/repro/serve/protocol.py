@@ -111,8 +111,8 @@ class PlanRequest:
     """Validated parameters of a plan / explain / simulate request.
 
     Mirrors the knobs of :meth:`repro.manager.MemoryManager.plan_cached`
-    plus the accelerator-spec fields the CLI exposes, with the CLI's
-    defaults.
+    plus the accelerator-spec fields the CLI exposes.  These defaults are
+    the CLI's too: its flags read them from this class.
     """
 
     model: str
@@ -153,6 +153,8 @@ def parse_plan_request(params: Any) -> PlanRequest:
     Raises :class:`ProtocolError` (code ``bad-request``) on missing or
     ill-typed fields; unknown fields are rejected too, so client typos
     (``"objektive"``) fail loudly instead of silently using defaults.
+    The spec fields' ranges are :class:`~repro.arch.spec.AcceleratorSpec`'s
+    to check (:func:`repro.serve.handlers.request_spec`).
     """
     _require(isinstance(params, dict), "request body must be a JSON object")
     assert isinstance(params, dict)
@@ -165,29 +167,19 @@ def parse_plan_request(params: Any) -> PlanRequest:
         "'model' must be a non-empty string (a zoo model name)",
     )
     merged: dict[str, Any] = {"model": model}
-    for name, kind, constraint in (
-        ("glb_kb", int, "a positive integer"),
-        ("data_width_bits", int, "a positive integer"),
-        ("ops_per_cycle", int, "a positive integer"),
+    for name, kinds, what in (
+        ("glb_kb", int, "an integer"),
+        ("data_width_bits", int, "an integer"),
+        ("ops_per_cycle", int, "an integer"),
+        ("dram_bandwidth_elems_per_cycle", (int, float), "a number"),
     ):
         if name in params:
             value = params[name]
             _require(
-                isinstance(value, kind)
-                and not isinstance(value, bool)
-                and value > 0,
-                f"{name!r} must be {constraint}",
+                isinstance(value, kinds) and not isinstance(value, bool),
+                f"{name!r} must be {what}",
             )
-            merged[name] = value
-    if "dram_bandwidth_elems_per_cycle" in params:
-        bandwidth = params["dram_bandwidth_elems_per_cycle"]
-        _require(
-            isinstance(bandwidth, (int, float))
-            and not isinstance(bandwidth, bool)
-            and bandwidth > 0,
-            "'dram_bandwidth_elems_per_cycle' must be a positive number",
-        )
-        merged["dram_bandwidth_elems_per_cycle"] = float(bandwidth)
+            merged[name] = value if kinds is int else float(value)
     if "objective" in params:
         objective = params["objective"]
         _require(
@@ -197,7 +189,9 @@ def parse_plan_request(params: Any) -> PlanRequest:
         merged["objective"] = objective
     if "scheme" in params:
         scheme = params["scheme"]
-        _require(scheme in SCHEMES, f"'scheme' must be one of {', '.join(SCHEMES)}")
+        _require(
+            scheme in SCHEMES, f"unknown scheme {scheme!r}; choose one of {', '.join(SCHEMES)}"
+        )
         merged["scheme"] = scheme
     for flag in ("prefetch", "interlayer"):
         if flag in params:

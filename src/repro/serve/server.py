@@ -335,6 +335,17 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         """Write one error envelope."""
         self._send(status, canonical_json(error_response(endpoint, code, message)))
 
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Answer a request :mod:`http.server` rejects before dispatch (a
+        malformed request line, an unsupported method, oversized headers)
+        with a ``bad-request`` envelope, and close the connection."""
+        self.close_connection = True
+        status = HTTPStatus(code)
+        # ``command`` is empty or None until the request line has parsed;
+        # ``path`` may still be the previous request's.
+        endpoint = self._endpoint() if self.command else ""
+        self._send_error(int(status), endpoint, "bad-request", message or status.phrase)
+
     def _serve(self, endpoint: str, params: Any) -> None:
         """Dispatch + time one request (shared GET/POST tail)."""
         start_ns = clock.monotonic_ns()

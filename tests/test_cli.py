@@ -4,15 +4,96 @@ import json
 
 import pytest
 
-from repro.arch import MAX_MODEL_LAYERS
+from repro.analyzer.planner import SCHEMES
+from repro.arch import MAX_MODEL_LAYERS, bounds
+from repro.arch.units import kib
 from repro.cli import main
 from repro.manager import MemoryManager
 from repro.nn import save_model
 from repro.nn.io import layer_to_dict
-from repro.nn.zoo import get_model
+from repro.nn.zoo import ALL_MODEL_NAMES, get_model
+from repro.serve.handlers import execute
 
 #: AlexNet's last layer as a JSON model-file record.
 _FC = layer_to_dict(get_model("AlexNet").layers[-1])
+
+#: Every command that takes a model and the accelerator flags, as argv.
+_MODEL_COMMANDS = {
+    "plan": ["plan", "{model}"],
+    "explain": ["explain", "{model}"],
+    "compare": ["compare", "{model}"],
+    "baseline": ["baseline", "{model}"],
+    "inspect": ["inspect", "{model}"],
+    "layout": ["layout", "{model}"],
+    "bounds": ["bounds", "{model}"],
+    "pareto": ["pareto", "{model}"],
+    "evaluate": ["evaluate", "{model}", "{layer}"],
+    "trace": ["trace", "{model}", "{layer}", "{out}"],
+    "verify": ["verify", "{model}"],
+    "dram": ["dram", "{model}"],
+}
+
+#: Accelerator flag → (request field, values just outside ``arch/bounds.py``).
+_SPEC_FAULTS = {
+    "--glb": ("glb_kb", (0, bounds.MAX_GLB_BYTES // kib(1) + 1)),
+    "--width": ("data_width_bits", (0, bounds.MAX_DATA_WIDTH_BITS + 8)),
+    "--ops": ("ops_per_cycle", (0, bounds.MAX_OPS_PER_CYCLE + 1)),
+    "--bandwidth": (
+        "dram_bandwidth_elems_per_cycle",
+        (-1.0, bounds.MAX_DRAM_BANDWIDTH_ELEMS_PER_CYCLE * 2, float("nan")),
+    ),
+}
+
+#: fault → (argv substitutions and extra flags, the commands it applies
+#: to, the start of its message; ``None`` for the daemon's message).
+_FAULTS: dict[str, tuple[dict, tuple[str, ...], str | None]] = {
+    **{
+        f"{flag}={value}": (
+            {"flags": [f"{flag}={value}"], "request": {field: value}},
+            tuple(_MODEL_COMMANDS),
+            None,
+        )
+        for flag, (field, values) in _SPEC_FAULTS.items()
+        for value in values
+    },
+    "unknown-model": (
+        {"model": "NotAModel"},
+        tuple(_MODEL_COMMANDS),
+        f"unknown model 'NotAModel'; available: {', '.join(ALL_MODEL_NAMES)}",
+    ),
+    "bad-model-file": ({"model": "{file}"}, tuple(_MODEL_COMMANDS), "bad model file "),
+    "unknown-scheme": (
+        {"flags": ["--scheme", "hom(p99)"]},
+        ("plan", "explain", "verify"),
+        f"unknown scheme 'hom(p99)'; choose one of {', '.join(SCHEMES)}",
+    ),
+    "hom-interlayer": (
+        {"flags": ["--scheme", "hom", "--interlayer"]},
+        ("plan", "explain"),
+        "inter-layer reuse is only supported for the het scheme",
+    ),
+    "unknown-layer": (
+        {"layer": "nope"},
+        ("evaluate", "trace"),
+        "ResNet18 has no layer 'nope' (see `repro inspect ResNet18`)",
+    ),
+    "explain-unknown-layer": (
+        {"flags": ["--layer", "nope"]},
+        ("explain",),
+        "ResNet18 has no layer 'nope'",
+    ),
+    "unknown-mapping": ({"flags": ["--mappings", "bogus"]}, ("dram",), "unknown mapping(s) "),
+    "malformed-glb-list": (
+        {"flags": ["--glb-list", "64,x"]},
+        ("verify",),
+        "GLB sizes must be comma-separated kB integers, got '64,x'",
+    ),
+    "glb-list-out-of-bounds": (
+        {"flags": ["--glb-list", "64,0"]},
+        ("verify",),
+        "invalid AcceleratorSpec: glb_bytes must be positive, got 0",
+    ),
+}
 
 
 class TestModelsAndInspect:
@@ -33,9 +114,9 @@ class TestModelsAndInspect:
         assert main(["inspect", str(path)]) == 0
         assert "dw1" in capsys.readouterr().out
 
-    def test_unknown_model(self):
-        with pytest.raises(SystemExit):
-            main(["inspect", "NotAModel"])
+    def test_unknown_model(self, capsys):
+        assert main(["inspect", "NotAModel"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown model 'NotAModel'")
 
 
 class TestPlan:
@@ -65,11 +146,10 @@ class TestPlan:
         assert "AlexNet" in capsys.readouterr().out
 
     def test_plan_unknown_model_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["plan", "NotAModel"])
-        assert exc.value.code == 2
+        assert main(["plan", "NotAModel"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown model 'NotAModel'\n")
+        assert err.startswith("error: unknown model 'NotAModel'; available: ")
+        assert err.count("\n") == 1
         assert "AlexNet" in err and "ResNet18" in err  # lists the whole zoo
 
     @pytest.mark.parametrize(
@@ -94,17 +174,13 @@ class TestPlan:
             layers = [dict(_FC, name=f"fc{i}") for i in range(MAX_MODEL_LAYERS + 1)]
             content = json.dumps({"name": "deep", "layers": layers})
         path.write_text(content)
-        with pytest.raises(SystemExit) as exc:
-            main(["plan", str(path)])
-        assert exc.value.code == 2
+        assert main(["plan", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad model file {str(path)!r}: ")
         assert reason in err and err.count("\n") == 1 and "Traceback" not in err
 
     def test_plan_directory_as_model_exits_2(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["plan", str(tmp_path)])
-        assert exc.value.code == 2
+        assert main(["plan", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad model file {str(tmp_path)!r}: ")
         assert err.count("\n") == 1
@@ -116,15 +192,14 @@ class TestPlan:
 
     @pytest.mark.parametrize("command", ["plan", "explain", "verify"])
     @pytest.mark.parametrize("scheme", ["hom(p99)", "hom(tiled)"])
-    def test_unknown_scheme_is_one_error_line(self, command, scheme, monkeypatch):
+    def test_unknown_scheme_is_one_error_line(self, command, scheme, monkeypatch, capsys):
         def plan(*args, **kwargs):
             raise AssertionError("planned an unknown scheme")
 
         monkeypatch.setattr(MemoryManager, "plan", plan)
-        with pytest.raises(SystemExit) as exc:
-            main([command, "MobileNet", "--scheme", scheme])
-        message = exc.value.code
-        assert isinstance(message, str) and "\n" not in message
+        assert main([command, "MobileNet", "--scheme", scheme]) == 2
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1
         assert message.startswith(f"error: unknown scheme {scheme!r}")
         assert "hom(p1)" in message
 
@@ -183,9 +258,11 @@ class TestEvaluate:
         assert "policy candidates" in out
         assert "p1" in out and "tiled" in out
 
-    def test_evaluate_unknown_layer(self):
-        with pytest.raises(KeyError):
-            main(["evaluate", "ResNet18", "not_a_layer"])
+    def test_evaluate_unknown_layer(self, capsys):
+        assert main(["evaluate", "ResNet18", "not_a_layer"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ResNet18 has no layer 'not_a_layer'")
+        assert err.count("\n") == 1
 
 
 class TestExplain:
@@ -214,9 +291,7 @@ class TestExplain:
         assert "conv1" in out and "conv2_1a" not in out
 
     def test_explain_unknown_model_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["explain", "NotAModel"])
-        assert exc.value.code == 2
+        assert main(["explain", "NotAModel"]) == 2
         err = capsys.readouterr().err
         assert "NotAModel" in err and "ResNet18" in err  # lists available ids
 
@@ -244,3 +319,65 @@ class TestExtensionCommands:
     def test_pareto(self, capsys):
         assert main(["pareto", "MobileNet", "--glb", "64", "--points", "3"]) == 0
         assert "Pareto frontier" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    ("command", "fault"),
+    [(command, fault) for fault, (_, commands, _) in _FAULTS.items() for command in commands],
+)
+def test_bad_input_is_one_error_line_and_exit_2(command, fault, capsys, tmp_path, monkeypatch):
+    def plan(*args, **kwargs):
+        raise AssertionError("planned a bad input")
+
+    monkeypatch.setattr(MemoryManager, "plan", plan)
+    change, _, expected = _FAULTS[fault]
+    bad_file = tmp_path / "model.json"
+    bad_file.write_text("not json")
+    fields = {"model": "ResNet18", "layer": "conv1", "out": str(tmp_path / "t.csv")}
+    fields.update((k, v) for k, v in change.items() if k in fields)
+    if fields["model"] == "{file}":
+        fields["model"] = str(bad_file)
+    argv = [arg.format(**fields) for arg in _MODEL_COMMANDS[command]]
+    assert main(argv + change.get("flags", [])) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if expected is None:  # a spec outside the bounds: the daemon's message
+        status, envelope = execute("plan", {"model": "ResNet18", **change["request"]})
+        assert status == 400 and envelope["error"]["code"] == "bad-request"
+        assert err == f"error: {envelope['error']['message']}\n"
+    else:
+        assert err.startswith(f"error: {expected}")
+
+
+@pytest.mark.parametrize(
+    "command", ["plan", "explain", "layout", "bounds", "pareto", "verify", "dram"]
+)
+def test_infeasible_plan_is_one_error_line_and_exit_2(command, capsys, tmp_path):
+    # A 16x16 kernel over 2048 channels: no tiling of it fits 1 kB of 32-bit data.
+    big = {"kind": "CV", "name": "big", "in_h": 64, "in_w": 64, "in_c": 2048,
+           "f_h": 16, "f_w": 16, "num_filters": 64, "stride": 1, "padding": 0}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "Big", "layers": [big]}))
+    assert main([command, str(path), "--glb", "1", "--width", "32"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: Big: ") and "feasible" in err
+
+
+@pytest.mark.parametrize(
+    ("flags", "expected"),
+    [
+        (["--glb", "0"], "invalid AcceleratorSpec: glb_bytes must be positive"),
+        (["--glb", "4"], "total_bytes must exceed the 4096-byte ofmap buffer"),
+        (["--models", "Foo"], "unknown model 'Foo'"),
+    ],
+    ids=["glb-0", "glb-below-baselines", "unknown-model"],
+)
+def test_bench_serve_rejects_what_the_daemon_would(flags, expected, capsys, tmp_path):
+    out_file = tmp_path / "BENCH_serve.json"
+    assert main(["bench", "serve", *flags, "--out", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {expected}")
+    assert not out_file.exists()  # no daemon booted, no request sent

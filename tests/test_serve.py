@@ -69,7 +69,7 @@ class TestProtocol:
     )
     def test_bad_requests_rejected(self, params):
         with pytest.raises(ProtocolError) as excinfo:
-            parse_plan_request(params)
+            handlers._canonical_request("plan", params)
         assert excinfo.value.code == "bad-request"
 
     def test_unknown_error_code_rejected(self):
@@ -168,6 +168,7 @@ class TestHandlers:
                 ("data_width_bits", 64),
                 ("ops_per_cycle", 10**12),
                 ("dram_bandwidth_elems_per_cycle", 1e300),
+                ("dram_bandwidth_elems_per_cycle", float("nan")),
             )
         ]
         + [("simulate", "glb_kb", 1)],
@@ -295,6 +296,23 @@ class TestHttpDaemon:
         assert envelope["error"]["code"] == "bad-request"
         assert diagnostics.validate_serve_payload(envelope) == []
 
+    @pytest.mark.parametrize(
+        ("request_bytes", "status"),
+        [
+            (b"PUT /plan HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}", 501),
+            (b"GARBAGE\r\n\r\n", 400),
+        ],
+        ids=["unsupported-method", "malformed-request-line"],
+    )
+    def test_request_http_server_rejects_is_envelope(self, daemon, request_bytes, status):
+        port = int(daemon.rsplit(":", 1)[1])
+        head, body = _exchange(port, request_bytes)
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Connection: close" in head
+        envelope = json.loads(body)
+        assert envelope["error"]["code"] == "bad-request"
+        assert diagnostics.validate_serve_payload(envelope) == []
+
     def test_unknown_endpoint_is_404_envelope(self, daemon):
         status, envelope = _get(f"{daemon}/nonsense")
         assert status == 404
@@ -371,6 +389,8 @@ class TestGracefulShutdown:
         finally:
             if proc.poll() is None:
                 proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
     def test_sigterm_closes_idle_keep_alive_connection(self, tmp_path):
         proc, url = _spawn_daemon(tmp_path)
@@ -388,6 +408,7 @@ class TestGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
             proc.wait()
+            proc.stdout.close()
 
     def test_sigterm_answers_the_request_in_flight(self, tmp_path):
         proc, url = _spawn_daemon(tmp_path)
@@ -437,6 +458,7 @@ class TestGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
             proc.wait()
+            proc.stdout.close()
 
     def test_listen_backlog_absorbs_a_connect_burst(self):
         # Nothing accepts here, so every connect waits in the backlog; a

@@ -532,8 +532,8 @@ class TestVerifyCli:
         out = capsys.readouterr().out
         assert "ResNet18" in out and "ok" in out.lower()
 
-    def test_verify_requires_model_or_all(self):
+    def test_verify_requires_model_or_all(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["verify"])
+        assert main(["verify"]) == 2
+        assert capsys.readouterr().err == "error: give a model name/path or --all\n"
