@@ -52,6 +52,20 @@ class TestModelBounds:
             plan = plan_heterogeneous(model, spec, interlayer=True)
             assert plan.total_accesses_bytes >= bound, model.name
 
+    @pytest.mark.parametrize("width", [16, 32])
+    @pytest.mark.parametrize("glb_bytes", [64, kib(1), kib(64)])
+    def test_bounds_count_the_buffer_in_elements(self, glb_bytes, width):
+        """A ``width / 8`` times larger GLB at ``width`` bits holds the same
+        elements, so each bound is the 8-bit one times ``width / 8`` bytes.
+        (At small buffers the pebbling term dominates, and it divides by the
+        buffer's element count.)"""
+        scale = width // 8
+        narrow = AcceleratorSpec(glb_bytes=glb_bytes)
+        wide = AcceleratorSpec(glb_bytes=glb_bytes * scale, data_width_bits=width)
+        for model in paper_models():
+            for bound in (model_bound, model_bound_interlayer):
+                assert bound(model, wide) == scale * bound(model, narrow), model.name
+
     def test_interlayer_bound_is_weaker(self):
         spec = AcceleratorSpec(glb_bytes=kib(256))
         for model in paper_models():

@@ -13,7 +13,11 @@ families fall back to the tile search there); MnasNet at 128, 512 and
 elements/cycle; and the ``het(named-only)`` ablation (the tile search
 only rescues layers no named policy fits) for the zoo at 1, 8, 64 and
 256 KiB under both objectives, and for ResNet18 and EfficientNetB0 at
-128 KiB.  The explain digest pins the decision trail byte for byte.  The
+128 KiB.  ``het``, ``het+il``, the best ``hom`` and ``het(named-only)``
+are pinned again at 16- and 32-bit data for the zoo at 64 and 256 KiB under both
+objectives: at 8 bits a byte is an element, so only a wider datum shows
+a byte count used where an element count belongs (Eqs. 1-2).  The
+explain digest pins the decision trail byte for byte.  The
 rendered ``fig1`` table, whose two layers take their policy from the
 named-only selection, is pinned at 16 to 256 KiB.  An intentional plan
 change regenerates the file in the same change
@@ -52,25 +56,28 @@ HOM_SCHEMES = ("hom", *(f"hom({policy.name})" for policy in NAMED_POLICIES))
 SCHEMES = ("het", "het+il", "het+il(joint)", *HOM_SCHEMES)
 #: The reference off-chip bandwidth (elements/cycle); case ids name any other.
 BANDWIDTH = AcceleratorSpec().dram_bandwidth_elems_per_cycle
+#: The reference data width (bits); case ids name any other.
+WIDTH = AcceleratorSpec().data_width_bits
+WIDE_SCHEMES = ("het", "het+il", "hom", "het(named-only)")
 
 CASES = [
-    (model, glb_kb, objective, scheme, BANDWIDTH)
+    (model, glb_kb, objective, scheme, BANDWIDTH, WIDTH)
     for model in PAPER_MODEL_NAMES
     for glb_kb in GLB_KB
     for objective in OBJECTIVES
     for scheme in SCHEMES
 ] + [
-    ("ResNet18", 128, Objective.LATENCY, "het", BANDWIDTH),
+    ("ResNet18", 128, Objective.LATENCY, "het", BANDWIDTH, WIDTH),
     # 1 KiB is the only zoo budget where the tile search's width-wise
     # branch engages; 32 KiB is a mid-pressure point between them.
     *(
-        (model, glb_kb, objective, "het", BANDWIDTH)
+        (model, glb_kb, objective, "het", BANDWIDTH, WIDTH)
         for glb_kb in (1, 32)
         for model in PAPER_MODEL_NAMES
         for objective in OBJECTIVES
     ),
     *(
-        (model, 1, objective, scheme, BANDWIDTH)
+        (model, 1, objective, scheme, BANDWIDTH, WIDTH)
         for model in PAPER_MODEL_NAMES
         for objective in OBJECTIVES
         for scheme in HOM_SCHEMES
@@ -78,41 +85,53 @@ CASES = [
     # A GLB ladder's upper rungs, a bandwidth ladder, and the rescue-only
     # ablation's ladder.
     *(
-        ("MnasNet", glb_kb, Objective.ACCESSES, "het", BANDWIDTH)
+        ("MnasNet", glb_kb, Objective.ACCESSES, "het", BANDWIDTH, WIDTH)
         for glb_kb in (128, 512, 1024)
     ),
     *(
-        ("AlexNet", 256, Objective.LATENCY, "het", bandwidth)
+        ("AlexNet", 256, Objective.LATENCY, "het", bandwidth, WIDTH)
         for bandwidth in (4.0, 16.0, 64.0)
     ),
     *(
-        (model, glb_kb, objective, "het(named-only)", BANDWIDTH)
+        (model, glb_kb, objective, "het(named-only)", BANDWIDTH, WIDTH)
         for model in PAPER_MODEL_NAMES
         for glb_kb in (1, 8, 64, 256)
         for objective in OBJECTIVES
     ),
     *(
-        (model, 128, Objective.ACCESSES, "het(named-only)", BANDWIDTH)
+        (model, 128, Objective.ACCESSES, "het(named-only)", BANDWIDTH, WIDTH)
         for model in ("ResNet18", "EfficientNetB0")
+    ),
+    *(
+        (model, glb_kb, objective, scheme, BANDWIDTH, width)
+        for width in (16, 32)
+        for model in PAPER_MODEL_NAMES
+        for glb_kb in GLB_KB
+        for objective in OBJECTIVES
+        for scheme in WIDE_SCHEMES
     ),
 ]
 FIG1_GLB_KB = (16, 32, 64, 128, 256)
 
 
 def case_id(
-    model: str, glb_kb: int, objective: Objective, scheme: str, bandwidth: float
+    model: str, glb_kb: int, objective: Objective, scheme: str, bandwidth: float,
+    width: int,
 ) -> str:
     case = f"{model}/{glb_kb}/{objective.value}/{scheme}"
-    return case if bandwidth == BANDWIDTH else f"{case}/bw{bandwidth:g}"
+    if bandwidth != BANDWIDTH:
+        case += f"/bw{bandwidth:g}"
+    return case if width == WIDTH else f"{case}/w{width}"
 
 
 def digests(
-    model: str, glb_kb: int, objective: Objective, scheme: str, bandwidth: float
+    model: str, glb_kb: int, objective: Objective, scheme: str, bandwidth: float,
+    width: int,
 ) -> dict[str, str]:
     """SHA-256 of the plan export and of its explain payload."""
     net = get_model(model)
     spec = replace(
-        AcceleratorSpec(glb_bytes=kib(glb_kb)),
+        AcceleratorSpec(glb_bytes=kib(glb_kb), data_width_bits=width),
         dram_bandwidth_elems_per_cycle=bandwidth,
     )
     if scheme == "hom":
@@ -142,12 +161,12 @@ def fig1_digest(glb_kb: int) -> dict[str, str]:
 
 
 @pytest.mark.parametrize(
-    ("model", "glb_kb", "objective", "scheme", "bandwidth"),
+    ("model", "glb_kb", "objective", "scheme", "bandwidth", "width"),
     CASES,
     ids=[case_id(*case) for case in CASES],
 )
-def test_flat_plan_matches_golden(model, glb_kb, objective, scheme, bandwidth):
-    case = (model, glb_kb, objective, scheme, bandwidth)
+def test_flat_plan_matches_golden(model, glb_kb, objective, scheme, bandwidth, width):
+    case = (model, glb_kb, objective, scheme, bandwidth, width)
     expected = json.loads(GOLDEN.read_text())[case_id(*case)]
     assert digests(*case) == expected
 
