@@ -9,14 +9,12 @@ path, and cross-file registry consistency.  Violations are
 :mod:`repro.analysis.codes` and ``docs/static-analysis.md``); intentional
 exceptions carry inline ``# repro: noqa[Rxxx] -- reason`` markers.
 
-Checking is interprocedural where it matters: a project-wide call graph
-(:mod:`repro.analysis.callgraph`) feeds unit-flow inference
-(``R040``–``R043``, :mod:`repro.analysis.unitflow`) and determinism-
-reachability analysis (``R052``–``R053``,
-:mod:`repro.analysis.reach_rules`), so a ``_bytes`` value crossing a
-module boundary into an ``_elems`` parameter, or an unsorted
-``json.dumps`` three levels below a cache-key constructor, is caught
-from the declaration conventions alone.
+Checking is interprocedural where a test cannot stand in: a project-wide
+call graph (:mod:`repro.analysis.callgraph`) feeds the concurrency pack
+(``R060``–``R066``, :mod:`repro.analysis.threadroots`), because races do
+not fail tests on demand.  Unit slips across call boundaries and
+order-unstable cache keys are left to runtime pins (plan digests at 16-
+and 32-bit data, cache keys under two hash seeds), which fail on them.
 
 Entry points: :func:`analyze_paths`, :func:`analyze_source`, and the
 ``repro lint`` CLI subcommand (``--format sarif`` exports SARIF 2.1.0

@@ -1,9 +1,8 @@
 """Project-wide call graph over the analyzed source set.
 
-The per-file rule packs (R002–R015) see one AST at a time; the
-interprocedural packs — unit-flow (R040–R043, :mod:`.unitflow`) and
-determinism-reachability (R052–R053, :mod:`.reach_rules`) — need to know
-*who calls whom across the whole of* ``src/repro``.  This module builds
+The per-file rule packs (R002–R030) see one AST at a time; the
+concurrency pack (R060–R066, :mod:`.threadroots`) needs to know *who
+calls whom across the whole of* ``src/repro``.  This module builds
 that graph once per :class:`~repro.analysis.rules.Project` (cached on
 the project via :meth:`Project.callgraph`) from nothing but the parsed
 ASTs:
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .determinism_rules import resolve_call_target
 from .rules import Project, SourceFile
@@ -64,32 +62,14 @@ class FunctionInfo:
         return self.node.name
 
     @property
-    def line(self) -> int:
-        """Definition line, for finding anchors."""
-        return self.node.lineno
-
-    @property
     def is_method(self) -> bool:
         """Whether the function is defined inside a class body."""
         return self.cls is not None
 
-    @property
-    def is_static(self) -> bool:
-        """Whether the function carries a ``@staticmethod`` decorator."""
-        for deco in self.node.decorator_list:
-            if isinstance(deco, ast.Name) and deco.id == "staticmethod":
-                return True
-        return False
-
-    def param_names(self) -> list[str]:
-        """Positional parameter names (posonly + regular), in order."""
-        args = self.node.args
-        return [a.arg for a in (*args.posonlyargs, *args.args)]
-
 
 @dataclass
 class CallGraph:
-    """Functions, resolved call edges, and reachability over them."""
+    """Functions and the resolved call edges between them."""
 
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: caller qualname → callee qualnames (direct calls and references).
@@ -102,46 +82,6 @@ class CallGraph:
     def callees(self, qualname: str) -> set[str]:
         """Direct callees of a function (empty when unknown)."""
         return self.edges.get(qualname, set())
-
-    def reachable_from(self, roots: set[str]) -> dict[str, tuple[str, ...]]:
-        """Every function reachable from ``roots``, with a witness chain.
-
-        Returns ``{qualname: (root, …, qualname)}`` — one shortest call
-        chain per reached function, BFS order, deterministic (sorted
-        frontier) so findings are stable across runs.
-        """
-        chains: dict[str, tuple[str, ...]] = {
-            root: (root,) for root in sorted(roots) if root in self.functions
-        }
-        frontier = sorted(chains)
-        while frontier:
-            next_frontier: list[str] = []
-            for caller in frontier:
-                for callee in sorted(self.edges.get(caller, ())):
-                    if callee in chains:
-                        continue
-                    chains[callee] = (*chains[caller], callee)
-                    next_frontier.append(callee)
-            frontier = next_frontier
-        return chains
-
-
-def own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """All nodes of a scope's body, excluding nested def/class bodies.
-
-    ``scope`` is a function, class or module node.  Lambda bodies are
-    *included*: a lambda has no call-graph identity of its own, so its
-    body belongs to the enclosing scope (``cache.fetch(key, lambda:
-    plan(...))`` runs in the caller).  Walking every module, class and
-    function node this way visits each node of a file exactly once.
-    """
-    stack: list[ast.AST] = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 class _DefCollector(ast.NodeVisitor):

@@ -4,10 +4,13 @@ Mirrors the structure of :mod:`repro.verify.codes` (the runtime plan
 verifier's ``V`` catalog): codes are stable identifiers referenced by
 tests, suppression comments and documentation, so existing codes are
 never renumbered and a retired code is never reused — new rules append
-new codes.  Retired so far: R001, R012, R013, R014, R031, R044, R050,
-R051, R064, R070, R071, R072, R073 and R074, each because another check
-catches its hazard (the R07x value-range codes: the runtime harness at
-the corners of :mod:`repro.arch.bounds`, ``tests/test_spec_corners.py``).
+new codes.  Retired so far: R001, R012, R013, R014, R031, R040, R041,
+R042, R043, R044, R050, R051, R052, R053, R064, R070, R071, R072, R073
+and R074, each because another check catches its hazard (the R07x
+value-range codes: the runtime harness at the corners of
+:mod:`repro.arch.bounds`, ``tests/test_spec_corners.py``; the R04x unit
+codes: the plan digests pinned at 16- and 32-bit data; R052/R053: the
+cache keys pinned under two hash seeds, ``tests/test_cache_keys.py``).
 ``docs/static-analysis.md`` mirrors this table and a test asserts the
 two stay in sync.
 
@@ -17,7 +20,7 @@ Catalog overview
 * ``R002``–``R004`` — the **unit-safety** pack: the paper's Eqs. (1)/(2)
   GLB accounting mixes elements, bytes and bits, and a single silent
   unit slip flips which policy wins, so bare doubling, float creep and
-  raw conversion factors are flagged (unit *mixes* are R043's job).
+  raw conversion factors are flagged.
 * ``R010``–``R015`` — the **determinism & parallel-safety** pack: the
   experiment engine fans work across a process pool backed by a
   content-addressed cache, so nondeterministic inputs and module-level
@@ -29,16 +32,6 @@ Catalog overview
   only on ``__exit__``, so a span opened outside ``with`` is silently
   dropped.  (Unsuffixed metric names need no rule: the registry raises
   on them at registration, traced or not.)
-* ``R040``–``R043`` — the **unit-flow** pack (project scope): the
-  interprocedural unit checks.  A whole-program call graph
-  (:mod:`repro.analysis.callgraph`) carries an inferred unit lattice
-  (:mod:`repro.analysis.unitflow`) across call and return boundaries,
-  so a ``_bytes`` value returned into an ``_elems`` parameter two
-  modules away is no longer invisible.
-* ``R052``–``R053`` — the **determinism-reachability** pack (project
-  scope): starting from the cache-key roots (digest/key-named
-  functions and ``plan_cached``), any *transitively reachable*
-  order-unstable serialization is flagged with its call chain.
 * ``R060``–``R066`` — the **concurrency-safety** pack (project scope):
   the serve daemon is the first genuinely concurrent subsystem
   (its accept-loop thread and pooled handler threads, loadgen client
@@ -47,7 +40,8 @@ Catalog overview
   shared mutable state written from two or more roots without a lock,
   broken lock discipline (non-``finally`` release, lock-order
   inversion, blocking while holding), fork-after-threads hazards and
-  non-daemon thread leaks are flagged with their witness chains.
+  non-daemon thread leaks are flagged with their witness chains over
+  the whole-program call graph (:mod:`repro.analysis.callgraph`).
 """
 
 from __future__ import annotations
@@ -66,12 +60,6 @@ RULE_TITLES: dict[str, str] = {
     "R022": "experiment artifact registry inconsistent",
     "R023": "unknown diagnostic code referenced",
     "R030": "tracer span opened without context manager",
-    "R040": "call-site unit mismatch",
-    "R041": "return-boundary unit mismatch",
-    "R042": "cross-unit assignment through dataflow",
-    "R043": "interprocedural unit mix in arithmetic",
-    "R052": "unordered set iteration reachable from cache-key path",
-    "R053": "unsorted JSON serialization reachable from cache-key path",
     "R060": "unlocked shared-state write reachable from multiple thread roots",
     "R061": "lock acquired without finally-guarded release",
     "R062": "lock-order inversion across flock and in-process locks",
@@ -157,49 +145,6 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "``SpanRecord``.  Nesting depth is unaffected (it is taken in "
         "``__enter__``); only the span is lost."
     ),
-    "R040": (
-        "An argument whose inferred unit is known must not flow into a "
-        "parameter declaring a different unit: passing a ``_bytes`` "
-        "value into an ``_elems`` parameter is wrong by the data width, "
-        "and only a whole-program pass can see it when the callee lives "
-        "in another module.  Conversions must go through the sanctioned "
-        "casts in ``repro.arch.units``."
-    ),
-    "R041": (
-        "A function whose name declares a unit (``tile_bytes()``, "
-        "``footprint_elems()``) must return values of that unit on "
-        "every path; a return expression inferring a different unit "
-        "silently mislabels every caller's arithmetic."
-    ),
-    "R042": (
-        "A name declaring a unit must not be assigned from an "
-        "expression whose dataflow-inferred unit differs (e.g. "
-        "``n_elems = total_bytes`` or ``x_elems = f()`` where ``f`` "
-        "returns bytes): the mislabeled binding defeats every "
-        "downstream suffix-based check."
-    ),
-    "R043": (
-        "Additive arithmetic and ordering comparisons must not mix "
-        "units (``*_bytes`` vs ``*_elems`` vs ``*_bits`` vs "
-        "``*_cycles``), whether a unit is declared by a name suffix or "
-        "only known through interprocedural inference (a call's return "
-        "unit or a propagated local): the Eq. (1)/(2) GLB accounting is "
-        "only meaningful when both sides share a unit, and a silent "
-        "byte/element mix scales results by the data width."
-    ),
-    "R052": (
-        "No function transitively reachable from cache-key "
-        "construction may iterate a set/frozenset without ``sorted()`` "
-        "— whatever its name: set order varies with "
-        "``PYTHONHASHSEED`` across worker processes, silently forking "
-        "the cache key for identical inputs."
-    ),
-    "R053": (
-        "No function transitively reachable from cache-key "
-        "construction may call ``json.dumps`` without "
-        "``sort_keys=True``, so that dict insertion order cannot leak "
-        "into content-addressed keys."
-    ),
     "R060": (
         "Shared mutable state (module globals, attributes of module-"
         "level singletons such as the metrics registry or the plan "
@@ -243,7 +188,7 @@ RULE_DESCRIPTIONS: dict[str, str] = {
 }
 
 #: code → rule pack ("engine", "units", "determinism", "registry",
-#: "observability", "unitflow", "reachability", "concurrency").
+#: "observability", "concurrency").
 RULE_PACKS: dict[str, str] = {
     "R000": "engine",
     "R002": "units",
@@ -257,12 +202,6 @@ RULE_PACKS: dict[str, str] = {
     "R022": "registry",
     "R023": "registry",
     "R030": "observability",
-    "R040": "unitflow",
-    "R041": "unitflow",
-    "R042": "unitflow",
-    "R043": "unitflow",
-    "R052": "reachability",
-    "R053": "reachability",
     "R060": "concurrency",
     "R061": "concurrency",
     "R062": "concurrency",

@@ -39,9 +39,18 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .reach_rules import _chain_str, _short
 from .rules import Project, rule
 from .threadroots import ThreadAnalysis, threads_for
+
+
+def _short(qualname: str) -> str:
+    """``qualname`` without its ``repro.`` prefix."""
+    return qualname.removeprefix("repro.")
+
+
+def _chain_str(chain: tuple[str, ...]) -> str:
+    """Human-readable witness chain (``repro.`` prefixes dropped)."""
+    return " -> ".join(_short(q) for q in chain)
 
 
 @rule("R060", scope="project")

@@ -20,9 +20,8 @@ both process-pool sites raise on them at submission, and the test suite
 runs both with more than one job.
 
 Order-unstable cache-key construction (set iteration, unsorted
-``json.dumps``) is checked by the reachability pack
-(:mod:`repro.analysis.reach_rules`), which follows the key path through
-every helper rather than only digest-named functions.
+``json.dumps``) needs no rule either: ``tests/test_cache_keys.py``
+derives every kind of key under two hash seeds and pins their digest.
 """
 
 from __future__ import annotations

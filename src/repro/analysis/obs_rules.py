@@ -23,8 +23,7 @@ from typing import Iterator
 
 from .findings import Finding
 from .rules import SourceFile, rule
-from .unit_rules import _terminal_name
-from .unitflow import _src
+from .unit_rules import _src, _terminal_name
 
 #: Receiver names that identify a tracer object.
 _TRACER_RECEIVER = re.compile(r"tracer", re.IGNORECASE)

@@ -179,9 +179,8 @@ class Project:
     def callgraph(self) -> "CallGraph":
         """The project-wide call graph, built once and cached.
 
-        Both interprocedural packs (unit-flow and determinism-
-        reachability) share the same graph, so it is memoized on the
-        project instance.
+        The concurrency pack's checks share the same graph, so it is
+        memoized on the project instance.
         """
         from .callgraph import build_callgraph
 
@@ -255,23 +254,9 @@ def rule(code: str, scope: str = "file") -> Callable[[Checker], Checker]:
 
 def all_rules() -> RuleRegistry:
     """Import the rule packs and return the populated registry."""
-    from . import (
-        concurrency_rules,
-        determinism_rules,
-        obs_rules,
-        reach_rules,
-        registry_rules,
-        unit_rules,
-        unitflow,
-    )
+    from . import concurrency_rules, determinism_rules, obs_rules, registry_rules, unit_rules
 
     assert (
-        concurrency_rules
-        and determinism_rules
-        and obs_rules
-        and reach_rules
-        and registry_rules
-        and unit_rules
-        and unitflow
+        concurrency_rules and determinism_rules and obs_rules and registry_rules and unit_rules
     )  # imported to register
     return REGISTRY

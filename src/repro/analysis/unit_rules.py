@@ -9,9 +9,9 @@ through :mod:`repro.arch.units` and ``AcceleratorSpec.bytes_per_elem``.
 These rules make the convention checkable: bare ``* 2`` double-buffer
 factors, float creep into integer-unit assignments, and raw
 ``8``/``1024`` conversion factors are flagged at the AST level.
-Arithmetic that mixes units is the unit-flow pack's R043
-(:mod:`repro.analysis.unitflow`), which sees suffixes and inferred
-units alike.
+A byte count used where an element count belongs is left to the
+runtime: the plan digests pinned at 16- and 32-bit data
+(``tests/test_flat_golden.py``) change when one slips in.
 
 Unit inference is deliberately name-based (the repo's suffix convention),
 so the rules are heuristics — precise enough to gate CI because the
@@ -26,12 +26,61 @@ from typing import Iterator
 
 from .findings import Finding
 from .rules import SourceFile, rule
-from .unitflow import CAST_SIGNATURES, _src, is_plain, name_unit
 
 _FOOTPRINT_NAME = re.compile(r"tile|footprint|resid|memory|buffer")
 _CONVERSION_CONSTANTS = frozenset({8, 1024, 1024 * 1024})
 _UNITISH_NAME = re.compile(r"byte|bit|elem|kib|mib|size|capacity|glb")
 _INT_WRAPPERS = frozenset({"int", "round", "floor", "ceil", "ceil_div", "len"})
+
+
+#: Name fragment → canonical unit (singular and plural spellings).
+_SUFFIX_UNITS: dict[str, str] = {
+    "bytes": "bytes",
+    "byte": "bytes",
+    "bits": "bits",
+    "bit": "bits",
+    "elems": "elems",
+    "elements": "elems",
+    "elem": "elems",
+    "kib": "kib",
+    "kb": "kib",
+    "cycles": "cycles",
+    "cycle": "cycles",
+    "pj": "pj",
+    "seconds": "seconds",
+}
+
+#: Exact names with a conventional unit but no underscore suffix.
+_EXACT_NAMES: dict[str, str] = {"nbytes": "bytes", "nbits": "bits"}
+
+#: Output unit of the :mod:`repro.arch.units` cast helpers (``to_mib``
+#: returns a float MiB count, which no suffix names).
+_CAST_UNITS: dict[str, str] = {"kib": "bytes", "mib": "bytes", "to_kib": "kib"}
+
+
+def name_unit(name: str | None) -> str | None:
+    """Unit a name declares through the repository's suffix convention.
+
+    Rates (``bytes_per_cycle``) declare none: dividing bytes by
+    bytes-per-cycle is legitimate mixed arithmetic.
+    """
+    if not name:
+        return None
+    lowered = name.lower()
+    if "_per_" in lowered:
+        return None
+    if lowered in _EXACT_NAMES:
+        return _EXACT_NAMES[lowered]
+    for suffix, unit in _SUFFIX_UNITS.items():
+        if lowered == suffix or lowered.endswith("_" + suffix):
+            return unit
+    return None
+
+
+def _src(node: ast.expr) -> str:
+    """Compact source rendering of a node for messages."""
+    text = ast.unparse(node)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _terminal_name(node: ast.expr) -> str | None:
@@ -46,18 +95,13 @@ def _terminal_name(node: ast.expr) -> str | None:
 
 
 def unit_of(node: ast.expr) -> str | None:
-    """Infer the plain unit a (sub)expression carries from its name.
+    """Infer the unit a (sub)expression carries from its name.
 
-    The suffix table is :func:`repro.analysis.unitflow.name_unit`'s; a
-    call to a unit-cast helper carries the cast's output unit.  Rates
-    (``…_per_cycle``) are deliberately unitless here: dividing bytes by
-    bytes-per-cycle is legitimate mixed arithmetic.
+    A call to a unit-cast helper carries the cast's output unit.
     """
     if isinstance(node, ast.Call):
-        cast = CAST_SIGNATURES.get(_terminal_name(node.func) or "")
-        return cast[1] if cast else None
-    unit = name_unit(_terminal_name(node))
-    return unit if is_plain(unit) else None
+        return _CAST_UNITS.get(_terminal_name(node.func) or "")
+    return name_unit(_terminal_name(node))
 
 
 class _FunctionStackVisitor(ast.NodeVisitor):

@@ -33,6 +33,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -449,6 +450,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from .report.diagnostics import lint_payload
 
     if args.list_codes:
+        if args.format != "text":
+            raise ProtocolError("bad-request", "--list-codes prints text only")
         table = Table(title="Lint rule codes", headers=["Code", "Title", "Rationale"])
         for code, title in sorted(RULE_TITLES.items()):
             table.add_row(code, title, describe_rule(code))
@@ -696,6 +699,17 @@ def _int_at_least(floor: int) -> Callable[[str], int]:
     return integer
 
 
+def _seconds(text: str) -> float:
+    """An argparse ``type`` accepting a finite number of seconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:  # reported like any other bad budget
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_objective_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--objective", choices=[o.value for o in Objective], default=PlanRequest.objective
@@ -828,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-seconds",
-        type=float,
+        type=_seconds,
         metavar="N",
         help="fail when analysis wall time exceeds N seconds (the CI budget)",
     )

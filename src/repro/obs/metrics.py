@@ -2,8 +2,8 @@
 
 Every metric name must end in a unit suffix (``_bytes``, ``_elems``,
 ``_cycles``, ``_count``, ``_ns``, ``_seconds``, ``_ratio``, ``_bits``) —
-the same convention the R043 unit lint applies to variables, enforced
-here at registration time, traced or not.
+the suffix convention the R002–R004 unit lint reads from variable
+names, enforced here at registration time, traced or not.
 
 The registry is per-process; worker processes reset theirs at pool entry
 (:func:`repro.obs.tracer.configure_worker`) and return

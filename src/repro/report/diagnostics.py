@@ -14,7 +14,7 @@ into the ``repro-diagnostics/1`` payload::
       "counts": {"checks": int, "errors": int, "warnings": int, ...},
       "diagnostics": [
         {
-          "code": "R043",            # ^[VR]\\d{3}$
+          "code": "R003",            # ^[VR]\\d{3}$
           "title": "...",
           "severity": "error" | "warning",
           "message": "...",

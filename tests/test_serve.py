@@ -213,6 +213,60 @@ class TestHandlers:
         }
 
 
+#: JSON leaves a client may send: NaN, ±inf, huge ints and wrong types.
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, 1e300, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=6,
+)
+#: Values that pass the type checks of some known field, so draws reach
+#: the spec bounds and the planner too.
+_PLAUSIBLE = st.sampled_from(
+    ["MobileNet", "resnet18", "SkyNet", "", "hom", "het", "hom(p1)", "joint",
+     "latency", True, False, 0, 1, 8, 16, 64, 256, -64, 7, 10**9, 2.5]
+)
+_FIELDS = st.sampled_from(sorted(protocol.PlanRequest.__dataclass_fields__))
+
+
+class TestHandlerFuzz:
+    """Random JSON request bodies get a structured answer, never a 500."""
+
+    def test_every_answer_is_a_valid_envelope(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
+        bodies = st.one_of(
+            _JSON,
+            st.dictionaries(
+                st.one_of(_FIELDS, st.text(max_size=8)),
+                st.one_of(_PLAUSIBLE, _JSON),
+                max_size=5,
+            ),
+            st.builds(
+                lambda model, extra: {"model": model, **extra},
+                _PLAUSIBLE,
+                st.dictionaries(_FIELDS, st.one_of(_PLAUSIBLE, _JSON), max_size=4),
+            ),
+        )
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(endpoint=st.sampled_from(protocol.POST_ENDPOINTS), body=bodies)
+        def check(endpoint: str, body: object) -> None:
+            status, envelope = execute(endpoint, body)
+            assert status in (200, 400, 404), envelope
+            assert diagnostics.validate_serve_payload(envelope) == []
+            assert envelope["ok"] is (status == 200)
+
+        check()
+
+
 @pytest.fixture(scope="module")
 def daemon():
     """An in-process daemon on an ephemeral port, shared by HTTP tests."""
