@@ -37,15 +37,6 @@ from dataclasses import dataclass, field
 from .determinism_rules import resolve_call_target
 from .rules import Project, SourceFile
 
-#: Decorator names that never change a function's call-graph identity.
-#: (Any decorator is treated as transparent; this set only documents the
-#: common ones the tests pin.)
-TRANSPARENT_DECORATORS = frozenset(
-    {"lru_cache", "cache", "wraps", "property", "cached_property",
-     "staticmethod", "classmethod", "rule", "dataclass"}
-)
-
-
 @dataclass(frozen=True)
 class FunctionInfo:
     """One function/method definition known to the call graph."""
@@ -60,11 +51,6 @@ class FunctionInfo:
     def name(self) -> str:
         """The bare (unqualified) function name."""
         return self.node.name
-
-    @property
-    def is_method(self) -> bool:
-        """Whether the function is defined inside a class body."""
-        return self.cls is not None
 
 
 @dataclass

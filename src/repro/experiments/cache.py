@@ -24,8 +24,12 @@ A cache key is the SHA-256 of a canonical JSON payload containing
 Values are stored with :mod:`pickle`, which round-trips the frozen plan
 dataclasses bit-identically (floats included), so cached results render
 exactly like freshly computed ones.  A ``bytes`` value (the serve
-daemon's stored reply bodies) is written verbatim behind a short length
-header instead, so reading it back is one file read and no unpickling.
+daemon's stored reply bodies) is written verbatim instead, so reading it
+back is one file read and no unpickling.  Both kinds sit behind one
+header: a magic naming the kind, and the CRC32 and length of the bytes
+that follow.  An entry whose header does not match its bytes (a flipped
+bit, a truncated write, an entry from before the header) is deleted and
+recomputed, never loaded.
 
 Environment
 -----------
@@ -65,9 +69,11 @@ import hashlib
 import json
 import os
 import pickle
+import struct
 import tempfile
 import threading
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -105,10 +111,13 @@ LOCK_NAME = "index.lock"
 
 _SENTINEL = object()
 
-#: Header of an entry holding a ``bytes`` value verbatim; the value's
-#: decimal length and a newline follow it.  A pickle of protocol 2 or
-#: later starts with byte ``0x80``, so the two formats never collide.
-_RAW_MAGIC = b"repro-raw "
+#: Every entry's header: a magic naming the kind (:data:`_RAW`, a
+#: ``bytes`` value verbatim, or :data:`_PICKLE`), then the CRC32 and the
+#: length of the payload that follows it.  The two magics differ in four
+#: bits, so no single flipped bit turns one kind into the other.
+_HEADER = struct.Struct("<8sIQ")
+_RAW = b"repro-rw"
+_PICKLE = b"repro-pk"
 
 
 #: The cache events, each counted by the ``plan_cache_<event>_count``
@@ -136,7 +145,7 @@ def counters(snapshot: Snapshot | None = None) -> dict[str, int]:
 
 def cache_enabled() -> bool:
     """Whether the persistent cache is active (``REPRO_NO_CACHE`` unset)."""
-    return not os.environ.get(ENV_NO_CACHE)  # repro: noqa[R011] -- documented cache kill-switch, affects speed only; reachable from plan_cached but never enters keys or results
+    return not os.environ.get(ENV_NO_CACHE)  # repro: noqa[R011] -- documented cache kill-switch, affects speed only; never enters keys or results
 
 
 def cache_dir() -> Path:
@@ -146,10 +155,10 @@ def cache_dir() -> Path:
 
 def _cache_root() -> str:
     """:func:`cache_dir` as a string, read from the environment on every call."""
-    override = os.environ.get(ENV_CACHE_DIR)  # repro: noqa[R011] -- documented cache location knob, affects placement only; reachable from plan_cached but never enters keys or results
+    override = os.environ.get(ENV_CACHE_DIR)  # repro: noqa[R011] -- documented cache location knob, affects placement only; never enters keys or results
     if override:
         return override
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")  # repro: noqa[R011] -- XDG convention for cache placement, never results; reachable from plan_cached but never enters keys or results
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")  # repro: noqa[R011] -- XDG convention for cache placement; never enters keys or results
     return os.path.join(base, "repro", f"plans-v{CACHE_SCHEMA_VERSION}")
 
 
@@ -160,7 +169,7 @@ def cache_max_bytes() -> int | None:
     are treated as unset.  Affects only retention (what gets recomputed),
     never the bytes of any result.
     """
-    raw = os.environ.get(ENV_CACHE_MAX_MB)  # repro: noqa[R011] -- documented retention knob, affects eviction only; reachable from plan_cached but never enters keys or results
+    raw = os.environ.get(ENV_CACHE_MAX_MB)  # repro: noqa[R011] -- documented retention knob, affects eviction only; never enters keys or results
     if not raw:
         return None
     try:
@@ -296,19 +305,19 @@ def _stamp(path: str) -> None:
 def _load(path: str) -> Any:
     """The value stored at entry ``path``, or ``_SENTINEL`` on a miss.
 
-    Corrupt, truncated or unreadable entries are deleted and counted as
-    misses, so a crashed writer can never poison later runs.
+    Corrupt, truncated or unreadable entries, and entries whose header
+    does not match their payload, are deleted and counted as misses
+    before anything is unpickled, so a crashed writer or a flipped bit
+    can never poison later runs.
     """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        if not data.startswith(_RAW_MAGIC):
-            return pickle.loads(data)
-        header, _, value = data.partition(b"\n")
-        size = int(header[len(_RAW_MAGIC):])
-        if len(value) != size:
-            raise ValueError(f"raw entry holds {len(value)} of {size} bytes")
-        return value
+        magic, crc, size = _HEADER.unpack_from(data)
+        payload = data[_HEADER.size:]
+        if magic not in (_RAW, _PICKLE) or (size, crc) != (len(payload), zlib.crc32(payload)):
+            raise ValueError("entry header does not match its payload")
+        return payload if magic == _RAW else pickle.loads(payload)
     except FileNotFoundError:
         return _SENTINEL
     except Exception:
@@ -322,8 +331,8 @@ def _load(path: str) -> Any:
 def store(key: str, value: Any) -> None:
     """Atomically persist ``value`` under ``key`` (no-op when disabled).
 
-    ``bytes`` values are written verbatim behind :data:`_RAW_MAGIC`,
-    everything else is pickled.  The write lands via ``mkstemp`` +
+    ``bytes`` values are written verbatim, everything else is pickled,
+    each behind a :data:`_HEADER`.  The write lands via ``mkstemp`` +
     ``os.replace`` so readers only ever see complete entries, stamped
     with the write time as their recency; when ``REPRO_CACHE_MAX_MB``
     caps the cache, least-recently-used entries beyond the cap are
@@ -338,9 +347,11 @@ def store(key: str, value: Any) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             if isinstance(value, bytes):
-                handle.write(b"%s%d\n%s" % (_RAW_MAGIC, len(value), value))
+                magic, payload = _RAW, value
             else:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                magic, payload = _PICKLE, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(_HEADER.pack(magic, zlib.crc32(payload), len(payload)))
+            handle.write(payload)
         _stamp(tmp)
         os.replace(tmp, path)
         metrics_registry().counter("plan_cache_stores_count").add(1)

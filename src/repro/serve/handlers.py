@@ -13,12 +13,12 @@ the same code path serves three callers:
   served bytes).
 
 The daemon wraps :func:`execute` with *reply entries*: the exact
-response body of a ``plan``, ``explain`` or ``simulate`` request,
-stored in the shared cache the first time the request is answered from
-a cache hit and sent again, after one file read, to every later
-identical request.  Its accept loop looks a reply up
-(:func:`cached_reply`); a handler thread renders and stores one
-(:func:`render`); :func:`respond` is the two in one call.
+response body of a ``plan``, ``explain`` or ``simulate`` request in
+the form a cache hit renders, stored in the shared cache the first time
+the request is answered and sent again, after one file read, to every
+later identical request, so each request is rendered once.  Its accept
+loop looks a reply up (:func:`cached_reply`); a handler thread renders
+and stores one (:func:`render`); :func:`respond` is the two in one call.
 
 The ``handle_`` prefix is a naming contract: the concurrency lint
 (R060–R066) treats every ``handle_*`` function as a thread root that
@@ -305,10 +305,13 @@ def cached_reply(endpoint: str, params: Any = None) -> tuple[str | None, bytes |
 def render(endpoint: str, params: Any, key: str | None) -> tuple[int, bytes]:
     """Render one request: ``(http_status, canonical_json(envelope))``.
 
-    The body is stored under ``key`` (the request's reply key) only when
-    :func:`execute` answered from a cache hit, so a stored body always
-    says ``"hit": true`` and a request is rendered at most twice (on its
-    miss and on its first hit); misses and errors are never stored.
+    A 200 body is stored under ``key`` (the request's reply key) as the
+    body a cache hit renders, so a stored body always says ``"hit":
+    true`` and a request is rendered once.  A miss's body differs from
+    its hit's only in that flag, so the miss stores a copy with its one
+    ``"cache"`` object spliced to the hit form, not a second encode;
+    when that object does not occur exactly once, nothing is stored and
+    the first hit renders and stores.  Errors are never stored.
     Module-level, so the daemon's handler threads run it in-process or
     submit it to the process pool.
     """
@@ -316,8 +319,15 @@ def render(endpoint: str, params: Any, key: str | None) -> tuple[int, bytes]:
 
     status, envelope = execute(endpoint, params)
     body = canonical_json(envelope)
-    if key is not None and status == 200 and envelope["result"]["cache"]["hit"]:
-        cache.store(key, body)
+    if key is not None and status == 200:
+        cached = envelope["result"]["cache"]
+        if cached["hit"]:
+            cache.store(key, body)
+        else:
+            miss = b'"cache":' + canonical_json(cached)
+            hit = b'"cache":' + canonical_json({**cached, "hit": True})
+            if body.count(miss) == 1:
+                cache.store(key, body.replace(miss, hit))
     return status, body
 
 

@@ -107,7 +107,7 @@ def test_callgraph_method_dispatch_and_qualnames() -> None:
     )
     graph = build_callgraph(project)
     assert "pkg.m.Manager.plan" in graph.functions
-    assert graph.functions["pkg.m.Manager.plan"].is_method
+    assert graph.functions["pkg.m.Manager.plan"].cls == "Manager"
     assert "pkg.m.Manager._inner" in graph.callees("pkg.m.Manager.plan")
 
 

@@ -13,8 +13,11 @@ import threading
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import cache
+from repro.nn.zoo import PAPER_MODEL_NAMES
 from repro.serve import handlers
 from repro.serve.protocol import POST_ENDPOINTS, canonical_json
 from repro.serve.server import ReproServer
@@ -79,15 +82,17 @@ def test_repeated_requests_match_fresh_renders(endpoint, cache_dir, tmp_path, mo
 
 def test_third_request_is_served_without_rendering(cache_dir, monkeypatch):
     handlers.respond("plan", REQUEST)
-    handlers.respond("plan", REQUEST)
     renders = _CountingExecute(monkeypatch)
+    handlers.respond("plan", REQUEST)
+    assert renders.calls == 0
     handlers.respond("plan", REQUEST)
     assert renders.calls == 0
 
 
-def test_misses_and_errors_store_no_reply(cache_dir):
+def test_errors_store_no_reply_and_a_miss_stores_the_hit_body(cache_dir, tmp_path, monkeypatch):
+    expected = _reference(monkeypatch, tmp_path, "simulate", REQUEST, count=2)
     handlers.respond("simulate", REQUEST)
-    assert not _reply_path("simulate", REQUEST).exists()
+    assert cache.lookup(handlers.reply_key("simulate", REQUEST)) == (True, expected[1])
     unknown_family = {**REQUEST, "scheme": "hom(px)"}
     for _ in range(2):
         status, _ = handlers.respond("plan", unknown_family)
@@ -97,6 +102,44 @@ def test_misses_and_errors_store_no_reply(cache_dir):
         status, _ = handlers.respond("plan", {"model": "SkyNet"})
         assert status == 404
     assert handlers.reply_key("plan", {"model": "SkyNet"}) is None
+
+
+def test_interleaved_repeats_render_each_reply_key_once(cache_dir, tmp_path, monkeypatch):
+    configs = (REQUEST, {"model": "ResNet18", "glb_kb": 128, "interlayer": True})
+    sequence = [
+        (endpoint, params)
+        for _ in range(3)
+        for params in configs
+        for endpoint in ("plan", "explain", "simulate")
+    ]
+    with monkeypatch.context() as patch:
+        patch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "reference"))
+        expected = [canonical_json(handlers.execute(*request)[1]) for request in sequence]
+    renders = _CountingExecute(monkeypatch)
+    served = [handlers.respond(*request) for request in sequence]
+    assert [body for _, body in served] == expected
+    assert renders.calls == len({handlers.reply_key(*request) for request in sequence}) == 6
+
+
+@pytest.mark.parametrize("model", PAPER_MODEL_NAMES)
+@pytest.mark.parametrize("endpoint", POST_ENDPOINTS)
+def test_a_miss_stores_the_body_its_hit_renders(endpoint, model, cache_dir, monkeypatch):
+    params = {"model": model, "glb_kb": 64}
+    envelopes = []
+    execute = handlers.execute
+
+    def capturing(*request):
+        status, envelope = execute(*request)
+        envelopes.append(envelope)
+        return status, envelope
+
+    monkeypatch.setattr(handlers, "execute", capturing)
+    status, body = handlers.respond(endpoint, params)
+    assert status == 200 and body == canonical_json(envelopes[0])
+    envelopes[0]["result"]["cache"]["hit"] = True
+    stored = cache.lookup(handlers.reply_key(endpoint, params))[1]
+    assert stored == canonical_json(envelopes[0])
+    assert stored == canonical_json(execute(endpoint, params)[1])
 
 
 def test_truncated_reply_is_deleted_and_rerendered(cache_dir, tmp_path, monkeypatch):
@@ -111,6 +154,73 @@ def test_truncated_reply_is_deleted_and_rerendered(cache_dir, tmp_path, monkeypa
     assert status == 200 and body == expected[2]
     assert renders.calls == 1
     assert path.read_bytes() == whole
+
+
+def test_corrupt_entries_are_recomputed(cache_dir, tmp_path, monkeypatch):
+    """A flipped bit or a truncation anywhere in a plan, baseline or reply
+    entry is never loaded: the request recomputes what the entry held and
+    answers with a fresh render's bytes."""
+    fresh = {
+        endpoint: _reference(monkeypatch, tmp_path / endpoint, endpoint, REQUEST, count=2)
+        for endpoint in POST_ENDPOINTS
+    }
+    handlers.respond("plan", REQUEST)
+    handlers.respond("simulate", REQUEST)
+    paths = {
+        "plan": _entry_path(json.loads(fresh["plan"][0])["result"]["cache"]["key"]),
+        "baseline": _entry_path(json.loads(fresh["simulate"][0])["result"]["cache"]["key"]),
+        "reply": _reply_path("plan", REQUEST),
+    }
+    pristine = {target: path.read_bytes() for target, path in paths.items()}
+    # Each example starts from these three entries alone, so each target is
+    # read by one request: a corrupt plan entry is replanned under /explain,
+    # which has no reply entry to answer from.
+    requests = {
+        "plan": ("explain", fresh["explain"][0]),
+        "baseline": ("simulate", fresh["simulate"][0]),
+        "reply": ("plan", fresh["plan"][1]),
+    }
+    renders = _CountingExecute(monkeypatch)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        target=st.sampled_from(sorted(paths)),
+        flip=st.booleans(),
+        where=st.floats(0, 1, exclude_max=True),
+    )
+    def check(target, flip, where):
+        cache.clear()
+        for name, path in paths.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pristine[name])
+        whole = pristine[target]
+        if flip:
+            bit = int(where * len(whole) * 8)
+            corrupt = bytearray(whole)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+        else:
+            corrupt = whole[: int(where * len(whole))]
+        paths[target].write_bytes(bytes(corrupt))
+        endpoint, expected = requests[target]
+        calls = renders.calls
+        assert handlers.respond(endpoint, REQUEST) == (200, expected)
+        assert renders.calls == calls + 1
+        if target == "reply":
+            assert paths[target].read_bytes() == whole
+
+    check()
+
+
+def test_entries_without_the_header_are_recomputed(cache_dir):
+    key = "ab" + "0" * 62
+    path = _entry_path(key)
+    for old in (b"repro-raw 3\nabc", pickle.dumps({"plan": 1})):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(old)
+        assert cache.lookup(key) == (False, None)
+        assert not path.exists()
+    cache.store(key, b"abc")
+    assert cache.lookup(key) == (True, b"abc")
 
 
 def test_no_cache_writes_no_reply(cache_dir, monkeypatch):
