@@ -11,10 +11,12 @@ exceptions carry inline ``# repro: noqa[Rxxx] -- reason`` markers.
 
 Checking is interprocedural where a test cannot stand in: a project-wide
 call graph (:mod:`repro.analysis.callgraph`) feeds the concurrency pack
-(``R060``–``R066``, :mod:`repro.analysis.threadroots`), because races do
-not fail tests on demand.  Unit slips across call boundaries and
-order-unstable cache keys are left to runtime pins (plan digests at 16-
-and 32-bit data, cache keys under two hash seeds), which fail on them.
+(``R060``–``R065``, :mod:`repro.analysis.threadroots`, from declared
+thread roots), because races do not fail tests on demand.  Unit slips
+across call boundaries, order-unstable cache keys, a fork after threads
+and a leaked thread are left to runtime pins (plan digests at 16- and
+32-bit data, cache keys under two hash seeds, the serve daemon's fork
+and drain tests), which fail on them.
 
 Entry points: :func:`analyze_paths`, :func:`analyze_source`, and the
 ``repro lint`` CLI subcommand (``--format sarif`` exports SARIF 2.1.0

@@ -1,7 +1,7 @@
 """Project-wide call graph over the analyzed source set.
 
 The per-file rule packs (R002–R030) see one AST at a time; the
-concurrency pack (R060–R066, :mod:`.threadroots`) needs to know *who
+concurrency pack (R060–R065, :mod:`.threadroots`) needs to know *who
 calls whom across the whole of* ``src/repro``.  This module builds
 that graph once per :class:`~repro.analysis.rules.Project` (cached on
 the project via :meth:`Project.callgraph`) from nothing but the parsed

@@ -5,12 +5,13 @@ verifier's ``V`` catalog): codes are stable identifiers referenced by
 tests, suppression comments and documentation, so existing codes are
 never renumbered and a retired code is never reused — new rules append
 new codes.  Retired so far: R001, R012, R013, R014, R031, R040, R041,
-R042, R043, R044, R050, R051, R052, R053, R064, R070, R071, R072, R073
-and R074, each because another check catches its hazard (the R07x
-value-range codes: the runtime harness at the corners of
+R042, R043, R044, R050, R051, R052, R053, R063, R064, R066, R070, R071,
+R072, R073 and R074, each because another check catches its hazard (the
+R07x value-range codes: the runtime harness at the corners of
 :mod:`repro.arch.bounds`, ``tests/test_spec_corners.py``; the R04x unit
 codes: the plan digests pinned at 16- and 32-bit data; R052/R053: the
-cache keys pinned under two hash seeds, ``tests/test_cache_keys.py``).
+cache keys pinned under two hash seeds, ``tests/test_cache_keys.py``;
+R063: the serve daemon's fork pin; R066: the SIGTERM-drain tests).
 ``docs/static-analysis.md`` mirrors this table and a test asserts the
 two stay in sync.
 
@@ -32,16 +33,16 @@ Catalog overview
   only on ``__exit__``, so a span opened outside ``with`` is silently
   dropped.  (Unsuffixed metric names need no rule: the registry raises
   on them at registration, traced or not.)
-* ``R060``–``R066`` — the **concurrency-safety** pack (project scope):
-  the serve daemon is the first genuinely concurrent subsystem
-  (its accept-loop thread and pooled handler threads, loadgen client
-  thunks, drain/signal paths, process-pool initializers).  Thread roots are
-  derived from the call graph (:mod:`repro.analysis.threadroots`), and
-  shared mutable state written from two or more roots without a lock,
-  broken lock discipline (non-``finally`` release, lock-order
-  inversion, blocking while holding), fork-after-threads hazards and
-  non-daemon thread leaks are flagged with their witness chains over
-  the whole-program call graph (:mod:`repro.analysis.callgraph`).
+* ``R060``–``R065`` — the **concurrency-safety** pack (project scope):
+  the serve daemon is the one concurrent subsystem (its accept-loop
+  thread, pooled handler threads and signal handler; the load
+  generator's client pool).  Its thread roots are declared by a
+  ``# repro: thread-root`` marker on their ``def`` lines
+  (:mod:`repro.analysis.threadroots`); shared mutable state written
+  from two or more roots without a lock and broken lock discipline
+  (non-``finally`` release, lock-order inversion, blocking while
+  holding) are flagged with witness chains over the whole-program call
+  graph (:mod:`repro.analysis.callgraph`).
 """
 
 from __future__ import annotations
@@ -63,9 +64,7 @@ RULE_TITLES: dict[str, str] = {
     "R060": "unlocked shared-state write reachable from multiple thread roots",
     "R061": "lock acquired without finally-guarded release",
     "R062": "lock-order inversion across flock and in-process locks",
-    "R063": "process pool created on a path after thread start",
     "R065": "blocking call while holding a lock",
-    "R066": "non-daemon thread not joined before drain",
 }
 
 #: code → full description (the invariant that must hold).
@@ -167,23 +166,11 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "in-process lock while another nests them the other way around "
         "deadlocks under contention."
     ),
-    "R063": (
-        "A ``ProcessPoolExecutor``/``multiprocessing.Pool`` must not "
-        "be created on a call path that has already started a thread: "
-        "``fork`` clones only the forking thread, so locks held by "
-        "other threads at fork time stay locked forever in the child."
-    ),
     "R065": (
         "Code holding a ``threading.Lock`` must not make blocking "
         "calls — pool ``submit``/``map``/``shutdown``, ``join``, HTTP "
         "requests, ``sleep`` — because every other thread contending "
         "for the lock stalls behind the blocked holder."
-    ),
-    "R066": (
-        "A non-daemon ``threading.Thread`` must be ``join``-ed by the "
-        "function that starts it (or handed to a drain path that "
-        "joins it): a leaked non-daemon thread keeps the process alive "
-        "past shutdown and past the serve drain sequence."
     ),
 }
 
@@ -205,15 +192,12 @@ RULE_PACKS: dict[str, str] = {
     "R060": "concurrency",
     "R061": "concurrency",
     "R062": "concurrency",
-    "R063": "concurrency",
     "R065": "concurrency",
-    "R066": "concurrency",
 }
 
 #: Codes reported as warnings (hazards) rather than errors (defects).
-#: R065/R066 are hazards (a blocked holder or leaked thread degrades
-#: rather than corrupts).
-WARNING_CODES: frozenset[str] = frozenset({"R004", "R011", "R065", "R066"})
+#: R065 is a hazard (a blocked holder degrades rather than corrupts).
+WARNING_CODES: frozenset[str] = frozenset({"R004", "R011", "R065"})
 
 #: All catalog codes in numeric order.
 ALL_RULE_CODES: tuple[str, ...] = tuple(sorted(RULE_TITLES))

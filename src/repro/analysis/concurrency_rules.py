@@ -1,20 +1,18 @@
-"""Concurrency-safety rule pack (``R060``–``R066``, project scope).
+"""Concurrency-safety rule pack (``R060``–``R065``, project scope).
 
-Consumes :mod:`repro.analysis.threadroots`: thread roots derived from
-the serving stack's AST (request handlers, ``threading.Thread`` targets,
-thread-pool thunks, signal handlers), reachability over the call graph
-augmented with receiver-blind dispatch to shared-class methods, and
-per-function concurrency facts.
+Consumes :mod:`repro.analysis.threadroots`: the declared thread roots
+(the daemon's accept loop and handler pool, its signal handler, the load
+generator's client pool), reachability over the call graph augmented
+with receiver-blind dispatch to shared-class methods, and per-function
+concurrency facts.
 
 Rules
 -----
 * **R060** — an unsynchronized write to shared mutable state (a module
   global, an attribute of a module-level singleton, a ``self`` attribute
-  of a shared class) is reachable from at least two shared-memory thread
-  contexts (a *concurrent* root — many handler threads, many pool
-  clients — races with itself and counts as two).  The finding carries a
-  witness call chain per context.  Process-isolated roots (pool workers,
-  initializers) share no memory and never count.
+  of a shared class) is reachable from at least two thread contexts (a
+  *concurrent* root — the handler pool, the client pool — races with
+  itself and counts as two).  The finding carries a witness call chain.
 * **R061** — an explicit ``.acquire()`` whose ``.release()`` is missing
   or not in a ``finally`` block: an exception between them leaks the
   lock forever.  (``with`` locks release structurally and never fire.)
@@ -22,15 +20,13 @@ Rules
   path and A taken while holding B on another (callee acquisitions
   included), the classic deadlock shape; ``flock`` file locks share one
   identity because the lock is the file, not the wrapper object.
-* **R063** — a process pool created on a path *after* a thread was
-  started in the same function: ``fork`` then snapshots lock/queue state
-  mid-flight in threads that do not survive into the child.
 * **R065** — a blocking call (``sleep``, ``join``, ``result``,
   ``urlopen``, ``shutdown``, ``wait``) made while holding a lock;
   warning — it serializes every peer on I/O time.
-* **R066** — a non-daemon thread started, never joined, and never
-  escaping the function: nothing can join it later, so process exit
-  (and the daemon's drain contract) blocks on it.
+
+A fork after threads (once R063) and a leaked non-daemon thread (once
+R066) fail runtime tests instead: the daemon's workers must be forked
+before any serve thread runs, and a SIGTERM must drain and exit.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from typing import Iterator
 
 from .findings import Finding
 from .rules import Project, rule
-from .threadroots import ThreadAnalysis, threads_for
+from .threadroots import threads_for
 
 
 def _short(qualname: str) -> str:
@@ -69,10 +65,10 @@ def check_unlocked_shared_writes(project: Project) -> Iterator[Finding]:
         info = analysis.graph.functions[qualname]
         primary_root, primary_chain = contexts[0]
         others = ", ".join(
-            f"{_short(root.qualname)} ({root.kind})" for root, _ in contexts[1:3]
+            f"{_short(root.qualname)} ({root.label})" for root, _ in contexts[1:3]
         )
         context_note = (
-            f"{_short(primary_root.qualname)} ({primary_root.kind}"
+            f"{_short(primary_root.qualname)} ({primary_root.label}"
             + (", concurrent with itself)" if primary_root.concurrent else ")")
             + (f" and {others}" if others else "")
         )
@@ -156,43 +152,6 @@ def check_lock_order_inversion(project: Project) -> Iterator[Finding]:
         )
 
 
-@rule("R063", scope="project")
-def check_fork_after_threads(project: Project) -> Iterator[Finding]:
-    """Flag process pools created after a thread start on the same path."""
-    analysis = threads_for(project)
-    for qualname in sorted(analysis.facts):
-        facts = analysis.facts[qualname]
-        if not facts.thread_start_lines:
-            continue
-        first_start = min(facts.thread_start_lines)
-        info = analysis.graph.functions[qualname]
-        for node in facts.pool_ctor_nodes:
-            if node.lineno > first_start:
-                yield info.file.finding(
-                    "R063",
-                    node,
-                    f"process pool created in {_short(qualname)}() after a "
-                    f"thread was started on line {first_start}; fork "
-                    f"snapshots held locks and in-flight state of threads "
-                    f"that do not exist in the child — create pools before "
-                    f"starting threads",
-                )
-        for callee, call, _file in analysis.graph.callsites.get(qualname, ()):
-            if (
-                call.lineno > first_start
-                and callee in analysis.creates_pool_transitive
-            ):
-                yield info.file.finding(
-                    "R063",
-                    call,
-                    f"{_short(qualname)}() calls {_short(callee)}() after "
-                    f"starting a thread on line {first_start}, and "
-                    f"{_short(callee)}() creates a process pool; fork after "
-                    f"threads snapshots locks mid-flight — create pools "
-                    f"before starting threads",
-                )
-
-
 @rule("R065", scope="project")
 def check_blocking_under_lock(project: Project) -> Iterator[Finding]:
     """Flag blocking calls made while a lock is held (warning)."""
@@ -210,32 +169,3 @@ def check_blocking_under_lock(project: Project) -> Iterator[Finding]:
                 f"move the blocking work outside the critical section",
             )
 
-
-@rule("R066", scope="project")
-def check_leaked_threads(project: Project) -> Iterator[Finding]:
-    """Flag non-daemon threads that outlive their function (warning)."""
-    analysis = threads_for(project)
-    for qualname in sorted(analysis.facts):
-        facts = analysis.facts[qualname]
-        info = analysis.graph.functions[qualname]
-        for node, local in facts.leaked_threads:
-            yield info.file.finding(
-                "R066",
-                node,
-                f"non-daemon thread '{local}' started in {_short(qualname)}() "
-                f"is neither joined nor handed to a caller; nothing can join "
-                f"it, so drain/exit blocks on it — join it, store it, or "
-                f"make it daemon=True",
-            )
-
-
-# Re-exported for the tests' convenience.
-__all__ = [
-    "ThreadAnalysis",
-    "check_unlocked_shared_writes",
-    "check_unpaired_acquire",
-    "check_lock_order_inversion",
-    "check_fork_after_threads",
-    "check_blocking_under_lock",
-    "check_leaked_threads",
-]

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .codes import RULE_TITLES
 from .findings import Finding, severity_of
-from .suppressions import Suppression, parse_suppressions
+from .suppressions import Suppression, ThreadRootMarker, parse_markers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .callgraph import CallGraph
@@ -57,16 +57,19 @@ class SourceFile:
     source: str
     tree: ast.Module
     suppressions: tuple[Suppression, ...] = ()
+    thread_roots: tuple[ThreadRootMarker, ...] = ()
 
     @classmethod
     def parse(cls, path: Path, relpath: str, source: str) -> "SourceFile":
         """Parse a source text (raises :class:`SyntaxError` on bad input)."""
+        suppressions, thread_roots = parse_markers(source)
         return cls(
             path=path,
             relpath=relpath,
             source=source,
             tree=ast.parse(source, filename=str(path)),
-            suppressions=parse_suppressions(source),
+            suppressions=suppressions,
+            thread_roots=thread_roots,
         )
 
     @cached_property

@@ -10,6 +10,13 @@ intentionally kept) free-text reason after ``--``::
 
 Blanket suppressions (bare ``noqa`` without codes) are deliberately not
 supported: every silenced finding names what it silences.
+
+The same parser reads the concurrency pack's thread-root declarations,
+a marker on a root's ``def`` line whose text after ``--`` labels the
+thread context (:mod:`.threadroots`)::
+
+    def handle(self, conn):  # repro: thread-root[concurrent] -- handler pool
+    def serve_forever(self):  # repro: thread-root -- accept loop
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ import re
 from dataclasses import dataclass
 
 _MARKER = re.compile(
-    r"#\s*repro:\s*noqa\[(?P<codes>[A-Z]\d{3}(?:\s*,\s*[A-Z]\d{3})*)\]"
+    r"#\s*repro:\s*(?:noqa\[(?P<codes>[A-Z]\d{3}(?:\s*,\s*[A-Z]\d{3})*)\]"
+    r"|thread-root(?P<concurrent>\[concurrent\])?)"
     r"(?:\s*--\s*(?P<reason>.*))?"
 )
 
@@ -32,19 +40,39 @@ class Suppression:
     reason: str = ""
 
 
-def parse_suppressions(source: str) -> tuple[Suppression, ...]:
-    """Extract every ``# repro: noqa[...]`` marker from a source text."""
-    found = []
+@dataclass(frozen=True)
+class ThreadRootMarker:
+    """One parsed thread-root declaration: its line, kind and label."""
+
+    line: int
+    concurrent: bool
+    label: str
+
+
+def parse_markers(
+    source: str,
+) -> tuple[tuple[Suppression, ...], tuple[ThreadRootMarker, ...]]:
+    """Extract every ``noqa`` and ``thread-root`` marker from a source text."""
+    suppressions: list[Suppression] = []
+    roots: list[ThreadRootMarker] = []
     for lineno, text in enumerate(source.splitlines(), start=1):
         match = _MARKER.search(text)
         if match is None:
             continue
+        reason = (match.group("reason") or "").strip()
+        if match.group("codes") is None:
+            roots.append(ThreadRootMarker(lineno, bool(match.group("concurrent")), reason))
+            continue
         codes = frozenset(
             code.strip() for code in match.group("codes").split(",")
         )
-        reason = (match.group("reason") or "").strip()
-        found.append(Suppression(line=lineno, codes=codes, reason=reason))
-    return tuple(found)
+        suppressions.append(Suppression(line=lineno, codes=codes, reason=reason))
+    return tuple(suppressions), tuple(roots)
+
+
+def parse_suppressions(source: str) -> tuple[Suppression, ...]:
+    """Extract every ``# repro: noqa[...]`` marker from a source text."""
+    return parse_markers(source)[0]
 
 
 def suppressed_at(

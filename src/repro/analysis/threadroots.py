@@ -1,37 +1,30 @@
-"""Thread-root derivation and per-function concurrency facts (``R06x``).
+"""Declared thread roots and per-function concurrency facts (``R06x``).
 
 The serving stack runs the same library code from several *thread
 contexts* at once: the daemon's accept loop runs on its own thread and
 answers stored replies there, a pool of handler threads renders the
-other requests, the load generator fans ``ThreadPoolExecutor`` client
-thunks out, and signal handlers interrupt whatever is running.  This
-module derives those **thread roots** from the AST:
+other requests, the load generator fans its requests out over a thread
+pool, and a signal handler interrupts whatever is running.  Each such
+entry point is a **thread root**, declared by a marker on its ``def``
+line (parsed with the ``noqa`` markers, :mod:`.suppressions`)::
 
-* ``handle_*`` functions — the request-handler naming contract (each is
-  *concurrent with itself*: the daemon's handler pool runs many
-  instances simultaneously);
-* ``threading.Thread(target=...)`` targets, including methods reached
-  through ``self`` or a local bound to a known class's constructor
-  (``Thread(target=server.serve_forever)``: the accept loop);
-* callables submitted to a ``ThreadPoolExecutor`` (``submit``/``map``),
-  whether the pool is bound to a name or an attribute
-  (``self._handlers.submit(self.handle, …)``), including functions
-  called from ``lambda`` thunks;
-* ``signal.signal`` handlers (asynchronous with the main thread);
-* ``ProcessPoolExecutor`` initializers and submissions — recorded as
-  **process-isolated** roots: they share no memory, so R060 excludes
-  them, but R063/R066 still care about where the pools come from.
+    def handle(self, conn, ...):  # repro: thread-root[concurrent] -- handler pool
+    def serve_forever(self):  # repro: thread-root -- accept loop
 
-and, per function, the **facts** the R060–R066 checkers consume: shared
-mutable-state writes (module globals, attributes of module-level
-singletons, ``self`` attributes of *shared classes* — classes
-instantiated at module top level or from a shared class's methods, to a
-fixpoint) together with whether each write is lexically inside a
-``with``-lock region; lock acquire/release pairing; lock-nesting pairs
-(plus locks acquired transitively by callees, for lock-order analysis);
-thread starts and process-pool creations in source order; blocking
-calls made while a lock is held; and locally started non-daemon threads
-that are never joined.
+``[concurrent]`` marks a root that runs as several threads at once: it
+races with itself, so it alone counts as two contexts.  The text after
+``--`` names the context in findings.  A declaration travels with its
+``def`` through a rename, and a test requires every file that starts a
+thread, a thread pool or a signal handler to declare a root.
+
+Per function, this module collects the **facts** the R060–R065
+checkers consume: shared mutable-state writes (module globals,
+attributes of module-level singletons, ``self`` attributes of *shared
+classes* — classes instantiated at module top level or from a shared
+class's methods, to a fixpoint) together with whether each write is
+lexically inside a ``with``-lock region; lock acquire/release pairing;
+lock-nesting pairs (plus locks acquired transitively by callees, for
+lock-order analysis); and blocking calls made while a lock is held.
 
 Reachability runs over the call graph *augmented with receiver-blind
 method dispatch*: an unresolvable ``x.add(...)`` call may reach any
@@ -45,27 +38,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .callgraph import CallGraph, _Resolver
+from .callgraph import CallGraph
 from .determinism_rules import resolve_call_target
 from .rules import Project, SourceFile
-
-#: Process-pool constructors (isolated memory; fork hazards, R063).
-_POOL_CONSTRUCTORS = frozenset(
-    {
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.process.ProcessPoolExecutor",
-        "multiprocessing.Pool",
-        "multiprocessing.pool.Pool",
-    }
-)
-
-#: Thread-pool constructors (shared-memory concurrency).
-_THREAD_POOLS = frozenset(
-    {
-        "concurrent.futures.ThreadPoolExecutor",
-        "concurrent.futures.thread.ThreadPoolExecutor",
-    }
-)
 
 #: Methods where ``self`` writes are construction, not shared mutation
 #: (the object is not yet published to other threads).
@@ -79,16 +54,13 @@ _BLOCKING_CALLS = frozenset(
 
 @dataclass(frozen=True)
 class ThreadRoot:
-    """One entry point that runs on (or as) a distinct thread context."""
+    """One declared entry point of a distinct thread context."""
 
     qualname: str
-    kind: str  # "handler" | "thread" | "client" | "signal" | "worker"
+    label: str  # names the context in findings: "handler pool", "accept loop", …
     #: Whether several instances of this root run at once (a concurrent
     #: root races *with itself*, so it alone counts as two contexts).
     concurrent: bool
-    #: Process-isolated roots (pool workers/initializers) share no
-    #: memory with the parent; R060 does not count them.
-    isolated: bool
 
 
 @dataclass(frozen=True)
@@ -124,12 +96,8 @@ class FunctionFacts:
     calls_under_lock: list[tuple[str, ast.Call]] = field(default_factory=list)
     #: Blocking calls made while holding a lock.
     blocking_under_lock: list[tuple[str, ast.Call]] = field(default_factory=list)
-    #: Source lines where a thread is started.
-    thread_start_lines: list[int] = field(default_factory=list)
-    #: Process-pool constructor call nodes in this body.
-    pool_ctor_nodes: list[ast.Call] = field(default_factory=list)
-    #: Non-daemon threads started here and never joined nor escaping.
-    leaked_threads: list[tuple[ast.AST, str]] = field(default_factory=list)
+    #: Method names called on a receiver the call graph could not resolve.
+    blind_calls: set[str] = field(default_factory=set)
 
 
 def _attr_chain_root(expr: ast.expr) -> ast.expr:
@@ -137,16 +105,6 @@ def _attr_chain_root(expr: ast.expr) -> ast.expr:
     while isinstance(expr, (ast.Attribute, ast.Subscript)):
         expr = expr.value
     return expr
-
-
-def _dotted(expr: ast.expr) -> str | None:
-    """``a.b.c`` for a chain of names and attributes, else None."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        base = _dotted(expr.value)
-        return f"{base}.{expr.attr}" if base else None
-    return None
 
 
 def _collect_classes(project: Project) -> dict[str, list[str]]:
@@ -189,12 +147,11 @@ def _instantiated_classes(scope: ast.AST, classes: dict[str, list[str]]) -> set[
 
 
 class ThreadAnalysis:
-    """Shared thread-context state for the R060–R066 checkers."""
+    """Shared thread-context state for the R060–R065 checkers."""
 
     def __init__(self, project: Project, graph: CallGraph) -> None:
         self.project = project
         self.graph = graph
-        self.resolver = _Resolver.for_project(graph, project)
         self.classes = _collect_classes(project)
         self.globals_by_module = {
             f.module: _module_globals(f) for f in project.files
@@ -205,7 +162,7 @@ class ThreadAnalysis:
         for sites in graph.callsites.values():
             for callee, call, _file in sites:
                 self.call_targets[id(call)] = callee
-        self.roots = self._collect_roots()
+        self.roots = self._declared_roots()
         self.facts: dict[str, FunctionFacts] = {}
         for qualname, info in graph.functions.items():
             collector = _FactCollector(self, qualname, info.node)
@@ -217,7 +174,6 @@ class ThreadAnalysis:
             root: self._reach({root}) for root in sorted(self.roots)
         }
         self.locks_transitive = self._locks_fixpoint()
-        self.creates_pool_transitive = self._pool_fixpoint()
 
     # -- shared-state model ----------------------------------------------
 
@@ -256,163 +212,15 @@ class ThreadAnalysis:
 
     # -- roots -----------------------------------------------------------
 
-    def _resolve_ref(
-        self,
-        expr: ast.expr,
-        module: str,
-        aliases: dict[str, str],
-        receivers: dict[str, list[str]],
-    ) -> str | None:
-        if isinstance(expr, ast.Name):
-            for candidate in (aliases.get(expr.id, expr.id), f"{module}.{expr.id}"):
-                resolved = self.resolver.resolve(candidate)
-                if resolved is not None:
-                    return resolved
-            return None
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            # ``self.method`` in a class, ``server.serve_forever`` on a
-            # local bound to a known class's constructor
-            for cls in receivers.get(expr.value.id, ()):
-                resolved = self.resolver.resolve(f"{cls}.{expr.attr}")
-                if resolved is not None:
-                    return resolved
-        dotted = resolve_call_target(expr, aliases)
-        return self.resolver.resolve(dotted) if dotted else None
-
-    def _thunk_targets(
-        self,
-        expr: ast.expr,
-        module: str,
-        aliases: dict[str, str],
-        receivers: dict[str, list[str]],
-    ) -> list[str]:
-        """Root targets of a submitted callable (names and lambda bodies)."""
-        if isinstance(expr, ast.Lambda):
-            targets = []
-            for node in ast.walk(expr.body):
-                if isinstance(node, ast.Call):
-                    resolved = self._resolve_ref(node.func, module, aliases, receivers)
-                    if resolved is not None:
-                        targets.append(resolved)
-            return targets
-        resolved = self._resolve_ref(expr, module, aliases, receivers)
-        return [resolved] if resolved is not None else []
-
-    def _receivers(self, file: SourceFile) -> tuple[dict[str, list[str]], dict[int, str]]:
-        """The names a file binds to known classes, and each class's nodes.
-
-        A name assigned a known class's constructor call anywhere in the
-        file names that class (a file-wide over-approximation, like the
-        pool names); ``self``/``cls`` name the class enclosing a node.
-        """
-        instances: dict[str, list[str]] = {}
-        owners: dict[int, str] = {}
-        for node in ast.walk(file.tree):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                func = node.value.func
-                name = func.id if isinstance(func, ast.Name) else (
-                    func.attr if isinstance(func, ast.Attribute) else None
-                )
-                for target in node.targets:
-                    if name is not None and name in self.classes and isinstance(target, ast.Name):
-                        instances[target.id] = self.classes[name]
-            elif isinstance(node, ast.ClassDef):
-                # breadth-first: an inner class overrides its outer one
-                owners.update((id(inner), f"{file.module}.{node.name}") for inner in ast.walk(node))
-        return instances, owners
-
-    def _collect_roots(self) -> dict[str, ThreadRoot]:
+    def _declared_roots(self) -> dict[str, ThreadRoot]:
+        """Functions whose ``def`` line carries a thread-root marker."""
+        markers = {(f.relpath, m.line): m for f in self.project.files for m in f.thread_roots}
         roots: dict[str, ThreadRoot] = {}
-
-        def add(qualname: str, kind: str, *, concurrent: bool, isolated: bool) -> None:
-            existing = roots.get(qualname)
-            if existing is not None and existing.isolated and not isolated:
-                pass  # a shared-memory context wins over an isolated one
-            elif existing is not None:
-                return
-            roots[qualname] = ThreadRoot(
-                qualname=qualname, kind=kind, concurrent=concurrent, isolated=isolated
-            )
-
         for qualname, info in self.graph.functions.items():
-            if info.name.startswith("handle_"):
-                add(qualname, "request handler", concurrent=True, isolated=False)
-
-        for file in self.project.files:
-            module = file.module
-            aliases = file.aliases
-            instances, owners = self._receivers(file)
-            # Pools are known by the name or attribute (``self._pool``)
-            # they are bound to.
-            thread_pools: set[str] = set()
-            process_pools: set[str] = set()
-            for node in ast.walk(file.tree):
-                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                    target_set = self._pool_kind(node.value, aliases)
-                    if target_set is not None:
-                        names = {_dotted(t) for t in node.targets} - {None}
-                        (thread_pools if target_set == "thread" else process_pools).update(
-                            name for name in names if name is not None
-                        )
-                elif isinstance(node, ast.With):
-                    for item in node.items:
-                        if isinstance(item.context_expr, ast.Call) and isinstance(
-                            item.optional_vars, ast.Name
-                        ):
-                            target_set = self._pool_kind(item.context_expr, aliases)
-                            if target_set == "thread":
-                                thread_pools.add(item.optional_vars.id)
-                            elif target_set == "process":
-                                process_pools.add(item.optional_vars.id)
-            for node in ast.walk(file.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                owner = owners.get(id(node))
-                scope = {**instances, "self": [owner], "cls": [owner]} if owner else instances
-                target = resolve_call_target(node.func, aliases)
-                if target == "threading.Thread":
-                    for kw in node.keywords:
-                        if kw.arg == "target":
-                            for resolved in self._thunk_targets(
-                                kw.value, module, aliases, scope
-                            ):
-                                add(resolved, "thread", concurrent=False, isolated=False)
-                elif target == "signal.signal" and len(node.args) >= 2:
-                    for resolved in self._thunk_targets(node.args[1], module, aliases, scope):
-                        add(resolved, "signal handler", concurrent=False, isolated=False)
-                elif self._pool_kind(node, aliases) == "process":
-                    for kw in node.keywords:
-                        if kw.arg == "initializer":
-                            for resolved in self._thunk_targets(
-                                kw.value, module, aliases, scope
-                            ):
-                                add(resolved, "worker initializer", concurrent=True, isolated=True)
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("submit", "map")
-                    and node.args
-                ):
-                    pool_name = _dotted(node.func.value)
-                    if pool_name in thread_pools:
-                        for resolved in self._thunk_targets(
-                            node.args[0], module, aliases, scope
-                        ):
-                            add(resolved, "pool client", concurrent=True, isolated=False)
-                    elif pool_name in process_pools:
-                        for resolved in self._thunk_targets(
-                            node.args[0], module, aliases, scope
-                        ):
-                            add(resolved, "pool worker", concurrent=True, isolated=True)
+            marker = markers.get((info.file.relpath, info.node.lineno))
+            if marker is not None:
+                roots[qualname] = ThreadRoot(qualname, marker.label, marker.concurrent)
         return roots
-
-    @staticmethod
-    def _pool_kind(call: ast.Call, aliases: dict[str, str]) -> str | None:
-        target = resolve_call_target(call.func, aliases)
-        if target in _THREAD_POOLS:
-            return "thread"
-        if target in _POOL_CONSTRUCTORS:
-            return "process"
-        return None
 
     # -- reachability over augmented edges -------------------------------
 
@@ -432,17 +240,9 @@ class ThreadAnalysis:
         edges: dict[str, set[str]] = {
             caller: set(callees) for caller, callees in self.graph.edges.items()
         }
-        for qualname, info in self.graph.functions.items():
-            for node in ast.walk(info.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and id(node) not in self.call_targets
-                    and node.func.attr in shared_methods
-                ):
-                    edges.setdefault(qualname, set()).update(
-                        shared_methods[node.func.attr]
-                    )
+        for qualname, facts in self.facts.items():
+            for name in facts.blind_calls & shared_methods.keys():
+                edges.setdefault(qualname, set()).update(shared_methods[name])
         return edges
 
     def _reach(self, roots: set[str]) -> dict[str, tuple[str, ...]]:
@@ -464,16 +264,12 @@ class ThreadAnalysis:
     def contexts_reaching(
         self, qualname: str
     ) -> list[tuple[ThreadRoot, tuple[str, ...]]]:
-        """Shared-memory thread roots that reach a function, with chains."""
-        found: list[tuple[ThreadRoot, tuple[str, ...]]] = []
-        for root_qualname, chains in self.reach_by_root.items():
-            root = self.roots[root_qualname]
-            if root.isolated:
-                continue
-            chain = chains.get(qualname)
-            if chain is not None:
-                found.append((root, chain))
-        return found
+        """Thread roots that reach a function, with chains."""
+        return [
+            (self.roots[root], chains[qualname])
+            for root, chains in self.reach_by_root.items()
+            if qualname in chains
+        ]
 
     # -- interprocedural fixpoints ---------------------------------------
 
@@ -493,29 +289,6 @@ class ThreadAnalysis:
             if not changed:
                 break
         return held
-
-    def _pool_fixpoint(self) -> set[str]:
-        """Functions that may create a process pool, callees included."""
-        creates = {
-            qualname
-            for qualname, facts in self.facts.items()
-            if facts.pool_ctor_nodes
-        }
-        for _ in range(4):
-            changed = False
-            for qualname in self.graph.functions:
-                if qualname in creates:
-                    continue
-                if any(
-                    callee in creates
-                    for callee in self.graph.edges.get(qualname, ())
-                ):
-                    creates.add(qualname)
-                    changed = True
-            if not changed:
-                break
-        return creates
-
 
 def _lock_identity(expr: ast.expr, owner: str) -> str | None:
     """Stable id of a lock-ish ``with`` context expression, if any.
@@ -557,43 +330,16 @@ class _FactCollector:
         self.aliases = info.file.aliases
         self.facts = FunctionFacts()
         self.owner = f"{info.module}.{info.cls}" if info.cls else info.module
+        #: Names declared ``global`` and locals bound to a new lock, as
+        #: the traversal (in source order) meets them.
         self.global_decls: set[str] = set()
         self.lock_locals: set[str] = set()
-        self.thread_locals: dict[str, ast.Call] = {}
-        self._scan_prelude()
-        self._thread_meta: dict[str, dict[str, bool]] = {}
-
-    # -- prelude: names that change how later statements read ------------
-
-    def _scan_prelude(self) -> None:
-        for node in self._walk_own(self.func):
-            if isinstance(node, ast.Global):
-                self.global_decls.update(node.names)
-            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                target = resolve_call_target(node.value.func, self.aliases)
-                if target in ("threading.Lock", "threading.RLock"):
-                    self.lock_locals.update(
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    )
-
-    @staticmethod
-    def _walk_own(func: ast.AST) -> list[ast.AST]:
-        out: list[ast.AST] = []
-        stack = list(ast.iter_child_nodes(func))
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-        return out
 
     # -- main traversal ---------------------------------------------------
 
     def run(self) -> None:
         for stmt in getattr(self.func, "body", []):
             self._visit(stmt, lock_stack=[], in_finally=False)
-        self._finish_threads()
 
     def _lock_id(self, expr: ast.expr) -> str | None:
         identity = _lock_identity(expr, self.owner)
@@ -636,6 +382,8 @@ class _FactCollector:
             for stmt in node.finalbody:
                 self._visit(stmt, lock_stack, True)
             return
+        if isinstance(node, ast.Global):
+            self.global_decls.update(node.names)
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             self._record_writes(node, lock_stack)
         if isinstance(node, ast.Call):
@@ -685,13 +433,11 @@ class _FactCollector:
                             protected=bool(lock_stack),
                         )
                     )
-        # thread-local bookkeeping: ``t = threading.Thread(...)``
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            target_path = resolve_call_target(node.value.func, self.aliases)
-            if target_path == "threading.Thread":
-                for t in node.targets:
-                    if isinstance(t, ast.Name):
-                        self.thread_locals[t.id] = node.value
+            if resolve_call_target(node.value.func, self.aliases) in (
+                "threading.Lock", "threading.RLock"
+            ):
+                self.lock_locals.update(t.id for t in node.targets if isinstance(t, ast.Name))
 
     # -- calls -------------------------------------------------------------
 
@@ -709,79 +455,12 @@ class _FactCollector:
             self.facts.releases.append(
                 LockEvent(node=node, base=ast.unparse(func.value), in_finally=in_finally)
             )
-        if attr == "start" and isinstance(func.value, ast.Name):
-            if func.value.id in self.thread_locals:
-                self.facts.thread_start_lines.append(node.lineno)
-                self._thread_meta.setdefault(func.value.id, {})["started"] = True
-        elif (
-            attr == "start"
-            and isinstance(func.value, ast.Call)
-            and resolve_call_target(func.value.func, self.aliases) == "threading.Thread"
-        ):
-            self.facts.thread_start_lines.append(node.lineno)
-        if attr == "join" and isinstance(func.value, ast.Name):
-            if func.value.id in self.thread_locals:
-                self._thread_meta.setdefault(func.value.id, {})["joined"] = True
-        target_path = resolve_call_target(func, self.aliases)
-        if target_path in _POOL_CONSTRUCTORS:
-            self.facts.pool_ctor_nodes.append(node)
+        if attr is not None and id(node) not in self.analysis.call_targets:
+            self.facts.blind_calls.add(attr)
         if lock_stack:
             self.facts.calls_under_lock.append((lock_stack[-1], node))
             if name in _BLOCKING_CALLS:
                 self.facts.blocking_under_lock.append((lock_stack[-1], node))
-
-    # -- thread-leak wrap-up ----------------------------------------------
-
-    def _finish_threads(self) -> None:
-        for local, ctor in self.thread_locals.items():
-            meta = self._thread_meta.get(local, {})
-            if not meta.get("started") or meta.get("joined"):
-                continue
-            if self._thread_is_daemon(ctor) or self._escapes(local):
-                continue
-            self.facts.leaked_threads.append((ctor, local))
-
-    @staticmethod
-    def _thread_is_daemon(ctor: ast.Call) -> bool:
-        for kw in ctor.keywords:
-            if kw.arg == "daemon":
-                return not (
-                    isinstance(kw.value, ast.Constant) and kw.value.value is False
-                )
-        return False
-
-    def _escapes(self, local: str) -> bool:
-        """Whether a thread object leaves the function by value."""
-        for node in self._walk_own(self.func):
-            if isinstance(node, ast.Return) and node.value is not None:
-                if any(
-                    isinstance(sub, ast.Name) and sub.id == local
-                    for sub in ast.walk(node.value)
-                ):
-                    return True
-            elif isinstance(node, ast.Call):
-                for value in (*node.args, *(kw.value for kw in node.keywords)):
-                    if isinstance(value, ast.Name) and value.id == local:
-                        if not (
-                            isinstance(node.func, ast.Attribute)
-                            and isinstance(node.func.value, ast.Name)
-                            and node.func.value.id == local
-                        ):
-                            return True
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)) and any(
-                        isinstance(sub, ast.Name) and sub.id == local
-                        for sub in ast.walk(node.value)
-                    ):
-                        return True
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        continue
-            elif isinstance(node, (ast.List, ast.Tuple, ast.Dict)):
-                for sub in ast.iter_child_nodes(node):
-                    if isinstance(sub, ast.Name) and sub.id == local:
-                        return True
-        return False
 
 
 def threads_for(project: Project) -> ThreadAnalysis:

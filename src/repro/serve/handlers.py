@@ -20,11 +20,13 @@ later identical request, so each request is rendered once.  Its accept
 loop looks a reply up (:func:`cached_reply`); a handler thread renders
 and stores one (:func:`render`); :func:`respond` is the two in one call.
 
-The ``handle_`` prefix is a naming contract: the concurrency lint
-(R060–R066) treats every ``handle_*`` function as a thread root that
-runs concurrently with itself, so unlocked shared-state writes reachable
-from a serve endpoint are flagged with a witness chain in ``repro
-lint``.  Nondeterministic calls are flagged wherever they occur (R010).
+Each ``handle_*`` function declares itself a concurrent thread root for
+the concurrency lint (R060): :func:`execute` reaches it through the
+:data:`HANDLERS` table, which the call graph cannot follow, and the
+daemon's handler pool and the load generator's client pool both run it.
+So an unlocked shared-state write reachable from a serve endpoint is
+flagged with a witness chain in ``repro lint``.  Nondeterministic calls
+are flagged wherever they occur (R010).
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ def _canonical_request(endpoint: str, params: Any) -> tuple[PlanRequest, Acceler
     return request, request_spec(request, baselines=endpoint == "simulate")
 
 
-def handle_health(params: Any = None) -> dict[str, Any]:
+def handle_health(  # repro: thread-root[concurrent] -- endpoint
+    params: Any = None
+) -> dict[str, Any]:
     """Liveness probe: daemon status and cache configuration."""
     from ..experiments import cache
 
@@ -111,7 +115,9 @@ def handle_health(params: Any = None) -> dict[str, Any]:
     }
 
 
-def handle_models(params: Any = None) -> dict[str, Any]:
+def handle_models(  # repro: thread-root[concurrent] -- endpoint
+    params: Any = None
+) -> dict[str, Any]:
     """The model registry: every zoo network with its headline stats."""
     models = []
     for name in ALL_MODEL_NAMES:
@@ -127,7 +133,9 @@ def handle_models(params: Any = None) -> dict[str, Any]:
     return {"models": models}
 
 
-def handle_stats(params: Any = None) -> dict[str, Any]:
+def handle_stats(  # repro: thread-root[concurrent] -- endpoint
+    params: Any = None
+) -> dict[str, Any]:
     """Shared-cache statistics: entries, bytes, this-process counters."""
     from ..experiments import cache
 
@@ -164,7 +172,9 @@ def _planned(
     return request, plan, {"hit": hit, "key": key}
 
 
-def handle_plan(params: Any) -> dict[str, Any]:
+def handle_plan(  # repro: thread-root[concurrent] -- endpoint
+    params: Any
+) -> dict[str, Any]:
     """Plan a model through the shared cache; the daemon's core endpoint.
 
     The response's ``plan`` sub-object is byte-identical (under
@@ -176,7 +186,9 @@ def handle_plan(params: Any) -> dict[str, Any]:
     return {"request": request.to_params(), "plan": plan_to_dict(plan), "cache": cached}
 
 
-def handle_explain(params: Any) -> dict[str, Any]:
+def handle_explain(  # repro: thread-root[concurrent] -- endpoint
+    params: Any
+) -> dict[str, Any]:
     """The planner's per-layer decision audit trail for one request."""
     request, plan, cached = _planned("explain", params)
     return {
@@ -186,7 +198,9 @@ def handle_explain(params: Any) -> dict[str, Any]:
     }
 
 
-def handle_simulate(params: Any) -> dict[str, Any]:
+def handle_simulate(  # repro: thread-root[concurrent] -- endpoint
+    params: Any
+) -> dict[str, Any]:
     """Simulate the three fixed-partition baselines for one request.
 
     Results go through the same content-addressed cache as the

@@ -133,7 +133,9 @@ def _verify_bytes(job: RequestJob, served_result: dict[str, Any]) -> bool:
     return _comparable(served_result) == _comparable(envelope["result"])
 
 
-def _one_request(url: str, job: RequestJob, verify: bool) -> RequestOutcome:
+def _one_request(  # repro: thread-root[concurrent] -- client pool
+    url: str, job: RequestJob, verify: bool
+) -> RequestOutcome:
     """POST one job to the daemon and measure it."""
     request = urllib.request.Request(
         f"{url}/{job.endpoint}",
@@ -184,6 +186,8 @@ class LoadReport:
     seed: int
     outcomes: tuple[RequestOutcome, ...]
     wall_seconds: float
+    #: The daemon's ``GET /stats`` cache block, read after the run.
+    cache: dict[str, Any]
 
     @property
     def total(self) -> int:
@@ -233,8 +237,6 @@ class LoadReport:
 
     def bench_record(self) -> dict[str, Any]:
         """JSON-serializable perf record (``BENCH_serve.json``)."""
-        from ..experiments import cache
-
         per_endpoint: dict[str, int] = {}
         for outcome in self.outcomes:
             per_endpoint[outcome.endpoint] = (
@@ -255,13 +257,7 @@ class LoadReport:
             "latency_seconds": self.latency_summary(),
             "wall_seconds": self.wall_seconds,
             "throughput_rps": self.throughput_rps,
-            "cache": {
-                "enabled": cache.cache_enabled(),
-                "dir": str(cache.cache_dir()),
-                "schema_version": cache.CACHE_SCHEMA_VERSION,
-                "entries": cache.entry_count(),
-                "total_bytes": cache.total_bytes(),
-            },
+            "cache": self.cache,
         }
 
     def write_bench(self, path: str | Path) -> None:
@@ -286,12 +282,19 @@ def run_load(
         outcomes = tuple(
             pool.map(lambda job: _one_request(url, job, verify), jobs)
         )
+    wall_seconds = clock.elapsed_seconds(start_ns)
+    try:
+        with urllib.request.urlopen(f"{url}/stats", timeout=30) as response:
+            cache = json.loads(response.read())["result"]["cache"]
+    except OSError:  # no daemon answers: every request above failed too
+        cache = {}
     return LoadReport(
         url=url,
         clients=clients,
         seed=seed,
         outcomes=outcomes,
-        wall_seconds=clock.elapsed_seconds(start_ns),
+        wall_seconds=wall_seconds,
+        cache=cache,
     )
 
 

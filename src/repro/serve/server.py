@@ -112,9 +112,13 @@ class ReproServer:
         self._handlers = ThreadPoolExecutor(
             max_workers=max(self.handler_threads, jobs), thread_name_prefix="repro-serve-handler"
         )
-        self._pool: ProcessPoolExecutor | None = (
-            ProcessPoolExecutor(max_workers=jobs, initializer=configure_worker) if jobs else None
-        )
+        self._pool: ProcessPoolExecutor | None = None
+        if jobs:
+            self._pool = ProcessPoolExecutor(max_workers=jobs, initializer=configure_worker)
+            # A fork pool forks its workers at the first submit.  Submit now,
+            # before any serve thread runs: a child forked later could inherit
+            # a lock (metrics, cache) that another thread holds.
+            self._pool.submit(int)
         #: Set once the drain begins: every later response closes.
         self.draining = False
         self._stopping = False
@@ -135,7 +139,9 @@ class ReproServer:
         """The actually-bound TCP port (useful with ``port=0``)."""
         return int(self.server_address[1])
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(  # repro: thread-root -- accept loop
+        self, poll_interval: float = 0.5
+    ) -> None:
         """Run the accept loop until :meth:`shutdown`."""
         self._stopped.clear()
         try:
@@ -272,7 +278,7 @@ class ReproServer:
             self._observe(endpoint, start_ns)
             self._respond(conn, status, body, keep)
 
-    def handle(
+    def handle(  # repro: thread-root[concurrent] -- handler pool
         self, conn: Connection, endpoint: str, params: Any, key: str | None, start_ns: int
     ) -> None:
         """Render one request on a handler thread; the loop sends the reply."""
@@ -421,7 +427,7 @@ def run_server(
     server = ReproServer(host, port, jobs=jobs)
     stop = threading.Event()
 
-    def _on_signal(signum: int, frame: Any) -> None:
+    def _on_signal(signum: int, frame: Any) -> None:  # repro: thread-root -- signal handler
         stop.set()
 
     previous = {sig: signal.signal(sig, _on_signal) for sig in (signal.SIGINT, signal.SIGTERM)}

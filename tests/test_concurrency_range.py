@@ -1,19 +1,28 @@
-"""Tests for the concurrency-safety pack (R060–R066).
+"""Tests for the concurrency-safety pack (R060–R065) and its declared roots.
 
 Each rule gets a seeded firing fixture and a clean fixture; the
 archetypal case, an unlocked shared counter reachable from handler
 threads (R060, witness chain asserted), is covered explicitly, plus
-suppression and the SARIF round-trip.  The value-range codes R070 and
-R072–R074 are retired: ``tests/test_spec_corners.py`` catches their
-hazards at runtime.
+suppression and the SARIF round-trip.  Fixtures declare their thread
+roots with the same ``# repro: thread-root`` marker as ``src/repro``,
+and two tests keep the real tree's declarations complete.  The fork
+after threads (R063) and the leaked non-daemon thread (R066) are
+retired: ``tests/test_serve.py`` pins both at runtime.  So are the
+value-range codes R070 and R072–R074: ``tests/test_spec_corners.py``
+catches their hazards.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import analyze_paths
+from repro.analysis.determinism_rules import resolve_call_target
 from repro.analysis.rules import Project, SourceFile
+from repro.analysis.suppressions import parse_markers
 from repro.analysis.threadroots import threads_for
 from repro.report.diagnostics import validate_sarif_payload
 from repro.report.sarif import FINGERPRINT_KEY, sarif_payload
@@ -44,7 +53,7 @@ def test_r060_fires_on_unlocked_counter_from_handler(tmp_path: Path) -> None:
             ),
             "pkg/srv.py": (
                 "from pkg.counts import record\n"
-                "def handle_status(request):\n"
+                "def handle_status(request):  # repro: thread-root[concurrent] -- handler pool\n"
                 "    record()\n"
             ),
         },
@@ -59,14 +68,14 @@ def test_r060_fires_on_unlocked_counter_from_handler(tmp_path: Path) -> None:
 
 
 def test_r060_fires_on_pool_client_lambda_thunks(tmp_path: Path) -> None:
-    """Load-generator shape: ThreadPoolExecutor lambda thunks race."""
+    """Load-generator shape: a client-pool root, fanned out by lambda thunks."""
     root = mini_project(
         tmp_path,
         {
             "pkg/gen.py": (
                 "from concurrent.futures import ThreadPoolExecutor\n"
                 "results = {}\n"
-                "def work(job):\n"
+                "def work(job):  # repro: thread-root[concurrent] -- client pool\n"
                 "    results[job] = job\n"
                 "def fan_out(jobs):\n"
                 "    with ThreadPoolExecutor(max_workers=4) as pool:\n"
@@ -90,12 +99,12 @@ _DAEMON_SHAPE = {
         "class Server:\n"
         "    def __init__(self):\n"
         "        self._pool = ThreadPoolExecutor(max_workers=4)\n"
-        "    def serve_forever(self):\n"
+        "    def serve_forever(self):  # repro: thread-root -- accept loop\n"
         "        self._answer_hit('plan')\n"
         "        self._pool.submit(self.render, 'plan')\n"
         "    def _answer_hit(self, name):\n"
         "        observe(name)\n"
-        "    def render(self, name):\n"
+        "    def render(self, name):  # repro: thread-root[concurrent] -- handler pool\n"
         "        observe(name)\n"
         "def run():\n"
         "    server = Server()\n"
@@ -105,19 +114,18 @@ _DAEMON_SHAPE = {
 
 
 def test_r060_fires_on_a_write_shared_by_the_accept_loop_and_its_pool(tmp_path: Path) -> None:
-    """The daemon's shape: a loop thread started on a local's method
-    answers some requests itself and submits the rest to a thread pool
-    held in an attribute; a write both reach races."""
+    """The daemon's shape: the accept loop answers some requests itself
+    and submits the rest to the handler pool; a write both reach races."""
     report = analyze_paths([mini_project(tmp_path, _DAEMON_SHAPE)], root=tmp_path)
     (finding,) = [f for f in report if f.code == "R060" and f.active]
     assert "seen[name]" in finding.message
-    assert "Server.render (pool client" in finding.message
-    assert "Server.serve_forever (thread)" in finding.message
+    assert "Server.render (handler pool, concurrent with itself)" in finding.message
+    assert "Server.serve_forever (accept loop)" in finding.message
 
 
 def test_daemon_roots_reach_the_reply_lookup_and_the_render() -> None:
     """The real daemon: its accept loop reaches the reply lookup and its
-    handler-thread submissions reach the render."""
+    handler pool reaches the render."""
     root = Path(__file__).resolve().parent.parent
     project = Project(
         root=root,
@@ -129,8 +137,8 @@ def test_daemon_roots_reach_the_reply_lookup_and_the_render() -> None:
     analysis = threads_for(project)
     loop = analysis.roots["repro.serve.server.ReproServer.serve_forever"]
     pool = analysis.roots["repro.serve.server.ReproServer.handle"]
-    assert (loop.kind, loop.concurrent) == ("thread", False)
-    assert (pool.kind, pool.concurrent) == ("pool client", True)
+    assert (loop.label, loop.concurrent) == ("accept loop", False)
+    assert (pool.label, pool.concurrent) == ("handler pool", True)
     assert "repro.serve.handlers.cached_reply" in analysis.reach_by_root[loop.qualname]
     assert "repro.serve.handlers.render" in analysis.reach_by_root[pool.qualname]
 
@@ -149,28 +157,8 @@ def test_r060_clean_when_write_is_locked(tmp_path: Path) -> None:
                 "        with self._lock:\n"
                 "            self.hits += 1\n"
                 "stats = Stats()\n"
-                "def handle_status(request):\n"
+                "def handle_status(request):  # repro: thread-root[concurrent] -- handler pool\n"
                 "    stats.bump()\n"
-            ),
-        },
-    )
-    report = analyze_paths([root], root=root)
-    assert "R060" not in active_codes(report)
-
-
-def test_r060_ignores_process_isolated_roots(tmp_path: Path) -> None:
-    """Pool workers share no memory: one isolated root never fires."""
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/w.py": (
-                "from concurrent.futures import ProcessPoolExecutor\n"
-                "totals = {}\n"
-                "def work(job):\n"
-                "    totals[job] = job\n"
-                "def run(jobs):\n"
-                "    with ProcessPoolExecutor() as pool:\n"
-                "        list(pool.map(work, jobs))\n"
             ),
         },
     )
@@ -321,54 +309,6 @@ def test_r062_clean_with_consistent_order(tmp_path: Path) -> None:
 
 
 # ----------------------------------------------------------------------
-# R063 — fork after threads
-# ----------------------------------------------------------------------
-
-
-def test_r063_fires_on_pool_after_thread_start(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/forked.py": (
-                "import threading\n"
-                "from concurrent.futures import ProcessPoolExecutor\n"
-                "def work():\n"
-                "    pass\n"
-                "def run():\n"
-                "    t = threading.Thread(target=work, daemon=True)\n"
-                "    t.start()\n"
-                "    pool = ProcessPoolExecutor()\n"
-                "    return pool, t\n"
-            ),
-        },
-    )
-    report = analyze_paths([root], root=root)
-    r063 = [f for f in report if f.code == "R063" and f.active]
-    assert r063 and "fork" in r063[0].message
-
-
-def test_r063_clean_when_pool_created_first(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/forked.py": (
-                "import threading\n"
-                "from concurrent.futures import ProcessPoolExecutor\n"
-                "def work():\n"
-                "    pass\n"
-                "def run():\n"
-                "    pool = ProcessPoolExecutor()\n"
-                "    t = threading.Thread(target=work, daemon=True)\n"
-                "    t.start()\n"
-                "    return pool, t\n"
-            ),
-        },
-    )
-    report = analyze_paths([root], root=root)
-    assert "R063" not in active_codes(report)
-
-
-# ----------------------------------------------------------------------
 # R065 — blocking call under lock (warning)
 # ----------------------------------------------------------------------
 
@@ -412,53 +352,81 @@ def test_r065_clean_when_blocking_outside_lock(tmp_path: Path) -> None:
 
 
 # ----------------------------------------------------------------------
-# R066 — leaked non-daemon threads (warning)
+# Declared thread roots
 # ----------------------------------------------------------------------
 
+#: Calls that start a thread context: a thread, a thread pool, a signal handler.
+_THREAD_STARTERS = frozenset(
+    {"threading.Thread", "concurrent.futures.ThreadPoolExecutor", "signal.signal"}
+)
 
-def test_r066_fires_on_unjoined_nondaemon_thread(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/spawn.py": (
-                "import threading\n"
-                "def work():\n"
-                "    pass\n"
-                "def run():\n"
-                "    t = threading.Thread(target=work)\n"
-                "    t.start()\n"
-            ),
-        },
+
+@pytest.fixture(scope="module")
+def src_project() -> Project:
+    """The whole of ``src/repro``, parsed once."""
+    root = Path(__file__).resolve().parent.parent
+    return Project(
+        root=root,
+        files=tuple(
+            SourceFile.parse(path, path.relative_to(root).as_posix(), path.read_text())
+            for path in sorted((root / "src" / "repro").rglob("*.py"))
+        ),
     )
-    report = analyze_paths([root], root=root)
-    r066 = [f for f in report if f.code == "R066" and f.active]
-    assert r066 and "join" in r066[0].message
 
 
-def test_r066_clean_when_joined_daemon_or_returned(tmp_path: Path) -> None:
-    root = mini_project(
-        tmp_path,
-        {
-            "pkg/spawn.py": (
-                "import threading\n"
-                "def work():\n"
-                "    pass\n"
-                "def joined():\n"
-                "    t = threading.Thread(target=work)\n"
-                "    t.start()\n"
-                "    t.join()\n"
-                "def daemonic():\n"
-                "    t = threading.Thread(target=work, daemon=True)\n"
-                "    t.start()\n"
-                "def handed_back():\n"
-                "    t = threading.Thread(target=work)\n"
-                "    t.start()\n"
-                "    return t\n"
-            ),
-        },
+def test_parse_markers_reads_thread_root_declarations() -> None:
+    source = (
+        "def a():  # repro: thread-root[concurrent] -- handler pool\n"
+        "def b():  # repro: thread-root -- accept loop\n"
+        "x = {}  # repro: noqa[R015] -- kept\n"
     )
-    report = analyze_paths([root], root=root)
-    assert "R066" not in active_codes(report)
+    suppressions, roots = parse_markers(source)
+    assert [(r.line, r.concurrent, r.label) for r in roots] == [
+        (1, True, "handler pool"),
+        (2, False, "accept loop"),
+    ]
+    assert [(s.line, s.codes) for s in suppressions] == [(3, frozenset({"R015"}))]
+
+
+def _string_lines(file: SourceFile) -> set[int]:
+    """Lines inside string constants: a marker there is a docstring example."""
+    return {
+        line
+        for node in ast.walk(file.tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for line in range(node.lineno, (node.end_lineno or node.lineno) + 1)
+    }
+
+
+def test_every_declared_root_resolves_in_the_call_graph(src_project: Project) -> None:
+    """A marker that is not on a ``def`` line (a moved comment) declares nothing."""
+    declared = {
+        (f.relpath, m.line)
+        for f in src_project.files
+        for m in f.thread_roots
+        if m.line not in _string_lines(f)
+    }
+    roots = threads_for(src_project).roots
+    functions = src_project.callgraph().functions
+    assert declared == {
+        (functions[q].file.relpath, functions[q].node.lineno) for q in roots
+    }
+    assert all(root.label for root in roots.values()), "every root needs a label"
+
+
+def test_every_thread_starting_file_declares_a_root(src_project: Project) -> None:
+    """A new thread, thread pool or signal handler cannot land unchecked."""
+    for file in src_project.files:
+        starts = [
+            node.lineno
+            for node in ast.walk(file.tree)
+            if isinstance(node, ast.Call)
+            and resolve_call_target(node.func, file.aliases) in _THREAD_STARTERS
+        ]
+        assert not starts or file.thread_roots, (
+            f"{file.relpath}:{starts[0]} starts a thread context but declares no "
+            f"'# repro: thread-root' on the function that runs there"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +437,7 @@ _TWO_FINDINGS = (
     "import threading\n"
     "hits = {{}}\n"
     "lock = threading.Lock()\n"
-    "def handle_one(request):\n"
+    "def handle_one(request):  # repro: thread-root[concurrent] -- handler pool\n"
     "    hits[request] = 1{r060}\n"
     "def bad():\n"
     "    lock.acquire(){r061}\n"

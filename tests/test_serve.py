@@ -796,6 +796,34 @@ class TestAcceptLoop:
             thread.join()
             server.close()
 
+    def test_workers_fork_before_any_serve_thread_runs(self, monkeypatch, tmp_path):
+        """A worker forked while the accept loop or a handler thread runs
+        could inherit a lock (metrics, cache) that thread holds."""
+        monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
+        before = set(threading.enumerate())
+        forks: list[list[str]] = []
+        recording = [True]
+
+        def record() -> None:
+            if recording[0]:
+                forks.append([t.name for t in threading.enumerate() if t not in before])
+
+        os.register_at_fork(before=record)  # cannot be unregistered: gated by `recording`
+        server = ReproServer("127.0.0.1", 0, jobs=1)
+        thread = threading.Thread(target=server.serve_forever, name="repro-serve", daemon=True)
+        thread.start()
+        try:
+            status, envelope = _post(f"http://127.0.0.1:{server.port}/plan", _plan_body(88))
+            assert status == 200 and envelope["result"]["cache"]["hit"] is False
+        finally:
+            server.shutdown()
+            thread.join()
+            server.close()
+            recording[0] = False
+        # No thread this test started (the loop "repro-serve", the handler
+        # pool "repro-serve-handler_N") may be alive at any fork.
+        assert forks and not any(forks), forks
+
     def test_hit_sent_as_head_and_body_apart_is_answered(self, small_pool, monkeypatch):
         server = small_pool()
         body = _plan_body(64)
@@ -1059,6 +1087,28 @@ class TestLoadGenerator:
         printed = capsys.readouterr().out
         assert "byte-identical" in printed and "True" in printed
         assert json.loads(out.read_text())["errors"] == 0
+
+    def test_bench_record_reports_the_daemons_cache(self, tmp_path, monkeypatch):
+        proc, url = _spawn_daemon(tmp_path)  # its own REPRO_CACHE_DIR
+        monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "client"))
+        out = tmp_path / "BENCH_serve.json"
+        try:
+            loadgen.bench_serve(
+                clients=2, requests=6, seed=3, url=url,
+                models=("MobileNet",), glb_kb=(64,), out=out,
+            )
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        recorded = json.loads(out.read_text())["cache"]
+        client_entries = cache.entry_count()  # the byte-identity oracle's plans
+        monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "cache"))
+        assert recorded["dir"] == str(cache.cache_dir())
+        assert recorded["entries"] == cache.entry_count() != client_entries
 
     def test_percentile_edges(self):
         assert loadgen._percentile([], 0.5) == 0.0
