@@ -1,22 +1,27 @@
 """Domain-aware source static analysis (``repro lint``, ``R0xx`` codes).
 
 Where :mod:`repro.verify` proves emitted *plans* consistent at runtime
-(``V0xx`` diagnostics), this package proves *source files* obey the
-project's domain invariants at review time: unit discipline in the
-Eq. (1)/(2) GLB accounting, determinism on the process-pool experiment
-path, and cross-file registry consistency.  Violations are
-:class:`Finding` records with stable ``R0xx`` codes (see
-:mod:`repro.analysis.codes` and ``docs/static-analysis.md``); intentional
-exceptions carry inline ``# repro: noqa[Rxxx] -- reason`` markers.
+(``V0xx`` diagnostics), this package checks *source files* for the
+hazards no runtime test fails on demand: unit slips in the Eq. (1)/(2)
+GLB accounting (float creep, raw conversion factors), environment reads
+that make results depend on the invoking shell, tracer spans opened
+outside ``with``, references to undefined diagnostic codes, and races in
+the serving stack.  Violations are :class:`Finding` records with stable
+``R0xx`` codes (see :mod:`repro.analysis.codes` and
+``docs/static-analysis.md``); intentional exceptions carry inline
+``# repro: noqa[Rxxx] -- reason`` comments.
 
 Checking is interprocedural where a test cannot stand in: a project-wide
 call graph (:mod:`repro.analysis.callgraph`) feeds the concurrency pack
 (``R060``–``R065``, :mod:`repro.analysis.threadroots`, from declared
-thread roots), because races do not fail tests on demand.  Unit slips
-across call boundaries, order-unstable cache keys, a fork after threads
-and a leaked thread are left to runtime pins (plan digests at 16- and
-32-bit data, cache keys under two hash seeds, the serve daemon's fork
-and drain tests), which fail on them.
+thread roots), because races do not fail tests on demand.  Everything a
+runtime pin fails on is left to that pin: unit slips across call
+boundaries and unconditional doublings (plan digests at 8-, 16- and
+32-bit data), nondeterministic calls and order-unstable cache keys (the
+plan goldens and the cache keys under two hash seeds), leaked module
+state (the artifact ledger), unregistered policies and undocumented
+artifacts (registry tests), a fork after threads and a leaked thread
+(the serve daemon's fork and drain tests).
 
 Entry points: :func:`analyze_paths`, :func:`analyze_source`, and the
 ``repro lint`` CLI subcommand (``--format sarif`` exports SARIF 2.1.0

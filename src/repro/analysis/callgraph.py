@@ -1,6 +1,6 @@
 """Project-wide call graph over the analyzed source set.
 
-The per-file rule packs (R002–R030) see one AST at a time; the
+The per-file rules (R003–R030) see one AST at a time; the
 concurrency pack (R060–R065, :mod:`.threadroots`) needs to know *who
 calls whom across the whole of* ``src/repro``.  This module builds
 that graph once per :class:`~repro.analysis.rules.Project` (cached on
@@ -34,8 +34,21 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .determinism_rules import resolve_call_target
 from .rules import Project, SourceFile
+
+
+def resolve_call_target(func: ast.expr, aliases: dict[str, str]) -> str | None:
+    """Dotted path a call expression resolves to, through import aliases."""
+    parts: list[str] = []
+    node = func
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    base = aliases.get(node.id, node.id)
+    return ".".join([base, *reversed(parts)])
+
 
 @dataclass(frozen=True)
 class FunctionInfo:

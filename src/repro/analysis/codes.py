@@ -4,31 +4,33 @@ Mirrors the structure of :mod:`repro.verify.codes` (the runtime plan
 verifier's ``V`` catalog): codes are stable identifiers referenced by
 tests, suppression comments and documentation, so existing codes are
 never renumbered and a retired code is never reused — new rules append
-new codes.  Retired so far: R001, R012, R013, R014, R031, R040, R041,
-R042, R043, R044, R050, R051, R052, R053, R063, R064, R066, R070, R071,
-R072, R073 and R074, each because another check catches its hazard (the
-R07x value-range codes: the runtime harness at the corners of
-:mod:`repro.arch.bounds`, ``tests/test_spec_corners.py``; the R04x unit
-codes: the plan digests pinned at 16- and 32-bit data; R052/R053: the
-cache keys pinned under two hash seeds, ``tests/test_cache_keys.py``;
-R063: the serve daemon's fork pin; R066: the SIGTERM-drain tests).
+new codes.  Retired so far: R001, R002, R010, R012, R013, R014, R015,
+R020, R021, R022, R031, R040, R041, R042, R043, R044, R050, R051, R052,
+R053, R063, R064, R066, R070, R071, R072, R073 and R074, each because
+another check catches its hazard (the R07x value-range codes: the
+runtime harness at the corners of :mod:`repro.arch.bounds`,
+``tests/test_spec_corners.py``; R002 and the R04x unit codes: the plan
+digests pinned at 8-, 16- and 32-bit data; R010, R052 and R053: the plan
+goldens and the cache keys pinned under two hash seeds,
+``tests/test_cache_keys.py``; R015: the artifact tests; R020–R022: the
+catalog, policy-registry and artifact-index tests; R063: the serve
+daemon's fork pin; R066: the SIGTERM-drain tests).
 ``docs/static-analysis.md`` mirrors this table and a test asserts the
 two stay in sync.
 
 Catalog overview
 ----------------
 * ``R000`` is the engine-level code for files the analyzer cannot parse.
-* ``R002``–``R004`` — the **unit-safety** pack: the paper's Eqs. (1)/(2)
+* ``R003``, ``R004`` — the **unit-safety** pack: the paper's Eqs. (1)/(2)
   GLB accounting mixes elements, bytes and bits, and a single silent
-  unit slip flips which policy wins, so bare doubling, float creep and
-  raw conversion factors are flagged.
-* ``R010``–``R015`` — the **determinism & parallel-safety** pack: the
-  experiment engine fans work across a process pool backed by a
-  content-addressed cache, so nondeterministic inputs and module-level
-  mutable state are silent output corrupters.
-* ``R020``–``R023`` — the **registry-consistency** pack: cross-file
-  invariants (diagnostic catalogs, the policy registry, the experiment
-  artifact registry) that no per-file linter can see.
+  unit slip flips which policy wins, so float creep and raw conversion
+  factors are flagged.
+* ``R011`` — the **determinism** pack: a result that depends on the
+  invoking shell's environment is cached under a key that does not say
+  so.
+* ``R023`` — the **registry** pack: a reference to a diagnostic code
+  its catalog does not define, in source, documentation or a ``noqa``
+  marker.
 * ``R030`` — the **observability** pack: a tracer span records itself
   only on ``__exit__``, so a span opened outside ``with`` is silently
   dropped.  (Unsuffixed metric names need no rule: the registry raises
@@ -50,15 +52,9 @@ from __future__ import annotations
 #: code → short title (stable; rendered in reports and docs).
 RULE_TITLES: dict[str, str] = {
     "R000": "unparsable source file",
-    "R002": "bare double-buffer factor",
     "R003": "float creep in integer-unit assignment",
     "R004": "magic unit-conversion constant",
-    "R010": "nondeterministic call in library code",
     "R011": "environment read in library code",
-    "R015": "mutable module-level state",
-    "R020": "diagnostic catalog inconsistent",
-    "R021": "policy class not registered",
-    "R022": "experiment artifact registry inconsistent",
     "R023": "unknown diagnostic code referenced",
     "R030": "tracer span opened without context manager",
     "R060": "unlocked shared-state write reachable from multiple thread roots",
@@ -73,12 +69,6 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "Every analyzed source file must parse as Python; a syntax error "
         "makes every other rule blind to the file."
     ),
-    "R002": (
-        "The Eq. (2) double-buffer factor must come from the prefetch "
-        "helpers (``2 if prefetch else 1`` bound to a named factor), "
-        "never from a bare ``* 2`` on a tile/footprint/memory quantity — "
-        "an unconditional doubling miscounts the non-prefetch policies."
-    ),
     "R003": (
         "A quantity named as an integer unit (``*_bytes``, ``*_elems``, "
         "``*_bits``) must not be assigned from an expression using true "
@@ -92,43 +82,11 @@ RULE_DESCRIPTIONS: dict[str, str] = {
         "than raw ``8``/``1024``/``1048576`` factors on byte/bit-typed "
         "operands, so every conversion site is greppable and consistent."
     ),
-    "R010": (
-        "Library code must not call nondeterministic sources — "
-        "``random``/``numpy.random`` module functions, ``time.time``, "
-        "``datetime.now``, ``os.getpid``, ``os.urandom``, ``uuid`` — "
-        "because experiment workers must produce bit-identical results "
-        "at any job count and cache temperature.  Monotonic timers used "
-        "purely for wall-time instrumentation (``time.perf_counter``) "
-        "are exempt."
-    ),
     "R011": (
         "Reads of ambient environment state (``os.environ``, "
         "``os.getenv``, ``Path.home``, ``expanduser``) make results "
         "depend on the invoking shell; they belong in explicitly "
         "documented configuration boundaries only."
-    ),
-    "R015": (
-        "Module-level mutable state (list/dict/set literals, mutable "
-        "collection constructors, non-frozen dataclass instances bound "
-        "to lowercase names) is copied, not shared, by pool workers — "
-        "mutations silently diverge between processes."
-    ),
-    "R020": (
-        "Every diagnostic code defined in a catalog (``V0xx`` in "
-        "``repro.verify.codes``, ``R0xx`` in ``repro.analysis.codes``) "
-        "must be defined exactly once, carry both a title and a "
-        "description, be raised somewhere in the source, and appear in "
-        "its documentation table."
-    ),
-    "R021": (
-        "Every concrete ``Policy`` subclass must be registered in "
-        "``repro.policies.registry`` — an unregistered policy silently "
-        "drops out of Algorithm 1's candidate set."
-    ),
-    "R022": (
-        "Every experiment artifact id must be unique in the "
-        "``ARTIFACTS`` registry and listed in ``EXPERIMENTS.md``, so the "
-        "documented artifact set and the runnable one cannot drift."
     ),
     "R023": (
         "No source file, documentation table or ``# repro: noqa[...]`` "
@@ -178,15 +136,9 @@ RULE_DESCRIPTIONS: dict[str, str] = {
 #: "observability", "concurrency").
 RULE_PACKS: dict[str, str] = {
     "R000": "engine",
-    "R002": "units",
     "R003": "units",
     "R004": "units",
-    "R010": "determinism",
     "R011": "determinism",
-    "R015": "determinism",
-    "R020": "registry",
-    "R021": "registry",
-    "R022": "registry",
     "R023": "registry",
     "R030": "observability",
     "R060": "concurrency",

@@ -31,7 +31,7 @@ class Finding:
     Attributes
     ----------
     code:
-        Stable identifier from the catalog (``"R002"`` … — see
+        Stable identifier from the catalog (``"R003"`` … — see
         :data:`repro.analysis.codes.RULE_TITLES`).
     path:
         Project-relative path of the offending file (``/``-separated).
@@ -100,7 +100,7 @@ class Finding:
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
     def render(self) -> str:
-        """One-line rendering: ``path:line: R002 [error] message``."""
+        """One-line rendering: ``path:line: R003 [error] message``."""
         flags = " (suppressed)" if self.suppressed else ""
         return (
             f"{self.path}:{self.line}: {self.code} "

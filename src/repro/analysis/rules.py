@@ -4,16 +4,17 @@ A :class:`Rule` binds a catalog code to a checker function.  Checkers
 come in two scopes:
 
 * ``file`` — called once per :class:`SourceFile` with that file's parsed
-  AST; this is where the unit-safety and determinism packs live.
+  AST; this is where the unit-safety, environment-read and
+  observability rules live.
 * ``project`` — called once per :class:`Project` with every parsed file
-  and the repository root; this is where cross-file registry-consistency
-  checks live.
+  and the repository root; this is where the code-reference check and
+  the concurrency pack live.
 
 Rule modules self-register at import time via the :func:`rule`
 decorator; :func:`all_rules` imports the packs and returns the frozen
 registry.  Registration validates that every code exists in the
-:mod:`~repro.analysis.codes` catalog and is bound at most once — the
-registry itself satisfies the ``R020`` discipline it enforces.
+:mod:`~repro.analysis.codes` catalog and is bound at most once, and a
+test requires every catalog code but ``R000`` to be bound.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ class SourceFile:
     @classmethod
     def parse(cls, path: Path, relpath: str, source: str) -> "SourceFile":
         """Parse a source text (raises :class:`SyntaxError` on bad input)."""
+        tree = ast.parse(source, filename=str(path))
         suppressions, thread_roots = parse_markers(source)
         return cls(
             path=path,
             relpath=relpath,
             source=source,
-            tree=ast.parse(source, filename=str(path)),
+            tree=tree,
             suppressions=suppressions,
             thread_roots=thread_roots,
         )

@@ -1,12 +1,12 @@
 """Inline suppression comments: ``# repro: noqa[Rxxx] -- reason``.
 
 A finding is suppressed when the line it anchors to carries a marker
-naming its code.  Markers accept multiple codes and an optional (but
-strongly encouraged — the project convention requires it for anything
-intentionally kept) free-text reason after ``--``::
+naming its code.  Markers accept multiple codes (``noqa[R004,R011]``)
+and an optional (but strongly encouraged — the project convention
+requires it for anything intentionally kept) free-text reason after
+``--``::
 
-    memo = {}  # repro: noqa[R015] -- per-process memo by design
-    base = os.environ.get("XDG")  # repro: noqa[R011,R010] -- documented knob
+    base = os.environ.get("XDG")  # repro: noqa[R011] -- documented knob
 
 Blanket suppressions (bare ``noqa`` without codes) are deliberately not
 supported: every silenced finding names what it silences.
@@ -17,11 +17,16 @@ thread context (:mod:`.threadroots`)::
 
     def handle(self, conn):  # repro: thread-root[concurrent] -- handler pool
     def serve_forever(self):  # repro: thread-root -- accept loop
+
+Markers are read from comment tokens only, so a marker quoted inside a
+string (such as the examples above) declares nothing.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from dataclasses import dataclass
 
 _MARKER = re.compile(
@@ -52,13 +57,22 @@ class ThreadRootMarker:
 def parse_markers(
     source: str,
 ) -> tuple[tuple[Suppression, ...], tuple[ThreadRootMarker, ...]]:
-    """Extract every ``noqa`` and ``thread-root`` marker from a source text."""
+    """Extract every ``noqa`` and ``thread-root`` marker from a source text.
+
+    The source must tokenize (a file that does not is an ``R000``
+    finding before any marker matters).
+    """
+    if _MARKER.search(source) is None:  # most files: skip the tokenizer
+        return (), ()
     suppressions: list[Suppression] = []
     roots: list[ThreadRootMarker] = []
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = _MARKER.search(text)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _MARKER.search(token.string)
         if match is None:
             continue
+        lineno = token.start[0]
         reason = (match.group("reason") or "").strip()
         if match.group("codes") is None:
             roots.append(ThreadRootMarker(lineno, bool(match.group("concurrent")), reason))

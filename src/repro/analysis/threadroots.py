@@ -38,8 +38,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .callgraph import CallGraph
-from .determinism_rules import resolve_call_target
+from .callgraph import CallGraph, resolve_call_target
 from .rules import Project, SourceFile
 
 #: Methods where ``self`` writes are construction, not shared mutation

@@ -1,4 +1,4 @@
-"""Unit-safety rule pack (``R002``–``R004``).
+"""Unit-safety rule pack (``R003``, ``R004``).
 
 The paper's GLB accounting (Eqs. 1–2, Table 2) mixes three unit systems:
 tensor *elements* (tile sizes, budgets), *bytes* (GLB capacity, traffic)
@@ -6,12 +6,12 @@ and *bits* (data width), plus *cycles* on the latency side.  The library
 convention is suffix-typed names (``glb_bytes``, ``ifmap_elems``,
 ``data_width_bits``, ``latency_cycles``) with all conversions funneled
 through :mod:`repro.arch.units` and ``AcceleratorSpec.bytes_per_elem``.
-These rules make the convention checkable: bare ``* 2`` double-buffer
-factors, float creep into integer-unit assignments, and raw
-``8``/``1024`` conversion factors are flagged at the AST level.
-A byte count used where an element count belongs is left to the
-runtime: the plan digests pinned at 16- and 32-bit data
-(``tests/test_flat_golden.py``) change when one slips in.
+These rules make the convention checkable: float creep into
+integer-unit assignments and raw ``8``/``1024`` conversion factors are
+flagged at the AST level.  A byte count used where an element count
+belongs, and an unconditional Eq. (2) doubling, are left to the runtime:
+the plan digests pinned at 8-, 16- and 32-bit data
+(``tests/test_flat_golden.py``) change when either slips in.
 
 Unit inference is deliberately name-based (the repo's suffix convention),
 so the rules are heuristics — precise enough to gate CI because the
@@ -27,7 +27,6 @@ from typing import Iterator
 from .findings import Finding
 from .rules import SourceFile, rule
 
-_FOOTPRINT_NAME = re.compile(r"tile|footprint|resid|memory|buffer")
 _CONVERSION_CONSTANTS = frozenset({8, 1024, 1024 * 1024})
 _UNITISH_NAME = re.compile(r"byte|bit|elem|kib|mib|size|capacity|glb")
 _INT_WRAPPERS = frozenset({"int", "round", "floor", "ceil", "ceil_div", "len"})
@@ -104,78 +103,6 @@ def unit_of(node: ast.expr) -> str | None:
     return name_unit(_terminal_name(node))
 
 
-class _FunctionStackVisitor(ast.NodeVisitor):
-    """Node visitor that tracks the enclosing function-name stack."""
-
-    def __init__(self) -> None:
-        self.stack: list[str] = []
-        self.findings: list[Finding] = []
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Push the function name while visiting its body."""
-        self.stack.append(node.name)
-        self.generic_visit(node)
-        self.stack.pop()
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Treat async functions like regular ones."""
-        self.stack.append(node.name)
-        self.generic_visit(node)
-        self.stack.pop()
-
-    def in_function_matching(self, pattern: re.Pattern[str]) -> bool:
-        """Whether any enclosing function name matches ``pattern``."""
-        return any(pattern.search(name) for name in self.stack)
-
-
-_PREFETCH_CONTEXT = re.compile(r"prefetch|double_buffer")
-
-
-class _DoubleBufferVisitor(_FunctionStackVisitor):
-    """R002: bare ``* 2`` on a footprint-like quantity."""
-
-    def __init__(self, file: SourceFile) -> None:
-        super().__init__()
-        self.file = file
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        """Flag ``2 * footprint`` / ``footprint * 2`` outside helpers."""
-        if isinstance(node.op, ast.Mult) and not self.in_function_matching(
-            _PREFETCH_CONTEXT
-        ):
-            for const, other in ((node.left, node.right), (node.right, node.left)):
-                if (
-                    isinstance(const, ast.Constant)
-                    and const.value == 2
-                    and not isinstance(const.value, bool)
-                ):
-                    name = _terminal_name(other)
-                    unit = unit_of(other)
-                    if (
-                        name is not None
-                        and (_FOOTPRINT_NAME.search(name.lower()) or unit in ("bytes", "elems"))
-                    ):
-                        self.findings.append(
-                            self.file.finding(
-                                "R002",
-                                node,
-                                f"bare double-buffer factor '* 2' on {_src(other)}; "
-                                f"bind '2 if prefetch else 1' to a named factor "
-                                f"or use the prefetch helpers",
-                            )
-                        )
-                        break
-        self.generic_visit(node)
-
-
-@rule("R002")
-def check_double_buffer_factor(file: SourceFile) -> Iterator[Finding]:
-    """Flag unconditional Eq. (2) doublings outside the prefetch helpers."""
-    visitor = _DoubleBufferVisitor(file)
-    visitor.visit(file.tree)
-    yield from visitor.findings
-
-
 def _contains_float_creep(node: ast.AST) -> bool:
     """Whether an expression uses true division or float literals.
 
@@ -191,12 +118,12 @@ def _contains_float_creep(node: ast.AST) -> bool:
     return any(_contains_float_creep(child) for child in ast.iter_child_nodes(node))
 
 
-class _FloatCreepVisitor(_FunctionStackVisitor):
+class _FloatCreepVisitor(ast.NodeVisitor):
     """R003: integer-unit names assigned from float-valued expressions."""
 
     def __init__(self, file: SourceFile) -> None:
-        super().__init__()
         self.file = file
+        self.findings: list[Finding] = []
 
     def _check(self, node: ast.AST, target: ast.expr, value: ast.expr | None) -> None:
         if value is None:
@@ -250,12 +177,12 @@ def check_float_creep(file: SourceFile) -> Iterator[Finding]:
     yield from visitor.findings
 
 
-class _MagicConstantVisitor(_FunctionStackVisitor):
+class _MagicConstantVisitor(ast.NodeVisitor):
     """R004: raw 8/1024/1048576 conversion factors on unit-ish operands."""
 
     def __init__(self, file: SourceFile) -> None:
-        super().__init__()
         self.file = file
+        self.findings: list[Finding] = []
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
         """Flag multiplicative use of the conversion constants."""

@@ -298,7 +298,7 @@ def _entry_path(key: str) -> str:
 
 def _stamp(path: str) -> None:
     """Set ``path``'s mtime, its recency, to now at nanosecond resolution."""
-    now_ns = time.time_ns()  # repro: noqa[R010] -- eviction-order stamp only; never enters keys or results
+    now_ns = time.time_ns()
     os.utime(path, ns=(now_ns, now_ns))
 
 

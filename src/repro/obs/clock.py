@@ -10,7 +10,8 @@ deterministic.  Callers must access it as a module attribute
 monkeypatch will not reach them.
 
 ``time.perf_counter_ns`` is monotonic and never feeds results (only
-telemetry), so the determinism lint (R010) does not apply here.
+telemetry); a clock reading that did would change the pinned plan and
+CLI goldens.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every metric name must end in a unit suffix (``_bytes``, ``_elems``,
 ``_cycles``, ``_count``, ``_ns``, ``_seconds``, ``_ratio``, ``_bits``) —
-the suffix convention the R002–R004 unit lint reads from variable
+the suffix convention the R003/R004 unit lint reads from variable
 names, enforced here at registration time, traced or not.
 
 The registry is per-process; worker processes reset theirs at pool entry

@@ -121,7 +121,7 @@ class Span(AbstractSpan):
                 name=self._name,
                 start_ns=self._start_ns,
                 end_ns=end_ns,
-                pid=os.getpid(),  # repro: noqa[R010] -- span metadata for trace merging, never in results
+                pid=os.getpid(),
                 tid=threading.get_ident(),
                 depth=self._depth,
                 attrs=tuple(sorted(self._attrs.items())),

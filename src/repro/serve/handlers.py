@@ -25,8 +25,7 @@ the concurrency lint (R060): :func:`execute` reaches it through the
 :data:`HANDLERS` table, which the call graph cannot follow, and the
 daemon's handler pool and the load generator's client pool both run it.
 So an unlocked shared-state write reachable from a serve endpoint is
-flagged with a witness chain in ``repro lint``.  Nondeterministic calls
-are flagged wherever they occur (R010).
+flagged with a witness chain in ``repro lint``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_paths
-from repro.analysis.determinism_rules import resolve_call_target
+from repro.analysis.callgraph import resolve_call_target
 from repro.analysis.rules import Project, SourceFile
 from repro.analysis.suppressions import parse_markers
 from repro.analysis.threadroots import threads_for
@@ -378,24 +378,33 @@ def test_parse_markers_reads_thread_root_declarations() -> None:
     source = (
         "def a():  # repro: thread-root[concurrent] -- handler pool\n"
         "def b():  # repro: thread-root -- accept loop\n"
-        "x = {}  # repro: noqa[R015] -- kept\n"
+        "x = {}  # repro: noqa[R011] -- kept\n"
     )
     suppressions, roots = parse_markers(source)
     assert [(r.line, r.concurrent, r.label) for r in roots] == [
         (1, True, "handler pool"),
         (2, False, "accept loop"),
     ]
-    assert [(s.line, s.codes) for s in suppressions] == [(3, frozenset({"R015"}))]
+    assert [(s.line, s.codes) for s in suppressions] == [(3, frozenset({"R011"}))]
 
 
-def _string_lines(file: SourceFile) -> set[int]:
-    """Lines inside string constants: a marker there is a docstring example."""
-    return {
-        line
-        for node in ast.walk(file.tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        for line in range(node.lineno, (node.end_lineno or node.lineno) + 1)
-    }
+def test_markers_inside_strings_declare_nothing() -> None:
+    """A quoted marker is an example; a real comment on the same line still counts."""
+    source = (
+        '"""Docs quoting markers:\n'
+        "\n"
+        "    def handle(self):  # repro: thread-root[concurrent] -- handler pool\n"
+        "    memo = {}  # repro: noqa[R011] -- per-process memo\n"
+        '"""\n'
+        "EXAMPLE = '# repro: noqa[R003] -- quoted'  # repro: noqa[R004] -- real\n"
+        "ROOT = '# repro: noqa[R003]'\n"
+        "def serve(): ...  # repro: thread-root -- '# repro: noqa[R011]' in a label\n"
+    )
+    suppressions, roots = parse_markers(source)
+    assert [(s.line, s.codes) for s in suppressions] == [(6, frozenset({"R004"}))]
+    assert [(r.line, r.concurrent, r.label) for r in roots] == [
+        (8, False, "'# repro: noqa[R011]' in a label")
+    ]
 
 
 def test_every_declared_root_resolves_in_the_call_graph(src_project: Project) -> None:
@@ -404,7 +413,6 @@ def test_every_declared_root_resolves_in_the_call_graph(src_project: Project) ->
         (f.relpath, m.line)
         for f in src_project.files
         for m in f.thread_roots
-        if m.line not in _string_lines(f)
     }
     roots = threads_for(src_project).roots
     functions = src_project.callgraph().functions

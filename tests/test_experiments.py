@@ -574,6 +574,10 @@ class TestRunner:
             "resolution", "bounds", "dram-sweep",
         }
 
+    def test_every_artifact_is_listed_in_experiments_md(self):
+        text = EXPERIMENTS_MD.read_text(encoding="utf-8")
+        assert [name for name in ARTIFACTS if f"`{name}`" not in text] == []
+
     def test_run_subset_and_csv(self, tmp_path):
         tables = run_all(csv_dir=str(tmp_path), only=["table2", "fig3"])
         assert len(tables) == 2

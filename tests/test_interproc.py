@@ -149,7 +149,7 @@ def test_callgraph_reference_edges_for_escaping_functions() -> None:
 
 
 # ----------------------------------------------------------------------
-# Unit suffixes (R002-R004)
+# Unit suffixes (R003, R004)
 # ----------------------------------------------------------------------
 
 
@@ -247,17 +247,17 @@ def test_sarif_validator_rejects_malformed() -> None:
 
 def test_fingerprint_survives_line_and_message_changes() -> None:
     a = Finding(
-        code="R010", path="m.py", line=3, message="old wording",
-        snippet="    x = random.random()",
+        code="R011", path="m.py", line=3, message="old wording",
+        snippet="    x = os.environ.get('K')",
     )
     b = Finding(
-        code="R010", path="m.py", line=99, message="new wording",
-        snippet="x = random.random()",  # re-indented
+        code="R011", path="m.py", line=99, message="new wording",
+        snippet="x = os.environ.get('K')",  # re-indented
     )
     assert a.fingerprint() == b.fingerprint()
     changed = Finding(
-        code="R010", path="m.py", line=3, message="old wording",
-        snippet="x = random.SystemRandom().random()",
+        code="R011", path="m.py", line=3, message="old wording",
+        snippet="x = os.getenv('K')",
     )
     assert a.fingerprint() != changed.fingerprint()
 

@@ -9,9 +9,15 @@ the arithmetic hand-checkable:
 * sliding window 3·10·4 = 120; covered rows = 3 + 7 = 10
 """
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import repro.policies
 from repro.policies import (
+    FALLBACK_POLICY,
     FilterReuse,
     IfmapReuse,
     IntraLayerReuse,
@@ -19,6 +25,7 @@ from repro.policies import (
     PartialPerChannelReuse,
     PerChannelReuse,
     NAMED_POLICIES,
+    Policy,
     policy_by_name,
 )
 
@@ -205,9 +212,27 @@ class TestP5:
         _consistent(p5, dw_layer)
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 class TestRegistry:
     def test_paper_order(self):
         assert [p.name for p in NAMED_POLICIES] == ["intra", "p1", "p2", "p3", "p4", "p5"]
+
+    def test_every_policy_subclass_is_registered(self):
+        """An unregistered policy silently drops out of Algorithm 1's candidates."""
+        for module in pkgutil.iter_modules(repro.policies.__path__):
+            importlib.import_module(f"repro.policies.{module.name}")
+        concrete = {
+            cls
+            for cls in _subclasses(Policy)
+            if cls.__module__.startswith("repro.policies.") and not inspect.isabstract(cls)
+        }
+        registered = {type(policy) for policy in (*NAMED_POLICIES, FALLBACK_POLICY)}
+        assert concrete == registered
 
     def test_lookup(self):
         assert policy_by_name("p2").name == "p2"
