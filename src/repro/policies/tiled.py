@@ -243,6 +243,14 @@ class TiledFallback(Policy):
             winner = _grid_winner(tile_grid(layer, True), factor, budget_elems)
         return winner
 
+    @staticmethod
+    def candidate_tiles(layer: LayerSpec, n_f: int, o_t: int, w_t: int) -> TileSizes:
+        """The Eq. (1) residency of one ``(n_f, o_t, w_t)`` candidate."""
+        col_step = min(layer.stride, layer.f_w)
+        window_cols = min(layer.padded_w, layer.f_w + (w_t - 1) * col_step)
+        window = layer.f_h * window_cols * (n_f if layer.kind.is_depthwise else 1)
+        return TileSizes(ifmap=window, filters=layer.f_h * layer.f_w * n_f, ofmap=o_t * w_t * n_f)
+
     def _instantiate(
         self,
         layer: LayerSpec,
@@ -252,16 +260,12 @@ class TiledFallback(Policy):
         o_t: int,
         w_t: int,
     ) -> CandidatePlan | None:
+        tiles = self.candidate_tiles(layer, n_f, o_t, w_t)
+        if not self._fits(tiles, budget_elems, prefetch):
+            return None
         depthwise = layer.kind.is_depthwise
         row_step = min(layer.stride, layer.f_h)
         col_step = min(layer.stride, layer.f_w)
-        window_cols = min(layer.padded_w, layer.f_w + (w_t - 1) * col_step)
-        window = layer.f_h * window_cols * (n_f if depthwise else 1)
-        filter_slice = layer.f_h * layer.f_w * n_f
-        ofmap_tile = o_t * w_t * n_f
-        tiles = TileSizes(ifmap=window, filters=filter_slice, ofmap=ofmap_tile)
-        if not self._fits(tiles, budget_elems, prefetch):
-            return None
 
         bands_h = ceil_div(layer.out_h, o_t)
         bands_w = ceil_div(layer.out_w, w_t)

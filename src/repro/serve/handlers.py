@@ -17,8 +17,10 @@ response body of a ``plan``, ``explain`` or ``simulate`` request in
 the form a cache hit renders, stored in the shared cache the first time
 the request is answered and sent again, after one file read, to every
 later identical request, so each request is rendered once.  Its accept
-loop looks a reply up (:func:`cached_reply`); a handler thread renders
-and stores one (:func:`render`); :func:`respond` is the two in one call.
+loop derives a request's key (:func:`reply_key`, once per distinct body)
+and looks the reply up under it (:func:`cached_reply`); a handler thread
+renders and stores one (:func:`render`); :func:`respond` is the three in
+one call.
 
 Each ``handle_*`` function declares itself a concurrent thread root for
 the concurrency lint (R060): :func:`execute` reaches it through the
@@ -295,24 +297,20 @@ def reply_key(endpoint: str, params: Any) -> str | None:
     )
 
 
-def cached_reply(endpoint: str, params: Any = None) -> tuple[str | None, bytes | None]:
-    """A request's reply key and its stored body (None when no entry exists).
+def cached_reply(key: str) -> bytes | None:
+    """The body stored under a reply key (None when no entry exists).
 
-    The daemon's accept loop runs this on every request it parses and
-    sends a stored body as it is: one file read, no unpickling and no
-    rendering.  A request with no key (see :func:`reply_key`) looks
-    nothing up.
+    The daemon's accept loop runs this on every request that has a key
+    (see :func:`reply_key`) and sends a stored body as it is: one file
+    read, no unpickling and no rendering.
     """
     from ..experiments import cache
 
-    key = reply_key(endpoint, params)
-    if key is None:
-        return None, None
     hit, body = cache.lookup(key)
     if not hit:
-        return key, None
+        return None
     metrics_registry().counter("serve_reply_hits_count").add(1)
-    return key, body
+    return body  # type: ignore[no-any-return]
 
 
 def render(endpoint: str, params: Any, key: str | None) -> tuple[int, bytes]:
@@ -347,5 +345,6 @@ def render(endpoint: str, params: Any, key: str | None) -> tuple[int, bytes]:
 def respond(endpoint: str, params: Any = None) -> tuple[int, bytes]:
     """Answer one request as the daemon does: the stored reply if there
     is one, else :func:`render` (``(http_status, response body bytes)``)."""
-    key, body = cached_reply(endpoint, params)
+    key = reply_key(endpoint, params)
+    body = None if key is None else cached_reply(key)
     return (200, body) if body is not None else render(endpoint, params, key)

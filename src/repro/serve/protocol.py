@@ -35,6 +35,7 @@ body with its header set, so the daemon needs no :mod:`http.server`.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -299,13 +300,18 @@ def read_request(buffer: bytes | bytearray) -> Head | None:
     return method, endpoint, keep_alive, start, headers.get("content-length"), expect
 
 
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value of one Unix second, formatted once."""
+    return time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(second))
+
+
 def http_response(status: int, body: bytes, close: bool) -> bytes:
     """One complete HTTP/1.1 response with :mod:`http.server`'s header
     set, to go out in a single write."""
-    date = time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime())
     head = (
         f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-        f"Server: {SERVER}\r\nDate: {date}\r\n"
+        f"Server: {SERVER}\r\nDate: {_http_date(int(time.time()))}\r\n"
         f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
     )
     return (head + ("Connection: close\r\n\r\n" if close else "\r\n")).encode("latin-1") + body

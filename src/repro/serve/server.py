@@ -3,12 +3,15 @@
 Architecture::
 
     client ──HTTP──▶ ReproServer accept loop (one thread, one selector)
-                        │  accept; buffer and parse every request
+                        │  accept; buffer and parse every request head
                         │  (read_request); cut off a stalled request;
                         │  write every response
+                        ├──▶ reply index: (endpoint, body bytes) → reply
+                        │    key; a body seen before skips the JSON parse
+                        │    and handlers.reply_key
                         ├──▶ handlers.cached_reply: a stored reply is
                         │    answered here, on the loop
-                        ▼  any other request, parsed
+                        ▼  any other request, its body parsed
                      ReproServer.handle (pooled handler thread)
                         │  --jobs 0: in-process   --jobs N: process pool
                         ▼
@@ -22,7 +25,10 @@ work, so a fixed pool of handler threads with an optional
 initializer as the experiment engine) is the right shape.  Most requests
 repeat one already answered; a stored reply is one file read, less work
 than a thread hand-off, so the loop answers it (in the parent process,
-with or without ``--jobs``).
+with or without ``--jobs``).  A repeated request repeats its body bytes
+too, so the loop remembers each body's reply key: the hit path is one
+index lookup and one entry read, with no JSON parse and no key hashing.
+The index is the loop's own state, bounded in entries and body size.
 
 The loop alone touches the sockets.  An idle connection costs a
 selector entry and no thread, however long it idles.  A request that
@@ -104,6 +110,10 @@ class ReproServer:
     #: Seconds a request that has begun to arrive, or a reply being
     #: sent, may make no progress before its connection is cut off.
     timeout = 5.0
+    #: Reply-index bounds: the most request bodies it maps, and the
+    #: longest body it keeps (every valid request is a few hundred bytes).
+    index_entries = 1024
+    index_body_bytes = 1024
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *, jobs: int = 0) -> None:
         self.socket = socket.create_server((host, port), backlog=self.request_queue_size)
@@ -124,6 +134,8 @@ class ReproServer:
         self._stopping = False
         self._stopped = threading.Event()
         self._open: set[Connection] = set()
+        # (endpoint, raw body) → reply key, for requests seen before.
+        self._index: dict[tuple[str, bytes], str | None] = {}
         # Handler threads hand rendered replies back here and wake the loop.
         self._done: list[tuple[Connection, int, bytes]] = []
         self._lock = threading.Lock()
@@ -231,7 +243,7 @@ class ReproServer:
     def _route(self, conn: Connection, head: Head) -> bool:
         """Answer or dispatch one request; False while its body is incomplete."""
         method, endpoint, keep, size, declared, expect = head
-        length, params = 0, None
+        length, raw = 0, b""
         error: tuple[int, str, str] | None = None
         if endpoint in (POST_ENDPOINTS if method == "GET" else GET_ENDPOINTS):
             wrong = "POST" if method == "GET" else "GET"
@@ -250,33 +262,64 @@ class ReproServer:
                     self._write(conn, b"HTTP/1.1 100 Continue\r\n\r\n")
                 return False
             else:
-                try:
-                    params = json.loads(conn.buffer[size : size + length] or b"null")
-                except ValueError as exc:  # not JSON, or not in a JSON encoding
-                    error = 400, "invalid-json", f"request body is not JSON: {exc}"
+                raw = bytes(conn.buffer[size : size + length])
         del conn.buffer[: size + length]
         if error is None:
-            self._dispatch(conn, endpoint, params, keep)
+            self._dispatch(conn, endpoint, raw, keep)
         else:
             self._respond(conn, error[0], _error(endpoint, error[1], error[2]), keep)
         return True
 
-    def _dispatch(self, conn: Connection, endpoint: str, params: Any, keep: bool) -> None:
-        """Answer a stored reply here; queue any other request for a handler thread."""
+    def _dispatch(self, conn: Connection, endpoint: str, raw: bytes, keep: bool) -> None:
+        """Answer a stored reply here; queue any other request for a handler thread.
+
+        A body seen before takes its reply key from :attr:`_index`, so its
+        JSON is parsed only if a handler thread has to render it.
+        """
         start_ns = clock.monotonic_ns()
-        with get_tracer().start("serve_request", endpoint=endpoint) as span:
+        indexed = (endpoint, raw) in self._index
+        params: Any = None
+        if not indexed:
+            try:
+                params = json.loads(raw or b"null")
+            except ValueError as exc:  # not JSON, or not in a JSON encoding
+                message = f"request body is not JSON: {exc}"
+                self._respond(conn, 400, _error(endpoint, "invalid-json", message), keep)
+                return
+        with get_tracer().start("serve_request", endpoint=endpoint, indexed=indexed) as span:
             try:  # only plan/explain/simulate requests have a reply key
-                status, (key, body) = 200, handlers.cached_reply(endpoint, params)
+                if indexed:
+                    key = self._index[endpoint, raw]
+                else:
+                    key = handlers.reply_key(endpoint, params)
+                    self._remember(endpoint, raw, key)
+                status, body = 200, None if key is None else handlers.cached_reply(key)
             except Exception as exc:
                 message = f"{type(exc).__name__}: {exc}"
                 status, key, body = 500, None, _error(endpoint, "internal", message)
             span.set_attr("status", status if body is not None else "queued")
         if body is None:
+            if indexed:
+                params = json.loads(raw or b"null")
             conn.busy, conn.keep_alive = True, keep
             self._handlers.submit(self.handle, conn, endpoint, params, key, start_ns)
         else:
             self._observe(endpoint, start_ns)
             self._respond(conn, status, body, keep)
+
+    def _remember(self, endpoint: str, raw: bytes, key: str | None) -> None:
+        """Index a request body under its reply key (None: it has none).
+
+        Only the reply-keyed endpoints' bodies of at most
+        :attr:`index_body_bytes` are kept, and the index is cleared
+        wholesale once it holds :attr:`index_entries`, so its size does
+        not depend on what clients send.
+        """
+        if endpoint not in POST_ENDPOINTS or len(raw) > self.index_body_bytes:
+            return
+        if len(self._index) >= self.index_entries:
+            self._index.clear()
+        self._index[endpoint, raw] = key
 
     def handle(  # repro: thread-root[concurrent] -- handler pool
         self, conn: Connection, endpoint: str, params: Any, key: str | None, start_ns: int

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.nn import LayerKind, LayerSpec
 from repro.policies import FALLBACK_POLICY, TiledFallback
 
-from .tiled_reference import reference_tiled_plan
+from .tiled_reference import reference_fits_nothing, reference_tiled_plan
 
 BIG = 1 << 40
 
@@ -152,6 +152,7 @@ def test_grid_search_matches_reference_loop(layer, budget, prefetch):
     """The vectorized grid search picks the reference loop's winner, tie-break
     included, and its capacity signature names that winner."""
     expected = reference_tiled_plan(layer, budget, prefetch)
+    assert reference_fits_nothing(layer, budget, prefetch) == (expected is None)
     policy = TiledFallback()
     assert policy.plan(layer, budget, prefetch) == expected
     signature = policy.capacity_signature(layer, budget, prefetch)
@@ -159,3 +160,15 @@ def test_grid_search_matches_reference_loop(layer, budget, prefetch):
         assert signature is None
     else:
         assert signature == (expected.block_size, *expected.tile_shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layer=search_layers(), data=st.data())
+def test_footprint_does_not_decrease_in_any_tile_dimension(layer, data):
+    """Why ``reference_fits_nothing`` checks only the smallest candidates."""
+    n_limit = layer.in_c if layer.kind.is_depthwise else layer.num_filters
+    limits = (n_limit, layer.out_h, layer.out_w)
+    small = [data.draw(st.integers(1, limit)) for limit in limits]
+    large = [data.draw(st.integers(low, limit)) for low, limit in zip(small, limits)]
+    tiles = TiledFallback.candidate_tiles
+    assert tiles(layer, *small).total <= tiles(layer, *large).total

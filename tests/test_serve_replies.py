@@ -7,6 +7,7 @@ or read back from a reply entry.
 
 from __future__ import annotations
 
+import http.client
 import json
 import pickle
 import threading
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.experiments import cache
 from repro.nn.zoo import PAPER_MODEL_NAMES
+from repro.obs import disable_tracing, enable_tracing
 from repro.serve import handlers
-from repro.serve.protocol import POST_ENDPOINTS, canonical_json
+from repro.serve.protocol import POST_ENDPOINTS, canonical_json, error_response
 from repro.serve.server import ReproServer
 
 REQUEST = {"model": "MobileNet", "glb_kb": 64}
@@ -335,3 +337,140 @@ def test_pool_returns_the_in_thread_bytes(tmp_path, monkeypatch):
     in_thread = bodies(0)
     assert bodies(2) == in_thread
     assert in_thread[-1][0] == 404
+
+
+# -- The accept loop's reply index ------------------------------------------
+
+
+@pytest.fixture
+def daemon(cache_dir):
+    """A running in-process daemon with its own cache directory."""
+    server = ReproServer("127.0.0.1", 0, jobs=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    thread.join()
+    server.close()
+
+
+def _send(server, endpoint, body):
+    """POST raw ``body`` bytes; returns ``(status, response body)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+    try:
+        connection.request("POST", f"/{endpoint}", body)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+class _CountingReplyKey:
+    """Wraps ``handlers.reply_key`` and counts key derivations."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._reply_key = handlers.reply_key
+        monkeypatch.setattr(handlers, "reply_key", self)
+
+    def __call__(self, endpoint, params):
+        self.calls += 1
+        return self._reply_key(endpoint, params)
+
+
+def test_a_repeated_body_derives_its_reply_key_once(daemon, tmp_path, monkeypatch):
+    expected = _reference(monkeypatch, tmp_path, "plan", REQUEST)
+    derived = _CountingReplyKey(monkeypatch)
+    body = json.dumps(REQUEST).encode()
+    served = [_send(daemon, "plan", body) for _ in range(3)]
+    assert served == [(200, reply) for reply in expected]
+    assert derived.calls == 1
+
+
+def test_equivalent_bodies_share_one_reply_entry(daemon, tmp_path, monkeypatch):
+    expected = _reference(monkeypatch, tmp_path, "explain", REQUEST)
+    renders = _CountingExecute(monkeypatch)
+    bodies = (
+        b'{"model":"MobileNet","glb_kb":64}',
+        b'{ "glb_kb" : 64,\n  "model" : "MobileNet" }',
+        b'{"model": "mobilenet", "glb_kb": 64}',
+    )
+    assert [_send(daemon, "explain", body) for body in bodies] == [
+        (200, reply) for reply in expected
+    ]
+    assert renders.calls == 1
+    assert len(set(daemon._index.values())) == 1
+
+
+def test_bad_bodies_are_answered_alike_every_time(daemon, monkeypatch):
+    not_json = b"{not json"
+    try:
+        json.loads(not_json)
+    except ValueError as exc:
+        reason = f"request body is not JSON: {exc}"
+    rejected = canonical_json(error_response("plan", "invalid-json", reason))
+    invalid = [{"model": "SkyNet"}, {**REQUEST, "glb_kb": 0}, {**REQUEST, "scheme": "hom(px)"}]
+    expected = [(400, rejected)] + [
+        (status, canonical_json(envelope))
+        for status, envelope in (handlers.execute("plan", params) for params in invalid)
+    ]
+    assert [status for status, _ in expected] == [400, 404, 400, 400]
+    bodies = [not_json] + [json.dumps(params).encode() for params in invalid]
+    for _ in range(3):
+        assert [_send(daemon, "plan", body) for body in bodies] == expected
+    assert ("plan", not_json) not in daemon._index
+    assert [daemon._index["plan", body] for body in bodies[1:]] == [None, None, None]
+
+
+@pytest.mark.parametrize("damage", ["delete", "flip"])
+def test_an_index_hit_without_its_reply_renders_once(damage, daemon, tmp_path, monkeypatch):
+    expected = _reference(monkeypatch, tmp_path, "simulate", REQUEST)
+    body = json.dumps(REQUEST).encode()
+    assert [_send(daemon, "simulate", body) for _ in range(2)] == [
+        (200, reply) for reply in expected[:2]
+    ]
+    path = _reply_path("simulate", REQUEST)
+    whole = path.read_bytes()
+    if damage == "delete":
+        path.unlink()
+    else:
+        corrupt = bytearray(whole)
+        corrupt[len(corrupt) // 2] ^= 1
+        path.write_bytes(bytes(corrupt))
+    renders = _CountingExecute(monkeypatch)
+    derived = _CountingReplyKey(monkeypatch)
+    assert _send(daemon, "simulate", body) == (200, expected[2])
+    assert (renders.calls, derived.calls) == (1, 0)
+    assert path.read_bytes() == whole
+    assert _send(daemon, "simulate", body) == (200, expected[2])
+    assert renders.calls == 1
+
+
+def test_the_index_is_bounded(daemon, tmp_path, monkeypatch):
+    monkeypatch.setattr(ReproServer, "index_entries", 2)
+    bodies = [json.dumps({"model": "MobileNet", "glb_kb": kb}).encode() for kb in (16, 24, 32)]
+    for count, body in enumerate(bodies, 1):
+        _send(daemon, "simulate", body)
+        assert len(daemon._index) == (count - 1) % 2 + 1
+    assert list(daemon._index) == [("simulate", bodies[2])]
+    expected = _reference(monkeypatch, tmp_path, "simulate", REQUEST, count=2)
+    derived = _CountingReplyKey(monkeypatch)
+    padded = json.dumps(REQUEST).encode() + b" " * ReproServer.index_body_bytes
+    assert [_send(daemon, "simulate", padded) for _ in range(2)] == [
+        (200, reply) for reply in expected
+    ]
+    assert derived.calls == 2
+    assert ("simulate", padded) not in daemon._index
+
+
+def test_serve_request_spans_say_whether_the_key_was_indexed(daemon):
+    tracer = enable_tracing()
+    try:
+        body = json.dumps(REQUEST).encode()
+        for _ in range(3):
+            _send(daemon, "plan", body)
+        spans = [span.attr_dict() for span in tracer.drain() if span.name == "serve_request"]
+    finally:
+        disable_tracing()
+    assert [span["indexed"] for span in spans] == [False, True, True]
+    assert [span["status"] for span in spans] == ["queued", 200, 200]

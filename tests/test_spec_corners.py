@@ -45,7 +45,7 @@ from repro.policies.tiled import tile_grid
 from repro.verify import verify_plan
 
 from .strategies import layers
-from .tiled_reference import reference_tiled_plan
+from .tiled_reference import reference_fits_nothing, reference_tiled_plan
 
 
 def _saturated(layer: LayerSpec, *fields: str) -> LayerSpec:
@@ -207,7 +207,7 @@ def test_corner_plans_verify_and_stay_exact(case: Case) -> None:
         for width_wise in (False, True):
             _check_types(tile_grid(layer.shape, width_wise), set(), "grid")
     if not plans:
-        assert reference_tiled_plan(layer, spec.glb_elems, False) is None
+        assert reference_fits_nothing(layer, spec.glb_elems, False)
 
 
 @pytest.mark.parametrize(

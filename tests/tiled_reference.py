@@ -44,3 +44,15 @@ def reference_tiled_plan(
                 for w_t in _candidate_values(layer.out_w)[:-1]:
                     consider(n_f, o_t, w_t)
     return best
+
+
+def reference_fits_nothing(layer: LayerSpec, budget_elems: int, prefetch: bool) -> bool:
+    """True when no candidate of either grid direction fits the budget.
+
+    A candidate's footprint does not decrease in ``n_f``, ``o_t`` or
+    ``w_t`` (``tests/test_policy_tiled.py`` pins that), so only the
+    smallest candidate is checked: ``(1, 1, 1)``, the width-wise grid's
+    first, or the height-wise grid's when ``O_W`` is 1.
+    """
+    policy = TiledFallback()
+    return not policy._fits(policy.candidate_tiles(layer, 1, 1, 1), budget_elems, prefetch)
