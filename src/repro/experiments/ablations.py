@@ -177,7 +177,7 @@ def baseline_dataflows(
             )
             cycles[dataflow] = cache.fetch(
                 key, lambda: simulate(model, config).total_cycles
-            )
+            )[0]
         rows.append(
             DataflowAblationRow(
                 model=name,

@@ -1,12 +1,11 @@
 """Persistent, content-addressed plan/evaluation cache.
 
 The experiment suite replays the same (model × GLB size × objective)
-analyses for every figure and table.  The in-process ``lru_cache`` in
-:mod:`repro.experiments.common` deduplicates them within one run, but is
-lost between processes — every CI run and every benchmark session used to
-pay the full re-planning cost.  This module adds the missing layer: a
-content-addressed on-disk cache shared by all processes (including the
-engine's worker pool).
+analyses for every figure and table.  The in-process memo in
+:mod:`repro.experiments.common`, keyed on this module's keys, dedupes
+them within one run; this content-addressed on-disk cache outlives the
+process and is shared by all of them (the engine's worker pool and the
+``repro serve`` daemon included).
 
 Keys
 ----
@@ -287,6 +286,11 @@ def plan_cache_key(
     )
 
 
+def baseline_cache_key(model: Model, spec: AcceleratorSpec) -> str:
+    """Key layout for the three fixed-partition baseline runs."""
+    return make_key("baseline", model=model_digest(model), spec=spec_payload(spec))
+
+
 # ----------------------------------------------------------------------
 # Storage
 # ----------------------------------------------------------------------
@@ -370,9 +374,8 @@ def lookup(key: str) -> tuple[bool, Any]:
     """Cache probe with counters: ``(hit, value)`` (value=None on miss).
 
     A hit restamps the entry's mtime, its recency in every process.
-    This is the primitive :func:`fetch`,
-    :meth:`repro.manager.MemoryManager.plan_cached` and the serve
-    handlers share, so all of them agree on what counts as a hit.
+    This is the primitive :func:`fetch` and the serve reply path share,
+    so both agree on what counts as a hit.
     """
     if cache_enabled():
         path = _entry_path(key)
@@ -388,14 +391,15 @@ def lookup(key: str) -> tuple[bool, Any]:
     return False, None
 
 
-def fetch(key: str, compute: Callable[[], T]) -> T:
-    """Return the cached value for ``key``, computing and storing on miss."""
+def fetch(key: str, compute: Callable[[], T]) -> tuple[T, bool]:
+    """``(value, hit)`` for ``key``, computed and stored on a miss; calls
+    :func:`lookup` and :func:`store` as module globals, so rebinding either covers it."""
     hit, cached = lookup(key)
     if hit:
-        return cached  # type: ignore[no-any-return]
+        return cached, True
     value = compute()
     store(key, value)
-    return value
+    return value, False
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,10 @@ All experiments use the paper's reference accelerator (§4): 16×16 PEs,
 512 OPs/cycle, 8-bit data, 16 elements/cycle off-chip bandwidth, GLB ∈
 {64, 128, 256, 512, 1024} kB, batch 1, layer-by-layer execution.
 
-Plans and baseline runs are memoized at two levels: an in-process
-``lru_cache`` and the persistent, content-addressed on-disk cache in
-:mod:`repro.experiments.cache`, which the ``repro serve`` daemon shares,
-so the experiment suite and the engine's worker pool never recompute
-identical analyses.  ``Het`` and ``Hom`` plans reach the disk through
-:meth:`repro.manager.MemoryManager.plan_cached` and baseline runs
-through :meth:`~repro.manager.MemoryManager.baselines_cached_detail`;
-the rescue-only plan (:func:`named_only_plan`), which is not a serve
-scheme, calls :func:`repro.experiments.cache.fetch` directly.
+Plans and baseline runs are memoized twice, on the content keys of
+:mod:`repro.experiments.cache`: in one in-process dict, so every
+spelling of one analysis shares an entry, in front of the persistent
+on-disk cache that the engine's workers and ``repro serve`` share.
 
 Every cached value is immutable from the caller's perspective:
 :class:`~repro.analyzer.ExecutionPlan` is a frozen dataclass, and
@@ -23,15 +18,15 @@ so the types enforce it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Any, Mapping
 
 from ..analyzer import ExecutionPlan, Objective, plan_named_only
 from ..arch.spec import PAPER_GLB_SIZES, AcceleratorSpec
 from ..arch.units import kib
 from ..estimators.evaluate import clear_evaluation_memo
 from ..manager import MemoryManager
+from ..nn.model import Model
 from ..nn.zoo import PAPER_MODEL_NAMES, get_model
 from ..scalesim import SimulationResult
 from . import cache
@@ -45,7 +40,49 @@ def spec_for(glb_kb: int, data_width_bits: int = 8) -> AcceleratorSpec:
     return AcceleratorSpec(glb_bytes=kib(glb_kb), data_width_bits=data_width_bits)
 
 
-@lru_cache(maxsize=None)
+#: Content key -> plan or read-only baseline mapping, for this process.
+_MEMO: dict[str, Any] = {}
+
+
+def plan(
+    model: Model,
+    spec: AcceleratorSpec,
+    objective: Objective = Objective.ACCESSES,
+    scheme: str = "het",
+    *,
+    prefetch: bool = True,
+    interlayer: bool = False,
+    interlayer_mode: str = "opportunistic",
+) -> ExecutionPlan:
+    """Cached plan (in-process + persistent on-disk); ``scheme`` is a
+    :meth:`~repro.manager.MemoryManager.plan` scheme or ``"het(named-only)"``
+    (:func:`~repro.analyzer.plan_named_only`, which takes no inter-layer flags)."""
+    key = cache.plan_cache_key(
+        scheme,
+        model,
+        spec,
+        objective,
+        allow_prefetch=prefetch,
+        interlayer=interlayer,
+        interlayer_mode=interlayer_mode,
+    )
+    if key not in _MEMO:
+        if scheme == "het(named-only)":
+            _MEMO[key] = cache.fetch(
+                key, lambda: plan_named_only(model, spec, objective, allow_prefetch=prefetch)
+            )[0]
+        else:
+            _MEMO[key] = MemoryManager(spec).plan_cached(
+                model,
+                objective,
+                scheme=scheme,
+                prefetch=prefetch,
+                interlayer=interlayer,
+                interlayer_mode=interlayer_mode,
+            )[0]
+    return _MEMO[key]  # type: ignore[no-any-return]
+
+
 def het_plan(
     model_name: str,
     glb_kb: int,
@@ -55,9 +92,10 @@ def het_plan(
     interlayer: bool = False,
     interlayer_mode: str = "opportunistic",
 ) -> ExecutionPlan:
-    """Cached heterogeneous plan (in-process + persistent on-disk)."""
-    return MemoryManager(spec_for(glb_kb, data_width_bits)).plan_cached(
+    """Cached heterogeneous plan of a zoo model (see :func:`plan`)."""
+    return plan(
         get_model(model_name),
+        spec_for(glb_kb, data_width_bits),
         objective,
         prefetch=allow_prefetch,
         interlayer=interlayer,
@@ -65,7 +103,6 @@ def het_plan(
     )
 
 
-@lru_cache(maxsize=None)
 def hom_plan(
     model_name: str,
     glb_kb: int,
@@ -73,25 +110,18 @@ def hom_plan(
     data_width_bits: int = 8,
     allow_prefetch: bool = True,
 ) -> ExecutionPlan:
-    """Cached best homogeneous plan (in-process + persistent on-disk)."""
-    return MemoryManager(spec_for(glb_kb, data_width_bits)).plan_cached(
-        get_model(model_name), objective, scheme="hom", prefetch=allow_prefetch
-    )
+    """Cached best homogeneous plan of a zoo model (see :func:`plan`)."""
+    spec = spec_for(glb_kb, data_width_bits)
+    return plan(get_model(model_name), spec, objective, "hom", prefetch=allow_prefetch)
 
 
-@lru_cache(maxsize=None)
 def named_only_plan(
     model_name: str, glb_kb: int, objective: Objective = Objective.ACCESSES
 ) -> ExecutionPlan:
-    """Cached rescue-only ``Het`` plan (:func:`~repro.analyzer.plan_named_only`,
-    in-process + persistent on-disk)."""
-    model = get_model(model_name)
-    spec = spec_for(glb_kb)
-    key = cache.plan_cache_key("het(named-only)", model, spec, objective)
-    return cache.fetch(key, lambda: plan_named_only(model, spec, objective))
+    """Cached rescue-only ``Het`` plan of a zoo model (see :func:`plan`)."""
+    return plan(get_model(model_name), spec_for(glb_kb), objective, "het(named-only)")
 
 
-@lru_cache(maxsize=None)
 def baseline_results(
     model_name: str, glb_kb: int, data_width_bits: int = 8
 ) -> Mapping[str, SimulationResult]:
@@ -101,17 +131,17 @@ def baseline_results(
     every later caller in the process (and with the on-disk cache), so
     mutation would corrupt subsequent artifacts.
     """
+    model = get_model(model_name)
     manager = MemoryManager(spec_for(glb_kb, data_width_bits))
-    results, _hit, _key = manager.baselines_cached_detail(get_model(model_name))
-    return MappingProxyType(results)
+    key = cache.baseline_cache_key(model, manager.spec)
+    if key not in _MEMO:
+        _MEMO[key] = MappingProxyType(manager.baselines_cached_detail(model)[0])
+    return _MEMO[key]  # type: ignore[no-any-return]
 
 
 def clear_in_process_caches() -> None:
     """Drop the in-process memoization (the on-disk cache is untouched)."""
-    het_plan.cache_clear()
-    hom_plan.cache_clear()
-    named_only_plan.cache_clear()
-    baseline_results.cache_clear()
+    _MEMO.clear()
     clear_evaluation_memo()
 
 

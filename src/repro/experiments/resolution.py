@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analyzer import Objective
-from ..manager import MemoryManager
 from ..nn.zoo import get_model
 from ..report.table import Table
-from .common import spec_for
+from .common import plan, spec_for
 
 #: Typical edge deployment resolutions.
 DEFAULT_RESOLUTIONS = (128, 160, 192, 224, 256)
@@ -43,16 +42,16 @@ def run(
     rows = []
     for size in resolutions:
         model = get_model(model_name, input_size=size)
-        plan = MemoryManager(spec_for(glb_kb)).plan_cached(model, objective)
+        het = plan(model, spec_for(glb_kb), objective)
         rows.append(
             ResolutionRow(
                 model=model_name,
                 input_size=size,
                 glb_kb=glb_kb,
                 total_macs=model.total_macs,
-                accesses_bytes=plan.total_accesses_bytes,
-                latency_cycles=plan.total_latency_cycles,
-                policies=plan.policy_families_used,
+                accesses_bytes=het.total_accesses_bytes,
+                latency_cycles=het.total_latency_cycles,
+                policies=het.policy_families_used,
             )
         )
     return rows

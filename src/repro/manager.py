@@ -126,45 +126,18 @@ class MemoryManager:
         prefetch: bool = True,
         interlayer: bool = False,
         interlayer_mode: str = "opportunistic",
-    ) -> ExecutionPlan:
-        """Like :meth:`plan`, backed by the persistent on-disk plan cache.
+    ) -> tuple[ExecutionPlan, bool, str]:
+        """:meth:`plan` through the persistent on-disk plan cache:
+        ``(plan, cache_hit, cache_key)``.
 
         The key covers the model's full layer-dimension digest, every
         spec field (``data_width_bits`` and DRAM configuration included)
         and all planning flags, so any change to the inputs is a cache
-        miss.  The experiment suite's ``Het`` and ``Hom`` plans
-        (:mod:`repro.experiments.common`) and the ``repro serve`` daemon
-        both plan through it, so a plan computed by either warms the
-        other; the rescue-only ``het(named-only)`` plan, which is no
-        serve scheme, goes to :func:`repro.experiments.cache.fetch`
-        directly.  Set ``REPRO_NO_CACHE=1`` to force recomputation.
-        """
-        plan, _hit, _key = self.plan_cached_detail(
-            model,
-            objective,
-            scheme=scheme,
-            prefetch=prefetch,
-            interlayer=interlayer,
-            interlayer_mode=interlayer_mode,
-        )
-        return plan
-
-    def plan_cached_detail(
-        self,
-        model: Model,
-        objective: Objective = Objective.ACCESSES,
-        *,
-        scheme: str = "het",
-        prefetch: bool = True,
-        interlayer: bool = False,
-        interlayer_mode: str = "opportunistic",
-    ) -> tuple[ExecutionPlan, bool, str]:
-        """:meth:`plan_cached` plus cache observability.
-
-        Returns ``(plan, cache_hit, cache_key)``.  The serve layer uses
-        the extra fields to report per-request hit flags (the load
-        generator's hit-rate metric) and content-addressed keys without
-        racing the process-wide counters under concurrent requests.
+        miss.  The experiment suite (:func:`repro.experiments.common.plan`)
+        and the ``repro serve`` daemon both plan through it, so a plan
+        computed by either warms the other; the daemon reports the hit
+        flag and key per request.  Set ``REPRO_NO_CACHE=1`` to force
+        recomputation.
         """
         from .experiments import cache
 
@@ -182,19 +155,17 @@ class MemoryManager:
         with get_tracer().start(
             "plan_cached", model=model.name, scheme=scheme
         ) as span:
-            hit, cached = cache.lookup(key)
-            if hit:
-                plan: ExecutionPlan = cached
-            else:
-                plan = self.plan(
+            plan, hit = cache.fetch(
+                key,
+                lambda: self.plan(
                     model,
                     objective,
                     scheme=scheme,
                     prefetch=prefetch,
                     interlayer=interlayer,
                     interlayer_mode=interlayer_mode,
-                )
-                cache.store(key, plan)
+                ),
+            )
             span.set_attr("cache_hit", hit)
         metrics_registry().histogram("plan_cached_seconds").observe(
             clock.elapsed_seconds(start_ns)
@@ -230,12 +201,6 @@ class MemoryManager:
         ``repro serve`` ``simulate`` endpoint share."""
         from .experiments import cache
 
-        key = cache.make_key(
-            "baseline", model=cache.model_digest(model), spec=cache.spec_payload(self.spec)
-        )
-        hit, cached = cache.lookup(key)
-        if hit:
-            return cached, True, key
-        results = self.simulate_baselines(model)
-        cache.store(key, results)
-        return results, False, key
+        key = cache.baseline_cache_key(model, self.spec)
+        results, hit = cache.fetch(key, lambda: self.simulate_baselines(model))
+        return results, hit, key

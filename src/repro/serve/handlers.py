@@ -160,7 +160,7 @@ def _planned(
     shared cache: the request, its plan and the ``cache`` sub-object."""
     request, spec = _canonical_request(endpoint, params)
     try:
-        plan, hit, key = MemoryManager(spec).plan_cached_detail(
+        plan, hit, key = MemoryManager(spec).plan_cached(
             get_model(request.model),
             Objective(request.objective),
             scheme=request.scheme,
@@ -180,7 +180,7 @@ def handle_plan(  # repro: thread-root[concurrent] -- endpoint
 
     The response's ``plan`` sub-object is byte-identical (under
     :func:`~repro.serve.protocol.canonical_json`) to
-    ``plan_to_dict(MemoryManager(spec).plan_cached(...))`` for the same
+    ``plan_to_dict(MemoryManager(spec).plan_cached(...)[0])`` for the same
     request — the acceptance property the load generator asserts.
     """
     request, plan, cached = _planned("plan", params)

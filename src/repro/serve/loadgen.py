@@ -14,7 +14,7 @@ Each response is additionally checked for **byte identity**: the served
 ``result`` (minus the per-request ``cache`` hit flag) must equal, under
 :func:`~repro.serve.protocol.canonical_json`, what a direct in-process
 call to the same handler produces.  This is the acceptance property that
-the daemon serves exactly what ``MemoryManager.plan_cached`` computes —
+the daemon serves exactly the plan ``MemoryManager.plan_cached`` returns —
 no drift between the HTTP path and the library path.
 """
 

@@ -61,10 +61,10 @@ def manifest() -> dict[str, Any]:
         specs[f"{glb_kb}/w16"] = replace(base, data_width_bits=16)
         specs[f"{glb_kb}/ddr4"] = replace(base, dram=DEFAULT_DDR4_SPEC)
 
-    # Stub the store so the baseline paths report their keys and run nothing.
+    # Stub the cache's one lookup-compute-store path, so the baseline paths
+    # report their keys and run nothing.
     dataflow_keys: list[str] = []
-    cache.lookup = lambda key: (True, None)
-    cache.fetch = lambda key, compute: dataflow_keys.append(key) or 0
+    cache.fetch = lambda key, compute: dataflow_keys.append(key) or (0, True)
 
     plans: dict[str, str] = {}
     baselines: dict[str, str] = {}

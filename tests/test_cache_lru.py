@@ -182,7 +182,7 @@ def _hammer_worker(args: tuple[int, int]) -> dict[str, str]:
             # deterministic per-worker interleaving, no RNG
             slot = (i + worker_id + round_no) % 6
             key = cache.make_key("hammer", slot=slot)
-            value = cache.fetch(key, lambda: {"slot": slot, "blob": "x" * 300_000})
+            value, _hit = cache.fetch(key, lambda: {"slot": slot, "blob": "x" * 300_000})
             digests[key] = hashlib.sha256(
                 json.dumps(value, sort_keys=True).encode()
             ).hexdigest()

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analyzer import Objective
 from repro.arch.spec import AcceleratorSpec
-from repro.experiments import cache, common, engine
+from repro.experiments import cache, common, engine, resolution
 from repro.experiments.engine import run_experiments
 from repro.experiments.runner import UnknownArtifactError, main, run_all, run_report
 from repro.manager import MemoryManager
@@ -146,11 +146,11 @@ class TestCacheStorage:
         entry.parent.mkdir(parents=True)
         entry.write_bytes(buffer.getvalue())
 
-        plan, hit, got_key = manager.plan_cached_detail(model)
+        plan, hit, got_key = manager.plan_cached(model)
         assert (hit, got_key) == (False, key)
         assert plan == fresh
         assert plan.explain().to_payload() == fresh.explain().to_payload()
-        again, hit, _ = manager.plan_cached_detail(model)
+        again, hit, _ = manager.plan_cached(model)
         assert hit and again == fresh
 
     def test_plan_pickle_holds_no_candidate_records(self):
@@ -171,13 +171,41 @@ class TestCacheStorage:
 
     def test_manager_plan_cached_shares_keys_with_common(self):
         spec = common.spec_for(64)
-        plan = MemoryManager(spec).plan_cached(get_model("MobileNet"))
+        plan, _hit, _key = MemoryManager(spec).plan_cached(get_model("MobileNet"))
         assert cache.entry_count() == 1
         common.clear_in_process_caches()
         metrics_registry().reset()
         via_common = common.het_plan("MobileNet", 64)
         assert cache.counters()["hits"] == 1  # same entry, no recompute
         assert via_common.total_accesses_bytes == plan.total_accesses_bytes
+
+
+    def test_spellings_of_one_analysis_share_one_entry(self):
+        """The in-process memo keys on content, not on how a call spells
+        its arguments: one object and one disk lookup per analysis."""
+        plans = [
+            common.het_plan("MobileNet", 64),
+            common.het_plan("MobileNet", 64, Objective.ACCESSES),
+            common.het_plan("MobileNet", 64, allow_prefetch=True),
+            common.het_plan("MobileNet", 64, interlayer_mode="joint"),
+        ]
+        assert all(plan is plans[0] for plan in plans)
+        baselines = [
+            common.baseline_results("MobileNet", 64),
+            common.baseline_results("MobileNet", 64, 8),
+        ]
+        assert baselines[1] is baselines[0]
+        assert cache.counters() == {"hits": 0, "misses": 2, "stores": 2, "evictions": 0}
+
+    def test_resolution_reads_the_memo(self):
+        """The 224x224 row of the resolution sweep is the zoo model's plan."""
+        het = common.het_plan("MobileNetV2", 64)
+        model = get_model("MobileNetV2", input_size=224)
+        assert common.plan(model, common.spec_for(64)) is het
+        metrics_registry().reset()
+        [row] = resolution.run("MobileNetV2", (224,), 64)
+        assert row.accesses_bytes == het.total_accesses_bytes
+        assert cache.counters()["misses"] + cache.counters()["hits"] == 0
 
 
 class TestImmutability:

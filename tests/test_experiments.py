@@ -31,7 +31,7 @@ from repro.analyzer import pareto_frontier
 from repro.arch import AcceleratorSpec, kib
 from repro.experiments import ablations, bounds, cache, common, energy, fig1, fig3, fig5, fig6
 from repro.experiments import fig7, fig8, fig9, fig10, fig11, resolution, table2, table3, table4
-from repro.experiments.runner import ARTIFACTS, run_all
+from repro.experiments.runner import ARTIFACTS, run_all, run_report
 from repro.nn.zoo import get_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -228,12 +228,14 @@ def documented(doc: str) -> list[tuple[str, str | None]]:
 
 
 def regenerate(out: Path) -> dict[str, Any]:
-    """Run every artifact cold, exporting into ``out``; the ledger it yields."""
+    """Run every artifact cold, exporting into ``out``; the ledger it yields,
+    plus the run's cache counters under ``"cache"`` (not written to the
+    ledger file)."""
     previous = os.environ.get(cache.ENV_CACHE_DIR)
     os.environ[cache.ENV_CACHE_DIR] = str(out / "cache")
     common.clear_in_process_caches()
     try:
-        run_all(csv_dir=str(out / "csv"))
+        report = run_report(csv_dir=str(out / "csv"))
         exports = {name: out / "csv" / f"{name}.csv" for name in ARTIFACTS}
         return {
             "csv_sha256": {
@@ -241,6 +243,7 @@ def regenerate(out: Path) -> dict[str, Any]:
                 for name, path in exports.items()
             },
             "cells": quoted(exports),
+            "cache": cache.counters(report.metrics),
         }
     finally:
         if previous is None:
@@ -282,6 +285,14 @@ class TestLedger:
     def test_quoted_numbers_match_the_ledger(self, regenerated):
         ledger = json.loads(LEDGER.read_text(encoding="utf-8"))
         assert regenerated["cells"] == ledger["cells"]
+
+    def test_cold_run_looks_up_each_analysis_once(self, regenerated):
+        """Artifacts replay each other's analyses; the in-process memo
+        answers every repeat, so each disk lookup of the cold run is a
+        first-time miss that stores its entry."""
+        counts = regenerated["cache"]
+        assert counts["hits"] == 0
+        assert counts["misses"] == counts["stores"] > 0
 
     def test_experiments_md_states_the_ledger_numbers(self):
         sections = json.loads(LEDGER.read_text(encoding="utf-8"))["cells"]

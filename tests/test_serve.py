@@ -109,7 +109,7 @@ class TestHandlers:
         assert status == 200
         assert diagnostics.validate_serve_payload(envelope) == []
         manager = MemoryManager(AcceleratorSpec(glb_bytes=kib(64)))
-        direct = manager.plan_cached(get_model("MobileNet"), Objective.ACCESSES)
+        direct, _hit, _key = manager.plan_cached(get_model("MobileNet"), Objective.ACCESSES)
         assert canonical_json(envelope["result"]["plan"]) == canonical_json(
             plan_to_dict(direct)
         )
