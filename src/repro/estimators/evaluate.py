@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..arch.spec import AcceleratorSpec
 from ..dram.trace import clear_dram_memo
 from ..nn.layer import LayerSpec
 from ..obs import get_tracer
 from ..obs.audit import CandidateRow
-from ..policies.base import CandidatePlan, Policy
+from ..policies.base import CandidatePlan, Policy, TileSizes
 from ..policies.registry import FALLBACK_POLICY, NAMED_POLICIES
 from ..policies.tiled import clear_grid_memo
 from .latency import (
@@ -192,22 +192,26 @@ def evaluate_layers(
     An entry is a pure function of the shape and the other arguments
     (everything involved is a frozen dataclass), so it is memoized at two
     levels.  The per-layer memo returns an entry already made at the same
-    spec.  Behind it, the candidate memo keys each (policy, prefetch) try
-    on the shape, every spec field but ``glb_bytes``, the policy name, the
-    prefetch flag and the policy's capacity signature at this budget, and
-    stores the evaluation (None when infeasible).  Equal signatures imply
-    identical plans, so across a GLB sweep a candidate is planned and
-    evaluated once per signature, not once per size.  Evaluation runs in
-    two phases: each distinct shape the per-layer memo misses walks the
-    policies in Algorithm 1 order and plans its candidate-memo misses,
-    then every miss of every layer goes through one batched
-    :func:`evaluate_plans` (one max-plus recurrence for the whole call;
-    DRAM trace replays stay batched per layer).  The tile search memoizes
-    its budget-independent grid arrays the same way
-    (:func:`~repro.policies.tiled.tile_grid`).  Entries whose tuples of
-    candidate keys are equal see equal evaluations, so they share one
-    decision slot, in which the planner memoizes Algorithm 1's pick per
-    objective (and per family set for ``Hom`` and named-only).
+    spec.  Behind it, the shape memo keeps one record per shape: each
+    policy's budget-independent residency, the shape's candidates and its
+    decision slots.  A fixed policy's capacity signature is then one
+    comparison against the recorded residency; P4, P5 and the tile search
+    compute theirs.  A candidate is keyed on every spec field but
+    ``glb_bytes``, the policy, the prefetch flag and the policy's capacity
+    signature at this budget, and holds the evaluation (None when
+    infeasible).  Equal signatures imply identical plans, so across a GLB
+    sweep a candidate is planned and evaluated once per signature, not
+    once per size.  Evaluation runs in two phases: each distinct shape the
+    per-layer memo misses walks the policies in Algorithm 1 order and
+    plans its candidate misses, then every miss of every layer goes
+    through one batched :func:`evaluate_plans` (one max-plus recurrence
+    for the whole call; DRAM trace replays stay batched per layer).  The
+    tile search memoizes its budget-independent grid and frontier the
+    same way (:func:`~repro.policies.tiled.tile_grid`).  Walks of one
+    shape whose tuples of candidate keys are equal see equal evaluations,
+    so they share one decision slot, in which the planner memoizes
+    Algorithm 1's pick per objective (and per family set for ``Hom`` and
+    named-only).
 
     An entry's evaluations are empty only when even the tile-search
     fallback cannot fit, which for sane GLB sizes does not happen (the
@@ -216,8 +220,11 @@ def evaluate_layers(
     budget = spec.glb_elems
     prefetch_options = (False, True) if allow_prefetch else (False,)
     spec_key = tuple(getattr(spec, name) for name in _SPEC_KEY_FIELDS)
-    if len(_CANDIDATE_MEMO) > _CANDIDATE_MEMO_MAX:
-        _CANDIDATE_MEMO.clear()
+    by_shape = _LAYER_MEMO.get((spec, allow_prefetch))
+    if by_shape is None:
+        if len(_LAYER_MEMO) > _LAYER_MEMO_MAX:
+            _LAYER_MEMO.clear()
+        by_shape = _LAYER_MEMO.setdefault((spec, allow_prefetch), {})
     shapes = [layer.shape for layer in layers]
     # Keyed by ``id``: shapes are interned, and ``shapes`` keeps them alive
     # for the call (should the intern table reset mid-call, an equal shape
@@ -225,69 +232,75 @@ def evaluate_layers(
     entries: dict[int, LayerEntry] = {}
     # Phase 1: each distinct shape the per-layer memo misses walks its
     # (policy, prefetch) tries in Algorithm 1 order, one ``found`` slot per
-    # try.  Candidate-memo hits fill their slot now; misses are planned
-    # now, queued with their slot, and evaluated together in phase 2.
-    walks: list[tuple[LayerSpec, list[PolicyAttempt], list[_Key], list[_Found]]] = []
+    # try.  Candidate hits fill their slot now; misses are planned now,
+    # queued with their record and slot, and evaluated together in phase 2.
+    walks: list[tuple[LayerSpec, _ShapeRecord, list[PolicyAttempt], list[_Key], list[_Found]]] = []
     misses: list[CandidatePlan] = []
-    pending: list[tuple[list[_Found], int, _Key]] = []
+    pending: list[tuple[dict[_Key, _Found], list[_Found], int, _Key]] = []
     for shape in {id(shape): shape for shape in shapes}.values():
-        entry = _LAYER_MEMO.get((shape, spec, allow_prefetch))
+        entry = by_shape.get(shape)
         if entry is not None:
             entries[id(shape)] = entry
             continue
+        record = _SHAPE_MEMO.get(shape)
+        if record is None or len(record.candidates) > _SHAPE_RECORD_MAX:
+            if len(_SHAPE_MEMO) > _SHAPE_MEMO_MAX:
+                _SHAPE_MEMO.clear()
+            record = _SHAPE_MEMO[shape] = _ShapeRecord(
+                tuple(policy.residency(shape) for policy, _ in _POLICIES), {}, {}
+            )
+        candidates = record.candidates
         tries: list[PolicyAttempt] = []
         keys: list[_Key] = []
         found: list[_Found] = []
-        for policy, fallback in _POLICIES:
+        for index, ((policy, _), tiles) in enumerate(zip(_POLICIES, record.residency)):
             for prefetch in prefetch_options:
-                signature = policy.capacity_signature(shape, budget, prefetch)
-                key = (shape, spec_key, policy.name, prefetch, signature)
-                value = _CANDIDATE_MEMO.get(key, _MISSING)
+                if tiles is None:
+                    signature = policy.capacity_signature(shape, budget, prefetch)
+                else:
+                    signature = policy._fits(tiles, budget, prefetch)
+                key = (spec_key, index, prefetch, signature)
+                value = candidates.get(key, _MISSING)
                 if value is _MISSING:
                     plan = policy.plan(shape, budget, prefetch)
                     feasible = plan is not None
                     if plan is None:
-                        _CANDIDATE_MEMO[key] = None
+                        candidates[key] = None
                     else:
-                        pending.append((found, len(found), key))
+                        pending.append((candidates, found, len(found), key))
                         misses.append(plan)
                 else:
                     feasible = value is not None
-                tries.append(PolicyAttempt(policy.name, prefetch, feasible, fallback))
+                tries.append(_ATTEMPTS[index][prefetch][feasible])
                 keys.append(key)
                 found.append(value if isinstance(value, PolicyEvaluation) else None)
-        walks.append((shape, tries, keys, found))
+        walks.append((shape, record, tries, keys, found))
 
     # Phase 2: every miss of the call in one batch.
     if misses:
         with get_tracer().start("evaluate_candidates", candidates_count=len(misses)):
             evaluated = evaluate_plans(misses, spec)
-        for (found, i, key), evaluation in zip(pending, evaluated):
-            _CANDIDATE_MEMO[key] = evaluation
+        for (candidates, found, i, key), evaluation in zip(pending, evaluated):
+            candidates[key] = evaluation
             found[i] = evaluation
-    if walks and len(_LAYER_MEMO) > _LAYER_MEMO_MAX:
-        _LAYER_MEMO.clear()
-    for shape, tries, keys, found in walks:
+    if walks and len(by_shape) > _SHAPE_MEMO_MAX:
+        by_shape.clear()
+    for shape, record, tries, keys, found in walks:
         decision_key = tuple(keys)
-        slot = _DECISION_MEMO.get(decision_key)
+        slot = record.decisions.get(decision_key)
         if slot is None:
-            if len(_DECISION_MEMO) > _DECISION_MEMO_MAX:
-                _DECISION_MEMO.clear()
-            slot = _DECISION_MEMO[decision_key] = {}
+            slot = record.decisions[decision_key] = {}
         evaluations = tuple(evaluation for evaluation in found if evaluation is not None)
-        entries[id(shape)] = _LAYER_MEMO[(shape, spec, allow_prefetch)] = (
-            evaluations, tuple(tries), slot,
-        )
+        entries[id(shape)] = by_shape[shape] = (evaluations, tuple(tries), slot)
     return [entries[id(shape)] for shape in shapes]
 
 
 def clear_evaluation_memo() -> None:
     """Drop the in-process evaluation memos (cold-start benches): the
-    per-layer and per-candidate memos, the decision slots, the tile grids
-    and the DRAM effective bandwidths."""
+    per-layer memo, the shape records (candidates and decision slots),
+    the tile grids and the DRAM effective bandwidths."""
     _LAYER_MEMO.clear()
-    _CANDIDATE_MEMO.clear()
-    _DECISION_MEMO.clear()
+    _SHAPE_MEMO.clear()
     clear_grid_memo()
     clear_dram_memo()
 
@@ -299,41 +312,70 @@ _SPEC_KEY_FIELDS = tuple(
     f.name for f in fields(AcceleratorSpec) if f.name != "glb_bytes"
 )
 
-#: Candidate memo across GLB sizes: ``(shape, spec key, policy name,
-#: prefetch, capacity signature)`` -> the evaluation, or None when the
-#: candidate does not fit.  Equal signatures imply identical plans
-#: (:meth:`~repro.policies.base.Policy.capacity_signature`), so a GLB
-#: sweep plans and evaluates each candidate once per signature instead of
-#: once per size.  Every memo here and in the tile search follows one
-#: discipline: one ``.get`` (with a sentinel here, as None is a real
-#: value), idempotent puts of deterministic values, and a wholesale reset
-#: above the cap, which one cold flat zoo pass (about 3.1k candidates)
-#: stays well below.
+#: A candidate key, ``(spec key, policy index, prefetch, capacity
+#: signature)``, and what it maps to: the evaluation, or None when the
+#: candidate does not fit.
 _Key = tuple[object, ...]
 _Found = PolicyEvaluation | None
-_CANDIDATE_MEMO: dict[_Key, _Found] = {}
-_CANDIDATE_MEMO_MAX = 32768
 _MISSING = object()
 
-#: Decision slots keyed by a per-layer entry's tuple of candidate-memo
-#: keys, which fixes its tries and evaluations and so every decision over
-#: them: across GLB sizes whose signatures held, and across layers of one
-#: shape, Algorithm 1 runs once per objective.  Same discipline as the
-#: candidate memo: a single ``.get``, idempotent puts, a wholesale reset
-#: above the cap (a racing or reset miss only costs a re-selection).
-_DECISION_MEMO: dict[tuple[_Key, ...], DecisionSlot] = {}
-_DECISION_MEMO_MAX = 16384
 
-#: Per-layer memo: ``(shape, spec, allow_prefetch)`` -> the shape's
-#: :data:`LayerEntry`.  Same discipline: one ``.get``, idempotent puts, a
-#: wholesale reset above the cap (a racing or reset miss only costs a
-#: re-walk over the candidate memo).
-_LAYER_MEMO: dict[tuple[LayerSpec, AcceleratorSpec, bool], LayerEntry] = {}
-_LAYER_MEMO_MAX = 4096
+class _ShapeRecord(NamedTuple):
+    """What the walks of one shape share across specs and budgets.
+
+    ``residency`` is each policy's budget-independent
+    :meth:`~repro.policies.base.Policy.residency` in try order (None for
+    P4, P5 and the tile search).  ``candidates`` maps a candidate key to
+    its evaluation: equal signatures imply identical plans
+    (:meth:`~repro.policies.base.Policy.capacity_signature`), so a GLB
+    sweep plans and evaluates each candidate once per signature instead of
+    once per size.  ``decisions`` maps a walk's tuple of candidate keys,
+    which fixes its tries and evaluations and so every decision over them,
+    to its decision slot: across GLB sizes whose signatures held, and
+    across layers of the shape, Algorithm 1 runs once per objective.
+    """
+
+    residency: tuple[TileSizes | None, ...]
+    candidates: dict[_Key, _Found]
+    decisions: dict[tuple[_Key, ...], DecisionSlot]
+
+
+#: Shape memo: a shape -> its :class:`_ShapeRecord`.  Every memo here and
+#: in the tile search follows one discipline: one ``.get`` (with a
+#: sentinel for the candidates, as None is a real value), idempotent puts
+#: of deterministic values, and a wholesale reset above the cap (a racing
+#: or reset miss only costs a re-plan or a re-selection).  A record whose
+#: candidates pass ``_SHAPE_RECORD_MAX`` is replaced by a fresh one.  A
+#: cold flat zoo pass (161 shapes, at most 41 candidates each) and a
+#: serial experiment suite (281 shapes, at most 100) stay below both caps.
+_SHAPE_MEMO: dict[LayerSpec, _ShapeRecord] = {}
+_SHAPE_MEMO_MAX = 1024
+_SHAPE_RECORD_MAX = 256
+
+#: Per-layer memo: ``(spec, allow_prefetch)`` -> shape -> the shape's
+#: :data:`LayerEntry`, so a call hashes its spec once.  Same discipline:
+#: the outer dict resets above ``_LAYER_MEMO_MAX`` specs (the experiment
+#: suite uses 20), an inner one above ``_SHAPE_MEMO_MAX`` shapes (a racing
+#: or reset miss only costs a re-walk over the shape records).
+_LAYER_MEMO: dict[tuple[AcceleratorSpec, bool], dict[LayerSpec, LayerEntry]] = {}
+_LAYER_MEMO_MAX = 64
 
 #: Algorithm 1's try order: each named policy, then the tile search
 #: (flagged as the fallback).
 _POLICIES: tuple[tuple[Policy, bool], ...] = (
     *((policy, False) for policy in NAMED_POLICIES),
     (FALLBACK_POLICY, True),
+)
+
+#: Every :class:`PolicyAttempt` a walk can record, by try index, prefetch
+#: flag and feasibility.
+_ATTEMPTS = tuple(
+    tuple(
+        tuple(
+            PolicyAttempt(policy.name, prefetch, feasible, fallback)
+            for feasible in (False, True)
+        )
+        for prefetch in (False, True)
+    )
+    for policy, fallback in _POLICIES
 )

@@ -48,7 +48,7 @@ def glb_sweep(
     """Sweep the GLB capacity.
 
     Each size is planned by :func:`~repro.analyzer.plan_heterogeneous`;
-    its candidate memo evaluates each candidate once per capacity
+    its shape records evaluate each candidate once per capacity
     signature, so sizes after the first re-plan cheaply.
     """
     spec = base_spec or AcceleratorSpec()

@@ -207,10 +207,12 @@ class Policy(abc.ABC):
 
         **Contract:** equal signatures at two budgets imply :meth:`plan`
         returns identical results at both — the soundness condition for
-        the candidate memo of
-        :func:`~repro.estimators.evaluate.evaluate_layers`, which reuses an
+        the shape records of
+        :func:`~repro.estimators.evaluate.evaluate_layers`, which reuse an
         evaluation across GLB sizes by this signature.  For the fixed
-        policies that is the Eq. (1)/(2) feasibility bit; budget-dependent
+        policies that is the Eq. (1)/(2) feasibility bit, which
+        ``evaluate_layers`` computes itself from the residency it records
+        (so a policy with a residency keeps this default); budget-dependent
         policies encode their chosen parameters (block size ``n``, winning
         tile shape).  The default is maximally conservative: the budget
         itself, which forces a re-plan whenever the budget moves.

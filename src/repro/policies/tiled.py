@@ -27,21 +27,24 @@ returns the feasible plan with the fewest off-chip accesses, tie-broken
 toward fewer steps.
 
 The search is the planner's hot loop (hundreds to thousands of tile
-candidates per layer), so it runs **vectorized**: the whole candidate
-grid's memory footprints, traffic totals and step counts are evaluated as
-NumPy arrays in one shot (every quantity has a closed form in
-``(n_f, o_t, w_t)`` — band sums factor into a row-sum × column-sum
-product), the winner is picked with a stable masked argmin, and only the
-winning candidate is instantiated into a full :class:`CandidatePlan` by
-the exact scalar construction.  The grid arrays depend on the layer alone,
-so they are built once per layer and memoized (:func:`tile_grid`); each
-call only masks the footprints against its budget.  The test suite
-keeps a candidate-at-a-time reference loop and asserts the same winner,
-tie-breaks included.
+candidates per layer), so its budget-independent work is done once per
+layer: the whole candidate grid's memory footprints, traffic totals and
+step counts are evaluated as NumPy arrays in one shot (every quantity has
+a closed form in ``(n_f, o_t, w_t)`` — band sums factor into a row-sum ×
+column-sum product), and the grid's Pareto frontier is kept beside them:
+taken in ``(traffic, steps, index)`` order, every candidate whose
+footprint is strictly below that of all earlier ones.  The winner at a
+budget is the frontier's largest footprint that fits, found by bisection,
+and only that candidate is instantiated into a full
+:class:`CandidatePlan` by the exact scalar construction.  The grid depends
+on the layer alone, so it is built once per layer and memoized
+(:func:`tile_grid`).  The test suite keeps a candidate-at-a-time
+reference loop and asserts the same winner, tie-breaks included.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -64,35 +67,16 @@ def _candidate_values(limit: int) -> list[int]:
     return sorted(set(values))
 
 
-def stable_masked_argmin(
-    mask: NDArray[np.bool_], *keys: NDArray[np.generic]
-) -> int | None:
-    """Index of the lexicographic minimum of ``keys`` where ``mask`` holds.
-
-    The array analogue of ``min(candidates, key=...)`` over the feasible
-    subsequence: candidates are compared by ``keys[0]``, ties by
-    ``keys[1]``, and so on; remaining exact ties keep the **lowest index**
-    (the earliest-enumerated candidate), exactly like Python's stable
-    ``min()``.  Returns ``None`` when no candidate is feasible.
-    """
-    alive = np.flatnonzero(mask)
-    if alive.size == 0:
-        return None
-    for key in keys:
-        values = key[alive]
-        alive = alive[values == values.min()]
-        if alive.size == 1:
-            break
-    return int(alive[0])
-
-
 class TileGrid(NamedTuple):
-    """One layer's candidate grid as read-only arrays, in enumeration order.
+    """One layer's candidate grid: read-only arrays in enumeration order,
+    and its Pareto frontier.
 
     ``footprint`` is the Eq. (1) residency ``I_Tile + F_Tile + O_Tile`` of
     every candidate (doubled per Eq. (2) by the caller); ``traffic`` and
-    ``steps`` are the winner's sort keys.  None of them depends on the
-    budget or on prefetching.
+    ``steps`` are the winner's sort keys.  ``frontier_footprint`` holds,
+    in ascending order, the footprints of the candidates that win at some
+    budget, and ``frontier`` their ``(n_f, o_t, w_t)``, both as Python
+    ints.  None of them depends on the budget or on prefetching.
     """
 
     n_f: NDArray[np.int64]
@@ -101,12 +85,14 @@ class TileGrid(NamedTuple):
     footprint: NDArray[np.int64]
     traffic: NDArray[np.int64]
     steps: NDArray[np.int64]
+    frontier_footprint: tuple[int, ...]
+    frontier: tuple[tuple[int, int, int], ...]
 
 
 #: Memo of built grids keyed by ``(layer, width_wise)``: a GLB sweep asks
 #: for the same layer's grid at every size, and the planner passes each
 #: layer's name-blind shape, so layers of one shape share a grid.  Same
-#: discipline as the candidate memo — idempotent puts of deterministic
+#: discipline as the shape memo — idempotent puts of deterministic
 #: values, reset wholesale above the cap, cleared with the evaluation memo.
 _GRID_MEMO: dict[tuple[LayerSpec, bool], TileGrid] = {}
 _GRID_MEMO_MAX = 4096
@@ -190,22 +176,36 @@ def _build_grid(layer: LayerSpec, width_wise: bool) -> TileGrid:
         num_steps = bands * num_blocks * (chan_iters + 1)
     traffic_total = total_ifmap + total_filters + layer.ofmap_elems
 
-    grid = TileGrid(n_f, o_t, w_t, footprint, traffic_total, num_steps)
-    for array in grid:
+    arrays = (n_f, o_t, w_t, footprint, traffic_total, num_steps)
+    for array in arrays:
         array.setflags(write=False)
-    return grid
+
+    # The frontier: in winner order (stable, so exact ties keep the
+    # earliest index), each candidate smaller than every one before it.
+    # The winner at a budget is the first candidate in that order that
+    # fits; all before it are larger, so it is on the frontier.
+    order = np.lexsort((num_steps, traffic_total))
+    ranked = footprint[order]
+    keep = np.ones(ranked.size, dtype=bool)
+    keep[1:] = ranked[1:] < np.minimum.accumulate(ranked)[:-1]
+    kept = order[keep][::-1]
+    return TileGrid(
+        *arrays,
+        frontier_footprint=tuple(footprint[kept].tolist()),
+        frontier=tuple(zip(n_f[kept].tolist(), o_t[kept].tolist(), w_t[kept].tolist())),
+    )
 
 
 def _grid_winner(
     grid: TileGrid, factor: int, budget_elems: int
 ) -> tuple[int, int, int] | None:
     """Best candidate of ``grid`` whose ``factor``-scaled footprint fits:
-    minimum ``(traffic, steps)``, earliest grid index on exact ties."""
-    feasible = factor * grid.footprint <= budget_elems
-    index = stable_masked_argmin(feasible, grid.traffic, grid.steps)
-    if index is None:
-        return None
-    return (int(grid.n_f[index]), int(grid.o_t[index]), int(grid.w_t[index]))
+    minimum ``(traffic, steps)``, earliest grid index on exact ties.
+
+    That is the frontier's largest footprint within ``budget // factor``.
+    """
+    index = bisect_right(grid.frontier_footprint, budget_elems // factor)
+    return grid.frontier[index - 1] if index else None
 
 
 class TiledFallback(Policy):

@@ -1,15 +1,15 @@
-"""The candidate, tile-grid and decision memos behind the planners.
+"""The per-layer, shape and tile-grid memos behind the planners.
 
-``evaluate_layers`` plans each layer as its name-blind shape and evaluates
-each (shape, policy, prefetch) candidate once per capacity signature; the
-tile search builds each shape's grid once; and the planners run Algorithm
-1 once per distinct candidate set and objective (and family set, for
-``Hom`` and rescue-only plans, which walk the ``Het`` entries once).
-These tests pin how much work a cold zoo pass does, and what the memos
-must not change: a cleared memo is truly cold, concurrent planning
-matches sequential planning even while the memos reset, layers that
-share a shape share a decision but keep their names, and cached grid
-arrays cannot be mutated by a caller.
+``evaluate_layers`` plans each layer as its name-blind shape, keeps one
+record per shape and evaluates each (shape, policy, prefetch) candidate
+once per capacity signature; the tile search builds each shape's grid and
+frontier once; and the planners run Algorithm 1 once per distinct
+candidate set and objective (and family set, for ``Hom`` and rescue-only
+plans, which walk the ``Het`` entries once).  These tests pin how much
+work a cold zoo pass does, and what the memos must not change: a cleared
+memo is truly cold, concurrent planning matches sequential planning even
+while the memos reset, layers that share a shape share a decision but
+keep their names, and cached grid arrays cannot be mutated by a caller.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ def test_cold_flat_zoo_pass_plans_each_distinct_decision_once(calls):
                 for interlayer in (False, True):
                     plan_heterogeneous(model, spec, objective, interlayer=interlayer)
     assert calls["select"] <= 1270
+    assert calls["plan"] <= 3797
     assert calls["candidates"] <= 3062
     assert calls["build_grid"] <= 161
     assert calls["dram"] == 0
@@ -121,8 +122,7 @@ def test_hom_plans_are_one_walk_over_het_entries(monkeypatch):
     clear_evaluation_memo()
     for model, spec, objective in cells:
         plan_heterogeneous(model, spec, objective)
-    entries = len(evaluate._LAYER_MEMO)
-    candidates = len(evaluate._CANDIDATE_MEMO)
+    entries, candidates = _memo_sizes()
     walked: list[list[str]] = []
 
     def counting(layers, *args, **kwargs):
@@ -136,8 +136,7 @@ def test_hom_plans_are_one_walk_over_het_entries(monkeypatch):
         assert walked == [[layer.name for layer in model.layers]]
         for family in planner.FAMILIES:
             planner.plan_homogeneous(model, spec, family, objective)
-    assert len(evaluate._LAYER_MEMO) == entries
-    assert len(evaluate._CANDIDATE_MEMO) == candidates
+    assert _memo_sizes() == (entries, candidates)
 
 
 def test_named_only_plans_read_het_entries(monkeypatch, tmp_path):
@@ -147,16 +146,14 @@ def test_named_only_plans_read_het_entries(monkeypatch, tmp_path):
     clear_in_process_caches()
     model, spec = get_model("ResNet18"), AcceleratorSpec(glb_bytes=kib(64))
     plan_heterogeneous(model, spec)
-    entries = len(evaluate._LAYER_MEMO)
-    candidates = len(evaluate._CANDIDATE_MEMO)
+    entries, candidates = _memo_sizes()
     plan = planner.plan_named_only(model, spec, verify=True)
     assert plan.scheme == "het(named-only)" and plan.audit is not None
     assert [case.glb_policy for case in fig1.run()] == [
         plan.assignments[model.layers.index(model.find(case_layer))].label
         for case_layer in fig1.CASE_LAYERS.values()
     ]
-    assert len(evaluate._LAYER_MEMO) == entries
-    assert len(evaluate._CANDIDATE_MEMO) == candidates
+    assert _memo_sizes() == (entries, candidates)
 
 
 def test_dram_memo_resets_wholesale_above_its_cap(monkeypatch):
@@ -170,10 +167,25 @@ def test_dram_memo_resets_wholesale_above_its_cap(monkeypatch):
     monkeypatch.setattr(trace, "_BANDWIDTH_MEMO", memo)
     monkeypatch.setattr(trace, "_BANDWIDTH_MEMO_MAX", 8)
     evaluate._LAYER_MEMO.clear()
-    evaluate._CANDIDATE_MEMO.clear()
+    evaluate._SHAPE_MEMO.clear()
     assert plan_heterogeneous(model, spec, Objective.LATENCY) == expected
     assert memo.clears > 0
     assert memo
+
+
+def test_shape_records_are_replaced_above_their_cap(monkeypatch):
+    model = get_model("MobileNet")
+    cells = [
+        (AcceleratorSpec(glb_bytes=glb), objective) for glb in LADDER for objective in Objective
+    ]
+    clear_evaluation_memo()
+    expected = [plan_heterogeneous(model, spec, objective) for spec, objective in cells]
+    monkeypatch.setattr(evaluate, "_SHAPE_RECORD_MAX", 8)
+    clear_evaluation_memo()
+    assert [plan_heterogeneous(model, spec, objective) for spec, objective in cells] == expected
+    # A record past the cap takes no more walks (16 tries each): the next
+    # walk of its shape starts a fresh one.  Uncapped, one holds 35.
+    assert max(len(record.candidates) for record in evaluate._SHAPE_MEMO.values()) <= 8 + 16
 
 
 def test_clear_evaluation_memo_makes_the_next_plan_cold(calls):
@@ -194,6 +206,13 @@ def test_clear_evaluation_memo_makes_the_next_plan_cold(calls):
     clear_evaluation_memo()
     assert plan_heterogeneous(model, spec, Objective.ACCESSES) == first
     assert calls == cold  # nothing survived the clear
+
+
+def _memo_sizes() -> tuple[int, int]:
+    """Per-layer entries and shape-record candidates held in the memos."""
+    entries = sum(len(by_shape) for by_shape in evaluate._LAYER_MEMO.values())
+    candidates = sum(len(record.candidates) for record in evaluate._SHAPE_MEMO.values())
+    return entries, candidates
 
 
 def _exports(specs: list[AcceleratorSpec], jobs: int) -> list[bytes]:
@@ -223,13 +242,12 @@ def test_concurrent_planning_matches_sequential_through_memo_resets(monkeypatch)
     clear_evaluation_memo()
     expected = _exports(specs, jobs=1)
 
-    entries, candidates, decisions, grids, shapes = (_CountingDict() for _ in range(5))
+    entries, records, grids, shapes = (_CountingDict() for _ in range(4))
     monkeypatch.setattr(evaluate, "_LAYER_MEMO", entries)
-    monkeypatch.setattr(evaluate, "_LAYER_MEMO_MAX", 8)
-    monkeypatch.setattr(evaluate, "_CANDIDATE_MEMO", candidates)
-    monkeypatch.setattr(evaluate, "_CANDIDATE_MEMO_MAX", 16)
-    monkeypatch.setattr(evaluate, "_DECISION_MEMO", decisions)
-    monkeypatch.setattr(evaluate, "_DECISION_MEMO_MAX", 2)
+    monkeypatch.setattr(evaluate, "_LAYER_MEMO_MAX", 2)
+    monkeypatch.setattr(evaluate, "_SHAPE_MEMO", records)
+    monkeypatch.setattr(evaluate, "_SHAPE_MEMO_MAX", 8)
+    monkeypatch.setattr(evaluate, "_SHAPE_RECORD_MAX", 16)
     monkeypatch.setattr(layer_module, "_SHAPES", shapes)
     monkeypatch.setattr(layer_module, "_SHAPES_MAX", 4)
     monkeypatch.setattr(tiled, "_GRID_MEMO", grids)
@@ -240,7 +258,7 @@ def test_concurrent_planning_matches_sequential_through_memo_resets(monkeypatch)
         got = _exports(specs, jobs=4)
     finally:
         sys.setswitchinterval(interval)
-    assert all(memo.clears > 0 for memo in (entries, candidates, decisions, grids, shapes))
+    assert all(memo.clears > 0 for memo in (entries, records, grids, shapes))
     assert got == expected
 
 
@@ -256,7 +274,7 @@ def test_concurrent_ddr4_planning_matches_sequential_through_dram_memo_resets(mo
     memo = _CountingDict()
     monkeypatch.setattr(trace, "_BANDWIDTH_MEMO", memo)
     monkeypatch.setattr(trace, "_BANDWIDTH_MEMO_MAX", 8)
-    monkeypatch.setattr(evaluate, "_CANDIDATE_MEMO_MAX", 16)
+    monkeypatch.setattr(evaluate, "_SHAPE_RECORD_MAX", 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -295,7 +313,12 @@ def test_cached_grid_arrays_are_read_only():
     tiled.clear_grid_memo()
     grid = tiled.tile_grid(layer, False)
     assert tiled.tile_grid(layer, False) is grid
-    for array in grid:
+    for array in grid[:6]:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+    # The frontier is Python ints, so no NumPy scalar reaches a plan.
+    assert type(grid.frontier_footprint) is tuple and type(grid.frontier) is tuple
+    assert grid.frontier_footprint and len(grid.frontier) == len(grid.frontier_footprint)
+    assert all(type(value) is int for value in grid.frontier_footprint)
+    assert all(type(value) is int for winner in grid.frontier for value in winner)

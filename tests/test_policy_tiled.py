@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.nn import LayerKind, LayerSpec
 from repro.policies import FALLBACK_POLICY, TiledFallback
+from repro.policies.tiled import tile_grid
 
 from .tiled_reference import reference_fits_nothing, reference_tiled_plan
 
@@ -113,9 +114,10 @@ class TestWidthDirection:
 
 
 @st.composite
-def search_layers(draw) -> LayerSpec:
+def search_layers(draw, max_extent: int = 40) -> LayerSpec:
     """Conv, depth-wise and 1×1 layers, strides 1–3, including filters
-    larger than the unpadded input (covered only thanks to padding)."""
+    larger than the unpadded input (covered only thanks to padding), with
+    input rows and columns up to ``max_extent``."""
     kind = draw(
         st.sampled_from([LayerKind.CONV, LayerKind.DEPTHWISE, LayerKind.POINTWISE])
     )
@@ -126,8 +128,8 @@ def search_layers(draw) -> LayerSpec:
         f_h = draw(st.integers(1, 7))
         f_w = draw(st.integers(1, 7))
         padding = draw(st.integers(0, 3))
-    in_h = draw(st.integers(max(1, f_h - 2 * padding), 40))
-    in_w = draw(st.integers(max(1, f_w - 2 * padding), 40))
+    in_h = draw(st.integers(max(1, f_h - 2 * padding), max_extent))
+    in_w = draw(st.integers(max(1, f_w - 2 * padding), max_extent))
     return LayerSpec(
         name="fuzz",
         kind=kind,
@@ -172,3 +174,32 @@ def test_footprint_does_not_decrease_in_any_tile_dimension(layer, data):
     large = [data.draw(st.integers(low, limit)) for low, limit in zip(small, limits)]
     tiles = TiledFallback.candidate_tiles
     assert tiles(layer, *small).total <= tiles(layer, *large).total
+
+
+@settings(max_examples=25, deadline=None)
+@given(layer=search_layers(max_extent=16))
+def test_grid_search_matches_reference_loop_at_every_breakpoint(layer):
+    """At every budget where a candidate of either grid direction starts
+    or stops fitting (its ``factor``-scaled footprint and one element
+    either side, odd budgets included), the search picks the reference
+    loop's winner: an off-by-one in the budget split or in the fit
+    comparison shows here, where random budgets rarely land.  Inputs stay
+    small (16×16) because the reference loop instantiates every fitting
+    candidate band by band, hundreds of budgets per layer."""
+    footprints = {
+        footprint
+        for width_wise in (False, True)
+        for footprint in tile_grid(layer, width_wise).footprint.tolist()
+    }
+    policy = TiledFallback()
+    for prefetch in (False, True):
+        factor = 2 if prefetch else 1
+        budgets = {factor * footprint + delta for footprint in footprints for delta in (-1, 0, 1)}
+        for budget in sorted(budgets):
+            expected = reference_tiled_plan(layer, budget, prefetch)
+            assert policy.plan(layer, budget, prefetch) == expected
+            signature = policy.capacity_signature(layer, budget, prefetch)
+            if expected is None:
+                assert signature is None
+            else:
+                assert signature == (expected.block_size, *expected.tile_shape)
