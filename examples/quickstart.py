@@ -40,7 +40,7 @@ def main() -> None:
 
     # Static plan verification (docs/verification.md): capacity, traffic
     # and MAC conservation, donation chains, GLB address-map realizability.
-    # `manager.plan(..., verify=True)` would raise instead of reporting.
+    # `repro.verify.check_plan(plan)` would raise instead of reporting.
     report = verify_plan(plan)
     print(f"\nstatic verification: {report.render()}")
     report.raise_if_failed()

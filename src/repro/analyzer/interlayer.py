@@ -5,7 +5,11 @@ consumes it, the plan saves both the ofmap write-back of *i* and the ifmap
 reads of *i+1*.  Whether that is worth the residency cost — and which
 policies the two layers should then run — is a joint decision along the
 whole chain, so the analyzer solves it exactly with a backward DP over
-(layer, candidate policy, incoming-donation) states.
+two states per layer: it receives its predecessor's ofmap or it does not.
+Once that is fixed, the cheapest plan of layers *i..* does not depend on
+the policies of the layers before *i*, so each state keeps only its
+cheapest suffix cost and the assignment of layer *i* that starts it:
+O(n · K) assignments for *n* layers of *K* candidates.
 
 Donation across a pair requires:
 
@@ -105,74 +109,39 @@ def plan_chain_with_interlayer(
     if any(not c for c in candidates):
         raise ValueError("every layer needs at least one feasible candidate")
 
-    # Pre-materialize assignments per (layer, candidate, receives, donates)
-    # so the DP and the reconstruction share exact metrics.
-    cells: list[dict[tuple[int, bool, bool], LayerAssignment]] = []
-    for i, evs in enumerate(candidates):
-        cell: dict[tuple[int, bool, bool], LayerAssignment] = {}
-        for j, ev in enumerate(evs):
-            for receives in (False, True):
-                for donates in (False, True):
-                    if donates and (i == n - 1 or not model.feeds_next(i)):
-                        continue
-                    if donates and not _can_donate(ev):
-                        continue
+    # Backward over the layers, two states each: tail[r] is the cheapest
+    # cost of the layers after i when layer i+1 receives (r=True) or not;
+    # once layer i is done it is that of layers i.., and starts[-1][r] is
+    # the assignment of layer i that starts it.  Candidates go in list
+    # order, not donating before donating, and only a strictly cheaper
+    # total replaces a pick.
+    tail: list[_Cost] = [(0.0, 0.0), _INFEASIBLE]
+    starts: list[list[LayerAssignment | None]] = []
+    for i in range(n - 1, -1, -1):
+        can_donate = i < n - 1 and model.feeds_next(i)
+        costs: list[_Cost] = [_INFEASIBLE, _INFEASIBLE]
+        picks: list[LayerAssignment | None] = [None, None]
+        for receives in (False, True) if i > 0 and model.feeds_next(i - 1) else (False,):
+            for ev in candidates[i]:
+                for donates in (False, True) if can_donate and _can_donate(ev) else (False,):
                     if not _fits(ev, spec, receives, donates):
                         continue
-                    cell[(j, receives, donates)] = make_assignment(
+                    assignment = make_assignment(
                         i, model.layers[i], ev, spec, receives=receives, donates=donates
                     )
-        cells.append(cell)
-
-    # Backward DP: best[(j, receives)] = (cost of layers i.., donate flag,
-    # next candidate index) for layer i.
-    nxt: dict[tuple[int, bool], tuple[_Cost, bool, int | None]] = {}
-    for j, _ in enumerate(candidates[n - 1]):
-        for receives in (False, True):
-            assignment = cells[n - 1].get((j, receives, False))
-            cost = (
-                _assignment_cost(assignment, objective)
-                if assignment is not None
-                else _INFEASIBLE
-            )
-            nxt[(j, receives)] = (cost, False, None)
-
-    tables: list[dict[tuple[int, bool], tuple[_Cost, bool, int | None]]] = [nxt]
-    for i in range(n - 2, -1, -1):
-        cur: dict[tuple[int, bool], tuple[_Cost, bool, int | None]] = {}
-        nxt = tables[0]
-        for j, _ in enumerate(candidates[i]):
-            for receives in (False, True):
-                best: tuple[_Cost, bool, int | None] = (_INFEASIBLE, False, None)
-                for donates in (False, True):
-                    assignment = cells[i].get((j, receives, donates))
-                    if assignment is None:
-                        continue
-                    here = _assignment_cost(assignment, objective)
-                    for k, _ in enumerate(candidates[i + 1]):
-                        tail = nxt.get((k, donates), (_INFEASIBLE, False, None))[0]
-                        total = _add(here, tail)
-                        if total < best[0]:
-                            best = (total, donates, k)
-                cur[(j, receives)] = best
-        tables.insert(0, cur)
-
-    # Choose the entry candidate (layer 0 never receives).
-    first = tables[0]
-    best_j = min(
-        range(len(candidates[0])),
-        key=lambda j: first[(j, False)][0],
-    )
-    if first[(best_j, False)][0] == _INFEASIBLE:
+                    total = _add(_assignment_cost(assignment, objective), tail[donates])
+                    if total < costs[receives]:
+                        costs[receives], picks[receives] = total, assignment
+        tail = costs
+        starts.append(picks)
+    if tail[False] == _INFEASIBLE:
         raise ValueError("no feasible inter-layer plan exists")
 
-    # Reconstruct.
     assignments: list[LayerAssignment] = []
-    j, receives = best_j, False
-    for i in range(n):
-        cost, donates, next_j = tables[i][(j, receives)]
-        assignments.append(cells[i][(j, receives, donates)])
-        if next_j is None:
-            break
-        j, receives = next_j, donates
+    receives = False
+    for picks in reversed(starts):
+        pick = picks[receives]
+        assert pick is not None  # a feasible suffix starts here
+        assignments.append(pick)
+        receives = pick.donates
     return assignments

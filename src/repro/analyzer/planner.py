@@ -20,11 +20,6 @@ without prefetching (Table 4 writes "policy 1 (+p)" when both occur);
 ``allow_prefetch=False`` reproduces the prefetch-disabled reference of
 Fig. 10.  ``interlayer=True`` enables the §5.4 chain DP.
 
-Every planner accepts ``verify=True`` (a debug mode): the emitted plan is
-statically checked against the :mod:`repro.verify` invariant catalog and a
-:class:`~repro.verify.PlanVerificationError` is raised if any invariant is
-violated — turning planner bugs into hard failures at the source.
-
 Telemetry: planning runs inside tracer spans (one per plan, one per layer
 for ``Het``) and every plan carries a :class:`~repro.obs.audit.DecisionTrail`
 recording each candidate policy with its capacity check and accept/reject
@@ -59,19 +54,13 @@ SCHEMES = ("het", "hom", *(f"hom({family})" for family in FAMILIES))
 
 def _emit(
     model: Model, spec: AcceleratorSpec, objective: Objective,
-    assignments: list[LayerAssignment], trail: TrailBuilder, verify: bool,
+    assignments: list[LayerAssignment], trail: TrailBuilder,
 ) -> ExecutionPlan:
-    """The plan of the trail's scheme, statically verified when requested."""
-    plan = ExecutionPlan(
+    """The plan of the trail's scheme."""
+    return ExecutionPlan(
         model=model, spec=spec, objective=objective, scheme=trail.scheme,
         assignments=tuple(assignments), audit=trail.build(),
     )
-    if verify:
-        # Imported lazily: repro.verify consumes this module's output types.
-        from ..verify import check_plan
-
-        check_plan(plan)
-    return plan
 
 
 def _infeasible_row(attempt: PolicyAttempt) -> CandidateRow:
@@ -150,7 +139,6 @@ def plan_heterogeneous(
     allow_prefetch: bool = True,
     interlayer: bool = False,
     interlayer_mode: str = "opportunistic",
-    verify: bool = False,
 ) -> ExecutionPlan:
     """The ``Het`` scheme: best policy per layer (Algorithm 1).
 
@@ -210,12 +198,12 @@ def plan_heterogeneous(
         registry.counter("planner_candidates_count").add(
             sum(len(entry[0]) for entry in entries)
         )
-    return _emit(model, spec, objective, assignments, trail, verify)
+    return _emit(model, spec, objective, assignments, trail)
 
 
 def _plan_homogeneous(
     model: Model, spec: AcceleratorSpec, objective: Objective,
-    groups: dict[str, tuple[str, ...]], allow_prefetch: bool, verify: bool,
+    groups: dict[str, tuple[str, ...]], allow_prefetch: bool,
 ) -> ExecutionPlan | None:
     """The best plan over ``groups`` (scheme label -> families) in one layer walk.
 
@@ -253,7 +241,7 @@ def _plan_homogeneous(
         for i, (layer, (evaluation, rows)) in enumerate(zip(model.layers, picks[scheme])):
             trail.add_layer(i, layer.name, rows)
             assignments.append(make_assignment(i, layer, evaluation, spec))
-    return _emit(model, spec, objective, assignments, trail, verify)
+    return _emit(model, spec, objective, assignments, trail)
 
 
 def plan_homogeneous(
@@ -263,7 +251,6 @@ def plan_homogeneous(
     objective: Objective = Objective.ACCESSES,
     *,
     allow_prefetch: bool = True,
-    verify: bool = False,
 ) -> ExecutionPlan | None:
     """The homogeneous scheme for one policy family (e.g. ``"p1"``).
 
@@ -275,7 +262,7 @@ def plan_homogeneous(
     if family not in FAMILIES:
         raise KeyError(f"unknown policy family {family!r}")
     return _plan_homogeneous(
-        model, spec, objective, {f"hom({family})": (family,)}, allow_prefetch, verify
+        model, spec, objective, {f"hom({family})": (family,)}, allow_prefetch
     )
 
 
@@ -285,11 +272,10 @@ def best_homogeneous(
     objective: Objective = Objective.ACCESSES,
     *,
     allow_prefetch: bool = True,
-    verify: bool = False,
 ) -> ExecutionPlan:
     """The ``Hom`` scheme: the best single-policy plan for the objective."""
     groups = {f"hom({family})": (family,) for family in FAMILIES}
-    plan = _plan_homogeneous(model, spec, objective, groups, allow_prefetch, verify)
+    plan = _plan_homogeneous(model, spec, objective, groups, allow_prefetch)
     if plan is None:
         raise ValueError(f"{model.name}: no homogeneous scheme is feasible")
     return plan
@@ -301,12 +287,11 @@ def plan_named_only(
     objective: Objective = Objective.ACCESSES,
     *,
     allow_prefetch: bool = True,
-    verify: bool = False,
 ) -> ExecutionPlan:
     """``Het`` as Algorithm 1 is written (§3.3): the best named policy per
     layer, with the tile search only rescuing layers none of them fits."""
     groups = {"het(named-only)": FAMILIES}
-    plan = _plan_homogeneous(model, spec, objective, groups, allow_prefetch, verify)
+    plan = _plan_homogeneous(model, spec, objective, groups, allow_prefetch)
     if plan is None:
         raise ValueError(f"{model.name}: no feasible policy at GLB={spec.glb_bytes} bytes")
     return plan

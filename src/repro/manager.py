@@ -83,15 +83,11 @@ class MemoryManager:
         prefetch: bool = True,
         interlayer: bool = False,
         interlayer_mode: str = "opportunistic",
-        verify: bool = False,
     ) -> ExecutionPlan:
         """Produce an execution plan.
 
         ``scheme`` is ``"het"`` (Algorithm 1 per layer), ``"hom"`` (best
         single policy family) or ``"hom(<family>)"`` for a specific family.
-        ``verify=True`` statically checks the emitted plan against the
-        :mod:`repro.verify` invariant catalog and raises
-        :class:`~repro.verify.PlanVerificationError` on any violation.
         """
         _check_scheme(scheme)
         if scheme == "het":
@@ -102,17 +98,12 @@ class MemoryManager:
                 allow_prefetch=prefetch,
                 interlayer=interlayer,
                 interlayer_mode=interlayer_mode,
-                verify=verify,
             )
         if interlayer:
             raise ValueError("inter-layer reuse is only supported for the het scheme")
         if scheme == "hom":
-            return best_homogeneous(
-                model, self.spec, objective, allow_prefetch=prefetch, verify=verify
-            )
-        plan = plan_homogeneous(
-            model, self.spec, scheme[4:-1], objective, allow_prefetch=prefetch, verify=verify
-        )
+            return best_homogeneous(model, self.spec, objective, allow_prefetch=prefetch)
+        plan = plan_homogeneous(model, self.spec, scheme[4:-1], objective, allow_prefetch=prefetch)
         if plan is None:
             raise ValueError(f"{scheme} cannot fit {model.name} in this GLB")
         return plan

@@ -94,8 +94,8 @@ class PlanVerificationError(RuntimeError):
     """A plan failed static verification.
 
     Raised by :meth:`VerificationReport.raise_if_failed` (and therefore by
-    the planner/manager ``verify=True`` debug mode).  Carries the full
-    report so callers can inspect individual diagnostics.
+    :func:`~repro.verify.check_plan`).  Carries the full report so callers
+    can inspect individual diagnostics.
     """
 
     def __init__(self, report: "VerificationReport") -> None:

@@ -5,8 +5,7 @@
 * :func:`verify_plan` — statically check a complete
   :class:`~repro.analyzer.plan.ExecutionPlan` (capacity, traffic and MAC
   conservation, donation chain, address-level realizability);
-* :func:`check_plan` — the raising variant the planner's ``verify=True``
-  debug mode uses;
+* :func:`check_plan` — the raising variant of :func:`verify_plan`;
 * :func:`verify_network` — plan-and-verify one model × spec × scheme
   combination, the unit of work behind ``repro verify``.
 

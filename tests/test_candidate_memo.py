@@ -147,7 +147,7 @@ def test_named_only_plans_read_het_entries(monkeypatch, tmp_path):
     model, spec = get_model("ResNet18"), AcceleratorSpec(glb_bytes=kib(64))
     plan_heterogeneous(model, spec)
     entries, candidates = _memo_sizes()
-    plan = planner.plan_named_only(model, spec, verify=True)
+    plan = planner.plan_named_only(model, spec)
     assert plan.scheme == "het(named-only)" and plan.audit is not None
     assert [case.glb_policy for case in fig1.run()] == [
         plan.assignments[model.layers.index(model.find(case_layer))].label

@@ -5,12 +5,13 @@ import pytest
 from repro.analyzer import (
     Objective,
     make_assignment,
+    plan_chain_with_interlayer,
     plan_heterogeneous,
     required_memory_elems,
     transformed_schedule,
 )
 from repro.arch import AcceleratorSpec, kib
-from repro.estimators import evaluate_layer
+from repro.estimators import evaluate_layer, evaluate_layers
 from repro.nn import ModelBuilder
 from repro.nn.zoo import get_model
 from repro.policies import LayerSchedule, StepGroup
@@ -116,18 +117,6 @@ class TestInterlayerPlans:
             il = plan_heterogeneous(model, spec, interlayer=True, interlayer_mode=mode)
             assert il.total_accesses_bytes <= base.total_accesses_bytes
 
-    def test_joint_not_worse_than_opportunistic(self):
-        model = get_model("MnasNet")
-        for glb_kb in (64, 128):
-            spec = AcceleratorSpec(glb_bytes=kib(glb_kb))
-            opp = plan_heterogeneous(
-                model, spec, interlayer=True, interlayer_mode="opportunistic"
-            )
-            joint = plan_heterogeneous(
-                model, spec, interlayer=True, interlayer_mode="joint"
-            )
-            assert joint.total_accesses_bytes <= opp.total_accesses_bytes
-
     def test_coverage_grows_with_buffer(self):
         model = get_model("MnasNet")
         coverages = [
@@ -178,3 +167,36 @@ class TestInterlayerPlans:
         spec = AcceleratorSpec(glb_bytes=kib(256))
         plan = plan_heterogeneous(model, spec, interlayer=True)
         assert all(a.memory_bytes <= spec.glb_bytes for a in plan.assignments)
+
+
+class TestJointDP:
+    def test_no_receiving_cell_where_nothing_is_donated(self, monkeypatch):
+        """A layer that cannot receive (the first, or one its predecessor
+        does not feed) gets no receiving assignment built."""
+        calls = []
+
+        def recording(index, layer, evaluation, spec, receives=False, donates=False):
+            calls.append((index, receives))
+            return make_assignment(index, layer, evaluation, spec, receives, donates)
+
+        monkeypatch.setattr("repro.analyzer.interlayer.make_assignment", recording)
+        model = get_model("GoogLeNet")
+        plan_heterogeneous(
+            model, AcceleratorSpec(glb_bytes=kib(1024)), interlayer=True, interlayer_mode="joint"
+        )
+        receiving = {i for i, receives in calls if receives}
+        assert receiving  # the chain has edges that can donate
+        assert all(i > 0 and model.feeds_next(i - 1) for i in receiving)
+
+    def test_no_feasible_chain_raises(self):
+        """Candidates planned at 1 MiB, checked against a GLB one element
+        short of the layer whose smallest candidate is largest."""
+        model = get_model("ResNet18")
+        spec = AcceleratorSpec(glb_bytes=kib(1024))
+        candidates = [entry[0] for entry in evaluate_layers(model.layers, spec)]
+        need = max(
+            min(required_memory_elems(ev, False, False) for ev in evs) for evs in candidates
+        )
+        small = spec.with_glb((need - 1) * spec.bytes_per_elem)
+        with pytest.raises(ValueError, match="no feasible inter-layer plan exists"):
+            plan_chain_with_interlayer(model, small, Objective.ACCESSES, candidates)

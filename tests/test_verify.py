@@ -129,7 +129,8 @@ class TestCleanPlans:
 
     def test_manager_verify_and_verify_on_plan(self, spec):
         manager = MemoryManager(spec)
-        plan = manager.plan(tiny_model(), interlayer=True, verify=True)
+        plan = manager.plan(tiny_model(), interlayer=True)
+        check_plan(plan)
         assert verify_plan(plan).ok
 
     def test_hom_scheme_verifies(self, spec):
@@ -299,9 +300,8 @@ class TestPlanCorruptions:
         assert "V002" in str(excinfo.value)
 
     def test_verify_on_plan_mode_raises(self, plan, spec):
-        # The manager's verify=True path goes through the same raising
-        # check; a healthy plan must pass it (exercised in TestCleanPlans),
-        # and a corrupted spec must not slip through verify_plan.
+        # A healthy plan passes the raising check (exercised in
+        # TestCleanPlans); a corrupted spec must not slip through it.
         bad = replace(plan, spec=AcceleratorSpec(glb_bytes=kib(1)))
         with pytest.raises(PlanVerificationError):
             check_plan(bad)
